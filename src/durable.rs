@@ -1,5 +1,6 @@
-//! Durable sessions: the WAL-backed deployment of [`SharedSession`] /
-//! [`ShardedSession`].
+//! Durable sessions: the WAL-backed deployment of the concurrent
+//! session core ([`ShardedSession`], or its one-shard face
+//! [`SharedSession`]).
 //!
 //! A [`DurableSession`] routes every mutation through a write-ahead log
 //! (`cqu-wal`) with **log-before-publish** discipline: the effective
@@ -13,10 +14,12 @@
 //!
 //! ## What is logged
 //!
-//! * a `Mode` record (single vs sharded) opening every fresh log,
+//! * a `Mode` record opening every fresh log: whether the query set is
+//!   open (single mode — the core's one-shard form, DDL may follow at
+//!   any time) or sealed into a shard plan at creation,
 //! * `Register` records — durable DDL; recovery re-registers in log
 //!   order, which deterministically reproduces the schema's relation
-//!   ids and, for sharded sessions, the shard plan,
+//!   ids and, for sealed plans, the shard plan,
 //! * one `Update` record per *effective* update (no-ops draw no seq and
 //!   take no disk space), stamped with seq and owning shard,
 //! * `TxBegin`/`TxCommit` framing around transactions — recovery applies
@@ -26,39 +29,43 @@
 //!   log records the post-burn counter and recovery never reissues a
 //!   burned number to a subscriber cursor.
 //!
-//! ## Seq prediction
+//! ## One commit path
 //!
 //! Plain applies and batches are logged *before* they touch the session,
 //! so their seqs are predicted: under the WAL lock (which serializes
 //! every durable commit) the session's counter is stable, and
-//! effectiveness is decided by a read of the relation plus an overlay
-//! for within-batch dependencies — the same set-semantics rule the
-//! session itself applies. Transactions cannot be predicted (the
-//! closure is opaque), so they dispatch first — uncommitted state is
-//! invisible while the writer lock is held — and log inside the commit
-//! window, still before any event publishes.
+//! effectiveness is decided under shard read guards by a read of the
+//! relation plus an overlay for within-batch dependencies — the same
+//! set-semantics rule the session itself applies. The records are then
+//! appended, committed and shipped with no session lock held (locked
+//! readers never wait on an fsync), and only then does the batch apply.
+//! Transactions cannot be predicted (the closure is opaque), so they
+//! dispatch first — uncommitted state is invisible while the writer
+//! locks are held — and log inside the commit window, still before any
+//! event publishes. DDL stages its fallible half, commits the record
+//! to the log, then commits the infallible half to the session, so the
+//! in-memory schema never runs ahead of the log.
 //!
-//! Durable writes serialize through the WAL lock even on a sharded
-//! backend (one log is one total order); sharding still buys parallel
+//! Durable writes serialize through the WAL lock whatever the shard
+//! count (one log is one total order); sharding still buys parallel
 //! *reads* and feed fan-out. All mutations must go through the
 //! `DurableSession` — writing through an escape-hatch handle bypasses
 //! the log and forfeits every guarantee here.
 
 use crate::error::CqError;
 use crate::session::{
-    validate_update, EngineChoice, QueryId, QuerySnapshot, Session, SessionTransaction,
-    SharedSession,
+    validate_update, EngineChoice, QueryId, QuerySnapshot, Session, SharedSession,
 };
 use crate::shard::{ShardedSession, ShardedSessionBuilder, ShardedTransaction};
 use cqu_baseline::EngineKind;
 use cqu_common::FxHashMap;
 use cqu_dynamic::UpdateReport;
 use cqu_obs::Registry;
-use cqu_query::{RelId, Schema};
+use cqu_query::{parse_query, RelId, Schema};
 use cqu_storage::{Tuple, Update};
 use cqu_wal::{epoch, FsDir, FsyncPolicy, Rec, Wal, WalDir, WalError, WalOptions};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLockReadGuard};
 
 /// Batch size for checkpoint loading and log replay (bounds peak
 /// allocation without changing semantics — batches apply in order).
@@ -75,7 +82,8 @@ pub enum DurableError {
     /// e.g. a checkpoint whose schema disagrees with the logged
     /// registrations, or malformed transaction framing mid-log.
     Recovery(String),
-    /// The operation is not available on this backend.
+    /// The operation is not available on this session (e.g. DDL on a
+    /// sealed shard plan).
     Unsupported(&'static str),
 }
 
@@ -118,7 +126,7 @@ pub struct DurableOptions {
     /// Segment rotation threshold in bytes.
     pub segment_bytes: u64,
     /// Metrics registry shared into every layer of the session (WAL,
-    /// backend, shards). `None` leaves the session uninstrumented —
+    /// session core, shards). `None` leaves the session uninstrumented —
     /// the record paths then skip metric work entirely.
     pub registry: Option<Arc<Registry>>,
 }
@@ -142,65 +150,6 @@ impl DurableOptions {
     }
 }
 
-/// The wrapped in-memory session. `pub(crate)` (and cheaply clonable —
-/// both variants are handles) so the replica glue in [`crate::replica`]
-/// can drive the same machinery from a replication stream.
-#[derive(Clone)]
-pub(crate) enum Backend {
-    Single(SharedSession),
-    Sharded(ShardedSession),
-}
-
-impl Backend {
-    pub(crate) fn schema(&self) -> Result<Schema, CqError> {
-        match self {
-            Backend::Single(s) => s.read(|s| s.schema().clone()),
-            Backend::Sharded(s) => Ok(s.schema().clone()),
-        }
-    }
-
-    pub(crate) fn seq(&self) -> Result<u64, CqError> {
-        match self {
-            Backend::Single(s) => s.read(|s| s.seq()),
-            Backend::Sharded(s) => Ok(s.seq()),
-        }
-    }
-
-    pub(crate) fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, CqError> {
-        match self {
-            Backend::Single(s) => s.apply_batch(updates),
-            Backend::Sharded(s) => s.apply_batch(updates),
-        }
-    }
-
-    pub(crate) fn force_seq(&self, seq: u64) -> Result<(), CqError> {
-        match self {
-            Backend::Single(s) => s.write(|s| s.force_seq(seq)),
-            Backend::Sharded(s) => s.force_seq(seq),
-        }
-    }
-
-    /// Applies `updates` inside one backend transaction — all-or-nothing
-    /// with a single published event, which is how a replica replays a
-    /// leader's `TxBegin … TxCommit` group.
-    pub(crate) fn apply_tx(&self, updates: &[Update]) -> Result<(), CqError> {
-        match self {
-            Backend::Single(s) => s.transaction(|t| {
-                for u in updates {
-                    t.apply(u)?;
-                }
-                Ok(())
-            }),
-            Backend::Sharded(s) => s.transaction(|t| {
-                for u in updates {
-                    t.apply(u)?;
-                }
-                Ok(())
-            }),
-        }
-    }
-}
-
 /// Log state guarded by one mutex: the writer, the registration list
 /// (name, src, encoded choice) that checkpoints serialize, and the
 /// attached replication queues.
@@ -218,7 +167,12 @@ struct WalState {
 /// discipline and recovery semantics.
 pub struct DurableSession {
     wal: Mutex<WalState>,
-    backend: Backend,
+    /// The one concurrent session core: its open one-shard form for a
+    /// single-mode log, a sealed shard plan for a sharded one.
+    core: ShardedSession,
+    /// The single-mode face of `core` ([`DurableSession::shared`]);
+    /// `None` over a sealed plan.
+    single: Option<SharedSession>,
     /// Packed [`epoch`] `(term, lifetime)`: the lifetime half is the
     /// startup segment index (strictly increasing across recoveries of
     /// one log), the term half is the leadership term (bumped only by
@@ -269,7 +223,7 @@ pub(crate) fn decode_choice(byte: u8) -> Result<EngineChoice, DurableError> {
 /// Builds one `Update` record per entry of `effective`, stamped
 /// `seq0+1..` — the commit path appends them to the log and then ships
 /// the same values to any attached replication queues.
-fn update_recs(seq0: u64, effective: &[Update], shard_of: impl Fn(RelId) -> u16) -> Vec<Rec> {
+fn update_recs(core: &ShardedSession, seq0: u64, effective: &[Update]) -> Vec<Rec> {
     effective
         .iter()
         .enumerate()
@@ -280,7 +234,7 @@ fn update_recs(seq0: u64, effective: &[Update], shard_of: impl Fn(RelId) -> u16)
             };
             Rec::Update {
                 seq: seq0 + 1 + i as u64,
-                shard: shard_of(rel),
+                shard: core.route(rel) as u16,
                 insert,
                 rel: rel.0,
                 tuple: tuple.clone(),
@@ -304,14 +258,21 @@ fn ship(st: &mut WalState, head: u64, recs: &[Rec]) {
 }
 
 /// Validates `updates` and predicts the effective subset under set
-/// semantics: `present` reads the live relation, and an overlay carries
+/// semantics: `shards` (read guards on every shard — one consistent
+/// cut) answer for the live relations, and an overlay carries
 /// within-batch dependencies — exactly the rule the session's dispatch
 /// applies, so the predicted seqs match the drawn ones.
 fn predict_effective(
-    schema: &Schema,
-    present: impl Fn(RelId, &[u64]) -> bool,
+    core: &ShardedSession,
+    shards: &[RwLockReadGuard<'_, Session>],
     updates: &[Update],
 ) -> Result<Vec<Update>, CqError> {
+    // Every shard session carries the full schema.
+    let schema = shards[0].schema();
+    let present = |rel: RelId, tuple: &[u64]| {
+        let shard = &shards[core.route(rel)];
+        shard.database().relation(rel).contains(tuple)
+    };
     let mut overlay: FxHashMap<(u32, Tuple), bool> = FxHashMap::default();
     let mut effective = Vec::new();
     for u in updates {
@@ -408,10 +369,25 @@ pub(crate) fn decode_ckpt_body(body: &[u8]) -> Result<CkptBody, DurableError> {
             String::from_utf8(self.take(len)?.to_vec())
                 .map_err(|_| DurableError::Recovery("checkpoint string not utf-8".into()))
         }
+        /// Admits a count of items of at least `item_bytes` each only if
+        /// the bytes still unread can hold that many: the fields come
+        /// raw off disk or the replication socket, and must not size an
+        /// allocation or a loop before they are checked.
+        fn count(&self, raw: u64, item_bytes: usize) -> Result<usize, DurableError> {
+            match usize::try_from(raw) {
+                Ok(n) if n <= self.0.len() / item_bytes => Ok(n),
+                _ => Err(DurableError::Recovery(format!(
+                    "checkpoint count {raw} exceeds the {} bytes left",
+                    self.0.len()
+                ))),
+            }
+        }
     }
     let mut r = R(body);
     let sharded = r.u8()? != 0;
-    let n_regs = r.u32()? as usize;
+    // A registration is a choice byte and two length-prefixed strings.
+    let n_regs = r.u32()?;
+    let n_regs = r.count(n_regs.into(), 9)?;
     let mut regs = Vec::with_capacity(n_regs);
     for _ in 0..n_regs {
         let choice = r.u8()?;
@@ -419,11 +395,24 @@ pub(crate) fn decode_ckpt_body(body: &[u8]) -> Result<CkptBody, DurableError> {
         let src = r.str()?;
         regs.push((name, src, choice));
     }
-    let n_rels = r.u32()? as usize;
+    // A relation is at least its arity and tuple count.
+    let n_rels = r.u32()?;
+    let n_rels = r.count(n_rels.into(), 10)?;
     let mut rels = Vec::with_capacity(n_rels);
     for _ in 0..n_rels {
         let arity = r.u16()? as usize;
-        let count = r.u64()? as usize;
+        let count = r.u64()?;
+        let count = if arity > 0 {
+            r.count(count, arity * 8)?
+        } else if count <= 1 {
+            // A nullary relation holds the empty tuple or nothing; its
+            // tuples take no bytes, so only this bounds the loop.
+            count as usize
+        } else {
+            return Err(DurableError::Recovery(format!(
+                "nullary relation with {count} tuples in checkpoint"
+            )));
+        };
         let mut tuples = Vec::with_capacity(count);
         for _ in 0..count {
             let mut t = Vec::with_capacity(arity);
@@ -446,7 +435,35 @@ pub(crate) fn decode_ckpt_body(body: &[u8]) -> Result<CkptBody, DurableError> {
     })
 }
 
+/// Attaches the options' registry, if any, to a freshly opened log
+/// writer — the step every constructor shares.
+fn instrument(mut wal: Wal, opts: &DurableOptions) -> Wal {
+    if let Some(r) = &opts.registry {
+        wal.attach_registry(Arc::clone(r));
+    }
+    wal
+}
+
 impl DurableSession {
+    fn assemble(
+        wal: Wal,
+        regs: Vec<(String, String, u8)>,
+        core: ShardedSession,
+        epoch: u64,
+    ) -> DurableSession {
+        DurableSession {
+            wal: Mutex::new(WalState {
+                wal,
+                regs,
+                sinks: Vec::new(),
+                next_sink: 1,
+            }),
+            single: core.is_open().then(|| SharedSession { core: core.clone() }),
+            core,
+            epoch,
+        }
+    }
+
     /// Creates a fresh single-writer durable session over `dir`. Refuses
     /// a directory that already holds a log — use
     /// [`DurableSession::recover`] for that.
@@ -454,28 +471,7 @@ impl DurableSession {
         dir: Box<dyn WalDir>,
         opts: DurableOptions,
     ) -> Result<DurableSession, DurableError> {
-        ensure_virgin(&*dir)?;
-        let mut wal = Wal::new(dir, opts.wal(), 1, 0)?;
-        if let Some(r) = &opts.registry {
-            wal.attach_registry(Arc::clone(r));
-        }
-        wal.append(&Rec::Mode { sharded: false });
-        wal.commit()?;
-        wal.sync()?;
-        let mut session = Session::new();
-        if let Some(r) = &opts.registry {
-            session.share_registry(Arc::clone(r));
-        }
-        Ok(DurableSession {
-            wal: Mutex::new(WalState {
-                wal,
-                regs: Vec::new(),
-                sinks: Vec::new(),
-                next_sink: 1,
-            }),
-            backend: Backend::Single(SharedSession::new(session)),
-            epoch: epoch::compose(0, 1),
-        })
+        DurableSession::create_mode(dir, opts, false, &[])
     }
 
     /// Creates a fresh sharded durable session over `dir`, registering
@@ -491,41 +487,40 @@ impl DurableSession {
                 "a sharded session needs at least one query",
             ));
         }
+        DurableSession::create_mode(dir, opts, true, regs)
+    }
+
+    /// Builds the core, then opens a virgin log with its `Mode` record
+    /// and the initial registrations in one synced commit.
+    fn create_mode(
+        dir: Box<dyn WalDir>,
+        opts: DurableOptions,
+        sharded: bool,
+        regs: &[(&str, &str)],
+    ) -> Result<DurableSession, DurableError> {
         ensure_virgin(&*dir)?;
-        let mut builder = ShardedSessionBuilder::new();
-        for (name, src) in regs {
-            builder.register(name, src)?;
-        }
-        if let Some(r) = &opts.registry {
-            builder.share_registry(Arc::clone(r));
-        }
-        let session = builder.build()?;
-        let mut wal = Wal::new(dir, opts.wal(), 1, 0)?;
-        if let Some(r) = &opts.registry {
-            wal.attach_registry(Arc::clone(r));
-        }
-        wal.append(&Rec::Mode { sharded: true });
-        let mut reglist = Vec::with_capacity(regs.len());
-        for (name, src) in regs {
+        let regs: Vec<(String, String, u8)> = regs
+            .iter()
+            .map(|(name, src)| ((*name).to_string(), (*src).to_string(), 0))
+            .collect();
+        let core = build_core(sharded, &regs, opts.registry.as_ref())?;
+        let mut wal = instrument(Wal::new(dir, opts.wal(), 1, 0)?, &opts);
+        wal.append(&Rec::Mode { sharded });
+        for (name, src, choice) in &regs {
             wal.append(&Rec::Register {
-                name: (*name).to_string(),
-                src: (*src).to_string(),
-                choice: 0,
+                name: name.clone(),
+                src: src.clone(),
+                choice: *choice,
             });
-            reglist.push(((*name).to_string(), (*src).to_string(), 0u8));
         }
         wal.commit()?;
         wal.sync()?;
-        Ok(DurableSession {
-            wal: Mutex::new(WalState {
-                wal,
-                regs: reglist,
-                sinks: Vec::new(),
-                next_sink: 1,
-            }),
-            backend: Backend::Sharded(session),
-            epoch: epoch::compose(0, 1),
-        })
+        Ok(DurableSession::assemble(
+            wal,
+            regs,
+            core,
+            epoch::compose(0, 1),
+        ))
     }
 
     /// [`DurableSession::create`] over a filesystem path.
@@ -594,11 +589,11 @@ impl DurableSession {
                 }
             }
         }
-        let backend = build_backend(sharded, &regs, opts.registry.as_ref())?;
+        let core = build_core(sharded, &regs, opts.registry.as_ref())?;
 
         // Load checkpoint tuples, batched per relation.
         if let Some((_, body)) = &ckpt {
-            load_ckpt_tuples(&backend, body)?;
+            load_ckpt_tuples(&core, body)?;
         }
 
         // Replay the tail.
@@ -623,11 +618,9 @@ impl DurableSession {
                     // Single mode interleaves DDL with updates: flush
                     // what came before so relation ids intern in the
                     // original order.
-                    flush_pending(&backend, &mut pending)?;
-                    let Backend::Single(sess) = &backend else {
-                        unreachable!("single-mode register on sharded backend");
-                    };
-                    sess.register_with(name, src, decode_choice(*choice)?)?;
+                    flush_pending(&core, &mut pending)?;
+                    let engine = decode_choice(*choice)?;
+                    core.write_at(0, |s| s.register_with(name, src, engine))??;
                     registered.insert(name.clone());
                     regs.push((name.clone(), src.clone(), *choice));
                 }
@@ -681,27 +674,19 @@ impl DurableSession {
         }
         // A still-open tx_buf is the uncommitted suffix of the crash —
         // dropped, exactly as it was never visible.
-        flush_pending(&backend, &mut pending)?;
-        backend.force_seq(last_seq)?;
+        flush_pending(&core, &mut pending)?;
+        core.force_seq(last_seq)?;
 
-        let mut wal = Wal::new(dir, opts.wal(), scan.next_segment, scan.term)?;
-        if let Some(r) = &opts.registry {
-            wal.attach_registry(Arc::clone(r));
-        }
-        Ok(DurableSession {
-            wal: Mutex::new(WalState {
-                wal,
-                regs,
-                sinks: Vec::new(),
-                next_sink: 1,
-            }),
-            backend,
-            // The startup segment index is strictly increasing across
-            // lives (recovery always opens past every existing segment)
-            // — the lifetime half of the epoch. The term half survives
-            // restarts untouched: only promotion mints a higher term.
-            epoch: epoch::compose(scan.term, scan.next_segment),
-        })
+        let wal = instrument(
+            Wal::new(dir, opts.wal(), scan.next_segment, scan.term)?,
+            &opts,
+        );
+        // The startup segment index is strictly increasing across lives
+        // (recovery always opens past every existing segment) — the
+        // lifetime half of the epoch. The term half survives restarts
+        // untouched: only promotion mints a higher term.
+        let epoch = epoch::compose(scan.term, scan.next_segment);
+        Ok(DurableSession::assemble(wal, regs, core, epoch))
     }
 
     /// [`DurableSession::recover`] over a filesystem path.
@@ -715,7 +700,7 @@ impl DurableSession {
     /// Turns a replica's applied state into a fresh durable leader log —
     /// the promotion path behind [`crate::replica::ReplicaSession::promote`].
     ///
-    /// The backend (already at its applied seq) is checkpointed into a
+    /// The core (already at its applied seq) is checkpointed into a
     /// virgin `dir` via [`Wal::seed`], and the log opens at a leadership
     /// term strictly above the one observed from the old leader:
     /// `epoch = (term(observed) + 1, lifetime 1)`. Every epoch the old
@@ -725,96 +710,80 @@ impl DurableSession {
     pub(crate) fn promote_from(
         dir: Box<dyn WalDir>,
         opts: DurableOptions,
-        backend: Backend,
+        core: ShardedSession,
         regs: Vec<(String, String, u8)>,
         observed_epoch: u64,
     ) -> Result<DurableSession, DurableError> {
         ensure_virgin(&*dir)?;
-        let (seq, body) = snapshot_ckpt_body(&backend, &regs)?;
+        let (seq, body) = snapshot_ckpt_body(&core, &regs)?;
         let term = epoch::term(observed_epoch) + 1;
-        let mut wal = Wal::seed(dir, opts.wal(), 1, term, seq, &body)?;
-        if let Some(r) = &opts.registry {
-            wal.attach_registry(Arc::clone(r));
-            // A single-writer backend can adopt the registry after the
-            // fact; a sharded one seals its metrics at build, so the
-            // replica must have carried the registry from bootstrap.
-            if let Backend::Single(s) = &backend {
-                s.write(|s| s.share_registry(Arc::clone(r)))?;
+        let wal = instrument(Wal::seed(dir, opts.wal(), 1, term, seq, &body)?, &opts);
+        if core.is_open() {
+            // The open form can adopt the registry after the fact; a
+            // sealed plan fixes its metrics at build, so the replica
+            // must have carried the registry from bootstrap.
+            if let Some(r) = &opts.registry {
+                core.write_at(0, |s| s.share_registry(Arc::clone(r)))?;
             }
         }
-        Ok(DurableSession {
-            wal: Mutex::new(WalState {
-                wal,
-                regs,
-                sinks: Vec::new(),
-                next_sink: 1,
-            }),
-            backend,
-            epoch: epoch::compose(term, 1),
-        })
+        Ok(DurableSession::assemble(
+            wal,
+            regs,
+            core,
+            epoch::compose(term, 1),
+        ))
     }
 
-    /// Whether this session wraps a [`ShardedSession`].
+    /// Whether this session's query set is sealed into a shard plan
+    /// (the log's `Mode` record).
     pub fn is_sharded(&self) -> bool {
-        matches!(self.backend, Backend::Sharded(_))
+        self.single.is_none()
     }
 
     /// The metrics registry this session was built with, if any. All
-    /// layers (WAL, backend, shards) record into this one registry, so
-    /// [`Registry::render`] here is the full picture.
+    /// layers (WAL, session core, shards) record into this one registry,
+    /// so [`Registry::render`] here is the full picture.
     pub fn registry(&self) -> Option<Arc<Registry>> {
-        match &self.backend {
-            Backend::Single(s) => s.read(|s| s.registry().cloned()).ok().flatten(),
-            Backend::Sharded(s) => s.registry().cloned(),
-        }
+        self.core.registry()
     }
 
-    /// The wrapped [`SharedSession`] (single-writer mode). Read from it
-    /// freely (snapshots, readers, feeds, serving sources); never write
-    /// through it — that bypasses the log.
+    /// The session as a [`SharedSession`] (single-writer mode). Read
+    /// from it freely (snapshots, readers, feeds, serving sources);
+    /// never write through it — that bypasses the log.
     pub fn shared(&self) -> Option<&SharedSession> {
-        match &self.backend {
-            Backend::Single(s) => Some(s),
-            Backend::Sharded(_) => None,
-        }
+        self.single.as_ref()
     }
 
-    /// The wrapped [`ShardedSession`] (sharded mode). Same contract as
-    /// [`DurableSession::shared`]: reads only.
+    /// The session as a [`ShardedSession`] (sharded mode). Same contract
+    /// as [`DurableSession::shared`]: reads only.
     pub fn sharded(&self) -> Option<&ShardedSession> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(s) => Some(s),
-        }
+        self.is_sharded().then_some(&self.core)
+    }
+
+    /// The session core itself, for crate-internal readers that serve
+    /// either mode alike.
+    pub(crate) fn core(&self) -> &ShardedSession {
+        &self.core
     }
 
     /// The global sequence counter.
     pub fn seq(&self) -> Result<u64, DurableError> {
-        Ok(self.backend.seq()?)
+        Ok(self.core.seq())
     }
 
     /// Resolves a relation by name.
     pub fn relation(&self, name: &str) -> Result<RelId, DurableError> {
-        match &self.backend {
-            Backend::Single(s) => Ok(s.relation(name)?),
-            Backend::Sharded(s) => Ok(s.relation(name)?),
-        }
+        Ok(self.core.relation(name)?)
     }
 
     /// Pins a snapshot of `name`'s current result.
     pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, DurableError> {
-        match &self.backend {
-            Backend::Single(s) => Ok(s.snapshot(name)?),
-            Backend::Sharded(s) => Ok(s.snapshot(name)?),
-        }
+        Ok(self.core.snapshot(name)?)
     }
 
     /// O(1) count of `name`'s current result.
     pub fn count(&self, name: &str) -> Result<u64, DurableError> {
-        match &self.backend {
-            Backend::Single(s) => Ok(s.read(|s| s.query(name).map(|h| h.count()))??),
-            Backend::Sharded(s) => Ok(s.count(name)?),
-        }
+        Ok(self.core.count(name)?)
     }
 
     /// Registers a query (single-writer mode only — sharded sessions
@@ -826,6 +795,14 @@ impl DurableSession {
     }
 
     /// [`DurableSession::register`] with an explicit engine choice.
+    ///
+    /// Log-before-publish, like every other mutation: the registration
+    /// is staged (every check that can refuse it), then appended and
+    /// committed to the log, and only then committed to the session — a
+    /// failed log commit leaves the in-memory schema exactly where the
+    /// log has it. The extra fsync comes last: once the commit landed
+    /// the record is part of the log, so the registration stands on
+    /// both sides even if that fsync then reports a fault.
     pub fn register_with(
         &self,
         name: &str,
@@ -833,12 +810,17 @@ impl DurableSession {
         choice: EngineChoice,
     ) -> Result<QueryId, DurableError> {
         let mut st = lock_wal(&self.wal)?;
-        let Backend::Single(sess) = &self.backend else {
+        if self.is_sharded() {
             return Err(DurableError::Unsupported(
                 "sharded sessions register their queries at creation",
             ));
-        };
-        let id = sess.register_with(name, src, choice)?;
+        }
+        let query = parse_query(src).map_err(CqError::from)?;
+        // The WAL lock keeps the schema still between stage and commit:
+        // every durable mutation, DDL included, passes through it.
+        let staged = self
+            .core
+            .read_at(0, |s| s.stage_query(name, &query, choice))??;
         let byte = encode_choice(choice);
         let rec = Rec::Register {
             name: name.to_string(),
@@ -847,10 +829,11 @@ impl DurableSession {
         };
         st.wal.append(&rec);
         st.wal.commit()?;
-        st.wal.sync()?;
-        let head = sess.read(|s| s.seq())?;
+        let id = self.core.write_at(0, |s| s.commit_query(staged))?;
+        let head = self.core.seq();
         ship(&mut st, head, std::slice::from_ref(&rec));
         st.regs.push((name.to_string(), src.to_string(), byte));
+        st.wal.sync()?;
         Ok(id)
     }
 
@@ -867,70 +850,32 @@ impl DurableSession {
     pub fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, DurableError> {
         let mut st = lock_wal(&self.wal)?;
         let st = &mut *st;
-        match &self.backend {
-            Backend::Single(sess) => {
-                Ok(sess.write(|s| -> Result<UpdateReport, DurableError> {
-                    let effective = predict_effective(
-                        s.schema(),
-                        |rel, t| s.database().relation(rel).contains(t),
-                        updates,
-                    )?;
-                    if effective.is_empty() {
-                        return Ok(UpdateReport {
-                            total: updates.len(),
-                            applied: 0,
-                        });
-                    }
-                    let seq0 = s.seq();
-                    let recs = update_recs(seq0, &effective, |_| 0);
-                    for rec in &recs {
-                        st.wal.append(rec);
-                    }
-                    st.wal.commit()?;
-                    ship(st, seq0 + effective.len() as u64, &recs);
-                    let report = s.apply_batch_prevalidated(updates);
-                    debug_assert_eq!(report.applied, effective.len());
-                    debug_assert_eq!(s.seq(), seq0 + effective.len() as u64);
-                    Ok(report)
-                })??)
-            }
-            Backend::Sharded(sess) => {
-                let effective = sess.read_all(|guards| {
-                    predict_effective(
-                        sess.schema(),
-                        |rel, t| {
-                            let sid = sess.plan().shard_of_relation(rel).unwrap_or(0);
-                            guards[sid].database().relation(rel).contains(t)
-                        },
-                        updates,
-                    )
-                })??;
-                if effective.is_empty() {
-                    return Ok(UpdateReport {
-                        total: updates.len(),
-                        applied: 0,
-                    });
-                }
-                let seq0 = sess.seq();
-                let recs = update_recs(seq0, &effective, |rel| {
-                    sess.plan().shard_of_relation(rel).unwrap_or(0) as u16
-                });
-                for rec in &recs {
-                    st.wal.append(rec);
-                }
-                st.wal.commit()?;
-                ship(st, seq0 + effective.len() as u64, &recs);
-                // No reader can interleave observations here: the WAL
-                // lock serializes writers, and per-update seq stamps are
-                // never observable below event granularity — the log
-                // keeps submission order even when the sharded batch
-                // commits per-shard sub-batches.
-                let report = sess.apply_batch(updates)?;
-                debug_assert_eq!(report.applied, effective.len());
-                debug_assert_eq!(sess.seq(), seq0 + effective.len() as u64);
-                Ok(report)
-            }
+        let core = &self.core;
+        // The read guards drop before the log is touched.
+        let effective = core.read_all(|shards| predict_effective(core, shards, updates))??;
+        if effective.is_empty() {
+            return Ok(UpdateReport {
+                total: updates.len(),
+                applied: 0,
+            });
         }
+        let seq0 = core.seq();
+        let head = seq0 + effective.len() as u64;
+        let recs = update_recs(core, seq0, &effective);
+        for rec in &recs {
+            st.wal.append(rec);
+        }
+        st.wal.commit()?;
+        ship(st, head, &recs);
+        // No reader can interleave observations here: the WAL lock
+        // serializes writers, and per-update seq stamps are never
+        // observable below event granularity — the log keeps submission
+        // order even when a multi-shard batch commits per-shard
+        // sub-batches.
+        let report = core.apply_batch_prevalidated(updates)?;
+        debug_assert_eq!(report.applied, effective.len());
+        debug_assert_eq!(core.seq(), head);
+        Ok(report)
     }
 
     /// Runs `f` inside a durable all-or-nothing transaction. On `Ok`,
@@ -954,129 +899,66 @@ impl DurableSession {
     ) -> Result<R, DurableError> {
         let mut st = lock_wal(&self.wal)?;
         let st = &mut *st;
-        match &self.backend {
-            Backend::Single(sess) => Ok(sess.write(|s| -> Result<R, DurableError> {
-                let seq0 = s.seq();
-                let mut txn = s.transaction();
-                let mut dtx = DurableTransaction {
-                    inner: TxInner::Single(&mut txn),
-                    logged: Vec::new(),
-                };
-                let res = f(&mut dtx);
-                let logged = std::mem::take(&mut dtx.logged);
-                drop(dtx);
-                let n = logged.len() as u64;
-                match res {
-                    Ok(r) => {
-                        if n > 0 {
-                            let mut recs = Vec::with_capacity(logged.len() + 2);
-                            recs.push(Rec::TxBegin {
-                                first_seq: seq0 + 1,
-                            });
-                            recs.extend(update_recs(seq0, &logged, |_| 0));
-                            recs.push(Rec::TxCommit { last_seq: seq0 + n });
-                            for rec in &recs {
-                                st.wal.append(rec);
-                            }
-                            if let Err(e) = st.wal.commit() {
-                                txn.rollback();
-                                let burn = Rec::SeqBurn { upto: seq0 + n };
-                                st.wal.append(&burn);
-                                if st.wal.commit().is_ok() {
-                                    ship(st, seq0 + n, std::slice::from_ref(&burn));
-                                }
-                                // The tx-commit failure wins: the caller
-                                // already has a log error to act on, and
-                                // a failed burn leaves the WAL poisoned
-                                // for the next commit to surface.
-                                return Err(e.into());
-                            }
-                            ship(st, seq0 + n, &recs);
+        let core = &self.core;
+        let seq0 = core.seq();
+        let mut burn: u64 = 0;
+        let res = core.transaction_generic(|tx| -> Result<R, DurableError> {
+            let mut dtx = DurableTransaction {
+                inner: tx,
+                logged: Vec::new(),
+            };
+            let res = f(&mut dtx);
+            let logged = dtx.logged;
+            let n = logged.len() as u64;
+            match res {
+                Ok(r) => {
+                    if n > 0 {
+                        // Armed until the log lands: the driver rolls
+                        // back on error and the burn record is written
+                        // below.
+                        burn = n;
+                        let mut recs = Vec::with_capacity(logged.len() + 2);
+                        recs.push(Rec::TxBegin {
+                            first_seq: seq0 + 1,
+                        });
+                        recs.extend(update_recs(core, seq0, &logged));
+                        recs.push(Rec::TxCommit { last_seq: seq0 + n });
+                        for rec in &recs {
+                            st.wal.append(rec);
                         }
-                        txn.commit();
-                        Ok(r)
+                        st.wal.commit()?;
+                        burn = 0;
+                        ship(st, seq0 + n, &recs);
                     }
-                    Err(e) => {
-                        txn.rollback();
-                        if n > 0 {
-                            let burn = Rec::SeqBurn { upto: seq0 + n };
-                            st.wal.append(&burn);
-                            // A burn that fails to land is a real
-                            // durability fault — the on-disk counter no
-                            // longer covers the burned numbers, so a
-                            // recovery could reissue them to subscriber
-                            // cursors. Surface it instead of pretending
-                            // the rollback was clean.
-                            match st.wal.commit() {
-                                Ok(_) => ship(st, seq0 + n, std::slice::from_ref(&burn)),
-                                Err(we) => return Err(we.into()),
-                            }
-                        }
-                        Err(DurableError::Session(e))
-                    }
+                    Ok(r)
                 }
-            })??),
-            Backend::Sharded(sess) => {
-                let seq0 = sess.seq();
-                let mut burn: u64 = 0;
-                let plan_shard =
-                    |rel: RelId| -> u16 { sess.plan().shard_of_relation(rel).unwrap_or(0) as u16 };
-                let res = sess.transaction_generic(|tx| -> Result<R, DurableError> {
-                    let mut dtx = DurableTransaction {
-                        inner: TxInner::Sharded(tx),
-                        logged: Vec::new(),
+                Err(e) => {
+                    burn = n;
+                    Err(DurableError::Session(e))
+                }
+            }
+        });
+        if burn > 0 {
+            let rec = Rec::SeqBurn { upto: seq0 + burn };
+            st.wal.append(&rec);
+            match st.wal.commit() {
+                Ok(_) => ship(st, seq0 + burn, std::slice::from_ref(&rec)),
+                // A burn that fails to land is a real durability fault —
+                // the on-disk counter no longer covers the burned
+                // numbers, so a recovery could reissue them to
+                // subscriber cursors. Surface it — unless the log
+                // already failed, in which case the original error is
+                // the better diagnostic (and the WAL stays poisoned for
+                // the next commit to surface).
+                Err(we) => {
+                    return match res {
+                        Err(DurableError::Wal(_)) => res,
+                        _ => Err(we.into()),
                     };
-                    let res = f(&mut dtx);
-                    let logged = std::mem::take(&mut dtx.logged);
-                    drop(dtx);
-                    let n = logged.len() as u64;
-                    match res {
-                        Ok(r) => {
-                            if n > 0 {
-                                // Armed until the log lands: the driver
-                                // rolls back on error and the burn
-                                // record is written below.
-                                burn = n;
-                                let mut recs = Vec::with_capacity(logged.len() + 2);
-                                recs.push(Rec::TxBegin {
-                                    first_seq: seq0 + 1,
-                                });
-                                recs.extend(update_recs(seq0, &logged, plan_shard));
-                                recs.push(Rec::TxCommit { last_seq: seq0 + n });
-                                for rec in &recs {
-                                    st.wal.append(rec);
-                                }
-                                st.wal.commit()?;
-                                burn = 0;
-                                ship(st, seq0 + n, &recs);
-                            }
-                            Ok(r)
-                        }
-                        Err(e) => {
-                            burn = n;
-                            Err(DurableError::Session(e))
-                        }
-                    }
-                });
-                if burn > 0 {
-                    let rec = Rec::SeqBurn { upto: seq0 + burn };
-                    st.wal.append(&rec);
-                    match st.wal.commit() {
-                        Ok(_) => ship(st, seq0 + burn, std::slice::from_ref(&rec)),
-                        // Surface the failed burn — unless the log
-                        // already failed, in which case the original
-                        // error is the better diagnostic.
-                        Err(we) => {
-                            return match res {
-                                Err(DurableError::Wal(_)) => res,
-                                _ => Err(we.into()),
-                            };
-                        }
-                    }
                 }
-                res
             }
         }
+        res
     }
 
     /// Serializes the full database state at the current seq, publishes
@@ -1086,7 +968,7 @@ impl DurableSession {
     pub fn checkpoint(&self) -> Result<u64, DurableError> {
         let mut st = lock_wal(&self.wal)?;
         let st = &mut *st;
-        let (seq, body) = snapshot_ckpt_body(&self.backend, &st.regs)?;
+        let (seq, body) = snapshot_ckpt_body(&self.core, &st.regs)?;
         st.wal.checkpoint(seq, &body)?;
         Ok(seq)
     }
@@ -1120,7 +1002,7 @@ impl DurableSession {
         let shipped = st.wal.ship_scan()?;
         // Stable under the WAL lock: every durable writer serializes
         // through it, and seqs only move inside a commit.
-        let head_seq = self.backend.seq()?;
+        let head_seq = self.core.seq();
         let id = st.next_sink;
         st.next_sink += 1;
         st.sinks.push((id, queue));
@@ -1142,34 +1024,23 @@ impl DurableSession {
     }
 }
 
-/// Serializes the backend's full state at its current seq into a
+/// Serializes the core's full state at its current seq into a
 /// checkpoint body — shared by [`DurableSession::checkpoint`] and the
 /// promotion seeding path. The caller must hold whatever lock makes the
 /// seq stable (the WAL lock for a live leader; a stopped follower for
 /// promotion).
 pub(crate) fn snapshot_ckpt_body(
-    backend: &Backend,
+    core: &ShardedSession,
     regs: &[(String, String, u8)],
 ) -> Result<(u64, Vec<u8>), DurableError> {
-    Ok(match backend {
-        Backend::Single(sess) => sess.read(|s| {
-            (
-                s.seq(),
-                encode_ckpt_body(false, regs, s.schema(), |rel| {
-                    s.database().relation(rel).sorted()
-                }),
-            )
-        })?,
-        Backend::Sharded(sess) => sess.read_all(|guards| {
-            (
-                sess.seq(),
-                encode_ckpt_body(true, regs, sess.schema(), |rel| {
-                    let sid = sess.plan().shard_of_relation(rel).unwrap_or(0);
-                    guards[sid].database().relation(rel).sorted()
-                }),
-            )
-        })?,
-    })
+    Ok(core.read_all(|guards| {
+        (
+            core.seq(),
+            encode_ckpt_body(!core.is_open(), regs, guards[0].schema(), |rel| {
+                guards[core.route(rel)].database().relation(rel).sorted()
+            }),
+        )
+    })?)
 }
 
 fn ensure_virgin(dir: &dyn WalDir) -> Result<(), DurableError> {
@@ -1185,15 +1056,23 @@ fn ensure_virgin(dir: &dyn WalDir) -> Result<(), DurableError> {
     Ok(())
 }
 
-/// Builds a fresh backend from a registration list — shared by recovery
-/// and by replica bootstrap, which both must reproduce relation ids by
-/// re-registering in the original order.
-pub(crate) fn build_backend(
+/// Builds a fresh session core from a registration list — shared by
+/// creation, recovery and replica bootstrap, which must all reproduce
+/// relation ids by re-registering in the original order. This is the one
+/// place that chooses the core's form: a sealed shard plan for sharded
+/// logs, the open one-shard form otherwise.
+pub(crate) fn build_core(
     sharded: bool,
     regs: &[(String, String, u8)],
     registry: Option<&Arc<Registry>>,
-) -> Result<Backend, DurableError> {
+) -> Result<ShardedSession, DurableError> {
     if sharded {
+        if regs.is_empty() {
+            // A sealed plan over no query has no shard to commit on.
+            return Err(DurableError::Recovery(
+                "sharded log carries no registration".into(),
+            ));
+        }
         let mut builder = ShardedSessionBuilder::new();
         for (name, src, choice) in regs {
             builder.register_with(name, src, decode_choice(*choice)?)?;
@@ -1201,7 +1080,7 @@ pub(crate) fn build_backend(
         if let Some(r) = registry {
             builder.share_registry(Arc::clone(r));
         }
-        Ok(Backend::Sharded(builder.build()?))
+        Ok(builder.build()?)
     } else {
         let mut session = Session::new();
         if let Some(r) = registry {
@@ -1210,14 +1089,14 @@ pub(crate) fn build_backend(
         for (name, src, choice) in regs {
             session.register_with(name, src, decode_choice(*choice)?)?;
         }
-        Ok(Backend::Single(SharedSession::new(session)))
+        Ok(ShardedSession::open_one_shard(session))
     }
 }
 
-/// Loads a decoded checkpoint body's tuples into a freshly built
-/// backend, batched per relation, with schema/arity cross-checks.
-pub(crate) fn load_ckpt_tuples(backend: &Backend, body: &CkptBody) -> Result<(), DurableError> {
-    let schema = backend.schema()?;
+/// Loads a decoded checkpoint body's tuples into a freshly built core,
+/// batched per relation, with schema/arity cross-checks.
+pub(crate) fn load_ckpt_tuples(core: &ShardedSession, body: &CkptBody) -> Result<(), DurableError> {
+    let schema = core.read_at(0, |s| s.schema().clone())?;
     if body.rels.len() != schema.len() {
         return Err(DurableError::Recovery(format!(
             "checkpoint has {} relations, schema has {}",
@@ -1237,40 +1116,34 @@ pub(crate) fn load_ckpt_tuples(backend: &Backend, body: &CkptBody) -> Result<(),
                 .iter()
                 .map(|t| Update::Insert(rel, t.clone()))
                 .collect();
-            replay_batch(backend, &batch)?;
+            replay_batch(core, &batch)?;
         }
     }
     Ok(())
 }
 
-pub(crate) fn replay_batch(backend: &Backend, batch: &[Update]) -> Result<(), DurableError> {
-    backend
-        .apply_batch(batch)
+pub(crate) fn replay_batch(core: &ShardedSession, batch: &[Update]) -> Result<(), DurableError> {
+    core.apply_batch(batch)
         .map_err(|e| DurableError::Recovery(format!("log replay failed: {e}")))?;
     Ok(())
 }
 
 pub(crate) fn flush_pending(
-    backend: &Backend,
+    core: &ShardedSession,
     pending: &mut Vec<Update>,
 ) -> Result<(), DurableError> {
     for chunk in pending.chunks(REPLAY_CHUNK) {
-        replay_batch(backend, chunk)?;
+        replay_batch(core, chunk)?;
     }
     pending.clear();
     Ok(())
 }
 
-enum TxInner<'a, 'b> {
-    Single(&'b mut SessionTransaction<'a>),
-    Sharded(&'b mut ShardedTransaction<'a>),
-}
-
 /// The handle a durable transaction closure writes through: forwards to
-/// the backend transaction and records each effective update so the
+/// the core's transaction and records each effective update so the
 /// commit hook can frame and log them.
 pub struct DurableTransaction<'a, 'b> {
-    inner: TxInner<'a, 'b>,
+    inner: &'b mut ShardedTransaction<'a>,
     logged: Vec<Update>,
 }
 
@@ -1278,10 +1151,7 @@ impl DurableTransaction<'_, '_> {
     /// Validates and applies one update inside the transaction; returns
     /// `true` iff it was effective. Errors leave the transaction open.
     pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
-        let changed = match &mut self.inner {
-            TxInner::Single(t) => t.apply(update)?,
-            TxInner::Sharded(t) => t.apply(update)?,
-        };
+        let changed = self.inner.apply(update)?;
         if changed {
             self.logged.push(update.clone());
         }
@@ -1302,5 +1172,68 @@ impl DurableTransaction<'_, '_> {
     /// Effective updates so far across the whole transaction.
     pub fn effective_len(&self) -> usize {
         self.logged.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A body with no registrations and the given raw relation entries
+    /// (`arity`, claimed `count`, tuple words actually present).
+    fn body(n_regs: u32, rels: &[(u16, u64, &[u64])]) -> Vec<u8> {
+        let mut out = vec![0u8];
+        out.extend_from_slice(&n_regs.to_le_bytes());
+        out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
+        for (arity, count, words) in rels {
+            out.extend_from_slice(&arity.to_le_bytes());
+            out.extend_from_slice(&count.to_le_bytes());
+            for w in *words {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    fn refused(bytes: &[u8]) -> String {
+        match decode_ckpt_body(bytes) {
+            Err(DurableError::Recovery(msg)) => msg,
+            Err(other) => panic!("expected a recovery error, got {other}"),
+            Ok(_) => panic!("hostile body decoded"),
+        }
+    }
+
+    /// Length fields arrive raw off disk or the replication socket: an
+    /// inflated one must be refused before it sizes an allocation
+    /// (capacity overflow / OOM) or a loop (a nullary relation's tuples
+    /// take no bytes, so nothing else would stop it).
+    #[test]
+    fn inflated_counts_and_truncation_are_refused_not_allocated() {
+        // The honest shapes decode.
+        let ok = decode_ckpt_body(&body(0, &[(2, 2, &[1, 2, 3, 4]), (0, 1, &[])])).unwrap();
+        assert_eq!(ok.rels[0], (2, vec![vec![1, 2], vec![3, 4]]));
+        assert_eq!(ok.rels[1], (0, vec![vec![]]));
+
+        assert!(refused(&body(u32::MAX, &[])).contains("count"));
+        let mut many_rels = body(0, &[]);
+        many_rels.truncate(5);
+        many_rels.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(refused(&many_rels).contains("count"));
+        assert!(refused(&body(0, &[(2, u64::MAX, &[1, 2])])).contains("count"));
+        assert!(refused(&body(0, &[(2, 2, &[1, 2, 3])])).contains("count"));
+        assert!(refused(&body(0, &[(0, 1 << 40, &[])])).contains("nullary"));
+
+        // A real body cut anywhere short of its end is an error too.
+        let mut schema = Schema::new();
+        let r = schema.intern("R", 2).unwrap();
+        let regs = vec![("q".to_string(), "Q(x) :- R(x, y).".to_string(), 0u8)];
+        let full = encode_ckpt_body(false, &regs, &schema, |rel| {
+            assert_eq!(rel, r);
+            vec![vec![1, 2], vec![3, 4]]
+        });
+        assert_eq!(decode_ckpt_body(&full).unwrap().regs, regs);
+        for cut in 0..full.len() {
+            refused(&full[..cut]);
+        }
     }
 }

@@ -30,8 +30,8 @@
 //!
 //! A fresh follower (or one whose cursor fell behind the leader's
 //! checkpoint floor) is **bootstrapped**: the leader streams its newest
-//! checkpoint body in bounded chunks, the replica rebuilds a backend
-//! from it (same code path as crash recovery), and the record tail
+//! checkpoint body in bounded chunks, the replica rebuilds a session
+//! core from it (same code path as crash recovery), and the record tail
 //! follows. A follower that disconnects briefly **resumes**: it offers
 //! its `(epoch, cursor)` and receives only records past the cursor.
 //! Epochs fence leader restarts — a restarted leader may have truncated
@@ -39,7 +39,7 @@
 //! older epoch is never resumed, only re-bootstrapped.
 //!
 //! The in-memory apply machinery is identical to recovery's: updates
-//! replay through the same backend, so a replica's engine states,
+//! replay through the same session core, so a replica's engine states,
 //! relation ids, and subscriber seq stamps match the leader's exactly.
 //!
 //! ## Failover
@@ -57,8 +57,8 @@
 //! permanent stale-epoch deny (surfaced via [`FollowerStats::fenced`]).
 
 use crate::durable::{
-    build_backend, decode_choice, decode_ckpt_body, load_ckpt_tuples, Backend, DurableError,
-    DurableOptions, DurableSession, REPLAY_CHUNK,
+    build_core, decode_choice, decode_ckpt_body, load_ckpt_tuples, DurableError, DurableOptions,
+    DurableSession, REPLAY_CHUNK,
 };
 use crate::error::CqError;
 use crate::session::{
@@ -97,7 +97,7 @@ pub struct ReplicaOptions {
     /// so cursor replay ([`ReplicaSession::replay_since`]) and the
     /// serving front end work on the replica. `0` disables retention.
     pub ring_cap: usize,
-    /// Metrics registry shared into every backend this replica builds
+    /// Metrics registry shared into every session core this replica builds
     /// (bootstrap and re-bootstrap alike). `None` leaves the replica
     /// uninstrumented.
     pub registry: Option<Arc<cqu_obs::Registry>>,
@@ -116,9 +116,10 @@ impl Default for ReplicaOptions {
 /// State shared between the applier (follower thread) and reader
 /// handles.
 struct ReplicaShared {
-    /// The live backend — `None` until the first bootstrap completes;
-    /// swapped wholesale on re-bootstrap.
-    backend: RwLock<Option<Backend>>,
+    /// The live session core — `None` until the first bootstrap
+    /// completes; swapped wholesale on re-bootstrap. Its form (open
+    /// one-shard vs sealed plan) mirrors the leader's mode.
+    backend: RwLock<Option<ShardedSession>>,
     /// The applied watermark, guarded for [`ReplicaSession::wait_for_seq`].
     applied: Mutex<u64>,
     bumped: Condvar,
@@ -132,7 +133,7 @@ struct ReplicaShared {
 }
 
 impl ReplicaShared {
-    fn backend(&self) -> Option<Backend> {
+    fn backend(&self) -> Option<ShardedSession> {
         self.backend
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -147,21 +148,21 @@ struct TxGroup {
 }
 
 /// The [`cqu_repl::ReplicaApply`] implementation: drives the same
-/// backend machinery as crash recovery, from a socket instead of a
+/// session-core machinery as crash recovery, from a socket instead of a
 /// directory scan.
 struct SessionApplier {
     shared: Arc<ReplicaShared>,
     ring_cap: usize,
-    /// Registry shared into every backend built here.
+    /// Registry shared into every session core built here.
     registry: Option<Arc<cqu_obs::Registry>>,
     sharded: bool,
     /// Registrations in arrival order (name, src, encoded choice).
     regs: Vec<(String, String, u8)>,
     registered: HashSet<String>,
-    /// Local handle to the published backend (`None` while a sharded
+    /// Local handle to the published core (`None` while a sharded
     /// bootstrap waits for its `Register` records — the sealed plan
     /// needs the full query set before it can build).
-    backend: Option<Backend>,
+    backend: Option<ShardedSession>,
     /// Buffered plain updates `(seq, update)` awaiting a flush.
     pending: Vec<(u64, Update)>,
     /// An open `TxBegin … TxCommit` group (may span record frames).
@@ -178,8 +179,10 @@ impl SessionApplier {
         *lock(&self.shared.regs) = self.regs.clone();
     }
 
-    fn install(&mut self, backend: Backend) -> Result<(), String> {
-        self.enable_retention(&backend)?;
+    fn install(&mut self, backend: ShardedSession) -> Result<(), String> {
+        if self.ring_cap > 0 {
+            backend.retain_all(self.ring_cap).map_err(err_str)?;
+        }
         *self
             .shared
             .backend
@@ -189,41 +192,14 @@ impl SessionApplier {
         Ok(())
     }
 
-    fn enable_retention(&self, backend: &Backend) -> Result<(), String> {
-        if self.ring_cap == 0 {
-            return Ok(());
-        }
-        match backend {
-            Backend::Single(s) => s
-                .read(|s| {
-                    for h in s.queries() {
-                        h.retain_deltas(self.ring_cap);
-                    }
-                })
-                .map_err(err_str),
-            Backend::Sharded(s) => {
-                let names: Vec<String> = s
-                    .plan()
-                    .shards()
-                    .iter()
-                    .flat_map(|sh| sh.queries().iter().cloned())
-                    .collect();
-                for name in names {
-                    s.retain_deltas(&name, self.ring_cap).map_err(err_str)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Builds the deferred sharded backend once its registrations are
-    /// all in hand.
+    /// Builds the deferred sealed core once its registrations are all
+    /// in hand.
     fn ensure_backend(&mut self) -> Result<(), String> {
         if self.backend.is_some() {
             return Ok(());
         }
         let backend =
-            build_backend(self.sharded, &self.regs, self.registry.as_ref()).map_err(err_str)?;
+            build_core(self.sharded, &self.regs, self.registry.as_ref()).map_err(err_str)?;
         backend.force_seq(self.cursor).map_err(err_str)?;
         self.install(backend)
     }
@@ -260,7 +236,7 @@ impl SessionApplier {
             for chunk in run.chunks(REPLAY_CHUNK) {
                 backend.apply_batch(chunk).map_err(err_str)?;
             }
-            let now = backend.seq().map_err(err_str)?;
+            let now = backend.seq();
             if now != last {
                 return Err(format!(
                     "replica diverged: expected seq {last} after run, backend at {now}"
@@ -292,19 +268,18 @@ impl SessionApplier {
                         self.regs.push((name.clone(), src.clone(), *choice));
                     } else {
                         self.ensure_backend()?;
-                        let Some(Backend::Single(sess)) = &self.backend else {
-                            unreachable!("single-mode register on sharded backend");
-                        };
-                        sess.register_with(name, src, decode_choice(*choice).map_err(err_str)?)
-                            .map_err(err_str)?;
-                        if self.ring_cap > 0 {
-                            sess.read(|s| {
-                                if let Ok(h) = s.query(name) {
-                                    h.retain_deltas(self.ring_cap);
+                        let engine = decode_choice(*choice).map_err(err_str)?;
+                        let backend = self.backend.as_ref().expect("ensured");
+                        backend
+                            .write_at(0, |s| -> Result<(), CqError> {
+                                let id = s.register_with(name, src, engine)?;
+                                if self.ring_cap > 0 {
+                                    s.handle(id).retain_deltas(self.ring_cap);
                                 }
+                                Ok(())
                             })
+                            .map_err(err_str)?
                             .map_err(err_str)?;
-                        }
                         self.regs.push((name.clone(), src.clone(), *choice));
                     }
                     self.registered.insert(name.clone());
@@ -355,8 +330,12 @@ impl SessionApplier {
                     self.ensure_backend()?;
                     let backend = self.backend.as_ref().expect("ensured");
                     backend.force_seq(g.first_seq - 1).map_err(err_str)?;
-                    backend.apply_tx(&g.updates).map_err(err_str)?;
-                    let now = backend.seq().map_err(err_str)?;
+                    // One core transaction: all-or-nothing with a single
+                    // published event per query, as on the leader.
+                    backend
+                        .transaction(|t| t.apply_all(&g.updates))
+                        .map_err(err_str)?;
+                    let now = backend.seq();
                     if now != *last_seq {
                         return Err(format!(
                             "replica diverged: transaction expected seq {last_seq}, backend at {now}"
@@ -405,7 +384,7 @@ impl cqu_repl::ReplicaApply for SessionApplier {
                     return Err("checkpoint mode disagrees with handshake".into());
                 }
                 let backend =
-                    build_backend(sharded, &body.regs, self.registry.as_ref()).map_err(err_str)?;
+                    build_core(sharded, &body.regs, self.registry.as_ref()).map_err(err_str)?;
                 load_ckpt_tuples(&backend, &body).map_err(err_str)?;
                 backend.force_seq(seq).map_err(err_str)?;
                 self.registered = body.regs.iter().map(|(n, _, _)| n.clone()).collect();
@@ -414,13 +393,11 @@ impl cqu_repl::ReplicaApply for SessionApplier {
                 self.install(backend)?;
             }
             None => {
-                // No checkpoint: the leader ships its log from seq 0. A
-                // single-writer backend can build empty right away; a
-                // sharded one must wait for its Register records.
+                // No checkpoint: the leader ships its log from seq 0. The
+                // open one-shard form can build empty right away; a
+                // sealed plan must wait for its Register records.
                 if !sharded {
-                    let backend =
-                        build_backend(false, &[], self.registry.as_ref()).map_err(err_str)?;
-                    self.install(backend)?;
+                    self.ensure_backend()?;
                 }
             }
         }
@@ -627,7 +604,7 @@ impl ReplicaSession {
         if self.promoted.swap(true, Ordering::SeqCst) {
             return Err(DurableError::Unsupported("replica already promoted"));
         }
-        // Joining the network thread quiesces the applier: the backend
+        // Joining the network thread quiesces the applier: the core
         // rests exactly at the applied watermark, with no in-flight
         // batches.
         lock(&self.follower).stop();
@@ -663,7 +640,8 @@ impl ReplicaSession {
         result
     }
 
-    fn backend(&self) -> Result<Backend, CqError> {
+    /// The live session core (available once bootstrapped).
+    pub(crate) fn core(&self) -> Result<ShardedSession, CqError> {
         self.shared
             .backend()
             .ok_or_else(|| CqError::UnknownQuery("replica not yet bootstrapped".into()))
@@ -671,82 +649,56 @@ impl ReplicaSession {
 
     /// Resolves a relation by name (available once bootstrapped).
     pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.relation(name),
-            Backend::Sharded(s) => s.relation(name),
-        }
+        self.core()?.relation(name)
     }
 
     /// Pins a snapshot of `name`'s result at the replica's watermark.
     pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.snapshot(name),
-            Backend::Sharded(s) => s.snapshot(name),
-        }
+        self.core()?.snapshot(name)
     }
 
     /// O(1) count of `name`'s result at the watermark.
     pub fn count(&self, name: &str) -> Result<u64, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.count(name),
-            Backend::Sharded(s) => s.count(name),
-        }
+        self.core()?.count(name)
     }
 
     /// A lock-free [`PinReader`] over `name` — constant-delay
     /// enumeration against a pinned epoch, never blocked by the apply
     /// stream.
     pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.reader(name),
-            Backend::Sharded(s) => s.reader(name),
-        }
+        self.core()?.reader(name)
     }
 
     /// Subscribes to `name`'s result deltas as the replica applies the
     /// leader's commits. Seq stamps match the leader's timeline.
     pub fn subscribe(&self, name: &str) -> Result<Subscription, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.subscribe(name),
-            Backend::Sharded(s) => s.subscribe(name),
-        }
+        self.core()?.subscribe(name)
     }
 
     /// Resumes a subscription from a seq cursor, netting missed deltas
     /// from the retention ring where possible.
     pub fn subscribe_from(&self, name: &str, from_seq: u64) -> Result<Resume, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.subscribe_from(name, from_seq),
-            Backend::Sharded(s) => s.subscribe_from(name, from_seq),
-        }
+        self.core()?.subscribe_from(name, from_seq)
     }
 
     /// Nets the retained deltas of `name` since `from_seq` (the replay
     /// half of [`ReplicaSession::subscribe_from`]).
     pub fn replay_since(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.read(|s| s.query(name).map(|h| h.replay_since(from_seq)))?,
-            Backend::Sharded(s) => s.replay_since(name, from_seq),
-        }
+        self.core()?.replay_since(name, from_seq)
     }
 
-    /// The replica's [`SharedSession`] handle (single-writer leaders).
-    /// Read from it freely; never write through it — replicas are
-    /// read-only by construction.
+    /// The replica's state as a [`SharedSession`] (single-writer
+    /// leaders). Read from it freely; never write through it — replicas
+    /// are read-only by construction.
     pub fn shared(&self) -> Option<SharedSession> {
-        match self.shared.backend()? {
-            Backend::Single(s) => Some(s),
-            Backend::Sharded(_) => None,
-        }
+        let core = self.shared.backend().filter(ShardedSession::is_open)?;
+        Some(SharedSession { core })
     }
 
-    /// The replica's [`ShardedSession`] handle (sharded leaders). Same
-    /// contract as [`ReplicaSession::shared`]: reads only.
+    /// The replica's state as a [`ShardedSession`] (sharded leaders).
+    /// Same contract as [`ReplicaSession::shared`]: reads only.
     pub fn sharded(&self) -> Option<ShardedSession> {
-        match self.shared.backend()? {
-            Backend::Single(_) => None,
-            Backend::Sharded(s) => Some(s),
-        }
+        self.shared.backend().filter(|core| !core.is_open())
     }
 }
 

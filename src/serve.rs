@@ -1,23 +1,22 @@
-//! Glue between the engine and the network: [`FeedSource`]
-//! implementations over [`SharedSession`] and
-//! [`ShardedSession`](crate::shard::ShardedSession), plus a convenience
+//! Glue between the engine and the network: the [`FeedSource`]
+//! implementation over the concurrent session core, plus a convenience
 //! launcher.
 //!
 //! The serving stack is layered so `cqu-serve` stays engine-agnostic:
 //! the server runtime talks to a [`FeedSource`] of wire-level rows
 //! (`Vec<u64>` — type-identical to the engine's `Tuple`, so conversion
 //! is a clone, never a re-encoding), and this module adapts the session
-//! layer to that contract:
+//! layer to that contract. One source body ([`CoreSource`]) serves the
+//! core in either form — snapshots pin epochs, feeds subscribe, replay
+//! nets the per-query retention ring
+//! ([`QueryHandle::retain_deltas`](crate::session::QueryHandle::retain_deltas)
+//! is enabled on every query), all on the one global seq timeline, so a
+//! client cannot tell the deployments apart — behind two constructors:
 //!
-//! * [`SessionSource`] — serves a [`SharedSession`]: snapshots pin
-//!   epochs, feeds subscribe, replay nets the per-query retention ring
-//!   ([`QueryHandle::retain_deltas`](crate::session::QueryHandle::retain_deltas)
-//!   is enabled on every query), and clients may even register new
-//!   queries remotely.
-//! * [`ShardedSource`] — serves a
-//!   [`ShardedSession`](crate::shard::ShardedSession): identical
-//!   semantics on the *global* seq timeline; registration is rejected
-//!   (the shard plan is sealed at build time).
+//! * [`SessionSource`] — over a [`SharedSession`]: the query set is
+//!   open, so clients may even register new queries remotely.
+//! * [`ShardedSource`] — over a [`ShardedSession`]: registration is
+//!   rejected (the shard plan is sealed at build time).
 //!
 //! ```no_run
 //! use cq_updates::prelude::*;
@@ -47,13 +46,6 @@ fn source_err(e: CqError) -> SourceError {
     match e {
         CqError::UnknownQuery(name) => SourceError::UnknownQuery(name),
         CqError::DuplicateQuery(name) => SourceError::Invalid(format!("duplicate query {name:?}")),
-        other => SourceError::Invalid(other.to_string()),
-    }
-}
-
-fn durable_err(e: crate::durable::DurableError) -> SourceError {
-    match e {
-        crate::durable::DurableError::Session(e) => source_err(e),
         other => SourceError::Invalid(other.to_string()),
     }
 }
@@ -95,137 +87,100 @@ impl FeedStream for SubscriptionFeed {
     }
 }
 
+/// The one serving source over the concurrent session core. `H` is the
+/// handle the caller built it from, kept only to hand it back
+/// ([`SessionSource::session`] / [`ShardedSource::session`]); every
+/// [`FeedSource`] call goes to the core behind it.
+pub struct CoreSource<H> {
+    handle: H,
+    core: ShardedSession,
+    ring_cap: usize,
+}
+
 /// Serves a [`SharedSession`] (see the module docs). Construction turns
 /// on delta retention (`ring_cap` events per query) for every already
-/// registered query; queries registered later — locally or by a remote
-/// `Register` frame — get it on their way in.
-pub struct SessionSource {
-    session: SharedSession,
-    ring_cap: usize,
+/// registered query; queries registered later by a remote `Register`
+/// frame get it on their way in.
+pub type SessionSource = CoreSource<SharedSession>;
+
+/// Serves a [`ShardedSession`]: per-query feeds, snapshots, and replay
+/// all work on the shared **global** timeline, so a client cannot tell
+/// a sharded deployment from a single-writer one. Remote registration
+/// is rejected — the shard plan is sealed at build time.
+pub type ShardedSource = CoreSource<Arc<ShardedSession>>;
+
+impl<H> CoreSource<H> {
+    fn over(handle: H, core: ShardedSession, ring_cap: usize) -> Result<CoreSource<H>, CqError> {
+        core.retain_all(ring_cap)?;
+        Ok(CoreSource {
+            handle,
+            core,
+            ring_cap,
+        })
+    }
+
+    /// The wrapped session handle.
+    pub fn session(&self) -> &H {
+        &self.handle
+    }
 }
 
 impl SessionSource {
     /// Wraps `session` for serving, enabling delta retention of
     /// `ring_cap` events on each of its queries.
     pub fn new(session: SharedSession, ring_cap: usize) -> Result<SessionSource, CqError> {
-        session.read(|s| {
-            for handle in s.queries() {
-                handle.retain_deltas(ring_cap);
-            }
-        })?;
-        Ok(SessionSource { session, ring_cap })
+        let core = session.core.clone();
+        CoreSource::over(session, core, ring_cap)
     }
-
-    /// The wrapped session.
-    pub fn session(&self) -> &SharedSession {
-        &self.session
-    }
-}
-
-impl FeedSource for SessionSource {
-    fn seq(&self) -> u64 {
-        self.session.read(|s| s.seq()).unwrap_or(0)
-    }
-
-    fn register(&self, name: &str, src: &str) -> Result<u64, SourceError> {
-        self.session.register(name, src).map_err(source_err)?;
-        self.session
-            .read(|s| {
-                let handle = s.query(name).expect("just registered");
-                handle.retain_deltas(self.ring_cap);
-                s.seq()
-            })
-            .map_err(source_err)
-    }
-
-    fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
-        let snap = self.session.snapshot(name).map_err(source_err)?;
-        Ok((snap.seq(), snap.results_sorted()))
-    }
-
-    fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
-        self.session
-            .read(|s| s.query(name).map(|h| to_replay(h.replay_since(from_seq))))
-            .map_err(source_err)?
-            .map_err(source_err)
-    }
-
-    fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
-        let sub = self.session.subscribe(name).map_err(source_err)?;
-        Ok(Box::new(SubscriptionFeed(sub)))
-    }
-
-    fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
-        self.session.read(|s| s.registry().cloned()).ok().flatten()
-    }
-}
-
-/// Serves a [`ShardedSession`]: per-query feeds, snapshots, and replay
-/// all work on the shared **global** timeline, so a client cannot tell
-/// a sharded deployment from a single-writer one. Remote registration
-/// is rejected — the shard plan is sealed at build time.
-pub struct ShardedSource {
-    session: Arc<ShardedSession>,
-    names: Vec<String>,
 }
 
 impl ShardedSource {
     /// Wraps `session` for serving, enabling delta retention of
     /// `ring_cap` events on each query.
     pub fn new(session: Arc<ShardedSession>, ring_cap: usize) -> Result<ShardedSource, CqError> {
-        let names: Vec<String> = session
-            .plan()
-            .shards()
-            .iter()
-            .flat_map(|s| s.queries().iter().cloned())
-            .collect();
-        for name in &names {
-            session.retain_deltas(name, ring_cap)?;
-        }
-        Ok(ShardedSource { session, names })
-    }
-
-    /// The wrapped sharded session.
-    pub fn session(&self) -> &Arc<ShardedSession> {
-        &self.session
-    }
-
-    /// The served query names.
-    pub fn names(&self) -> &[String] {
-        &self.names
+        let core = ShardedSession::clone(&session);
+        CoreSource::over(session, core, ring_cap)
     }
 }
 
-impl FeedSource for ShardedSource {
+impl<H: Send + Sync + 'static> FeedSource for CoreSource<H> {
     fn seq(&self) -> u64 {
-        self.session.seq()
+        self.core.seq()
     }
 
-    fn register(&self, _name: &str, _src: &str) -> Result<u64, SourceError> {
-        Err(SourceError::Unsupported(
-            "a sharded session's query set is sealed at build time".into(),
-        ))
+    fn register(&self, name: &str, src: &str) -> Result<u64, SourceError> {
+        if !self.core.is_open() {
+            return Err(SourceError::Unsupported(
+                "a sharded session's query set is sealed at build time".into(),
+            ));
+        }
+        let registered = self.core.write_at(0, |s| {
+            let id = s.register(name, src)?;
+            s.handle(id).retain_deltas(self.ring_cap);
+            Ok(s.seq())
+        });
+        registered.map_err(source_err)?.map_err(source_err)
     }
 
     fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
-        let snap = self.session.snapshot(name).map_err(source_err)?;
+        let snap = self.core.snapshot(name).map_err(source_err)?;
         Ok((snap.seq(), snap.results_sorted()))
     }
 
     fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
-        self.session
+        self.core
             .replay_since(name, from_seq)
             .map(to_replay)
             .map_err(source_err)
     }
 
     fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
-        let sub = self.session.subscribe(name).map_err(source_err)?;
+        let sub = self.core.subscribe(name).map_err(source_err)?;
         Ok(Box::new(SubscriptionFeed(sub)))
     }
 
     fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
-        self.session.registry().cloned()
+        self.core.registry()
     }
 }
 
@@ -295,11 +250,22 @@ impl ReplicaSource {
     }
 }
 
+impl ReplicaSource {
+    /// The session core currently served: the follower's live one (a
+    /// re-bootstrap swaps it), or the promoted leader's.
+    fn core(&self) -> Result<ShardedSession, SourceError> {
+        match &*self.read() {
+            ServedReplica::Following(r) => r.core().map_err(source_err),
+            ServedReplica::Promoted(d) => Ok(d.core().clone()),
+        }
+    }
+}
+
 impl FeedSource for ReplicaSource {
     fn seq(&self) -> u64 {
         match &*self.read() {
             ServedReplica::Following(r) => r.applied_seq(),
-            ServedReplica::Promoted(d) => d.seq().unwrap_or(0),
+            ServedReplica::Promoted(d) => d.core().seq(),
         }
     }
 
@@ -310,42 +276,17 @@ impl FeedSource for ReplicaSource {
     }
 
     fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
-        let snap = match &*self.read() {
-            ServedReplica::Following(r) => r.snapshot(name).map_err(source_err)?,
-            ServedReplica::Promoted(d) => d.snapshot(name).map_err(durable_err)?,
-        };
+        let snap = self.core()?.snapshot(name).map_err(source_err)?;
         Ok((snap.seq(), snap.results_sorted()))
     }
 
     fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
-        match &*self.read() {
-            ServedReplica::Following(r) => r
-                .replay_since(name, from_seq)
-                .map(to_replay)
-                .map_err(source_err),
-            ServedReplica::Promoted(d) => {
-                let outcome = match (d.shared(), d.sharded()) {
-                    (Some(s), _) => s
-                        .read(|s| s.query(name).map(|h| h.replay_since(from_seq)))
-                        .map_err(source_err)?
-                        .map_err(source_err)?,
-                    (_, Some(s)) => s.replay_since(name, from_seq).map_err(source_err)?,
-                    _ => unreachable!("backend is single or sharded"),
-                };
-                Ok(to_replay(outcome))
-            }
-        }
+        let outcome = self.core()?.replay_since(name, from_seq);
+        outcome.map(to_replay).map_err(source_err)
     }
 
     fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
-        let sub = match &*self.read() {
-            ServedReplica::Following(r) => r.subscribe(name).map_err(source_err)?,
-            ServedReplica::Promoted(d) => match (d.shared(), d.sharded()) {
-                (Some(s), _) => s.subscribe(name).map_err(source_err)?,
-                (_, Some(s)) => s.subscribe(name).map_err(source_err)?,
-                _ => unreachable!("backend is single or sharded"),
-            },
-        };
+        let sub = self.core()?.subscribe(name).map_err(source_err)?;
         Ok(Box::new(SubscriptionFeed(sub)))
     }
 

@@ -41,8 +41,9 @@
 //!   `Send` and deliver [`Arc<ChangeEvent>`]s — one allocation per event,
 //!   shared zero-copy by every subscriber, receivable on any thread.
 //!
-//! [`SharedSession`] packages the standard deployment: `Arc<RwLock>`
-//! writer serialization with epoch-pinning readers.
+//! [`SharedSession`] packages the standard deployment: one writer lock
+//! with epoch-pinning readers — the one-shard face of the concurrent
+//! session core in [`crate::shard`].
 //!
 //! ```
 //! use cq_updates::prelude::*;
@@ -69,6 +70,7 @@
 //! ```
 
 use crate::error::CqError;
+use crate::shard::ShardedSession;
 use cqu_baseline::EngineKind;
 use cqu_common::{EpochCell, FxHashMap};
 use cqu_dynamic::{DynamicEngine, ResultDelta, ResultSnapshot, UpdateReport};
@@ -81,7 +83,7 @@ use cqu_serve::ring::SeqRing;
 use cqu_storage::{ApplyUpdate, Database, Tuple, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Locks an internal fine-grained mutex, shrugging off poisoning: the
@@ -586,12 +588,36 @@ enum TxTrack {
     Snapshot(Vec<Tuple>),
 }
 
+/// A registration that passed every fallible check
+/// ([`Session::stage_query`]) but has not touched its session yet.
+pub(crate) struct StagedQuery {
+    name: String,
+    /// The session schema grown by the relations the query introduces.
+    schema: Schema,
+    /// The query remapped onto `schema`.
+    query: Query,
+    classification: Classification,
+    kind: EngineKind,
+    reason: RouteReason,
+}
+
+impl StagedQuery {
+    /// The query the engine will maintain: the homomorphic core for
+    /// core-routed registrations, the query itself otherwise.
+    fn maintained(&self) -> &Query {
+        match self.reason {
+            RouteReason::QHierarchicalCore => &self.classification.core,
+            _ => &self.query,
+        }
+    }
+}
+
 /// A set of named queries maintained together under one update stream.
 ///
 /// `Session` is `Send + Sync`; writers are serialized through `&mut self`
 /// and readers either borrow `&self` or pin [`QuerySnapshot`]s. See the
 /// module docs for the threading model and [`SharedSession`] for the
-/// packaged `Arc<RwLock>` deployment.
+/// packaged one-writer-lock deployment.
 pub struct Session {
     schema: Schema,
     /// Master database: the ground truth every engine was seeded from.
@@ -663,10 +689,12 @@ impl Session {
     /// (one atomic `fetch_add`; batches reserve a contiguous range), so
     /// several sessions sharing one source stamp their updates onto a
     /// single totally-ordered timeline. The shard layer calls this on
-    /// each shard's session at build time, before any update flows.
+    /// each shard's session at build time, before any update flows
+    /// through the shared front door. A session that already has history
+    /// (a preloaded one wrapped by [`SharedSession::new`]) seeds the
+    /// counter with its own position, so the timeline continues.
     pub(crate) fn share_seq(&mut self, source: Arc<AtomicU64>) {
-        debug_assert_eq!(self.seq, 0, "seq sharing must precede all updates");
-        self.seq = source.load(Ordering::Relaxed);
+        source.fetch_max(self.seq, Ordering::Relaxed);
         self.seq_source = Some(source);
     }
 
@@ -797,38 +825,63 @@ impl Session {
         query: &Query,
         choice: EngineChoice,
     ) -> Result<QueryId, CqError> {
+        let staged = self.stage_query(name, query, choice)?;
+        Ok(self.commit_query(staged))
+    }
+
+    /// The fallible half of a registration: everything that can refuse
+    /// the query (duplicate name, arity clash, engine admission) runs
+    /// here against `&self`, so a failed registration leaves schema and
+    /// master database untouched — and the durable layer can put its
+    /// log write between this and [`Session::commit_query`].
+    pub(crate) fn stage_query(
+        &self,
+        name: &str,
+        query: &Query,
+        choice: EngineChoice,
+    ) -> Result<StagedQuery, CqError> {
         if self.by_name.contains_key(name) {
             return Err(CqError::DuplicateQuery(name.to_string()));
         }
-        // Stage everything fallible before mutating the session: a failed
-        // registration must leave schema and master database untouched.
-        let (staged_schema, query) = self.adopt(query)?;
+        let (schema, query) = self.adopt(query)?;
         let classification = classify(&query);
         let (kind, reason) = route(&query, &classification, choice);
-        let maintained: &Query = match reason {
-            RouteReason::QHierarchicalCore => &classification.core,
-            _ => &query,
+        let staged = StagedQuery {
+            name: name.to_string(),
+            schema,
+            query,
+            classification,
+            kind,
+            reason,
         };
-        if let Some(violation) = admission_violation(kind, maintained) {
+        if let Some(violation) = admission_violation(kind, staged.maintained()) {
             return Err(QueryError::NotQHierarchical(violation).into());
         }
-        // Commit: grow schema + database, then build. The admission
-        // pre-check above is the only failure mode an engine constructor
-        // has, so a build error past this point is a bug — panic loudly
-        // rather than `?`-masking a broken atomicity invariant.
-        self.schema = staged_schema;
+        Ok(staged)
+    }
+
+    /// The infallible half: grows schema + database, builds the engine,
+    /// publishes the genesis epoch. `staged` must come from
+    /// [`Session::stage_query`] on this session with no schema change in
+    /// between. The admission pre-check there is the only failure mode
+    /// an engine constructor has, so a build error here is a bug — panic
+    /// loudly rather than `?`-masking a broken atomicity invariant.
+    pub(crate) fn commit_query(&mut self, staged: StagedQuery) -> QueryId {
+        self.schema = staged.schema.clone();
         self.db.adopt_schema(&self.schema);
         // Route only relations the maintained query references (for
         // core-routed queries that is the core, whose atoms are a subset).
+        let maintained = staged.maintained();
         let mut relevant = vec![false; self.schema.len()];
         for atom in maintained.atoms() {
             relevant[atom.relation.index()] = true;
         }
-        let engine = kind
+        let engine = staged
+            .kind
             .build(maintained, &self.db)
             .expect("admission pre-check guarantees the engine admits the query");
         let id = QueryId(self.regs.len());
-        self.by_name.insert(name.to_string(), id.0);
+        self.by_name.insert(staged.name.clone(), id.0);
         // Publish the genesis epoch: readers acquired before the first
         // update pin the seed state, stamped with the current stream
         // position and the query's footprint generation.
@@ -841,11 +894,11 @@ impl Session {
             snap,
         })));
         self.regs.push(Registered {
-            name: Arc::from(name),
-            query,
-            classification,
-            kind,
-            reason,
+            name: Arc::from(staged.name),
+            query: staged.query,
+            classification: staged.classification,
+            kind: staged.kind,
+            reason: staged.reason,
             engine,
             relevant,
             footprint_gen,
@@ -858,7 +911,7 @@ impl Session {
                 .as_ref()
                 .map(|m| Arc::clone(&m.epoch_publications)),
         });
-        Ok(id)
+        id
     }
 
     /// Remaps `query` onto a *staged* copy of the session schema, grown
@@ -1702,8 +1755,13 @@ impl std::fmt::Debug for PinReader {
 }
 
 /// A cloneable, thread-safe handle to a [`Session`]: writers serialize
-/// through an internal `RwLock`, readers pin [`QuerySnapshot`]s and get
-/// out of the writer's way immediately.
+/// through one writer lock, readers pin [`QuerySnapshot`]s and get out
+/// of the writer's way immediately.
+///
+/// This is the one-shard face of the concurrent session core
+/// ([`ShardedSession`]): the wrapped session is that core's only shard,
+/// so the handle owns no lock of its own, and — one shard can never need
+/// fusing — registration stays open for the handle's whole life.
 ///
 /// ```
 /// use cq_updates::prelude::*;
@@ -1728,14 +1786,15 @@ impl std::fmt::Debug for PinReader {
 /// ```
 #[derive(Clone)]
 pub struct SharedSession {
-    inner: Arc<RwLock<Session>>,
+    pub(crate) core: ShardedSession,
 }
 
 impl SharedSession {
-    /// Wraps a session for shared multi-threaded use.
+    /// Wraps a session — fresh or preloaded — for shared multi-threaded
+    /// use.
     pub fn new(session: Session) -> SharedSession {
         SharedSession {
-            inner: Arc::new(RwLock::new(session)),
+            core: ShardedSession::open_one_shard(session),
         }
     }
 
@@ -1746,16 +1805,14 @@ impl SharedSession {
     /// Errors with [`CqError::Poisoned`] if a writer panicked mid-update
     /// (engine state can no longer be trusted).
     pub fn read<R>(&self, f: impl FnOnce(&Session) -> R) -> Result<R, CqError> {
-        let guard = self.inner.read().map_err(|_| CqError::Poisoned)?;
-        Ok(f(&guard))
+        self.core.read_at(0, f)
     }
 
     /// Runs a closure with exclusive write access (the serialized writer
     /// path). Errors with [`CqError::Poisoned`] if a previous writer
     /// panicked mid-update.
     pub fn write<R>(&self, f: impl FnOnce(&mut Session) -> R) -> Result<R, CqError> {
-        let mut guard = self.inner.write().map_err(|_| CqError::Poisoned)?;
-        Ok(f(&mut guard))
+        self.core.write_at(0, f)
     }
 
     /// Parses and registers a query, classifier-routed
@@ -1778,13 +1835,13 @@ impl SharedSession {
     /// Applies one update through the serialized writer path
     /// (see [`Session::apply`]).
     pub fn apply(&self, update: &Update) -> Result<bool, CqError> {
-        self.write(|s| s.apply(update))?
+        self.core.apply(update)
     }
 
     /// Applies a batch through the serialized writer path
     /// (see [`Session::apply_batch`]).
     pub fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, CqError> {
-        self.write(|s| s.apply_batch(updates))?
+        self.core.apply_batch(updates)
     }
 
     /// Runs `f` inside an all-or-nothing transaction: committed when `f`
@@ -1794,44 +1851,45 @@ impl SharedSession {
         &self,
         f: impl FnOnce(&mut SessionTransaction<'_>) -> Result<R, CqError>,
     ) -> Result<R, CqError> {
-        let mut guard = self.inner.write().map_err(|_| CqError::Poisoned)?;
-        let mut txn = guard.transaction();
-        match f(&mut txn) {
-            Ok(r) => {
-                txn.commit();
-                Ok(r)
+        self.write(|s| {
+            let mut txn = s.transaction();
+            match f(&mut txn) {
+                Ok(r) => {
+                    txn.commit();
+                    Ok(r)
+                }
+                Err(e) => {
+                    txn.rollback();
+                    Err(e)
+                }
             }
-            Err(e) => {
-                txn.rollback();
-                Err(e)
-            }
-        }
+        })?
     }
 
     /// Resolves a relation by name (see [`Session::relation`]).
     pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
-        self.read(|s| s.relation(name))?
+        self.core.relation(name)
     }
 
     /// Pins a snapshot of `name`'s current result and releases the read
     /// lock before returning — the caller enumerates lock-free while the
     /// writer proceeds. See [`QueryHandle::snapshot`].
     pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, CqError> {
-        self.read(|s| s.query(name).map(|h| h.snapshot()))?
+        self.core.snapshot(name)
     }
 
     /// Acquires a lock-free [`PinReader`] on `name`: takes the read lock
     /// once, then every [`PinReader::pin`] is a single atomic load that
-    /// bypasses this session's `RwLock` entirely — pins complete even
-    /// while a writer or transaction holds it. Acquire readers up front
-    /// (like prepared statements) and hand clones to serving threads.
+    /// bypasses the writer lock entirely — pins complete even while a
+    /// writer or transaction holds it. Acquire readers up front (like
+    /// prepared statements) and hand clones to serving threads.
     pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        self.read(|s| s.query(name).map(|h| h.pin_reader()))?
+        self.core.reader(name)
     }
 
     /// Opens a change feed on `name` (see [`QueryHandle::subscribe`]).
     pub fn subscribe(&self, name: &str) -> Result<Subscription, CqError> {
-        self.read(|s| s.query(name).map(|h| h.subscribe()))?
+        self.core.subscribe(name)
     }
 
     /// Opens a bounded, lag-coalescing change feed on `name`
@@ -1841,25 +1899,25 @@ impl SharedSession {
         name: &str,
         cap: usize,
     ) -> Result<BoundedSubscription, CqError> {
-        self.read(|s| s.query(name).map(|h| h.subscribe_bounded(cap)))?
+        self.core.subscribe_bounded(name, cap)
     }
 
     /// Enables (or resizes) delta retention on `name`
     /// (see [`QueryHandle::retain_deltas`]).
     pub fn retain_deltas(&self, name: &str, cap: usize) -> Result<(), CqError> {
-        self.read(|s| s.query(name).map(|h| h.retain_deltas(cap)))?
+        self.core.retain_deltas(name, cap)
     }
 
     /// Resumes a change feed on `name` from a cursor; the replay and the
     /// feed attachment happen under one read guard, so no event falls
     /// between them (see [`QueryHandle::subscribe_from`]).
     pub fn subscribe_from(&self, name: &str, from_seq: u64) -> Result<Resume, CqError> {
-        self.read(|s| s.query(name).map(|h| h.subscribe_from(from_seq)))?
+        self.core.subscribe_from(name, from_seq)
     }
 
     /// O(1) count of `name`'s current result.
     pub fn count(&self, name: &str) -> Result<u64, CqError> {
-        self.read(|s| s.query(name).map(|h| h.count()))?
+        self.core.count(name)
     }
 
     /// Recovers the owned [`Session`] if this is the last handle.
@@ -1870,22 +1928,16 @@ impl SharedSession {
     /// handle (whose every access keeps reporting [`CqError::Poisoned`])
     /// instead of being laundered into an apparently healthy `Session`.
     pub fn try_unwrap(self) -> Result<Session, SharedSession> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(lock) if lock.is_poisoned() => Err(SharedSession {
-                inner: Arc::new(lock),
-            }),
-            Ok(lock) => Ok(lock
-                .into_inner()
-                .expect("exclusively owned and checked unpoisoned")),
-            Err(inner) => Err(SharedSession { inner }),
-        }
+        self.core
+            .into_one_shard()
+            .map_err(|core| SharedSession { core })
     }
 }
 
 impl std::fmt::Debug for SharedSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedSession")
-            .field("handles", &Arc::strong_count(&self.inner))
+            .field("seq", &self.core.seq())
             .finish_non_exhaustive()
     }
 }

@@ -1,4 +1,10 @@
-//! Sharded writers: footprint-partitioned parallel commits.
+//! The concurrent session core: footprint-partitioned parallel commits.
+//!
+//! [`ShardedSession`] is the one thread-safe front door over
+//! [`Session`]s — k writer locks, a router, one shared seq counter.
+//! [`crate::SharedSession`] is its one-shard face (an open query set
+//! over a single writer lock), and the durable, replica and serving
+//! layers all hold this core, whatever the shard count.
 //!
 //! The paper's Theorem 3.2 makes every *single* update O(1) on a
 //! q-hierarchical query — but a [`Session`] still funnels all updates
@@ -210,7 +216,6 @@ impl ShardedSessionBuilder {
                         .counter_with("session_shard_commits_total", &[("shard", &i.to_string())])
                 })
                 .collect(),
-            registry,
         });
         let shards: Vec<RwLock<Session>> = sessions.into_iter().map(RwLock::new).collect();
         Ok(ShardedSession {
@@ -220,6 +225,7 @@ impl ShardedSessionBuilder {
                 query_shard,
                 seq,
                 plan,
+                open: false,
                 metrics,
             }),
         })
@@ -228,7 +234,7 @@ impl ShardedSessionBuilder {
 
 /// How a query set partitions into write shards
 /// (see [`ShardedSessionBuilder::plan`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardPlan {
     shards: Vec<ShardSpec>,
     /// Relation index → owning shard index.
@@ -348,13 +354,14 @@ fn partition(schema: &Schema, regs: &[(String, Query, EngineChoice)]) -> ShardPl
 /// The shard router's own registry handles: per-shard commit counters
 /// and the writer-lock wait histogram, resolved once at build.
 struct ShardMetrics {
-    registry: Arc<Registry>,
     lock_wait_ns: Arc<Histogram>,
     /// `session_shard_commits_total{shard="i"}`, indexed by shard id.
     shard_commits: Vec<Arc<Counter>>,
 }
 
 struct Inner {
+    /// The sealed plan's union schema, which the router validates
+    /// against (empty in the open form: shard 0's session owns it).
     schema: Schema,
     /// One shard per footprint component: a full private session behind
     /// its own writer lock.
@@ -363,6 +370,9 @@ struct Inner {
     /// The global sequence counter every shard session draws from.
     seq: Arc<AtomicU64>,
     plan: ShardPlan,
+    /// The open one-shard form ([`ShardedSession::open_one_shard`]):
+    /// everything goes to shard 0, whose own session validates.
+    open: bool,
     /// Router-level instrumentation
     /// ([`ShardedSessionBuilder::share_registry`]).
     metrics: Option<ShardMetrics>,
@@ -383,6 +393,50 @@ impl ShardedSession {
         ShardedSessionBuilder::new()
     }
 
+    /// The open one-shard form behind [`crate::SharedSession`]: `session`
+    /// (fresh or preloaded) becomes shard 0 of a core with no sealed
+    /// plan — one shard can never need fusing, so its query set stays
+    /// open. Crate-private because the plan accessors (`schema`, `plan`,
+    /// `shard_of_relation`, `transaction_over`) describe sealed plans
+    /// only; everything that routes an update or names a query works.
+    pub(crate) fn open_one_shard(mut session: Session) -> ShardedSession {
+        let seq = Arc::new(AtomicU64::new(0));
+        session.share_seq(Arc::clone(&seq));
+        ShardedSession {
+            inner: Arc::new(Inner {
+                schema: Schema::new(),
+                shards: vec![RwLock::new(session)],
+                query_shard: FxHashMap::default(),
+                seq,
+                plan: ShardPlan::default(),
+                open: true,
+                metrics: None,
+            }),
+        }
+    }
+
+    /// Whether the query set is still open (the one-shard form).
+    pub(crate) fn is_open(&self) -> bool {
+        self.inner.open
+    }
+
+    /// Takes the session back out of the open one-shard form, if this
+    /// is the last handle and no writer poisoned the shard.
+    pub(crate) fn into_one_shard(self) -> Result<Session, ShardedSession> {
+        debug_assert!(self.inner.open);
+        match Arc::try_unwrap(self.inner) {
+            Ok(mut inner) if !inner.shards[0].is_poisoned() => Ok(inner
+                .shards
+                .pop()
+                .and_then(|lock| lock.into_inner().ok())
+                .expect("exclusively owned and checked unpoisoned")),
+            Ok(inner) => Err(ShardedSession {
+                inner: Arc::new(inner),
+            }),
+            Err(inner) => Err(ShardedSession { inner }),
+        }
+    }
+
     /// The union schema of all registered queries.
     pub fn schema(&self) -> &Schema {
         &self.inner.schema
@@ -400,6 +454,10 @@ impl ShardedSession {
 
     /// The shard maintaining the query registered as `name`.
     pub fn shard_of_query(&self, name: &str) -> Result<usize, CqError> {
+        if self.inner.open {
+            // Shard 0's session knows which names exist.
+            return Ok(0);
+        }
         self.inner
             .query_shard
             .get(name)
@@ -417,6 +475,9 @@ impl ShardedSession {
 
     /// Resolves a relation by name.
     pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
+        if self.inner.open {
+            return self.read_at(0, |s| s.relation(name))?;
+        }
         self.inner
             .schema
             .relation(name)
@@ -430,10 +491,12 @@ impl ShardedSession {
         self.inner.seq.load(Ordering::Relaxed)
     }
 
-    /// The shared metrics registry, when the builder attached one
-    /// ([`ShardedSessionBuilder::share_registry`]).
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.inner.metrics.as_ref().map(|m| &m.registry)
+    /// The shared metrics registry, when one is attached
+    /// ([`ShardedSessionBuilder::share_registry`]; every shard session
+    /// carries the same one).
+    pub fn registry(&self) -> Option<Arc<Registry>> {
+        let shard = self.inner.shards.first()?.read().ok()?;
+        shard.registry().cloned()
     }
 
     /// Total effective changes committed across all shards, summed from
@@ -447,11 +510,7 @@ impl ShardedSession {
     /// never count a cross-shard transaction's effects on one shard but
     /// not another.
     pub fn generation(&self) -> Result<u64, CqError> {
-        let mut guards = Vec::with_capacity(self.inner.shards.len());
-        for shard in &self.inner.shards {
-            guards.push(shard.read().map_err(|_| CqError::Poisoned)?);
-        }
-        Ok(guards.iter().map(|g| g.database().generation()).sum())
+        self.read_all(|guards| guards.iter().map(|g| g.database().generation()).sum())
     }
 
     /// The shard-local generation stamp of `rel`'s last effective change
@@ -459,34 +518,49 @@ impl ShardedSession {
     /// when `rel` itself changes, wherever else traffic lands.
     pub fn relation_generation(&self, rel: RelId) -> Result<u64, CqError> {
         let sid = self.shard_of_relation(rel)?;
-        let guard = self.inner.shards[sid]
-            .read()
-            .map_err(|_| CqError::Poisoned)?;
-        Ok(guard.database().relation_generation(rel))
+        self.read_at(sid, |s| s.database().relation_generation(rel))
     }
 
-    /// Applies one update through the owning shard's writer lock;
-    /// returns `true` iff the database changed. Concurrent callers
-    /// touching *different* shards commit fully in parallel — this is
-    /// the subsystem's whole point; callers on the same shard serialize
-    /// exactly like a [`crate::SharedSession`] writer.
-    pub fn apply(&self, update: &Update) -> Result<bool, CqError> {
-        validate_update(&self.inner.schema, update)?;
-        let sid = self.inner.plan.rel_shard[update.relation().index()];
+    /// The shard `rel`'s updates commit on. Unchecked: sealed plans
+    /// validate the update against the union schema first; the open
+    /// form has only shard 0.
+    pub(crate) fn route(&self, rel: RelId) -> usize {
+        if self.inner.open {
+            0
+        } else {
+            self.inner.plan.rel_shard[rel.index()]
+        }
+    }
+
+    /// Takes shard `sid`'s writer lock, recording the acquisition wait.
+    fn write_shard(&self, sid: usize) -> Result<RwLockWriteGuard<'_, Session>, CqError> {
         let metrics = self.inner.metrics.as_ref();
         let lock_start = metrics.map(|_| Instant::now());
-        let mut guard = self.inner.shards[sid]
+        let guard = self.inner.shards[sid]
             .write()
             .map_err(|_| CqError::Poisoned)?;
         if let (Some(m), Some(t0)) = (metrics, lock_start) {
             m.lock_wait_ns.record(t0.elapsed().as_nanos() as u64);
         }
+        Ok(guard)
+    }
+
+    /// Applies one update through the owning shard's writer lock;
+    /// returns `true` iff the database changed. Concurrent callers
+    /// touching *different* shards commit fully in parallel — this is
+    /// the subsystem's whole point; callers on the same shard serialize.
+    pub fn apply(&self, update: &Update) -> Result<bool, CqError> {
+        if self.inner.open {
+            return self.write_shard(0)?.apply(update);
+        }
+        validate_update(&self.inner.schema, update)?;
+        let sid = self.route(update.relation());
         // Pre-validated dispatch: every shard session carries the same
         // union schema this router just validated against, so the
         // delegated session must not pay for validation again.
-        let changed = guard.apply_update(update);
+        let changed = self.write_shard(sid)?.apply_update(update);
         if changed {
-            if let Some(m) = metrics {
+            if let Some(m) = self.inner.metrics.as_ref() {
                 m.shard_commits[sid].inc();
             }
         }
@@ -503,30 +577,36 @@ impl ShardedSession {
     /// observes exactly the relative order of the updates that concern
     /// it.
     pub fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, CqError> {
+        if self.inner.open {
+            return self.write_shard(0)?.apply_batch(updates);
+        }
         for u in updates {
             validate_update(&self.inner.schema, u)?;
         }
+        self.apply_batch_prevalidated(updates)
+    }
+
+    /// The batch path after validation — also the durable layer's entry
+    /// point, which validated while predicting the effective subset.
+    pub(crate) fn apply_batch_prevalidated(
+        &self,
+        updates: &[Update],
+    ) -> Result<UpdateReport, CqError> {
         let Some(first) = updates.first() else {
             return Ok(UpdateReport {
                 total: 0,
                 applied: 0,
             });
         };
-        let rel_shard = &self.inner.plan.rel_shard;
-        let first_sid = rel_shard[first.relation().index()];
+        let metrics = self.inner.metrics.as_ref();
+        let first_sid = self.route(first.relation());
         if updates
             .iter()
-            .all(|u| rel_shard[u.relation().index()] == first_sid)
+            .all(|u| self.route(u.relation()) == first_sid)
         {
-            let metrics = self.inner.metrics.as_ref();
-            let lock_start = metrics.map(|_| Instant::now());
-            let mut guard = self.inner.shards[first_sid]
-                .write()
-                .map_err(|_| CqError::Poisoned)?;
-            if let (Some(m), Some(t0)) = (metrics, lock_start) {
-                m.lock_wait_ns.record(t0.elapsed().as_nanos() as u64);
-            }
-            let report = guard.apply_batch_prevalidated(updates);
+            let report = self
+                .write_shard(first_sid)?
+                .apply_batch_prevalidated(updates);
             if let Some(m) = metrics {
                 m.shard_commits[first_sid].add(report.applied as u64);
             }
@@ -536,7 +616,7 @@ impl ShardedSession {
         // within each), lock ascending, commit each sub-batch.
         let mut groups: Vec<Vec<Update>> = vec![Vec::new(); self.inner.shards.len()];
         for u in updates {
-            groups[rel_shard[u.relation().index()]].push(u.clone());
+            groups[self.route(u.relation())].push(u.clone());
         }
         let touched: Vec<usize> = (0..groups.len())
             .filter(|&s| !groups[s].is_empty())
@@ -545,7 +625,7 @@ impl ShardedSession {
         let mut applied = 0;
         for (guard, &sid) in guards.iter_mut().zip(&touched) {
             let sub = guard.apply_batch_prevalidated(&groups[sid]).applied;
-            if let Some(m) = self.inner.metrics.as_ref() {
+            if let Some(m) = metrics {
                 m.shard_commits[sid].add(sub as u64);
             }
             applied += sub;
@@ -581,8 +661,7 @@ impl ShardedSession {
         &self,
         f: impl FnOnce(&mut ShardedTransaction<'_>) -> Result<R, CqError>,
     ) -> Result<R, CqError> {
-        let all: Vec<usize> = (0..self.inner.shards.len()).collect();
-        self.run_transaction(&all, None, f)
+        self.transaction_generic(f)
     }
 
     /// [`ShardedSession::transaction`] with a caller-chosen error type:
@@ -638,11 +717,12 @@ impl ShardedSession {
         for (guard, &sid) in guards.iter_mut().zip(shards) {
             txns[sid] = Some(guard.transaction());
         }
+        let router =
+            (!self.inner.open).then(|| (&self.inner.schema, &self.inner.plan.rel_shard[..]));
         let mut tx = ShardedTransaction {
             txns,
             scope,
-            rel_shard: &self.inner.plan.rel_shard,
-            schema: &self.inner.schema,
+            router,
         };
         match f(&mut tx) {
             Ok(r) => {
@@ -665,11 +745,28 @@ impl ShardedSession {
     /// [`QueryHandle`](crate::session::QueryHandle) offers beyond the
     /// shortcuts below.
     pub fn read_shard<R>(&self, name: &str, f: impl FnOnce(&Session) -> R) -> Result<R, CqError> {
-        let sid = self.shard_of_query(name)?;
+        self.read_at(self.shard_of_query(name)?, f)
+    }
+
+    /// Runs `f` with shared read access to shard `sid`'s session.
+    pub(crate) fn read_at<R>(
+        &self,
+        sid: usize,
+        f: impl FnOnce(&Session) -> R,
+    ) -> Result<R, CqError> {
         let guard = self.inner.shards[sid]
             .read()
             .map_err(|_| CqError::Poisoned)?;
         Ok(f(&guard))
+    }
+
+    /// Runs `f` with exclusive write access to shard `sid`'s session.
+    pub(crate) fn write_at<R>(
+        &self,
+        sid: usize,
+        f: impl FnOnce(&mut Session) -> R,
+    ) -> Result<R, CqError> {
+        Ok(f(&mut *self.write_shard(sid)?))
     }
 
     /// The id the shard session assigned to `name` at registration.
@@ -715,6 +812,15 @@ impl ShardedSession {
     /// identically to the single-writer path.
     pub fn retain_deltas(&self, name: &str, cap: usize) -> Result<(), CqError> {
         self.read_shard(name, |s| s.query(name).map(|h| h.retain_deltas(cap)))?
+    }
+
+    /// Enables (or resizes) delta retention on every registered query.
+    pub(crate) fn retain_all(&self, cap: usize) -> Result<(), CqError> {
+        self.read_all(|guards| {
+            for handle in guards.iter().flat_map(|g| g.queries()) {
+                handle.retain_deltas(cap);
+            }
+        })
     }
 
     /// Nets the retained delta stream of `name` after `from_seq` (see
@@ -797,8 +903,9 @@ pub struct ShardedTransaction<'a> {
     /// relation granularity: a relation merely co-located on a locked
     /// shard is still out of scope unless it was declared.
     scope: Option<Vec<bool>>,
-    rel_shard: &'a [usize],
-    schema: &'a Schema,
+    /// The sealed plan's union schema and relation → shard table
+    /// (`None` in the open form: shard 0's session validates).
+    router: Option<(&'a Schema, &'a [usize])>,
 }
 
 impl ShardedTransaction<'_> {
@@ -806,17 +913,20 @@ impl ShardedTransaction<'_> {
     /// `true` iff it was effective. Malformed or out-of-scope updates
     /// error and leave the transaction open.
     pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
-        validate_update(self.schema, update)?;
+        let Some((schema, rel_shard)) = self.router else {
+            let txn = self.txns[0].as_mut().expect("the open form locks shard 0");
+            return txn.apply(update);
+        };
+        validate_update(schema, update)?;
         let rel = update.relation();
         let in_scope = self
             .scope
             .as_ref()
             .is_none_or(|s| s.get(rel.index()).copied().unwrap_or(false));
-        let sid = self.rel_shard[rel.index()];
-        match &mut self.txns[sid] {
+        match &mut self.txns[rel_shard[rel.index()]] {
             Some(txn) if in_scope => Ok(txn.apply_prevalidated(update)),
             _ => Err(CqError::OutOfShardScope {
-                relation: self.schema.name(rel).to_string(),
+                relation: schema.name(rel).to_string(),
             }),
         }
     }
@@ -843,8 +953,7 @@ impl ShardedTransaction<'_> {
     }
 }
 
-/// Compile-time thread-safety contract: the sharded front door crosses
-/// threads exactly like [`crate::SharedSession`] does.
+/// Compile-time thread-safety contract: the core crosses threads.
 #[allow(dead_code)]
 fn _assert_thread_safe() {
     fn send_sync<T: Send + Sync>() {}

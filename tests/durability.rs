@@ -952,6 +952,64 @@ fn failed_rollback_burn_surfaces_the_wal_error() {
     );
 }
 
+/// Durable DDL is log-before-publish like every other mutation: a
+/// `Register` whose commit failed must leave the session exactly where
+/// the log has it — no query, no interned relation. Otherwise later
+/// `Update` records carry relation ids recovery has never seen. The
+/// survivor keeps registering and committing, the refused registration
+/// can be retried, and recovery — even from a view where the refused
+/// frame reached disk — lands on the live state, relation ids included.
+#[test]
+fn failed_register_commit_leaves_the_session_unchanged() {
+    let disk = SimDisk::new();
+    let faulty = FaultyDir::new(&disk);
+    let sess =
+        DurableSession::create(Box::new(faulty.clone()), small_opts(FsyncPolicy::Always)).unwrap();
+    sess.register("qh", QUERIES[0].1).unwrap();
+    let e = sess.relation("E").unwrap();
+    let t = sess.relation("T").unwrap();
+    sess.apply_batch(&[Update::Insert(e, vec![1, 2]), Update::Insert(t, vec![2])])
+        .unwrap();
+
+    // The Register frame appends cleanly; its fsync fails.
+    let late = "Q(x) :- Z(x), T(x).";
+    faulty.fail_next_sync();
+    let res = sess.register("late", late);
+    assert!(matches!(res, Err(DurableError::Wal(_))), "got {res:?}");
+    assert!(
+        sess.snapshot("late").is_err(),
+        "a registration the log refused must not exist in memory"
+    );
+    assert!(
+        sess.relation("Z").is_err(),
+        "a registration the log refused must not intern its relations"
+    );
+
+    // A different query takes the relation id `Z` would have had.
+    sess.register("other", "Q(x) :- W(x), T(x).").unwrap();
+    let w = sess.relation("W").unwrap();
+    sess.apply_batch(&[Update::Insert(w, vec![2]), Update::Insert(e, vec![9, 2])])
+        .unwrap();
+    sess.register("late", late).unwrap();
+    let z = sess.relation("Z").unwrap();
+    sess.apply(&Update::Insert(z, vec![2])).unwrap();
+    assert!(w.index() < z.index());
+
+    let rec = DurableSession::recover(Box::new(full_view(&disk)), small_opts(FsyncPolicy::Always))
+        .unwrap();
+    for (name, want) in [
+        ("qh", vec![vec![1, 2], vec![9, 2]]),
+        ("other", vec![vec![2]]),
+        ("late", vec![vec![2]]),
+    ] {
+        assert_eq!(sess.snapshot(name).unwrap().results_sorted(), want);
+        assert_eq!(rec.snapshot(name).unwrap().results_sorted(), want, "{name}");
+    }
+    assert_eq!(rec.relation("W").unwrap(), w);
+    assert_eq!(rec.relation("Z").unwrap(), z);
+    assert_eq!(rec.seq().unwrap(), sess.seq().unwrap());
+}
+
 /// Satellite check for the observability layer: with a registry
 /// threaded through [`DurableOptions`], `wal_commits_total` is *exact*
 /// — it equals the oracle count of commit-record writes. The oracle is

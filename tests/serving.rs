@@ -328,16 +328,32 @@ fn bounded_subscription_coalesces_exactly() {
 /// The flagship E2E: a real loopback server, a client that disconnects
 /// mid-stream and resumes with `from_seq = cursor`, and the assertion
 /// that the catch-up is **one** `Delta` frame carrying exactly the
-/// oracle diff `cursor → now` — no replayed history, no gap.
+/// oracle diff `cursor → now` — no replayed history, no gap. Run over
+/// both source constructors: one serving body, two front doors.
 #[test]
 fn tcp_resume_receives_only_the_netted_delta() {
     let mut session = Session::new();
     session.register("feed", ROUTES[0].1).unwrap();
-    let schema = session.schema().clone();
-    let query = session.query("feed").unwrap().query().clone();
     let shared = SharedSession::new(session);
-    let source = Arc::new(SessionSource::new(shared.clone(), 1 << 16).unwrap());
-    let server = ServerHandle::bind("127.0.0.1:0", source).unwrap();
+    let source = SessionSource::new(shared.clone(), 1 << 16).unwrap();
+    resume_receives_only_the_netted_delta(Arc::new(source), &|u| shared.apply(u).unwrap());
+
+    let mut builder = ShardedSessionBuilder::new();
+    builder.register("feed", ROUTES[0].1).unwrap();
+    let sharded = Arc::new(builder.build().unwrap());
+    let source = ShardedSource::new(Arc::clone(&sharded), 1 << 16).unwrap();
+    resume_receives_only_the_netted_delta(Arc::new(source), &|u| sharded.apply(u).unwrap());
+}
+
+fn resume_receives_only_the_netted_delta(
+    source: Arc<dyn cq_updates::serving::server::FeedSource>,
+    apply: &dyn Fn(&Update) -> bool,
+) {
+    let mut reference = Session::new();
+    reference.register("feed", ROUTES[0].1).unwrap();
+    let schema = reference.schema().clone();
+    let query = reference.query("feed").unwrap().query().clone();
+    let server = ServerHandle::bind("127.0.0.1:0", Arc::clone(&source)).unwrap();
     let addr = server.local_addr();
 
     let script = churn(&schema, 0xFEED, 80);
@@ -350,9 +366,9 @@ fn tcp_resume_receives_only_the_netted_delta() {
     let mut mirror = Mirror::new();
 
     for u in &script[..cut] {
-        shared.apply(u).unwrap();
+        apply(u);
     }
-    let cut_seq = shared.read(|s| s.seq()).unwrap() as usize;
+    let cut_seq = source.seq() as usize;
     wait_rows(
         &mut client,
         &mut mirror,
@@ -364,7 +380,7 @@ fn tcp_resume_receives_only_the_netted_delta() {
     drop(client); // the disconnect — the mirror (cursor + rows) survives
 
     for u in &script[cut..] {
-        shared.apply(u).unwrap();
+        apply(u);
     }
     let final_rows = timeline.last().unwrap().clone();
     let (want_added, want_removed) = frame_diff(&timeline[cursor as usize], &final_rows);

@@ -353,6 +353,129 @@ proptest! {
             }
         }
     }
+
+    /// The one behaviour the open one-shard core adds over a sealed
+    /// plan: registration stays open. A [`SharedSession`] — wrapped
+    /// around a session that already has history — takes late
+    /// `register` calls interleaved with updates and stays identical to
+    /// a plain [`Session`] driven the same way: same seqs, same
+    /// snapshots, bit-identical events *including stamps*; and every
+    /// locked snapshot, lock-free pin and event is exactly the
+    /// `timeline[seq]` frame of its stamp.
+    #[test]
+    fn open_core_with_late_registration_equals_plain_session_and_timeline(
+        seed in 0u64..1_000_000
+    ) {
+        // One script segment per query, drawn over the schema as it
+        // stands once that query is registered — so every update is
+        // valid when it runs, and the whole script is valid against the
+        // final schema the timelines are computed over.
+        let mut reference = Session::new();
+        let mut segments = Vec::new();
+        for (j, (name, src, _)) in SHARDED.iter().enumerate() {
+            reference.register(name, src).unwrap();
+            let steps = stress_steps(240) / 16;
+            segments.push(churny_script(reference.schema(), seed ^ (j as u64 + 1), steps));
+        }
+        let schema = reference.schema().clone();
+        let script = segments.concat();
+        let timelines: Vec<_> = SHARDED
+            .iter()
+            .map(|(name, _, _)| {
+                result_timeline(&schema, reference.query(name).unwrap().query(), &script)
+            })
+            .collect();
+
+        let mut rng = Lcg::new(seed ^ 0x0BE7);
+        let mut plain = Session::new();
+        // Segment 0 runs before the wrap: the shared counter must
+        // continue the preloaded session's timeline, not restart it.
+        let mut preloaded = Session::new();
+        for s in [&mut plain, &mut preloaded] {
+            s.register(SHARDED[0].0, SHARDED[0].1).unwrap();
+            for u in &segments[0] {
+                s.apply(u).unwrap();
+            }
+        }
+        let shared = SharedSession::new(preloaded);
+        let mut feeds = Vec::new();
+        let mut readers = Vec::new();
+        for (j, (name, src, _)) in SHARDED.iter().enumerate() {
+            if j > 0 {
+                let id = shared.register(name, src).unwrap();
+                prop_assert_eq!(id, plain.register(name, src).unwrap());
+            }
+            let born = plain.seq();
+            prop_assert_eq!(shared.read(|s| s.seq()).unwrap(), born);
+            feeds.push((
+                shared.subscribe(name).unwrap(),
+                plain.query(name).unwrap().subscribe(),
+                timelines[j][born as usize].clone(),
+            ));
+            readers.push(shared.reader(name).unwrap());
+            if j == 0 {
+                continue; // segment 0 already ran
+            }
+            let mut rest = &segments[j][..];
+            while !rest.is_empty() {
+                let (cmd, tail) = rest.split_at((1 + rng.below(3)).min(rest.len()));
+                rest = tail;
+                if cmd.len() == 1 {
+                    prop_assert_eq!(shared.apply(&cmd[0]).unwrap(), plain.apply(&cmd[0]).unwrap());
+                } else {
+                    let a = shared.apply_batch(cmd).unwrap();
+                    prop_assert_eq!(a.applied, plain.apply_batch(cmd).unwrap().applied);
+                }
+                prop_assert_eq!(shared.read(|s| s.seq()).unwrap(), plain.seq());
+                for (i, (name, _, _)) in SHARDED[..=j].iter().enumerate() {
+                    let snap = shared.snapshot(name).unwrap();
+                    prop_assert_eq!(snap.seq(), plain.seq());
+                    prop_assert_eq!(
+                        snap.results_sorted(),
+                        plain.query(name).unwrap().results_sorted(),
+                        "{}: shared snapshot diverged from the plain session", name
+                    );
+                    prop_assert_eq!(
+                        &snap.results_sorted(), &timelines[i][snap.seq() as usize],
+                        "{}: stamp {} is not the exact frame", name, snap.seq()
+                    );
+                    let pin = readers[i].pin();
+                    prop_assert_eq!(
+                        &pin.results_sorted(), &timelines[i][pin.seq() as usize],
+                        "{}: lock-free pin is torn", name
+                    );
+                }
+            }
+        }
+        for (i, (name, _, _)) in SHARDED.iter().enumerate() {
+            let (shared_feed, plain_feed, start) = &feeds[i];
+            let a = shared_feed.drain();
+            let b = plain_feed.drain();
+            prop_assert_eq!(a.len(), b.len(), "{}: event counts diverged", name);
+            let mut mirror: std::collections::BTreeSet<_> = start.iter().cloned().collect();
+            for (x, y) in a.iter().zip(&b) {
+                prop_assert_eq!(x, y, "{}: events diverged", name);
+                for row in &x.removed {
+                    prop_assert!(mirror.remove(row));
+                }
+                for row in &x.added {
+                    prop_assert!(mirror.insert(row.clone()));
+                }
+                let frame: Vec<_> = mirror.iter().cloned().collect();
+                prop_assert_eq!(
+                    &frame, &timelines[i][x.seq as usize],
+                    "{}: event stamp {} is not the frame it leads to", name, x.seq
+                );
+            }
+        }
+        // The last handle gives the session back, still on the timeline.
+        drop(readers);
+        let mut back = shared.try_unwrap().expect("last handle");
+        prop_assert_eq!(back.seq(), plain.seq());
+        let u = Update::Insert(back.relation("T").unwrap(), vec![999]);
+        prop_assert_eq!(back.apply(&u).unwrap(), plain.apply(&u).unwrap());
+        prop_assert_eq!(back.seq(), plain.seq());
+    }
 }
 
 /// Scoped transactions (`transaction_over`) are equivalent to whole-
