@@ -51,10 +51,11 @@ pub trait ReplicaApply: Send + 'static {
     fn reset(&mut self, sharded: bool, checkpoint: Option<(u64, Vec<u8>)>) -> Result<(), String>;
 
     /// Applies a decoded record batch (catch-up or live), returning the
-    /// new applied watermark. Records at or below the current cursor
-    /// must be skipped — resume boundaries and the attach splice can
-    /// replay overlap.
-    fn apply_records(&mut self, recs: &[Rec]) -> Result<u64, String>;
+    /// new applied watermark. The batch is handed over: the applier
+    /// moves tuples out of the records. Records at or below the current
+    /// cursor must be skipped — resume boundaries and the attach splice
+    /// can replay overlap.
+    fn apply_records(&mut self, recs: Vec<Rec>) -> Result<u64, String>;
 
     /// The durable applied watermark — the resume cursor offered at the
     /// next handshake.
@@ -561,7 +562,7 @@ fn run_session(
                     Ok(recs) => recs,
                     Err(_) => return SessionEnd::Synced, // corrupt stream: resync
                 };
-                match apply.apply_records(&recs) {
+                match apply.apply_records(recs) {
                     Ok(applied) => applied,
                     Err(_) => return SessionEnd::Synced, // applier asked for a resync
                 }

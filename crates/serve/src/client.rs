@@ -94,6 +94,7 @@ impl Client {
     /// Connects and performs the `Hello` handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        let _ = stream.set_nodelay(true);
         let mut client = Client {
             stream,
             server_seq: 0,

@@ -766,6 +766,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             return;
         }
         let Ok(stream) = stream else { continue };
+        // The writer flushes one small frame per query per commit:
+        // Nagle would hold the second until the first is ACKed.
+        let _ = stream.set_nodelay(true);
         // Reap threads of connections that have since closed — a
         // long-running server must not accumulate a JoinHandle pair per
         // connection ever served. Finished threads join instantly.

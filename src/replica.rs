@@ -20,11 +20,38 @@
 //! ## Consistency model
 //!
 //! Replication is asynchronous: a replica is *eventually consistent*
-//! with the leader, and **exact** at its watermark — after
-//! `wait_for_seq(s)` returns, every read observes precisely
-//! `timeline[s']` for some `s' ≥ s` on the leader's one true timeline.
-//! There are no torn states: transaction groups apply atomically, and
-//! each record batch is applied before the watermark moves past it.
+//! with the leader, and **exact** at its watermark. There are no torn
+//! states: transaction groups apply atomically, and each record batch
+//! is applied before the watermark moves past it. After
+//! `wait_for_seq(s)` returns:
+//!
+//! * **Locked reads** ([`ReplicaSession::snapshot`],
+//!   [`ReplicaSession::count`], the subscription calls) observe
+//!   precisely `timeline[s']` for some `s' ≥ s` on the leader's one
+//!   true timeline.
+//! * **Lock-free pins** of a q-hierarchical query, through a
+//!   [`PinReader`] from [`ReplicaSession::reader`], are at `≥ s` as
+//!   well. `reader` freshens the epoch it hands out, and from then on
+//!   the applier publishes it after every applied run and *before* it
+//!   announces the watermark. (A pin's `seq()` stamp moves with the
+//!   commits that touch its query's relations; across the others the
+//!   result is unchanged and so is the epoch.)
+//! * **Delta-IVM queries** follow the leader's rule: their `Ω(|view|)`
+//!   epochs republish on the locked pin path only (`snapshot`, or
+//!   taking a new reader), so a held reader of one may lag.
+//!
+//! ## Watched publication: what a replicated commit costs
+//!
+//! An epoch shares the engine's component structures, and the next
+//! write to a shared component copies it. So the applier publishes only
+//! where someone can look: the registrations whose engine snapshots
+//! cheaply, whose epoch is stale, and on which a [`PinReader`] is alive
+//! (`Session::publish_watched`). A replica nobody pins lock-free never
+//! copies a component: a replicated commit costs what it costs on the
+//! leader, O(δ). A held `PinReader` still costs one copy of each touched
+//! component per commit, as a retained pin does on the leader. The seq
+//! counter is forced (`Session::force_seq`, which republishes
+//! everything) only for a real jump: bootstrap, a `SeqBurn`, a gap.
 //!
 //! ## Bootstrap, resume, epochs
 //!
@@ -141,8 +168,9 @@ impl ReplicaShared {
     }
 }
 
-/// An open transaction group being collected off the stream.
-struct TxGroup {
+/// Updates with consecutive seqs collected off the stream: a run of
+/// plain updates awaiting a flush, or an open transaction group.
+struct SeqRun {
     first_seq: u64,
     updates: Vec<Update>,
 }
@@ -163,10 +191,11 @@ struct SessionApplier {
     /// bootstrap waits for its `Register` records — the sealed plan
     /// needs the full query set before it can build).
     backend: Option<ShardedSession>,
-    /// Buffered plain updates `(seq, update)` awaiting a flush.
-    pending: Vec<(u64, Update)>,
+    /// Buffered plain updates awaiting a flush, one entry per maximal
+    /// run of consecutive seqs.
+    pending: Vec<SeqRun>,
     /// An open `TxBegin … TxCommit` group (may span record frames).
-    tx: Option<TxGroup>,
+    tx: Option<SeqRun>,
     /// Applied watermark: every seq ≤ cursor is fully applied.
     cursor: u64,
     epoch: u64,
@@ -204,38 +233,37 @@ impl SessionApplier {
         self.install(backend)
     }
 
-    fn publish_applied(&self) {
+    /// Announces the watermark, after publishing the epochs lock-free
+    /// readers are watching ([`ShardedSession::publish_watched`]): a pin
+    /// taken after `wait_for_seq(s)` returns must already be at `s`.
+    fn publish_applied(&self) -> Result<(), String> {
+        if let Some(backend) = &self.backend {
+            backend.publish_watched().map_err(err_str)?;
+        }
         let mut applied = lock(&self.shared.applied);
         if self.cursor > *applied {
             *applied = self.cursor;
             self.shared.bumped.notify_all();
         }
+        Ok(())
     }
 
-    /// Applies the buffered plain updates: per maximal contiguous seq
-    /// run, pin the counter just below the run and batch-apply. Every
-    /// update the leader shipped was effective there, so it must be
-    /// effective here too — a shortfall means the replica diverged, and
-    /// the caller escalates to a re-bootstrap.
+    /// Applies the buffered plain updates, one batch-apply per run.
+    /// Every update the leader shipped was effective there, so it must
+    /// be effective here too — a shortfall means the replica diverged,
+    /// and the caller escalates to a re-bootstrap.
     fn flush(&mut self) -> Result<(), String> {
         if self.pending.is_empty() {
             return Ok(());
         }
         self.ensure_backend()?;
-        let backend = self.backend.as_ref().expect("ensured").clone();
-        let pending = std::mem::take(&mut self.pending);
-        let mut i = 0;
-        while i < pending.len() {
-            let mut j = i + 1;
-            while j < pending.len() && pending[j].0 == pending[j - 1].0 + 1 {
-                j += 1;
-            }
-            let last = pending[j - 1].0;
-            backend.force_seq(pending[i].0 - 1).map_err(err_str)?;
-            let run: Vec<Update> = pending[i..j].iter().map(|(_, u)| u.clone()).collect();
-            for chunk in run.chunks(REPLAY_CHUNK) {
+        let backend = self.backend.as_ref().expect("ensured");
+        for run in self.pending.drain(..) {
+            position_below(backend, run.first_seq)?;
+            for chunk in run.updates.chunks(REPLAY_CHUNK) {
                 backend.apply_batch(chunk).map_err(err_str)?;
             }
+            let last = run.first_seq + run.updates.len() as u64 - 1;
             let now = backend.seq();
             if now != last {
                 return Err(format!(
@@ -243,21 +271,20 @@ impl SessionApplier {
                 ));
             }
             self.cursor = self.cursor.max(last);
-            i = j;
         }
         Ok(())
     }
 
-    fn apply_inner(&mut self, recs: &[Rec]) -> Result<u64, String> {
+    fn apply_inner(&mut self, recs: Vec<Rec>) -> Result<u64, String> {
         for rec in recs {
             match rec {
                 Rec::Mode { sharded } => {
-                    if *sharded != self.sharded {
+                    if sharded != self.sharded {
                         return Err("stream mode disagrees with handshake".into());
                     }
                 }
                 Rec::Register { name, src, choice } => {
-                    if self.registered.contains(name) {
+                    if self.registered.contains(&name) {
                         continue; // catch-up overlap: DDL is idempotent by name
                     }
                     self.flush()?;
@@ -265,14 +292,13 @@ impl SessionApplier {
                         if self.backend.is_some() {
                             return Err("late registration on a sealed sharded replica".into());
                         }
-                        self.regs.push((name.clone(), src.clone(), *choice));
                     } else {
                         self.ensure_backend()?;
-                        let engine = decode_choice(*choice).map_err(err_str)?;
+                        let engine = decode_choice(choice).map_err(err_str)?;
                         let backend = self.backend.as_ref().expect("ensured");
                         backend
                             .write_at(0, |s| -> Result<(), CqError> {
-                                let id = s.register_with(name, src, engine)?;
+                                let id = s.register_with(&name, &src, engine)?;
                                 if self.ring_cap > 0 {
                                     s.handle(id).retain_deltas(self.ring_cap);
                                 }
@@ -280,9 +306,9 @@ impl SessionApplier {
                             })
                             .map_err(err_str)?
                             .map_err(err_str)?;
-                        self.regs.push((name.clone(), src.clone(), *choice));
                     }
                     self.registered.insert(name.clone());
+                    self.regs.push((name, src, choice));
                     self.sync_regs();
                 }
                 Rec::Update {
@@ -292,21 +318,26 @@ impl SessionApplier {
                     tuple,
                     ..
                 } => {
-                    let u = if *insert {
-                        Update::Insert(RelId(*rel), tuple.clone())
+                    let u = if insert {
+                        Update::Insert(RelId(rel), tuple)
                     } else {
-                        Update::Delete(RelId(*rel), tuple.clone())
+                        Update::Delete(RelId(rel), tuple)
                     };
                     match &mut self.tx {
                         // Group members are filtered by the commit seq,
                         // not per update — groups apply whole or not at
                         // all.
                         Some(g) => g.updates.push(u),
-                        None => {
-                            if *seq > self.cursor {
-                                self.pending.push((*seq, u));
+                        None if seq <= self.cursor => {}
+                        None => match self.pending.last_mut() {
+                            Some(run) if run.first_seq + run.updates.len() as u64 == seq => {
+                                run.updates.push(u)
                             }
-                        }
+                            _ => self.pending.push(SeqRun {
+                                first_seq: seq,
+                                updates: vec![u],
+                            }),
+                        },
                     }
                 }
                 Rec::TxBegin { first_seq } => {
@@ -314,8 +345,8 @@ impl SessionApplier {
                         return Err("transaction begin inside an open transaction".into());
                     }
                     self.flush()?;
-                    self.tx = Some(TxGroup {
-                        first_seq: *first_seq,
+                    self.tx = Some(SeqRun {
+                        first_seq,
                         updates: Vec::new(),
                     });
                 }
@@ -323,44 +354,59 @@ impl SessionApplier {
                     let Some(g) = self.tx.take() else {
                         return Err("transaction commit without begin".into());
                     };
-                    if *last_seq <= self.cursor {
+                    if last_seq <= self.cursor {
                         continue; // already applied before a resume
                     }
                     self.flush()?;
                     self.ensure_backend()?;
                     let backend = self.backend.as_ref().expect("ensured");
-                    backend.force_seq(g.first_seq - 1).map_err(err_str)?;
+                    position_below(backend, g.first_seq)?;
                     // One core transaction: all-or-nothing with a single
                     // published event per query, as on the leader.
                     backend
                         .transaction(|t| t.apply_all(&g.updates))
                         .map_err(err_str)?;
                     let now = backend.seq();
-                    if now != *last_seq {
+                    if now != last_seq {
                         return Err(format!(
                             "replica diverged: transaction expected seq {last_seq}, backend at {now}"
                         ));
                     }
-                    self.cursor = *last_seq;
+                    self.cursor = last_seq;
                 }
                 Rec::SeqBurn { upto } => {
                     if self.tx.is_some() {
                         return Err("seq burn inside an open transaction".into());
                     }
-                    if *upto > self.cursor {
+                    if upto > self.cursor {
                         self.flush()?;
                         self.ensure_backend()?;
                         let backend = self.backend.as_ref().expect("ensured");
-                        backend.force_seq(*upto).map_err(err_str)?;
-                        self.cursor = *upto;
+                        backend.force_seq(upto).map_err(err_str)?;
+                        self.cursor = upto;
                     }
                 }
             }
         }
         self.flush()?;
-        self.publish_applied();
+        self.publish_applied()?;
         Ok(self.cursor)
     }
+}
+
+/// Positions `backend`'s seq counter just below `first_seq`, where the
+/// run or group about to be applied starts drawing. In steady state the
+/// counter already sits there and nothing is called; only a real jump
+/// (a gap in the stream) pays [`ShardedSession::force_seq`], which
+/// republishes every epoch.
+fn position_below(backend: &ShardedSession, first_seq: u64) -> Result<(), String> {
+    let below = first_seq
+        .checked_sub(1)
+        .ok_or("stream carries seq 0; seqs start at 1")?;
+    if backend.seq() != below {
+        backend.force_seq(below).map_err(err_str)?;
+    }
+    Ok(())
 }
 
 impl cqu_repl::ReplicaApply for SessionApplier {
@@ -409,7 +455,7 @@ impl cqu_repl::ReplicaApply for SessionApplier {
         Ok(())
     }
 
-    fn apply_records(&mut self, recs: &[Rec]) -> Result<u64, String> {
+    fn apply_records(&mut self, recs: Vec<Rec>) -> Result<u64, String> {
         let res = self.apply_inner(recs);
         if res.is_err() {
             // Divergence or replay failure: poison the epoch so the
@@ -441,7 +487,7 @@ impl cqu_repl::ReplicaApply for SessionApplier {
         if self.backend.is_none() && !self.regs.is_empty() {
             self.ensure_backend()?;
         }
-        self.publish_applied();
+        self.publish_applied()?;
         Ok(self.cursor)
     }
 
@@ -664,9 +710,19 @@ impl ReplicaSession {
 
     /// A lock-free [`PinReader`] over `name` — constant-delay
     /// enumeration against a pinned epoch, never blocked by the apply
-    /// stream.
+    /// stream. Its first pin is already at the watermark: the epoch is
+    /// freshened under the read guard that hands out the reader, and
+    /// from then on the applier keeps it fresh (see the
+    /// [module docs](self)). The reader follows the core it was taken
+    /// from; after a re-bootstrap, take a new one.
     pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        self.core()?.reader(name)
+        self.core()?.read_shard(name, |s| {
+            s.query(name).map(|h| {
+                // The locked pin path: republishes a stale epoch.
+                h.snapshot();
+                h.pin_reader()
+            })
+        })?
     }
 
     /// Subscribes to `name`'s result deltas as the replica applies the
@@ -689,7 +745,9 @@ impl ReplicaSession {
 
     /// The replica's state as a [`SharedSession`] (single-writer
     /// leaders). Read from it freely; never write through it — replicas
-    /// are read-only by construction.
+    /// are read-only by construction. A `PinReader` taken through this
+    /// handle is kept fresh like any other, but only
+    /// [`ReplicaSession::reader`] freshens the epoch it hands out.
     pub fn shared(&self) -> Option<SharedSession> {
         let core = self.shared.backend().filter(ShardedSession::is_open)?;
         Some(SharedSession { core })

@@ -748,6 +748,11 @@ impl Session {
     /// updates and subscriber cursors continue the original timeline.
     /// Only sound while no readers are attached (recovery runs before
     /// the session is shared), which is why it stays crate-private.
+    ///
+    /// A replica also calls it on a live core, but only for a real jump
+    /// of the counter (bootstrap, a `SeqBurn`, a gap in the stream),
+    /// never per commit: the fresh epochs hold an `Arc` on every
+    /// component, so the next write to each one copies it.
     pub(crate) fn force_seq(&mut self, seq: u64) {
         if let Some(source) = &self.seq_source {
             source.store(seq, Ordering::Relaxed);
@@ -756,6 +761,24 @@ impl Session {
         for reg in &mut self.regs {
             reg.touch();
             reg.publish_epoch(seq, reg.footprint_gen);
+        }
+    }
+
+    /// Replica hook: publishes the stale epochs somebody can look at
+    /// lock-free. The applier calls it after a run of records and before
+    /// it announces the watermark; on a replica no pin has to observe
+    /// the lag first, as [`Registered::republish_on_demand`] requires on
+    /// the leader. A registration is published iff its engine snapshots
+    /// cheaply (the leader's rule for lock-free pins) and a
+    /// [`PinReader`] is alive: `pin_reader` is the only other holder of
+    /// the cell. Nobody watching means no epoch, hence no component the
+    /// next write has to copy. Runs under a read guard; the build lock
+    /// in [`Registered::pinned`] serializes it with locked readers.
+    pub(crate) fn publish_watched(&self) {
+        for reg in &self.regs {
+            if reg.engine.snapshot_is_cheap() && Arc::strong_count(&reg.cell) > 1 {
+                reg.pinned(self.seq, reg.footprint_gen);
+            }
         }
     }
 

@@ -855,6 +855,12 @@ impl ShardedSession {
         Ok(())
     }
 
+    /// Replica hook: [`Session::publish_watched`] on every shard, under
+    /// read guards taken together, so the published epochs are one cut.
+    pub(crate) fn publish_watched(&self) -> Result<(), CqError> {
+        self.read_all(|guards| guards.iter().for_each(|g| g.publish_watched()))
+    }
+
     /// Checkpoint hook: runs `f` with read guards on every shard session
     /// (acquired in canonical order), handing the caller one consistent
     /// cut of the whole database — the same discipline

@@ -10,14 +10,17 @@
 //! timeline: at the end every follower's result for every query must
 //! equal the leader's *and* the brute-force evaluation of
 //! `timeline[seq]`, and any pin taken at a follower watermark `s` must
-//! equal `timeline[s]` exactly.
+//! equal `timeline[s]` exactly. `CQ_STRESS_READERS` threads pin
+//! lock-free the whole time, racing the applier: on one reader the
+//! pinned seq never decreases, and every pin is `timeline[pin.seq()]`.
 //!
 //! Deterministic satellites cover the edges one at a time: bootstrap +
 //! live follow (with subscriber seq stamps on the leader's timeline),
 //! late-joiner checkpoint transfer, kick → resume without
 //! re-bootstrap, leader restart → epoch fencing → follower
-//! re-bootstrap, sharded leaders, and the serving front end over a
-//! replica.
+//! re-bootstrap, sharded leaders, the serving front end over a
+//! replica, and the lock-free read contract: a held reader pins at the
+//! watermark, and epochs are published only where one is held.
 //!
 //! Failover edges ride the same oracle: kill the leader, promote the
 //! most caught-up follower ([`promotion_candidate`] over the leader's
@@ -34,9 +37,11 @@ use cq_updates::prelude::*;
 use cq_updates::query::RelId;
 use cqu_testutil::{brute_force, random_updates, Lcg, SimDisk, WorkloadConfig};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 /// Generous per-wait bound: loopback sync is milliseconds; the bound
@@ -48,6 +53,14 @@ fn stress_cases() -> u32 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(4)
+}
+
+/// Lock-free reader threads racing the applier in the churn proptest.
+fn stress_readers() -> usize {
+    std::env::var("CQ_STRESS_READERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(2)
 }
 
 fn promote_stress_cases() -> u32 {
@@ -552,6 +565,111 @@ fn sharded_leader_replicates() {
     assert!(replica.shared().is_none());
 }
 
+/// The read contract of a held lock-free reader: after `wait_for_seq(s)`
+/// its next pin is at `s`, with no locked read in between to republish
+/// for it — through a batch, a committed transaction and a rollback
+/// burn. Stamps are frame-exact in single mode only; against a sharded
+/// leader the pinned rows must equal the leader's at quiescence.
+#[test]
+fn held_reader_pins_at_the_watermark() {
+    for sharded in [false, true] {
+        let disk = SimDisk::new();
+        let sess = leader(&disk, sharded);
+        let server =
+            ReplicationServer::bind("127.0.0.1:0", Arc::clone(&sess), fast_leader()).unwrap();
+        let (schema, queries) = scratch();
+        let qh = &queries[0].1;
+        let mut db = Database::new(schema.clone());
+        let mut frames = Vec::new();
+        let e = sess.relation("E").unwrap();
+        let t = sess.relation("T").unwrap();
+
+        let replica = ReplicaSession::connect(server.local_addr(), fast_replica()).unwrap();
+        let seed = Op::Batch(vec![
+            Update::Insert(e, vec![1, 2]),
+            Update::Insert(t, vec![2]),
+        ]);
+        run_op(&sess, &mut db, &mut frames, &seed);
+        assert!(replica.wait_for_seq(2, SYNC), "{replica:?}");
+        let reader = replica.reader("qh").unwrap();
+        assert_eq!(reader.pin().results_sorted(), vec![vec![1, 2]]);
+
+        let ops = [
+            Op::Batch(vec![Update::Insert(e, vec![5, 2])]),
+            Op::Tx {
+                updates: vec![Update::Insert(t, vec![7]), Update::Insert(e, vec![3, 7])],
+                commit: true,
+            },
+            Op::Tx {
+                updates: vec![Update::Insert(e, vec![9, 2])],
+                commit: false,
+            },
+            Op::Batch(vec![Update::Delete(e, vec![1, 2])]),
+        ];
+        for op in &ops {
+            run_op(&sess, &mut db, &mut frames, op);
+            let head = frames.len() as u64;
+            assert!(replica.wait_for_seq(head, SYNC), "{replica:?}");
+            let pin = reader.pin();
+            if sharded {
+                let leader_rows = sess.snapshot("qh").unwrap().results_sorted();
+                assert_eq!(pin.results_sorted(), leader_rows, "after {op:?}");
+            } else {
+                assert_eq!(pin.seq(), head, "after {op:?}");
+                assert_eq!(pin.count(), brute_force(qh, &db).len() as u64);
+            }
+        }
+    }
+}
+
+/// Epoch publications on a replica, counted against the script: none
+/// while nobody can look, one per commit for the one cheap-snapshot
+/// query a `PinReader` is held on — nothing for the delta-IVM query
+/// (locked pin path only) or the unwatched `via_core`.
+#[test]
+fn replica_publishes_only_watched_epochs() {
+    const N: u64 = 12;
+    let disk = SimDisk::new();
+    let sess = leader(&disk, false);
+    let server = ReplicationServer::bind("127.0.0.1:0", Arc::clone(&sess), fast_leader()).unwrap();
+    // The replica's own registry: the leader's publications stay out.
+    let registry = Arc::new(cq_updates::obs::Registry::new());
+    let replica = ReplicaSession::connect(
+        server.local_addr(),
+        ReplicaOptions {
+            registry: Some(Arc::clone(&registry)),
+            ..fast_replica()
+        },
+    )
+    .unwrap();
+    let publications = registry.counter("session_epoch_publications_total");
+    let [e, f, s] = ["E", "F", "S"].map(|r| sess.relation(r).unwrap());
+    // Every commit touches the footprint of all three queries.
+    let commit = |i: u64| {
+        sess.apply_batch(&[
+            Update::Insert(e, vec![i, i + 1]),
+            Update::Insert(f, vec![i, i]),
+            Update::Insert(s, vec![i]),
+        ])
+        .unwrap();
+        assert!(
+            replica.wait_for_seq(sess.seq().unwrap(), SYNC),
+            "{replica:?}"
+        );
+    };
+
+    commit(0);
+    let before = publications.get();
+    (1..=N).for_each(commit);
+    assert_eq!(publications.get(), before, "nobody can look");
+
+    let reader = replica.reader("qh").unwrap();
+    let before = publications.get();
+    (N + 1..=2 * N).for_each(commit);
+    assert_eq!(publications.get(), before + N, "one per commit, for qh");
+    assert_eq!(reader.pin().seq(), sess.seq().unwrap());
+}
+
 /// A replica fronts the same serving protocol as the leader: a
 /// subscription client pointed at a [`ReplicaSource`] server converges
 /// to the leader's rows, and remote registration is refused.
@@ -862,6 +980,49 @@ fn replica_source_hands_off_to_promoted_session() {
 // Convergence under churn
 // ---------------------------------------------------------------------------
 
+/// What one racing reader thread saw: per query, the rows of every
+/// distinct seq it pinned.
+type Sightings = Vec<HashMap<u64, Vec<Vec<Const>>>>;
+
+/// Pins every query of `replica` lock-free until `stop`, while the
+/// applier writes. On one [`PinReader`] the pinned seq never decreases;
+/// readers are re-taken every few pins so they follow the replica
+/// across re-bootstraps.
+fn race_pins(replica: &ReplicaSession, start: &Barrier, stop: &AtomicBool) -> Sightings {
+    let mut seen: Sightings = vec![HashMap::new(); QUERIES.len()];
+    start.wait();
+    while !stop.load(Ordering::Acquire) {
+        for (i, (name, _)) in QUERIES.iter().enumerate() {
+            // Not bootstrapped yet, or between two cores.
+            let Ok(reader) = replica.reader(name) else {
+                continue;
+            };
+            let mut last = 0;
+            for _ in 0..32 {
+                let pin = reader.pin();
+                assert!(pin.seq() >= last, "{name}: pin went back in time");
+                last = pin.seq();
+                let rows = seen[i]
+                    .entry(pin.seq())
+                    .or_insert_with(|| pin.results_sorted());
+                assert_eq!(pin.count(), rows.len() as u64, "{name}: torn pin");
+            }
+        }
+        std::thread::yield_now();
+    }
+    seen
+}
+
+/// Stops the racing readers when the leader-side script ends, however
+/// it ends.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 fn churn_case(seed: u64, sharded: bool) {
     let (schema, queries) = scratch();
     let disk = SimDisk::new();
@@ -870,14 +1031,59 @@ fn churn_case(seed: u64, sharded: bool) {
     let replicas: Vec<ReplicaSession> = (0..2)
         .map(|_| ReplicaSession::connect(server.local_addr(), fast_replica()).unwrap())
         .collect();
+    let stop = AtomicBool::new(false);
+    // The script starts once every racer runs.
+    let start = Barrier::new(stress_readers() + 1);
+    std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..stress_readers())
+            .map(|i| {
+                let (replica, start, stop) = (&replicas[i % replicas.len()], &start, &stop);
+                scope.spawn(move || race_pins(replica, start, stop))
+            })
+            .collect();
+        start.wait();
+        let frames = {
+            // Also on a failed assertion: the scope joins the racers
+            // before the panic can surface.
+            let _release = StopOnDrop(&stop);
+            churn_script(seed, &sess, &replicas, &schema, &queries)
+        };
+        let head = frames.len() as u64;
+        for racer in racers {
+            let seen = racer.join().expect("racing reader");
+            for ((name, q), pins) in queries.iter().zip(&seen) {
+                for (&seq, rows) in pins {
+                    assert!(seq <= head, "{name}: pinned seq {seq} past head {head}");
+                    // Stamps are frame-exact in single mode only (see
+                    // `assert_converged`).
+                    if !sharded {
+                        assert_eq!(
+                            rows,
+                            &brute_force(q, &db_at(&schema, &frames, seq)),
+                            "{name}: racing pin at seq {seq} is not timeline[{seq}]"
+                        );
+                    }
+                }
+            }
+        }
+    });
+}
 
-    let ops = script_ops(&schema, seed, 60);
+/// The leader-side script of [`churn_case`]; returns the frame timeline.
+fn churn_script(
+    seed: u64,
+    sess: &DurableSession,
+    replicas: &[ReplicaSession],
+    schema: &Schema,
+    queries: &[(String, Query)],
+) -> Vec<Option<Update>> {
+    let ops = script_ops(schema, seed, 60);
     let mut rng = Lcg::new(seed ^ 0x5851_f42d_4c95_7f2d);
     let mut db = Database::new(schema.clone());
     let mut frames: Vec<Option<Update>> = Vec::new();
     let forced_ckpt_at = ops.len() / 2;
     for (i, op) in ops.iter().enumerate() {
-        run_op(&sess, &mut db, &mut frames, op);
+        run_op(sess, &mut db, &mut frames, op);
         if i == forced_ckpt_at {
             // The acceptance bar: at least one leader checkpoint lands
             // mid-stream while followers are attached.
@@ -904,15 +1110,9 @@ fn churn_case(seed: u64, sharded: bool) {
         }
     }
     for (i, r) in replicas.iter().enumerate() {
-        assert_converged(
-            &format!("replica-{i}"),
-            &sess,
-            r,
-            &schema,
-            &queries,
-            &frames,
-        );
+        assert_converged(&format!("replica-{i}"), sess, r, schema, queries, &frames);
     }
+    frames
 }
 
 proptest! {
