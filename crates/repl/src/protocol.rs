@@ -22,7 +22,7 @@
 //! tag are [`WireError`]s, and the body length is capped
 //! ([`MAX_FRAME_LEN`]) so a corrupt prefix cannot ask for gigabytes.
 
-use cqu_wal::{crc32, Rec, MAX_RECORD_LEN};
+use cqu_wal::{Cursor, FrameError, Rec};
 use std::io::{self, Read, Write};
 
 /// Replication protocol version spoken by this build. The leader denies
@@ -79,13 +79,13 @@ impl DenyReason {
         }
     }
 
-    fn from_u8(b: u8) -> Result<DenyReason, WireError> {
+    fn from_u8(b: u8) -> Result<DenyReason, &'static str> {
         Ok(match b {
             0 => DenyReason::Other,
             1 => DenyReason::Version,
             2 => DenyReason::AtCapacity,
             3 => DenyReason::StaleEpoch,
-            _ => return Err(WireError::Malformed("unknown deny reason")),
+            _ => return Err("unknown deny reason"),
         })
     }
 }
@@ -320,80 +320,26 @@ pub fn encode_records_frame(recs: &[Rec]) -> Vec<u8> {
 pub fn decode_records(mut bytes: &[u8]) -> Result<Vec<Rec>, WireError> {
     let mut recs = Vec::new();
     while !bytes.is_empty() {
-        if bytes.len() < 8 {
-            return Err(WireError::Malformed("truncated record frame header"));
-        }
-        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            return Err(WireError::Malformed("record length exceeds cap"));
-        }
-        if bytes.len() - 8 < len {
-            return Err(WireError::Malformed("truncated record payload"));
-        }
-        let payload = &bytes[8..8 + len];
-        if crc32(payload) != crc {
-            return Err(WireError::Malformed("record crc mismatch"));
-        }
-        recs.push(Rec::decode(payload).map_err(WireError::Malformed)?);
-        bytes = &bytes[8 + len..];
+        let (rec, used) = Rec::unframe(bytes).map_err(
+            |(FrameError::Torn(what) | FrameError::Undecodable(what))| WireError::Malformed(what),
+        )?;
+        recs.push(rec);
+        bytes = &bytes[used..];
     }
     Ok(recs)
 }
 
 // ---- decoding ------------------------------------------------------------
 
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Malformed("truncated field"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes"))
-        }
-    }
-}
-
 impl Frame {
     /// Decodes a frame body (tag + fields, no length prefix). Strict:
     /// trailing bytes are an error.
     pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
-        let mut cur = Cur { buf: body, pos: 0 };
+        Frame::parse_body(body).map_err(WireError::Malformed)
+    }
+
+    fn parse_body(body: &[u8]) -> Result<Frame, &'static str> {
+        let mut cur = Cursor(body);
         let frame = match cur.u8()? {
             tag::HELLO => Frame::Hello {
                 version: cur.u32()?,
@@ -411,7 +357,7 @@ impl Frame {
                 let seq = cur.u64()?;
                 let flags = cur.u8()?;
                 if flags > 3 {
-                    return Err(WireError::Malformed("bad chunk flags"));
+                    return Err("bad chunk flags");
                 }
                 let len = cur.u32()? as usize;
                 let bytes = cur.take(len)?.to_vec();
@@ -423,7 +369,7 @@ impl Frame {
                 }
             }
             tag::RECORDS => Frame::Records {
-                bytes: cur.take(body.len() - 1)?.to_vec(),
+                bytes: cur.take(cur.0.len())?.to_vec(),
             },
             tag::HEARTBEAT => Frame::Heartbeat {
                 head_seq: cur.u64()?,
@@ -431,11 +377,16 @@ impl Frame {
             tag::ACK => Frame::Ack {
                 applied_seq: cur.u64()?,
             },
-            tag::DENY => Frame::Deny {
-                reason: DenyReason::from_u8(cur.u8()?)?,
-                msg: cur.str()?,
-            },
-            _ => return Err(WireError::Malformed("unknown tag")),
+            tag::DENY => {
+                let reason = DenyReason::from_u8(cur.u8()?)?;
+                // Wire strings carry a `u16` length (see `put_str`).
+                let len = cur.u16()? as usize;
+                Frame::Deny {
+                    reason,
+                    msg: cur.str(len)?,
+                }
+            }
+            _ => return Err("unknown tag"),
         };
         cur.finish()?;
         Ok(frame)

@@ -540,7 +540,11 @@ pub fn snapshot_frames(name: &str, seq: u64, rows: Vec<Row>, chunk_bytes: usize)
 
 // ---- decoding ------------------------------------------------------------
 
-/// A cursor over a frame body.
+/// A cursor over a frame body. The last private copy of the bounded
+/// cursor `cqu_wal::Cursor` now is for the record, replication and
+/// checkpoint decoders: this crate does not depend on `cqu-wal`, and a
+/// new edge changes `cqbench/Cargo.lock`, so the port waits for the
+/// benchmark lock refresh (ROADMAP item 3).
 struct Cur<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -8,7 +8,9 @@
 //!
 //! The pieces:
 //!
-//! * [`record`] — record payloads and the `len | crc32 | payload` frame.
+//! * [`record`] — record payloads, the `len | crc32 | payload` frame and
+//!   its one parser ([`Rec::unframe`]), and the bounded read [`Cursor`]
+//!   the record, replication and checkpoint decoders share.
 //! * [`vfs`] — the storage seam ([`WalDir`]/[`WalFile`]); [`FsDir`] for
 //!   real directories, with the fault-injection harness in
 //!   `cqu-testutil` plugging in a crash-simulating implementation.
@@ -26,5 +28,5 @@ pub use crc32::crc32;
 pub use log::{
     epoch, recover, FsyncPolicy, Recovery, Shipped, Wal, WalError, WalOptions, CKPT_TMP,
 };
-pub use record::{Rec, MAX_RECORD_LEN};
+pub use record::{put_str32, Cursor, FrameError, Rec, MAX_RECORD_LEN};
 pub use vfs::{FsDir, WalDir, WalFile};

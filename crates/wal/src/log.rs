@@ -18,7 +18,7 @@
 //! earlier with a typed [`WalError::Corrupt`], never a panic.
 
 use crate::crc32::crc32;
-use crate::record::{Rec, MAX_RECORD_LEN};
+use crate::record::{FrameError, Rec};
 use crate::vfs::{WalDir, WalFile};
 use cqu_obs::{Counter, Histogram, Registry};
 use std::io;
@@ -792,31 +792,23 @@ fn scan_segment(
 
     let mut offset = SEG_HEADER;
     while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < 8 {
-            return torn(offset, "truncated frame header");
+        match Rec::unframe(&bytes[offset..]) {
+            Ok((rec, used)) => {
+                records.push(rec);
+                offset += used;
+            }
+            Err(FrameError::Torn(what)) => return torn(offset, what),
+            // A valid CRC over an undecodable payload is real corruption
+            // (a torn write cannot forge a checksum): refuse even on the
+            // tail.
+            Err(FrameError::Undecodable(what)) => {
+                return Err(WalError::Corrupt {
+                    file: name.to_string(),
+                    offset: offset as u64,
+                    what,
+                })
+            }
         }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            return torn(offset, "frame length exceeds record cap");
-        }
-        if rest.len() < 8 + len {
-            return torn(offset, "truncated frame body");
-        }
-        let payload = &rest[8..8 + len];
-        if crc32(payload) != crc {
-            return torn(offset, "frame crc mismatch");
-        }
-        // A valid CRC over an undecodable payload is real corruption (a
-        // torn write cannot forge a checksum) — refuse even on the tail.
-        let rec = Rec::decode(payload).map_err(|what| WalError::Corrupt {
-            file: name.to_string(),
-            offset: offset as u64,
-            what,
-        })?;
-        records.push(rec);
-        offset += 8 + len;
     }
     Ok(None)
 }

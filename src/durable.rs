@@ -1,6 +1,9 @@
 //! Durable sessions: the WAL-backed deployment of the concurrent
 //! session core ([`ShardedSession`], or its one-shard face
-//! [`SharedSession`]).
+//! [`SharedSession`]). This module is the **write path**; reading a log
+//! back is the crate's one replay machine (`src/replay.rs`), which
+//! [`DurableSession::recover`] feeds from a directory scan and a replica
+//! feeds from a socket.
 //!
 //! A [`DurableSession`] routes every mutation through a write-ahead log
 //! (`cqu-wal`) with **log-before-publish** discipline: the effective
@@ -8,26 +11,23 @@
 //! framed, appended, and (per [`FsyncPolicy`]) fsynced *before* the
 //! in-memory session publishes epochs or subscriber events. A crash at
 //! any instant therefore loses only work that no reader or subscriber
-//! could have observed, and [`DurableSession::recover`] rebuilds exactly
-//! `timeline[last durable seq]`: the newest valid checkpoint plus a
-//! replay of the log tail.
+//! could have observed, and recovery rebuilds exactly
+//! `timeline[last durable seq]`.
 //!
 //! ## What is logged
 //!
 //! * a `Mode` record opening every fresh log: whether the query set is
 //!   open (single mode — the core's one-shard form, DDL may follow at
 //!   any time) or sealed into a shard plan at creation,
-//! * `Register` records — durable DDL; recovery re-registers in log
-//!   order, which deterministically reproduces the schema's relation
-//!   ids and, for sealed plans, the shard plan,
+//! * `Register` records — durable DDL, in the order that fixes the
+//!   schema's relation ids and, for sealed plans, the shard plan,
 //! * one `Update` record per *effective* update (no-ops draw no seq and
 //!   take no disk space), stamped with seq and owning shard,
-//! * `TxBegin`/`TxCommit` framing around transactions — recovery applies
-//!   a transaction's updates only if its commit record hit the disk,
+//! * `TxBegin`/`TxCommit` framing around transactions: all or nothing,
 //! * `SeqBurn` compensation for rollbacks: a rolled-back transaction
 //!   burns its sequence numbers in memory (inverses draw none), so the
-//!   log records the post-burn counter and recovery never reissues a
-//!   burned number to a subscriber cursor.
+//!   log records the post-burn counter and a burned number is never
+//!   reissued to a subscriber cursor.
 //!
 //! ## One commit path
 //!
@@ -53,23 +53,19 @@
 //! the log and forfeits every guarantee here.
 
 use crate::error::CqError;
+use crate::replay::{build_core, ckpt_mode, encode_choice, encode_ckpt_body, Reg, Replay};
 use crate::session::{
     validate_update, EngineChoice, QueryId, QuerySnapshot, Session, SharedSession,
 };
-use crate::shard::{ShardedSession, ShardedSessionBuilder, ShardedTransaction};
-use cqu_baseline::EngineKind;
+use crate::shard::{ShardedSession, ShardedTransaction};
 use cqu_common::FxHashMap;
 use cqu_dynamic::UpdateReport;
 use cqu_obs::Registry;
-use cqu_query::{parse_query, RelId, Schema};
+use cqu_query::{parse_query, RelId};
 use cqu_storage::{Tuple, Update};
 use cqu_wal::{epoch, FsDir, FsyncPolicy, Rec, Wal, WalDir, WalError, WalOptions};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLockReadGuard};
-
-/// Batch size for checkpoint loading and log replay (bounds peak
-/// allocation without changing semantics — batches apply in order).
-pub(crate) const REPLAY_CHUNK: usize = 16_384;
 
 /// A durable-layer failure.
 #[derive(Debug)]
@@ -155,7 +151,7 @@ impl DurableOptions {
 /// attached replication queues.
 struct WalState {
     wal: Wal,
-    regs: Vec<(String, String, u8)>,
+    regs: Vec<Reg>,
     /// Live replication queues `(follower id, queue)`. Commits push
     /// into every queue under this lock; a queue that reports itself
     /// dead or closed is dropped on the spot.
@@ -193,31 +189,6 @@ impl std::fmt::Debug for DurableSession {
 fn lock_wal(wal: &Mutex<WalState>) -> Result<std::sync::MutexGuard<'_, WalState>, DurableError> {
     wal.lock()
         .map_err(|_| DurableError::Session(CqError::Poisoned))
-}
-
-fn encode_choice(choice: EngineChoice) -> u8 {
-    match choice {
-        EngineChoice::Auto => 0,
-        EngineChoice::Forced(EngineKind::QHierarchical) => 1,
-        EngineChoice::Forced(EngineKind::Recompute) => 2,
-        EngineChoice::Forced(EngineKind::DeltaIvm) => 3,
-        EngineChoice::Forced(EngineKind::SemiJoin) => 4,
-    }
-}
-
-pub(crate) fn decode_choice(byte: u8) -> Result<EngineChoice, DurableError> {
-    Ok(match byte {
-        0 => EngineChoice::Auto,
-        1 => EngineChoice::Forced(EngineKind::QHierarchical),
-        2 => EngineChoice::Forced(EngineKind::Recompute),
-        3 => EngineChoice::Forced(EngineKind::DeltaIvm),
-        4 => EngineChoice::Forced(EngineKind::SemiJoin),
-        b => {
-            return Err(DurableError::Recovery(format!(
-                "unknown engine choice byte {b}"
-            )))
-        }
-    })
 }
 
 /// Builds one `Update` record per entry of `effective`, stamped
@@ -294,147 +265,6 @@ fn predict_effective(
     Ok(effective)
 }
 
-/// Decoded checkpoint body.
-pub(crate) struct CkptBody {
-    pub(crate) sharded: bool,
-    pub(crate) regs: Vec<(String, String, u8)>,
-    /// Per relation (in schema order): declared arity and tuples.
-    pub(crate) rels: Vec<(usize, Vec<Tuple>)>,
-}
-
-/// Checkpoint body layout (the WAL wraps it in magic + seq + CRC):
-///
-/// ```text
-/// u8 sharded
-/// u32 n_regs  { u8 choice, u32 name_len, name, u32 src_len, src }*
-/// u32 n_rels  { u16 arity, u64 count, count × arity × u64 }*
-/// ```
-fn encode_ckpt_body(
-    sharded: bool,
-    regs: &[(String, String, u8)],
-    schema: &Schema,
-    mut tuples_of: impl FnMut(RelId) -> Vec<Tuple>,
-) -> Vec<u8> {
-    let put_bytes = |out: &mut Vec<u8>, b: &[u8]| {
-        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-        out.extend_from_slice(b);
-    };
-    let mut out = Vec::new();
-    out.push(u8::from(sharded));
-    out.extend_from_slice(&(regs.len() as u32).to_le_bytes());
-    for (name, src, choice) in regs {
-        out.push(*choice);
-        put_bytes(&mut out, name.as_bytes());
-        put_bytes(&mut out, src.as_bytes());
-    }
-    out.extend_from_slice(&(schema.len() as u32).to_le_bytes());
-    for rel in schema.relations() {
-        let tuples = tuples_of(rel);
-        out.extend_from_slice(&(schema.arity(rel) as u16).to_le_bytes());
-        out.extend_from_slice(&(tuples.len() as u64).to_le_bytes());
-        for t in &tuples {
-            for c in t {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-    }
-    out
-}
-
-pub(crate) fn decode_ckpt_body(body: &[u8]) -> Result<CkptBody, DurableError> {
-    struct R<'a>(&'a [u8]);
-    impl R<'_> {
-        fn take(&mut self, n: usize) -> Result<&[u8], DurableError> {
-            if self.0.len() < n {
-                return Err(DurableError::Recovery("checkpoint body truncated".into()));
-            }
-            let (head, tail) = self.0.split_at(n);
-            self.0 = tail;
-            Ok(head)
-        }
-        fn u8(&mut self) -> Result<u8, DurableError> {
-            Ok(self.take(1)?[0])
-        }
-        fn u16(&mut self) -> Result<u16, DurableError> {
-            Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-        }
-        fn u32(&mut self) -> Result<u32, DurableError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-        fn u64(&mut self) -> Result<u64, DurableError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-        fn str(&mut self) -> Result<String, DurableError> {
-            let len = self.u32()? as usize;
-            String::from_utf8(self.take(len)?.to_vec())
-                .map_err(|_| DurableError::Recovery("checkpoint string not utf-8".into()))
-        }
-        /// Admits a count of items of at least `item_bytes` each only if
-        /// the bytes still unread can hold that many: the fields come
-        /// raw off disk or the replication socket, and must not size an
-        /// allocation or a loop before they are checked.
-        fn count(&self, raw: u64, item_bytes: usize) -> Result<usize, DurableError> {
-            match usize::try_from(raw) {
-                Ok(n) if n <= self.0.len() / item_bytes => Ok(n),
-                _ => Err(DurableError::Recovery(format!(
-                    "checkpoint count {raw} exceeds the {} bytes left",
-                    self.0.len()
-                ))),
-            }
-        }
-    }
-    let mut r = R(body);
-    let sharded = r.u8()? != 0;
-    // A registration is a choice byte and two length-prefixed strings.
-    let n_regs = r.u32()?;
-    let n_regs = r.count(n_regs.into(), 9)?;
-    let mut regs = Vec::with_capacity(n_regs);
-    for _ in 0..n_regs {
-        let choice = r.u8()?;
-        let name = r.str()?;
-        let src = r.str()?;
-        regs.push((name, src, choice));
-    }
-    // A relation is at least its arity and tuple count.
-    let n_rels = r.u32()?;
-    let n_rels = r.count(n_rels.into(), 10)?;
-    let mut rels = Vec::with_capacity(n_rels);
-    for _ in 0..n_rels {
-        let arity = r.u16()? as usize;
-        let count = r.u64()?;
-        let count = if arity > 0 {
-            r.count(count, arity * 8)?
-        } else if count <= 1 {
-            // A nullary relation holds the empty tuple or nothing; its
-            // tuples take no bytes, so only this bounds the loop.
-            count as usize
-        } else {
-            return Err(DurableError::Recovery(format!(
-                "nullary relation with {count} tuples in checkpoint"
-            )));
-        };
-        let mut tuples = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut t = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                t.push(r.u64()?);
-            }
-            tuples.push(t);
-        }
-        rels.push((arity, tuples));
-    }
-    if !r.0.is_empty() {
-        return Err(DurableError::Recovery(
-            "trailing bytes after checkpoint body".into(),
-        ));
-    }
-    Ok(CkptBody {
-        sharded,
-        regs,
-        rels,
-    })
-}
-
 /// Attaches the options' registry, if any, to a freshly opened log
 /// writer — the step every constructor shares.
 fn instrument(mut wal: Wal, opts: &DurableOptions) -> Wal {
@@ -445,12 +275,7 @@ fn instrument(mut wal: Wal, opts: &DurableOptions) -> Wal {
 }
 
 impl DurableSession {
-    fn assemble(
-        wal: Wal,
-        regs: Vec<(String, String, u8)>,
-        core: ShardedSession,
-        epoch: u64,
-    ) -> DurableSession {
+    fn assemble(wal: Wal, regs: Vec<Reg>, core: ShardedSession, epoch: u64) -> DurableSession {
         DurableSession {
             wal: Mutex::new(WalState {
                 wal,
@@ -499,7 +324,7 @@ impl DurableSession {
         regs: &[(&str, &str)],
     ) -> Result<DurableSession, DurableError> {
         ensure_virgin(&*dir)?;
-        let regs: Vec<(String, String, u8)> = regs
+        let regs: Vec<Reg> = regs
             .iter()
             .map(|(name, src)| ((*name).to_string(), (*src).to_string(), 0))
             .collect();
@@ -540,142 +365,44 @@ impl DurableSession {
         DurableSession::create_sharded(Box::new(FsDir::open(path.as_ref())?), opts, regs)
     }
 
-    /// Rebuilds a session from `dir`: loads the newest valid checkpoint,
-    /// replays the log tail (skipping records the checkpoint already
-    /// covers and any uncommitted transaction suffix), repairs a torn
-    /// final segment by truncation, and refuses mid-log corruption with
-    /// a typed error. The recovered state is exactly
-    /// `timeline[last durable seq]`, and the sequence counter resumes
-    /// from that seq — subscriber cursors from the previous life stay
-    /// meaningful.
+    /// Rebuilds a session from `dir`: scans the directory (repairing a
+    /// torn final segment by truncation, refusing mid-log corruption
+    /// with a typed error), decides the mode, and replays the newest
+    /// valid checkpoint plus the log tail through the replay machine,
+    /// which refuses a log that does not land on its own seq stamps.
+    /// The recovered state is exactly `timeline[last durable seq]`, and
+    /// the sequence counter resumes from that seq — subscriber cursors
+    /// from the previous life stay meaningful.
     pub fn recover(
         dir: Box<dyn WalDir>,
         opts: DurableOptions,
     ) -> Result<DurableSession, DurableError> {
         let scan = cqu_wal::recover(&*dir)?;
-        let ckpt = match &scan.checkpoint {
-            Some((seq, body)) => Some((*seq, decode_ckpt_body(body)?)),
-            None => None,
-        };
-        if ckpt.is_none() && scan.records.is_empty() {
-            return Err(DurableError::Recovery(
-                "no durable state found in directory".into(),
-            ));
-        }
-        let sharded = match &ckpt {
-            Some((_, body)) => body.sharded,
-            None => match scan.records.first() {
-                Some(Rec::Mode { sharded }) => *sharded,
-                _ => {
-                    return Err(DurableError::Recovery(
-                        "log does not begin with a mode record".into(),
-                    ))
-                }
-            },
-        };
-        let ckpt_seq = ckpt.as_ref().map_or(0, |(seq, _)| *seq);
-        let mut regs: Vec<(String, String, u8)> =
-            ckpt.as_ref().map_or_else(Vec::new, |(_, b)| b.regs.clone());
-
-        if sharded {
-            // Sharded registrations all precede the first update, so the
-            // full set (checkpoint + tail) is known before the sealed
-            // plan must be built.
-            for rec in &scan.records {
-                if let Rec::Register { name, src, choice } = rec {
-                    if !regs.iter().any(|(n, _, _)| n == name) {
-                        regs.push((name.clone(), src.clone(), *choice));
-                    }
-                }
+        let sharded = match (&scan.checkpoint, scan.records.first()) {
+            (Some((_, body)), _) => ckpt_mode(body)?,
+            (None, Some(Rec::Mode { sharded })) => *sharded,
+            (None, Some(_)) => {
+                return Err(DurableError::Recovery(
+                    "log does not begin with a mode record".into(),
+                ))
             }
-        }
-        let core = build_core(sharded, &regs, opts.registry.as_ref())?;
-
-        // Load checkpoint tuples, batched per relation.
-        if let Some((_, body)) = &ckpt {
-            load_ckpt_tuples(&core, body)?;
-        }
-
-        // Replay the tail.
-        let mut registered: std::collections::HashSet<String> =
-            regs.iter().map(|(n, _, _)| n.clone()).collect();
-        let mut last_seq = ckpt_seq;
-        let mut pending: Vec<Update> = Vec::new();
-        let mut tx_buf: Option<Vec<Update>> = None;
-        for rec in &scan.records {
-            match rec {
-                Rec::Mode { sharded: m } => {
-                    if *m != sharded {
-                        return Err(DurableError::Recovery(
-                            "conflicting mode records in log".into(),
-                        ));
-                    }
-                }
-                Rec::Register { name, src, choice } => {
-                    if sharded || registered.contains(name) {
-                        continue;
-                    }
-                    // Single mode interleaves DDL with updates: flush
-                    // what came before so relation ids intern in the
-                    // original order.
-                    flush_pending(&core, &mut pending)?;
-                    let engine = decode_choice(*choice)?;
-                    core.write_at(0, |s| s.register_with(name, src, engine))??;
-                    registered.insert(name.clone());
-                    regs.push((name.clone(), src.clone(), *choice));
-                }
-                Rec::Update {
-                    seq,
-                    insert,
-                    rel,
-                    tuple,
-                    ..
-                } => {
-                    if *seq <= ckpt_seq {
-                        continue; // stale segment the checkpoint covers
-                    }
-                    let u = if *insert {
-                        Update::Insert(RelId(*rel), tuple.clone())
-                    } else {
-                        Update::Delete(RelId(*rel), tuple.clone())
-                    };
-                    last_seq = last_seq.max(*seq);
-                    match &mut tx_buf {
-                        Some(buf) => buf.push(u),
-                        None => pending.push(u),
-                    }
-                }
-                Rec::TxBegin { .. } => {
-                    if tx_buf.is_some() {
-                        return Err(DurableError::Recovery(
-                            "transaction begin inside an open transaction".into(),
-                        ));
-                    }
-                    tx_buf = Some(Vec::new());
-                }
-                Rec::TxCommit { last_seq: ls } => {
-                    let Some(buf) = tx_buf.take() else {
-                        return Err(DurableError::Recovery(
-                            "transaction commit without begin".into(),
-                        ));
-                    };
-                    pending.extend(buf);
-                    last_seq = last_seq.max(*ls);
-                }
-                Rec::SeqBurn { upto } => {
-                    if tx_buf.is_some() {
-                        return Err(DurableError::Recovery(
-                            "seq burn inside an open transaction".into(),
-                        ));
-                    }
-                    last_seq = last_seq.max(*upto);
-                }
+            (None, None) => {
+                return Err(DurableError::Recovery(
+                    "no durable state found in directory".into(),
+                ))
             }
-        }
-        // A still-open tx_buf is the uncommitted suffix of the crash —
-        // dropped, exactly as it was never visible.
-        flush_pending(&core, &mut pending)?;
-        core.force_seq(last_seq)?;
+        };
+        // Recovery passes no ring capacity: nobody can hold a cursor
+        // into a session that is not built yet.
+        let mut replay = Replay::bootstrap(sharded, scan.checkpoint, 0, opts.registry.clone())?;
+        replay.feed(scan.records)?;
+        let core = replay.settle()?.clone();
+        // Replay publishes on demand only, and a checkpoint load runs
+        // below epochs stamped before it. The session is about to be
+        // shared, so publish the recovered state once, here, where no
+        // tail write is left to copy what the fresh epochs pin.
+        core.force_seq(replay.cursor())?;
+        let regs = replay.regs().to_vec();
 
         let wal = instrument(
             Wal::new(dir, opts.wal(), scan.next_segment, scan.term)?,
@@ -711,7 +438,7 @@ impl DurableSession {
         dir: Box<dyn WalDir>,
         opts: DurableOptions,
         core: ShardedSession,
-        regs: Vec<(String, String, u8)>,
+        regs: Vec<Reg>,
         observed_epoch: u64,
     ) -> Result<DurableSession, DurableError> {
         ensure_virgin(&*dir)?;
@@ -1031,7 +758,7 @@ impl DurableSession {
 /// promotion).
 pub(crate) fn snapshot_ckpt_body(
     core: &ShardedSession,
-    regs: &[(String, String, u8)],
+    regs: &[Reg],
 ) -> Result<(u64, Vec<u8>), DurableError> {
     Ok(core.read_all(|guards| {
         (
@@ -1053,89 +780,6 @@ fn ensure_virgin(dir: &dyn WalDir) -> Result<(), DurableError> {
             "directory already holds a log — use DurableSession::recover",
         ));
     }
-    Ok(())
-}
-
-/// Builds a fresh session core from a registration list — shared by
-/// creation, recovery and replica bootstrap, which must all reproduce
-/// relation ids by re-registering in the original order. This is the one
-/// place that chooses the core's form: a sealed shard plan for sharded
-/// logs, the open one-shard form otherwise.
-pub(crate) fn build_core(
-    sharded: bool,
-    regs: &[(String, String, u8)],
-    registry: Option<&Arc<Registry>>,
-) -> Result<ShardedSession, DurableError> {
-    if sharded {
-        if regs.is_empty() {
-            // A sealed plan over no query has no shard to commit on.
-            return Err(DurableError::Recovery(
-                "sharded log carries no registration".into(),
-            ));
-        }
-        let mut builder = ShardedSessionBuilder::new();
-        for (name, src, choice) in regs {
-            builder.register_with(name, src, decode_choice(*choice)?)?;
-        }
-        if let Some(r) = registry {
-            builder.share_registry(Arc::clone(r));
-        }
-        Ok(builder.build()?)
-    } else {
-        let mut session = Session::new();
-        if let Some(r) = registry {
-            session.share_registry(Arc::clone(r));
-        }
-        for (name, src, choice) in regs {
-            session.register_with(name, src, decode_choice(*choice)?)?;
-        }
-        Ok(ShardedSession::open_one_shard(session))
-    }
-}
-
-/// Loads a decoded checkpoint body's tuples into a freshly built core,
-/// batched per relation, with schema/arity cross-checks.
-pub(crate) fn load_ckpt_tuples(core: &ShardedSession, body: &CkptBody) -> Result<(), DurableError> {
-    let schema = core.read_at(0, |s| s.schema().clone())?;
-    if body.rels.len() != schema.len() {
-        return Err(DurableError::Recovery(format!(
-            "checkpoint has {} relations, schema has {}",
-            body.rels.len(),
-            schema.len()
-        )));
-    }
-    for (idx, (arity, tuples)) in body.rels.iter().enumerate() {
-        let rel = RelId(idx as u32);
-        if *arity != schema.arity(rel) {
-            return Err(DurableError::Recovery(format!(
-                "checkpoint arity mismatch on relation {idx}"
-            )));
-        }
-        for chunk in tuples.chunks(REPLAY_CHUNK) {
-            let batch: Vec<Update> = chunk
-                .iter()
-                .map(|t| Update::Insert(rel, t.clone()))
-                .collect();
-            replay_batch(core, &batch)?;
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn replay_batch(core: &ShardedSession, batch: &[Update]) -> Result<(), DurableError> {
-    core.apply_batch(batch)
-        .map_err(|e| DurableError::Recovery(format!("log replay failed: {e}")))?;
-    Ok(())
-}
-
-pub(crate) fn flush_pending(
-    core: &ShardedSession,
-    pending: &mut Vec<Update>,
-) -> Result<(), DurableError> {
-    for chunk in pending.chunks(REPLAY_CHUNK) {
-        replay_batch(core, chunk)?;
-    }
-    pending.clear();
     Ok(())
 }
 
@@ -1172,68 +816,5 @@ impl DurableTransaction<'_, '_> {
     /// Effective updates so far across the whole transaction.
     pub fn effective_len(&self) -> usize {
         self.logged.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A body with no registrations and the given raw relation entries
-    /// (`arity`, claimed `count`, tuple words actually present).
-    fn body(n_regs: u32, rels: &[(u16, u64, &[u64])]) -> Vec<u8> {
-        let mut out = vec![0u8];
-        out.extend_from_slice(&n_regs.to_le_bytes());
-        out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
-        for (arity, count, words) in rels {
-            out.extend_from_slice(&arity.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-            for w in *words {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    fn refused(bytes: &[u8]) -> String {
-        match decode_ckpt_body(bytes) {
-            Err(DurableError::Recovery(msg)) => msg,
-            Err(other) => panic!("expected a recovery error, got {other}"),
-            Ok(_) => panic!("hostile body decoded"),
-        }
-    }
-
-    /// Length fields arrive raw off disk or the replication socket: an
-    /// inflated one must be refused before it sizes an allocation
-    /// (capacity overflow / OOM) or a loop (a nullary relation's tuples
-    /// take no bytes, so nothing else would stop it).
-    #[test]
-    fn inflated_counts_and_truncation_are_refused_not_allocated() {
-        // The honest shapes decode.
-        let ok = decode_ckpt_body(&body(0, &[(2, 2, &[1, 2, 3, 4]), (0, 1, &[])])).unwrap();
-        assert_eq!(ok.rels[0], (2, vec![vec![1, 2], vec![3, 4]]));
-        assert_eq!(ok.rels[1], (0, vec![vec![]]));
-
-        assert!(refused(&body(u32::MAX, &[])).contains("count"));
-        let mut many_rels = body(0, &[]);
-        many_rels.truncate(5);
-        many_rels.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(refused(&many_rels).contains("count"));
-        assert!(refused(&body(0, &[(2, u64::MAX, &[1, 2])])).contains("count"));
-        assert!(refused(&body(0, &[(2, 2, &[1, 2, 3])])).contains("count"));
-        assert!(refused(&body(0, &[(0, 1 << 40, &[])])).contains("nullary"));
-
-        // A real body cut anywhere short of its end is an error too.
-        let mut schema = Schema::new();
-        let r = schema.intern("R", 2).unwrap();
-        let regs = vec![("q".to_string(), "Q(x) :- R(x, y).".to_string(), 0u8)];
-        let full = encode_ckpt_body(false, &regs, &schema, |rel| {
-            assert_eq!(rel, r);
-            vec![vec![1, 2], vec![3, 4]]
-        });
-        assert_eq!(decode_ckpt_body(&full).unwrap().regs, regs);
-        for cut in 0..full.len() {
-            refused(&full[..cut]);
-        }
     }
 }

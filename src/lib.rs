@@ -83,6 +83,7 @@
 
 pub mod durable;
 pub mod error;
+mod replay;
 pub mod replica;
 pub mod serve;
 pub mod session;

@@ -57,17 +57,20 @@
 //!
 //! A fresh follower (or one whose cursor fell behind the leader's
 //! checkpoint floor) is **bootstrapped**: the leader streams its newest
-//! checkpoint body in bounded chunks, the replica rebuilds a session
-//! core from it (same code path as crash recovery), and the record tail
-//! follows. A follower that disconnects briefly **resumes**: it offers
-//! its `(epoch, cursor)` and receives only records past the cursor.
-//! Epochs fence leader restarts — a restarted leader may have truncated
-//! an un-fsynced suffix whose seqs were reassigned, so a cursor from an
+//! checkpoint body in bounded chunks and the record tail follows. A
+//! follower that disconnects briefly **resumes**: it offers its
+//! `(epoch, cursor)` and receives only records past the cursor. Epochs
+//! fence leader restarts — a restarted leader may have truncated an
+//! un-fsynced suffix whose seqs were reassigned, so a cursor from an
 //! older epoch is never resumed, only re-bootstrapped.
 //!
-//! The in-memory apply machinery is identical to recovery's: updates
-//! replay through the same session core, so a replica's engine states,
-//! relation ids, and subscriber seq stamps match the leader's exactly.
+//! Checkpoint and records go to the crate's one log-replay machine
+//! (`src/replay.rs`), the same one crash recovery feeds from a directory
+//! scan: one set of rules for DDL, seq filtering, transaction groups and
+//! the landing check, so a replica's engine states, relation ids and
+//! subscriber seq stamps match the leader's exactly. This module owns
+//! only what is a replica's: the mirror readers look through, watched
+//! publication, the watermark, and epoch poisoning.
 //!
 //! ## Failover
 //!
@@ -83,23 +86,20 @@
 //! leader, if restarted and pointed at the new one, is refused with a
 //! permanent stale-epoch deny (surfaced via [`FollowerStats::fenced`]).
 
-use crate::durable::{
-    build_core, decode_choice, decode_ckpt_body, load_ckpt_tuples, DurableError, DurableOptions,
-    DurableSession, REPLAY_CHUNK,
-};
+use crate::durable::{DurableError, DurableOptions, DurableSession};
 use crate::error::CqError;
+use crate::replay::{Reg, Replay};
 use crate::session::{
     PinReader, QuerySnapshot, ReplayOutcome, Resume, SharedSession, Subscription,
 };
 use crate::shard::ShardedSession;
 use cqu_query::RelId;
-use cqu_storage::Update;
+use cqu_repl::ReplicaApply;
 use cqu_wal::{Rec, WalDir};
-use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 pub use cqu_repl::{
@@ -142,361 +142,165 @@ impl Default for ReplicaOptions {
 
 /// State shared between the applier (follower thread) and reader
 /// handles.
+#[derive(Default)]
 struct ReplicaShared {
-    /// The live session core — `None` until the first bootstrap
-    /// completes; swapped wholesale on re-bootstrap. Its form (open
-    /// one-shard vs sealed plan) mirrors the leader's mode.
-    backend: RwLock<Option<ShardedSession>>,
+    /// The mirror readers look through: the live session core (`None`
+    /// until the first bootstrap completes; swapped wholesale on
+    /// re-bootstrap; its form mirrors the leader's mode) and the
+    /// registrations behind it, which [`ReplicaSession::promote`] needs
+    /// to seed a checkpoint without the applier thread.
+    built: RwLock<(Option<ShardedSession>, Vec<Reg>)>,
     /// The applied watermark, guarded for [`ReplicaSession::wait_for_seq`].
     applied: Mutex<u64>,
     bumped: Condvar,
     /// The leader epoch the current state was built against.
     epoch: AtomicU64,
-    /// Mirror of the applier's registration list (name, src, encoded
-    /// choice), kept in sync on every DDL apply and re-bootstrap so
-    /// [`ReplicaSession::promote`] can seed a checkpoint without the
-    /// applier thread.
-    regs: Mutex<Vec<(String, String, u8)>>,
 }
 
 impl ReplicaShared {
+    fn built(&self) -> RwLockReadGuard<'_, (Option<ShardedSession>, Vec<Reg>)> {
+        self.built.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn backend(&self) -> Option<ShardedSession> {
-        self.backend
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.built().0.clone()
     }
 }
 
-/// Updates with consecutive seqs collected off the stream: a run of
-/// plain updates awaiting a flush, or an open transaction group.
-struct SeqRun {
-    first_seq: u64,
-    updates: Vec<Update>,
-}
-
-/// The [`cqu_repl::ReplicaApply`] implementation: drives the same
-/// session-core machinery as crash recovery, from a socket instead of a
-/// directory scan.
+/// The [`ReplicaApply`] implementation: the follower's end of
+/// the one log-replay machine ([`Replay`]), fed from a socket where
+/// crash recovery feeds it from a directory scan. What stays here is the
+/// replica's own: the shared mirror readers look through, watched
+/// publication and the watermark, and epoch poisoning.
 struct SessionApplier {
     shared: Arc<ReplicaShared>,
     ring_cap: usize,
     /// Registry shared into every session core built here.
     registry: Option<Arc<cqu_obs::Registry>>,
-    sharded: bool,
-    /// Registrations in arrival order (name, src, encoded choice).
-    regs: Vec<(String, String, u8)>,
-    registered: HashSet<String>,
-    /// Local handle to the published core (`None` while a sharded
-    /// bootstrap waits for its `Register` records — the sealed plan
-    /// needs the full query set before it can build).
-    backend: Option<ShardedSession>,
-    /// Buffered plain updates awaiting a flush, one entry per maximal
-    /// run of consecutive seqs.
-    pending: Vec<SeqRun>,
-    /// An open `TxBegin … TxCommit` group (may span record frames).
-    tx: Option<SeqRun>,
-    /// Applied watermark: every seq ≤ cursor is fully applied.
-    cursor: u64,
-    epoch: u64,
+    /// `None` until the first bootstrap; replaced on every re-bootstrap.
+    replay: Option<Replay>,
 }
 
 impl SessionApplier {
-    /// Publishes the current registration list to the shared mirror
-    /// (cheap: DDL and re-bootstrap only).
-    fn sync_regs(&self) {
-        *lock(&self.shared.regs) = self.regs.clone();
-    }
-
-    fn install(&mut self, backend: ShardedSession) -> Result<(), String> {
-        if self.ring_cap > 0 {
-            backend.retain_all(self.ring_cap).map_err(err_str)?;
-        }
+    /// Shows readers the machine's core and registrations as they stand.
+    fn mirror(&self) {
+        let built = match &self.replay {
+            Some(replay) => (replay.core().cloned(), replay.regs().to_vec()),
+            None => (None, Vec::new()),
+        };
         *self
             .shared
-            .backend
+            .built
             .write()
-            .unwrap_or_else(PoisonError::into_inner) = Some(backend.clone());
-        self.backend = Some(backend);
-        Ok(())
+            .unwrap_or_else(PoisonError::into_inner) = built;
     }
 
-    /// Builds the deferred sealed core once its registrations are all
-    /// in hand.
-    fn ensure_backend(&mut self) -> Result<(), String> {
-        if self.backend.is_some() {
-            return Ok(());
-        }
-        let backend =
-            build_core(self.sharded, &self.regs, self.registry.as_ref()).map_err(err_str)?;
-        backend.force_seq(self.cursor).map_err(err_str)?;
-        self.install(backend)
-    }
-
-    /// Announces the watermark, after publishing the epochs lock-free
-    /// readers are watching ([`ShardedSession::publish_watched`]): a pin
-    /// taken after `wait_for_seq(s)` returns must already be at `s`.
-    fn publish_applied(&self) -> Result<(), String> {
-        if let Some(backend) = &self.backend {
-            backend.publish_watched().map_err(err_str)?;
-        }
+    /// Raises the watermark to the machine's cursor.
+    fn announce(&self) -> u64 {
+        let cursor = self.cursor();
         let mut applied = lock(&self.shared.applied);
-        if self.cursor > *applied {
-            *applied = self.cursor;
+        if cursor > *applied {
+            *applied = cursor;
             self.shared.bumped.notify_all();
         }
-        Ok(())
+        cursor
     }
 
-    /// Applies the buffered plain updates, one batch-apply per run.
-    /// Every update the leader shipped was effective there, so it must
-    /// be effective here too — a shortfall means the replica diverged,
-    /// and the caller escalates to a re-bootstrap.
-    fn flush(&mut self) -> Result<(), String> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        self.ensure_backend()?;
-        let backend = self.backend.as_ref().expect("ensured");
-        for run in self.pending.drain(..) {
-            position_below(backend, run.first_seq)?;
-            for chunk in run.updates.chunks(REPLAY_CHUNK) {
-                backend.apply_batch(chunk).map_err(err_str)?;
+    /// Announces the watermark, after mirroring what the machine built
+    /// and publishing the epochs lock-free readers are watching
+    /// ([`ShardedSession::publish_watched`]): a pin taken after
+    /// `wait_for_seq(s)` returns must already be at `s`.
+    fn publish_applied(&self) -> Result<u64, String> {
+        if let Some(replay) = &self.replay {
+            // Between bootstraps only DDL and a deferred sealed build
+            // change what the mirror shows, and both change its shape.
+            let shown = {
+                let built = self.shared.built();
+                (built.0.is_some(), built.1.len())
+            };
+            if shown != (replay.core().is_some(), replay.regs().len()) {
+                self.mirror();
             }
-            let last = run.first_seq + run.updates.len() as u64 - 1;
-            let now = backend.seq();
-            if now != last {
-                return Err(format!(
-                    "replica diverged: expected seq {last} after run, backend at {now}"
-                ));
-            }
-            self.cursor = self.cursor.max(last);
-        }
-        Ok(())
-    }
-
-    fn apply_inner(&mut self, recs: Vec<Rec>) -> Result<u64, String> {
-        for rec in recs {
-            match rec {
-                Rec::Mode { sharded } => {
-                    if sharded != self.sharded {
-                        return Err("stream mode disagrees with handshake".into());
-                    }
-                }
-                Rec::Register { name, src, choice } => {
-                    if self.registered.contains(&name) {
-                        continue; // catch-up overlap: DDL is idempotent by name
-                    }
-                    self.flush()?;
-                    if self.sharded {
-                        if self.backend.is_some() {
-                            return Err("late registration on a sealed sharded replica".into());
-                        }
-                    } else {
-                        self.ensure_backend()?;
-                        let engine = decode_choice(choice).map_err(err_str)?;
-                        let backend = self.backend.as_ref().expect("ensured");
-                        backend
-                            .write_at(0, |s| -> Result<(), CqError> {
-                                let id = s.register_with(&name, &src, engine)?;
-                                if self.ring_cap > 0 {
-                                    s.handle(id).retain_deltas(self.ring_cap);
-                                }
-                                Ok(())
-                            })
-                            .map_err(err_str)?
-                            .map_err(err_str)?;
-                    }
-                    self.registered.insert(name.clone());
-                    self.regs.push((name, src, choice));
-                    self.sync_regs();
-                }
-                Rec::Update {
-                    seq,
-                    insert,
-                    rel,
-                    tuple,
-                    ..
-                } => {
-                    let u = if insert {
-                        Update::Insert(RelId(rel), tuple)
-                    } else {
-                        Update::Delete(RelId(rel), tuple)
-                    };
-                    match &mut self.tx {
-                        // Group members are filtered by the commit seq,
-                        // not per update — groups apply whole or not at
-                        // all.
-                        Some(g) => g.updates.push(u),
-                        None if seq <= self.cursor => {}
-                        None => match self.pending.last_mut() {
-                            Some(run) if run.first_seq + run.updates.len() as u64 == seq => {
-                                run.updates.push(u)
-                            }
-                            _ => self.pending.push(SeqRun {
-                                first_seq: seq,
-                                updates: vec![u],
-                            }),
-                        },
-                    }
-                }
-                Rec::TxBegin { first_seq } => {
-                    if self.tx.is_some() {
-                        return Err("transaction begin inside an open transaction".into());
-                    }
-                    self.flush()?;
-                    self.tx = Some(SeqRun {
-                        first_seq,
-                        updates: Vec::new(),
-                    });
-                }
-                Rec::TxCommit { last_seq } => {
-                    let Some(g) = self.tx.take() else {
-                        return Err("transaction commit without begin".into());
-                    };
-                    if last_seq <= self.cursor {
-                        continue; // already applied before a resume
-                    }
-                    self.flush()?;
-                    self.ensure_backend()?;
-                    let backend = self.backend.as_ref().expect("ensured");
-                    position_below(backend, g.first_seq)?;
-                    // One core transaction: all-or-nothing with a single
-                    // published event per query, as on the leader.
-                    backend
-                        .transaction(|t| t.apply_all(&g.updates))
-                        .map_err(err_str)?;
-                    let now = backend.seq();
-                    if now != last_seq {
-                        return Err(format!(
-                            "replica diverged: transaction expected seq {last_seq}, backend at {now}"
-                        ));
-                    }
-                    self.cursor = last_seq;
-                }
-                Rec::SeqBurn { upto } => {
-                    if self.tx.is_some() {
-                        return Err("seq burn inside an open transaction".into());
-                    }
-                    if upto > self.cursor {
-                        self.flush()?;
-                        self.ensure_backend()?;
-                        let backend = self.backend.as_ref().expect("ensured");
-                        backend.force_seq(upto).map_err(err_str)?;
-                        self.cursor = upto;
-                    }
-                }
+            if let Some(core) = replay.core() {
+                core.publish_watched().map_err(err_str)?;
             }
         }
-        self.flush()?;
-        self.publish_applied()?;
-        Ok(self.cursor)
+        Ok(self.announce())
     }
 }
 
-/// Positions `backend`'s seq counter just below `first_seq`, where the
-/// run or group about to be applied starts drawing. In steady state the
-/// counter already sits there and nothing is called; only a real jump
-/// (a gap in the stream) pays [`ShardedSession::force_seq`], which
-/// republishes every epoch.
-fn position_below(backend: &ShardedSession, first_seq: u64) -> Result<(), String> {
-    let below = first_seq
-        .checked_sub(1)
-        .ok_or("stream carries seq 0; seqs start at 1")?;
-    if backend.seq() != below {
-        backend.force_seq(below).map_err(err_str)?;
-    }
-    Ok(())
-}
-
-impl cqu_repl::ReplicaApply for SessionApplier {
+impl ReplicaApply for SessionApplier {
     fn reset(&mut self, sharded: bool, checkpoint: Option<(u64, Vec<u8>)>) -> Result<(), String> {
-        self.pending.clear();
-        self.tx = None;
-        self.sharded = sharded;
-        self.regs.clear();
-        self.registered.clear();
-        self.backend = None;
-        *self
-            .shared
-            .backend
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-        self.cursor = 0;
-        match checkpoint {
-            Some((seq, bytes)) => {
-                let body = decode_ckpt_body(&bytes).map_err(err_str)?;
-                if body.sharded != sharded {
-                    return Err("checkpoint mode disagrees with handshake".into());
-                }
-                let backend =
-                    build_core(sharded, &body.regs, self.registry.as_ref()).map_err(err_str)?;
-                load_ckpt_tuples(&backend, &body).map_err(err_str)?;
-                backend.force_seq(seq).map_err(err_str)?;
-                self.registered = body.regs.iter().map(|(n, _, _)| n.clone()).collect();
-                self.regs = body.regs;
-                self.cursor = seq;
-                self.install(backend)?;
-            }
-            None => {
-                // No checkpoint: the leader ships its log from seq 0. The
-                // open one-shard form can build empty right away; a
-                // sealed plan must wait for its Register records.
-                if !sharded {
-                    self.ensure_backend()?;
-                }
-            }
+        // Readers of the old core keep their pins; new reads wait for
+        // the bootstrap.
+        self.replay = None;
+        self.mirror();
+        let replay = Replay::bootstrap(sharded, checkpoint, self.ring_cap, self.registry.clone())
+            .map_err(err_str)?;
+        let cursor = replay.cursor();
+        if let Some(core) = replay.core() {
+            // Replay publishes on demand only, and a checkpoint load runs
+            // below epochs stamped before it. Readers get this core
+            // next, so publish the bootstrap's state once.
+            core.force_seq(cursor).map_err(err_str)?;
         }
-        self.sync_regs();
-        // The watermark restarts with the state; readers of the old
-        // backend keep their pins, new reads see the bootstrap.
-        *lock(&self.shared.applied) = self.cursor;
-        self.shared.bumped.notify_all();
+        self.replay = Some(replay);
+        self.mirror();
+        // A re-bootstrap may land behind the old state (a promoted
+        // leader's cut), so the watermark drops with it here. It rises
+        // to the bootstrap's seq in `set_epoch`, which the follower
+        // calls next: a reader that saw `wait_for_seq(s)` return must
+        // find the epoch that state was built against, not the last one.
+        let mut applied = lock(&self.shared.applied);
+        *applied = (*applied).min(cursor);
         Ok(())
     }
 
     fn apply_records(&mut self, recs: Vec<Rec>) -> Result<u64, String> {
-        let res = self.apply_inner(recs);
+        let res = match &mut self.replay {
+            Some(replay) => replay.feed(recs).map_err(err_str),
+            None => Err("records before any bootstrap".into()),
+        }
+        .and_then(|()| self.publish_applied());
         if res.is_err() {
             // Divergence or replay failure: poison the epoch so the
             // reconnect handshake re-bootstraps from the leader's
             // checkpoint instead of resuming atop bad state.
-            self.epoch = 0;
             self.shared.epoch.store(0, Ordering::SeqCst);
         }
         res
     }
 
     fn cursor(&self) -> u64 {
-        self.cursor
+        self.replay.as_ref().map_or(0, Replay::cursor)
     }
 
     fn epoch(&self) -> u64 {
-        self.epoch
+        self.shared.epoch.load(Ordering::SeqCst)
     }
 
     fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
         self.shared.epoch.store(epoch, Ordering::SeqCst);
+        // Announces what `reset` built, now that its epoch is on record.
+        self.announce();
     }
 
     fn on_heartbeat(&mut self, _head_seq: u64) -> Result<u64, String> {
         // Heartbeats only flow once catch-up is fully written, so a
         // deferred sharded build can safely seal here.
-        self.flush()?;
-        if self.backend.is_none() && !self.regs.is_empty() {
-            self.ensure_backend()?;
+        if let Some(replay) = &mut self.replay {
+            replay.settle().map_err(err_str)?;
         }
-        self.publish_applied()?;
-        Ok(self.cursor)
+        self.publish_applied()
     }
 
     fn on_disconnect(&mut self) {
         // Drop in-flight partial state; everything applied stays. The
         // cursor only ever covers completed work, so the resume
         // handshake re-ships whatever was dropped here.
-        self.tx = None;
-        self.pending.clear();
+        if let Some(replay) = &mut self.replay {
+            replay.drop_open_group();
+        }
     }
 }
 
@@ -522,25 +326,12 @@ impl ReplicaSession {
     /// immediately; use [`ReplicaSession::wait_for_seq`] (or poll
     /// [`ReplicaSession::applied_seq`]) to observe sync progress.
     pub fn connect(addr: SocketAddr, options: ReplicaOptions) -> io::Result<ReplicaSession> {
-        let shared = Arc::new(ReplicaShared {
-            backend: RwLock::new(None),
-            applied: Mutex::new(0),
-            bumped: Condvar::new(),
-            epoch: AtomicU64::new(0),
-            regs: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(ReplicaShared::default());
         let applier = SessionApplier {
             shared: Arc::clone(&shared),
             ring_cap: options.ring_cap,
             registry: options.registry.clone(),
-            sharded: false,
-            regs: Vec::new(),
-            registered: HashSet::new(),
-            backend: None,
-            pending: Vec::new(),
-            tx: None,
-            cursor: 0,
-            epoch: 0,
+            replay: None,
         };
         // The replica-wide registry also feeds the follower's
         // `repl_follower_*` series, unless the caller pointed the
@@ -661,10 +452,10 @@ impl ReplicaSession {
                     "replica never synced (or diverged) — no epoch to fence against".into(),
                 ));
             }
-            let backend = self.shared.backend().ok_or_else(|| {
+            let (backend, regs) = self.shared.built().clone();
+            let backend = backend.ok_or_else(|| {
                 DurableError::Recovery("replica not yet bootstrapped — nothing to promote".into())
             })?;
-            let regs = lock(&self.shared.regs).clone();
             DurableSession::promote_from(dir, options, backend, regs, epoch)
         })();
         match &result {
@@ -859,5 +650,42 @@ impl ReplicationServer {
 impl std::fmt::Debug for ReplicationServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.inner.fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader that saw `wait_for_seq(s)` return pairs the watermark
+    /// with `epoch()` (promotion does): a bootstrap's seq is announced
+    /// once its epoch is on record, never before, and a bootstrap that
+    /// lands behind the old state takes the watermark down at once.
+    #[test]
+    fn bootstrap_watermark_is_announced_with_its_epoch() {
+        let shared = Arc::new(ReplicaShared::default());
+        let mut applier = SessionApplier {
+            shared: Arc::clone(&shared),
+            ring_cap: 0,
+            registry: None,
+            replay: None,
+        };
+        assert!(
+            applier.apply_records(Vec::new()).is_err(),
+            "no bootstrap yet"
+        );
+        let body =
+            crate::replay::encode_ckpt_body(false, &[], &cqu_query::Schema::new(), |_| Vec::new());
+        applier.reset(false, Some((5, body.clone()))).unwrap();
+        assert!(shared.backend().is_some(), "the mirror shows the bootstrap");
+        assert_eq!(*lock(&shared.applied), 0, "not announced before its epoch");
+        applier.set_epoch(7);
+        assert_eq!(*lock(&shared.applied), 5);
+        assert_eq!(applier.cursor(), 5);
+
+        applier.reset(false, Some((3, body))).unwrap();
+        assert_eq!(*lock(&shared.applied), 3, "a cut behind drops at once");
+        applier.set_epoch(8);
+        assert_eq!((*lock(&shared.applied), applier.epoch()), (3, 8));
     }
 }

@@ -297,6 +297,15 @@ fn db_at(schema: &Schema, frames: &[Option<Update>], r: usize, extra: &[Update])
     db
 }
 
+/// A lock-free reader on `name`, through whichever face the mode has.
+fn pin_reader(sess: &DurableSession, name: &str) -> PinReader {
+    match (sess.shared(), sess.sharded()) {
+        (Some(single), _) => single.reader(name).unwrap(),
+        (None, Some(sharded)) => sharded.reader(name).unwrap(),
+        (None, None) => unreachable!("a session is single or sharded"),
+    }
+}
+
 /// Recovers from `view` and checks the oracle invariants. Returns the
 /// recovered session so callers can keep writing to it.
 fn check_recovery(
@@ -310,6 +319,12 @@ fn check_recovery(
         .expect("recovery must succeed on a crash-consistent view");
     assert_eq!(sess.is_sharded(), sharded, "recovered mode");
     let r = sess.seq().unwrap();
+    // Lock-free pins first, before a locked read can freshen an epoch:
+    // recovery itself must have published what it recovered.
+    let pins: Vec<QuerySnapshot> = queries
+        .iter()
+        .map(|(name, _)| pin_reader(&sess, name).pin())
+        .collect();
     assert!(
         r >= run.floor,
         "durability floor violated: recovered seq {r} < floor {}",
@@ -348,6 +363,10 @@ fn check_recovery(
         .iter()
         .map(|(name, _)| (name.clone(), sess.snapshot(name).unwrap().results_sorted()))
         .collect();
+    for (pin, (name, rows)) in pins.iter().zip(&got) {
+        assert_eq!(pin.seq(), r, "{name}: lock-free pin stamped off the head");
+        assert_eq!(pin.results_sorted(), *rows, "{name}: lock-free pin");
+    }
     let matched = candidates.iter().any(|db| {
         queries
             .iter()
@@ -1082,4 +1101,96 @@ fn wal_commit_counter_matches_oracle() {
     );
     // And the session layer counted every effective update batch too.
     assert!(registry.counter("session_batches_total").get() > 0);
+}
+
+/// A log must replay onto its own stamps. One `Update` frame duplicated
+/// inside a segment (valid CRC: whole frames, as `Rec::frame` builds
+/// them) makes the stamps restart; recovery refuses the log instead of
+/// replaying the update twice and forcing the counter over the damage.
+#[test]
+fn duplicated_update_frame_is_refused() {
+    use cq_updates::wal::Rec;
+    let disk = SimDisk::new();
+    let opts = || DurableOptions::default(); // one segment holds it all
+    let sess = DurableSession::create(Box::new(disk.clone()), opts()).unwrap();
+    sess.register("qh", QUERIES[0].1).unwrap();
+    let e = sess.relation("E").unwrap();
+    let t = sess.relation("T").unwrap();
+    sess.apply_batch(&[Update::Insert(e, vec![1, 2]), Update::Insert(t, vec![2])])
+        .unwrap();
+    sess.apply(&Update::Insert(e, vec![3, 2])).unwrap();
+    drop(sess);
+
+    let view = disk.strict_view();
+    let rec = DurableSession::recover(Box::new(view.strict_view()), opts()).unwrap();
+    assert_eq!(rec.seq().unwrap(), 3, "the undamaged log recovers");
+
+    let name = view
+        .names()
+        .into_iter()
+        .find(|n| n.starts_with("wal-"))
+        .unwrap();
+    let bytes = view.file(&name).unwrap();
+    // Past the 16-byte segment header (magic, version, term), copy every
+    // frame through, and the first `Update` twice.
+    let mut damaged = bytes[..16].to_vec();
+    let mut rest = &bytes[16..];
+    let mut duplicated = false;
+    while !rest.is_empty() {
+        let (rec, used) = Rec::unframe(rest).unwrap();
+        rec.frame(&mut damaged);
+        if matches!(rec, Rec::Update { .. }) && !duplicated {
+            rec.frame(&mut damaged);
+            duplicated = true;
+        }
+        rest = &rest[used..];
+    }
+    assert!(duplicated);
+    view.put_file(&name, &damaged);
+    match DurableSession::recover(Box::new(view), opts()) {
+        Err(DurableError::Recovery(msg)) => {
+            assert!(msg.contains("replay diverged"), "refused with {msg:?}")
+        }
+        other => panic!("a log that does not land on its own stamps recovered: {other:?}"),
+    }
+}
+
+/// A recovered session is published: the first thing a reader does may be
+/// a lock-free pin, with no locked read or write before it, and it must
+/// see the recovered state at the recovered seq, not the empty core a
+/// checkpoint was loaded into or a query's registration-time result.
+#[test]
+fn recovered_session_pins_lock_free_at_the_recovered_seq() {
+    for (sharded, checkpoint) in [(false, true), (true, true), (false, false), (true, false)] {
+        let disk = SimDisk::new();
+        let sess = fresh(&disk, small_opts(FsyncPolicy::Always), sharded);
+        let e = sess.relation("E").unwrap();
+        let t = sess.relation("T").unwrap();
+        sess.apply_batch(&[Update::Insert(e, vec![1, 2]), Update::Insert(t, vec![2])])
+            .unwrap();
+        if checkpoint {
+            sess.checkpoint().unwrap();
+        }
+        // The tail past the checkpoint.
+        sess.apply(&Update::Insert(e, vec![3, 2])).unwrap();
+        sess.apply(&Update::Delete(e, vec![1, 2])).unwrap();
+        drop(sess);
+
+        let rec = DurableSession::recover(
+            Box::new(disk.strict_view()),
+            small_opts(FsyncPolicy::Always),
+        )
+        .unwrap();
+        let what = format!("sharded={sharded} checkpoint={checkpoint}");
+        let pin = pin_reader(&rec, "qh").pin();
+        assert_eq!(pin.seq(), 4, "{what}");
+        assert_eq!(pin.results_sorted(), vec![vec![3, 2]], "{what}");
+        assert_eq!(rec.seq().unwrap(), 4, "{what}");
+        let locked = rec.snapshot("qh").unwrap();
+        assert_eq!(
+            (locked.seq(), locked.results_sorted()),
+            (pin.seq(), pin.results_sorted()),
+            "{what}"
+        );
+    }
 }

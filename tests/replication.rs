@@ -415,6 +415,36 @@ fn late_follower_bootstraps_from_checkpoint() {
     assert_eq!((ls.bootstraps, ls.resumes), (1, 0));
 }
 
+/// A bootstrap is published before readers are shown its core. A reader
+/// through the raw `shared()`/`sharded()` handle, which does not freshen
+/// the epoch it hands out, pins the checkpoint's state at the
+/// checkpoint's seq, not the empty core the checkpoint was loaded into.
+#[test]
+fn bootstrapped_core_is_published_before_it_is_shown() {
+    for sharded in [false, true] {
+        let disk = SimDisk::new();
+        let sess = leader(&disk, sharded);
+        let e = sess.relation("E").unwrap();
+        let t = sess.relation("T").unwrap();
+        sess.apply_batch(&[Update::Insert(e, vec![1, 2]), Update::Insert(t, vec![2])])
+            .unwrap();
+        let seq = sess.checkpoint().unwrap();
+
+        let server =
+            ReplicationServer::bind("127.0.0.1:0", Arc::clone(&sess), fast_leader()).unwrap();
+        let replica = ReplicaSession::connect(server.local_addr(), fast_replica()).unwrap();
+        assert!(replica.wait_for_seq(seq, SYNC), "{replica:?}");
+        let reader = match (replica.shared(), replica.sharded()) {
+            (Some(single), _) => single.reader("qh").unwrap(),
+            (None, Some(plan)) => plan.reader("qh").unwrap(),
+            (None, None) => panic!("bootstrapped replica shows no core"),
+        };
+        let pin = reader.pin();
+        assert_eq!(pin.seq(), seq, "sharded={sharded}");
+        assert_eq!(pin.results_sorted(), vec![vec![1, 2]], "sharded={sharded}");
+    }
+}
+
 /// A kicked follower reconnects and resumes from its durable cursor —
 /// no second bootstrap, no checkpoint transfer.
 #[test]
@@ -1315,5 +1345,95 @@ fn leader_ack_lag_gauge_converges_to_zero() {
             "per-follower lag series must be removed on detach"
         );
         std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The newest checkpoint file on `disk`, as `(name, bytes)`.
+fn newest_checkpoint(disk: &SimDisk) -> (String, Vec<u8>) {
+    let name = disk
+        .names()
+        .into_iter()
+        .filter(|n| n.starts_with("ckpt-"))
+        .max()
+        .expect("a checkpoint was published");
+    let bytes = disk.file(&name).unwrap();
+    (name, bytes)
+}
+
+/// One script, replayed from both ends of the one log-replay machine:
+/// crash recovery reads it off the directory, a late follower reads it
+/// off the socket (checkpoint transfer plus tail). Both must end at the
+/// leader's head with every query equal to `timeline[head]`, and with
+/// the same registrations over the same database: a checkpoint taken of
+/// each (the recovered session's own, the promoted replica's seed) is
+/// byte-identical, name (its seq) included.
+fn replay_differential_case(seed: u64, sharded: bool) {
+    const LATE: &str = "Q(y) :- T(y), U(y).";
+    let (schema, mut queries) = scratch();
+    let disk = SimDisk::new();
+    let sess = leader(&disk, sharded);
+    let ops = script_ops(&schema, seed, 60);
+    let mut db = Database::new(schema.clone());
+    let mut frames: Vec<Option<Update>> = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        run_op(&sess, &mut db, &mut frames, op);
+        if i == ops.len() / 3 && !sharded {
+            // Mid-script DDL: the open form registers between updates.
+            sess.register("late", LATE).unwrap();
+            let mut s = Session::new();
+            for (name, src) in QUERIES {
+                s.register(name, src).unwrap();
+            }
+            s.register("late", LATE).unwrap();
+            queries.push(("late".into(), s.query("late").unwrap().query().clone()));
+        }
+        if i == ops.len() / 2 {
+            sess.checkpoint().unwrap();
+        }
+    }
+    let head = frames.len() as u64;
+
+    let server = ReplicationServer::bind("127.0.0.1:0", Arc::clone(&sess), fast_leader()).unwrap();
+    let replica = ReplicaSession::connect(server.local_addr(), fast_replica()).unwrap();
+    assert!(replica.wait_for_seq(head, SYNC), "{replica:?}");
+    assert_eq!(replica.applied_seq(), head);
+
+    let view = disk.strict_view();
+    let recovered = DurableSession::recover(Box::new(view.clone()), small_opts()).unwrap();
+    assert_eq!(recovered.seq().unwrap(), head);
+    assert_eq!(recovered.is_sharded(), sharded);
+
+    for (name, q) in &queries {
+        let want = brute_force(q, &db);
+        assert_eq!(
+            recovered.snapshot(name).unwrap().results_sorted(),
+            want,
+            "{name}: recovery is not timeline[{head}]"
+        );
+        assert_eq!(
+            replica.snapshot(name).unwrap().results_sorted(),
+            want,
+            "{name}: bootstrap is not timeline[{head}]"
+        );
+    }
+
+    assert_eq!(recovered.checkpoint().unwrap(), head);
+    let seeded = SimDisk::new();
+    let promoted = replica
+        .promote(Box::new(seeded.clone()), small_opts())
+        .unwrap();
+    assert_eq!(promoted.seq().unwrap(), head);
+    assert_eq!(
+        newest_checkpoint(&view),
+        newest_checkpoint(&seeded),
+        "recovery and bootstrap disagree on (seq, registrations, database)"
+    );
+}
+
+#[test]
+fn recovery_and_bootstrap_replay_the_same_state() {
+    for seed in [3, 17, 92, 2024] {
+        replay_differential_case(seed, false);
+        replay_differential_case(seed, true);
     }
 }
