@@ -26,7 +26,8 @@
 //! pre-built index per distinct `(relation, key columns)` pair, resolved
 //! to a dense slot id at plan-build time and cleared/refilled per group,
 //! so a steady stream of batches allocates no indexes at all
-//! ([`DeltaIvmEngine::delta_slot_builds`] is the tripwire).
+//! ([`DeltaIvmEngine::delta_slot_builds`] is the counter the
+//! `delta_slots_are_persistent_across_batches` test trips on).
 //! Each affected valuation is counted exactly once, at the first atom
 //! position where it uses a group tuple, so the grouped delta equals the
 //! sum of the sequential per-tuple deltas.
@@ -47,7 +48,8 @@ use std::collections::hash_map::Entry;
 /// engine's build counter, so [`DeltaIvmEngine::delta_slot_builds`]
 /// measures real allocation events. Batch-path code must route any ΔR
 /// index it ever needs through here (never bare `Index::new`), or the
-/// persistence tripwire in `e9_batch.rs` loses its teeth.
+/// `delta_slots_are_persistent_across_batches` test below loses its
+/// teeth.
 fn new_delta_index(cols: Vec<usize>, builds: &mut u64) -> Index {
     *builds += 1;
     Index::new(cols)

@@ -58,9 +58,9 @@ impl std::fmt::Display for Stats {
 /// free-form scalar facts, serialized as JSON (hand-rolled — the
 /// harness has no serialization dependency) to `BENCH_<EXPERIMENT>.json`.
 ///
-/// Every experiment runner can drop one of these next to its console
-/// output so plots and regression checks consume stable numbers instead
-/// of scraping logs:
+/// Every experiment returns one of these next to its console output, so
+/// plots and regression checks consume stable numbers instead of
+/// scraping logs:
 ///
 /// ```
 /// use cqu_bench::measure::{JsonReport, Stats};
@@ -118,6 +118,22 @@ impl JsonReport {
         self
     }
 
+    /// The experiment id this report was opened with.
+    pub fn id(&self) -> &str {
+        &self.experiment
+    }
+
+    /// Whether nothing has been recorded yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty() && self.facts.is_empty()
+    }
+
+    /// The scalar recorded under `name`, if any.
+    pub fn fact(&self, name: &str) -> Option<f64> {
+        let (_, value) = self.facts.iter().find(|(n, _)| n == name)?;
+        Some(*value)
+    }
+
     /// The report as a JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -160,13 +176,12 @@ impl JsonReport {
 
 /// Times each update individually through `engine`.
 pub fn time_updates(engine: &mut dyn DynamicEngine, updates: &[Update]) -> Stats {
-    let mut samples = Vec::with_capacity(updates.len());
-    for u in updates {
-        let t0 = Instant::now();
-        engine.apply(u);
-        samples.push(t0.elapsed().as_nanos() as u64);
-    }
-    Stats::from_samples(samples)
+    Stats::from_samples(
+        updates
+            .iter()
+            .map(|u| time_ns(|| engine.apply(u)))
+            .collect(),
+    )
 }
 
 /// Times the enumeration delay: per-`next()` latency over at most `limit`
@@ -199,6 +214,18 @@ pub fn time_delays(engine: &dyn DynamicEngine, limit: usize) -> Option<Stats> {
     }
 }
 
+/// Times one call of `f`, in nanoseconds.
+pub fn time_ns<T>(f: impl FnOnce() -> T) -> u64 {
+    let t0 = Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_nanos() as u64
+}
+
+/// Times `rounds` calls of `f`, one sample per call.
+pub fn time_rounds<T>(rounds: usize, mut f: impl FnMut() -> T) -> Stats {
+    Stats::from_samples((0..rounds).map(|_| time_ns(&mut f)).collect())
+}
+
 /// Times a single closure.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
@@ -211,13 +238,8 @@ pub fn time_counts(engine: &mut dyn DynamicEngine, updates: &[Update]) -> (Stats
     let mut update_samples = Vec::with_capacity(updates.len());
     let mut count_samples = Vec::with_capacity(updates.len());
     for u in updates {
-        let t0 = Instant::now();
-        engine.apply(u);
-        update_samples.push(t0.elapsed().as_nanos() as u64);
-        let t1 = Instant::now();
-        let c = engine.count();
-        count_samples.push(t1.elapsed().as_nanos() as u64);
-        std::hint::black_box(c);
+        update_samples.push(time_ns(|| engine.apply(u)));
+        count_samples.push(time_ns(|| engine.count()));
     }
     (
         Stats::from_samples(update_samples),

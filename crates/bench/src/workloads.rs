@@ -8,7 +8,7 @@
 //! cross-checked against `cqu_testutil::brute_force` without translation.
 //! (The old rand-based generators this module carried are gone.)
 
-use cqu_query::{parse_query, Query};
+use cqu_query::{parse_query, Query, Schema};
 use cqu_storage::{Const, Database, Update};
 use cqu_testutil::{effective_churn, Lcg, WorkloadConfig};
 
@@ -65,6 +65,41 @@ pub fn star_churn(n: usize, steps: usize, seed: u64) -> Vec<Update> {
             insert_permille: 550,
         },
     )
+}
+
+/// A mixed, always-effective stream over `schema` for the session-level
+/// experiments (E15, E16): constants from 1..=300, 60 % inserts.
+pub fn session_churn(schema: &Schema, seed: u64, steps: usize) -> Vec<Update> {
+    effective_churn(
+        schema,
+        seed,
+        WorkloadConfig {
+            steps,
+            domain: 300,
+            insert_permille: 600,
+        },
+    )
+}
+
+/// `Q(x1,…,xd) :- R1(x1), R2(x1,x2), …, Rd(x1,…,xd)` — a depth-`d` q-tree.
+pub fn path_query(depth: usize) -> Query {
+    let vars: Vec<String> = (1..=depth).map(|i| format!("x{i}")).collect();
+    let atoms: Vec<String> = (1..=depth)
+        .map(|i| format!("R{i}({})", vars[..i].join(", ")))
+        .collect();
+    parse_query(&format!("Q({}) :- {}.", vars.join(", "), atoms.join(", "))).unwrap()
+}
+
+/// `Q(x, y1,…,yk) :- R1(x,y1), …, Rk(x,yk)` — a width-`k` q-tree.
+pub fn star_query_k(k: usize) -> Query {
+    let head: Vec<String> = (1..=k).map(|i| format!("y{i}")).collect();
+    let atoms: Vec<String> = (1..=k).map(|i| format!("R{i}(x, y{i})")).collect();
+    parse_query(&format!(
+        "Q(x, {}) :- {}.",
+        head.join(", "),
+        atoms.join(", ")
+    ))
+    .unwrap()
 }
 
 /// The standard geometric sweep of active-domain sizes.

@@ -1,8 +1,9 @@
 //! Bounded, never-blocking producer queues with coalescing overflow.
 //!
-//! A [`BoundedQueue`] is the backpressure primitive shared by in-process
-//! bounded feeds (`QueryHandle::subscribe_bounded`) and the server's
-//! per-connection outbound queues. The producer side **never blocks**:
+//! A [`BoundedQueue`] is the backpressure primitive of in-process
+//! bounded feeds (`QueryHandle::subscribe_bounded`). The server's
+//! per-connection outbound queues are a separate, private type
+//! (`OutQueue` in `server.rs`). The producer side **never blocks**:
 //! when the queue is full, [`BoundedQueue::push_coalescing`] drains the
 //! pending items and nets them together with the new one into a single
 //! replacement item. Deltas over a multiset result net associatively, so

@@ -14,9 +14,10 @@
 //!   gets the *netted* delta `N → now` replayed from the ring, and only
 //!   falls back to a full snapshot resync when the ring has evicted `N`.
 //! * [`backpressure::BoundedQueue`] — the bounded, never-blocking,
-//!   coalesce-on-overflow queue both in-process bounded feeds
-//!   (`QueryHandle::subscribe_bounded`) and per-connection outbound
-//!   queues are built from. A slow consumer nets its own pending deltas
+//!   coalesce-on-overflow queue in-process bounded feeds
+//!   (`QueryHandle::subscribe_bounded`) are built from. The server's
+//!   per-connection outbound queues (`server.rs`'s private `OutQueue`)
+//!   follow the same rule: a slow consumer nets its own pending deltas
 //!   (or is cut loose with a `Lagged` frame); the commit path never
 //!   blocks on anyone's socket.
 //! * [`protocol`] — the wire format: `Hello` / `Register` / `Query` /

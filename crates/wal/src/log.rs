@@ -523,18 +523,7 @@ impl Wal {
     /// skip by seq exactly like recovery does.
     pub fn ship_scan(&self) -> Result<Shipped, WalError> {
         let files = self.dir.list()?;
-        let mut ckpt_seqs: Vec<u64> = files
-            .iter()
-            .filter_map(|f| parse_name(f, "ckpt-", ".ck"))
-            .collect();
-        ckpt_seqs.sort_unstable_by(|a, b| b.cmp(a));
-        let mut checkpoint = None;
-        for seq in ckpt_seqs {
-            if let Some(body) = read_checkpoint(&*self.dir, &checkpoint_name(seq), seq)? {
-                checkpoint = Some((seq, body));
-                break;
-            }
-        }
+        let checkpoint = newest_checkpoint(&*self.dir, &files)?;
         let mut seg_indices: Vec<u64> = files
             .iter()
             .filter_map(|f| parse_name(f, "wal-", ".seg"))
@@ -649,21 +638,7 @@ pub fn recover(dir: &dyn WalDir) -> Result<Recovery, WalError> {
         let _ = dir.remove(CKPT_TMP);
     }
 
-    let mut ckpt_seqs: Vec<u64> = files
-        .iter()
-        .filter_map(|f| parse_name(f, "ckpt-", ".ck"))
-        .collect();
-    ckpt_seqs.sort_unstable_by(|a, b| b.cmp(a));
-    let mut checkpoint = None;
-    for seq in ckpt_seqs {
-        let name = checkpoint_name(seq);
-        if let Some(body) = read_checkpoint(dir, &name, seq)? {
-            checkpoint = Some((seq, body));
-            break;
-        }
-        // Invalid (torn mid-publish in some earlier life): fall back to
-        // the next-newest. Leave the husk; the next checkpoint prunes it.
-    }
+    let checkpoint = newest_checkpoint(dir, &files)?;
 
     let mut seg_indices: Vec<u64> = files
         .iter()
@@ -746,6 +721,27 @@ fn read_checkpoint(dir: &dyn WalDir, name: &str, seq: u64) -> Result<Option<Vec<
         return Ok(None);
     }
     Ok(Some(body.to_vec()))
+}
+
+/// The newest checkpoint among `files` that [`read_checkpoint`] accepts,
+/// as `(seq, body)`. An invalid one (torn mid-publish in some earlier
+/// life) falls back to the next-newest; the husk is left for the next
+/// checkpoint to prune.
+fn newest_checkpoint(
+    dir: &dyn WalDir,
+    files: &[String],
+) -> Result<Option<(u64, Vec<u8>)>, WalError> {
+    let mut seqs: Vec<u64> = files
+        .iter()
+        .filter_map(|f| parse_name(f, "ckpt-", ".ck"))
+        .collect();
+    seqs.sort_unstable_by(|a, b| b.cmp(a));
+    for seq in seqs {
+        if let Some(body) = read_checkpoint(dir, &checkpoint_name(seq), seq)? {
+            return Ok(Some((seq, body)));
+        }
+    }
+    Ok(None)
 }
 
 /// Reads the leadership term out of one segment's header, if the header

@@ -30,12 +30,14 @@
 //!   precisely `timeline[s']` for some `s' ≥ s` on the leader's one
 //!   true timeline.
 //! * **Lock-free pins** of a q-hierarchical query, through a
-//!   [`PinReader`] from [`ReplicaSession::reader`], are at `≥ s` as
-//!   well. `reader` freshens the epoch it hands out, and from then on
-//!   the applier publishes it after every applied run and *before* it
-//!   announces the watermark. (A pin's `seq()` stamp moves with the
-//!   commits that touch its query's relations; across the others the
-//!   result is unchanged and so is the epoch.)
+//!   [`PinReader`] from [`ReplicaSession::reader`] or from the raw
+//!   [`shared`](ReplicaSession::shared)/[`sharded`](ReplicaSession::sharded)
+//!   handle, are at `≥ s` as well. Acquiring a reader freshens its
+//!   epoch, and from then on the applier publishes it after every
+//!   applied run and *before* it announces the watermark. (A pin's
+//!   `seq()` stamp moves with the commits that touch its query's
+//!   relations; across the others the result is unchanged and so is
+//!   the epoch.)
 //! * **Delta-IVM queries** follow the leader's rule: their `Ω(|view|)`
 //!   epochs republish on the locked pin path only (`snapshot`, or
 //!   taking a new reader), so a held reader of one may lag.
@@ -501,19 +503,14 @@ impl ReplicaSession {
 
     /// A lock-free [`PinReader`] over `name` — constant-delay
     /// enumeration against a pinned epoch, never blocked by the apply
-    /// stream. Its first pin is already at the watermark: the epoch is
-    /// freshened under the read guard that hands out the reader, and
-    /// from then on the applier keeps it fresh (see the
-    /// [module docs](self)). The reader follows the core it was taken
-    /// from; after a re-bootstrap, take a new one.
+    /// stream. Its first pin is already at the watermark
+    /// ([`QueryHandle::pin_reader`](crate::QueryHandle::pin_reader)
+    /// freshens the epoch under the read guard), and from then on the
+    /// applier keeps it fresh (see the [module docs](self)). The reader
+    /// follows the core it was taken from; after a re-bootstrap, take a
+    /// new one.
     pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        self.core()?.read_shard(name, |s| {
-            s.query(name).map(|h| {
-                // The locked pin path: republishes a stale epoch.
-                h.snapshot();
-                h.pin_reader()
-            })
-        })?
+        self.core()?.reader(name)
     }
 
     /// Subscribes to `name`'s result deltas as the replica applies the
@@ -536,9 +533,7 @@ impl ReplicaSession {
 
     /// The replica's state as a [`SharedSession`] (single-writer
     /// leaders). Read from it freely; never write through it — replicas
-    /// are read-only by construction. A `PinReader` taken through this
-    /// handle is kept fresh like any other, but only
-    /// [`ReplicaSession::reader`] freshens the epoch it hands out.
+    /// are read-only by construction.
     pub fn shared(&self) -> Option<SharedSession> {
         let core = self.shared.backend().filter(ShardedSession::is_open)?;
         Some(SharedSession { core })

@@ -1461,7 +1461,12 @@ impl<'a> QueryHandle<'a> {
     /// — without ever taking a session lock again. Acquire once (under
     /// whatever lock guards the session), then pin from any number of
     /// reader threads forever.
+    ///
+    /// Acquisition freshens the epoch, as [`QueryHandle::snapshot`]
+    /// does, so the reader's first pin is the current result on every
+    /// face of the session, whatever was or was not read before it.
     pub fn pin_reader(&self) -> PinReader {
+        self.reg.pinned(self.seq, self.generation);
         PinReader {
             name: Arc::clone(&self.reg.name),
             kind: self.reg.kind,
@@ -1721,13 +1726,15 @@ impl std::fmt::Debug for QuerySnapshot {
 /// never blocks the writer in return.
 ///
 /// **Freshness.** A pin returns the most recently *published* epoch.
-/// Engines with cheap snapshots (the q-hierarchical engine) republish
-/// on demand after every update a pin observed as missing, so the lag is
-/// at most one update behind the writer. Fallback engines with
-/// `Ω(|view|)` snapshots (delta-IVM) republish only on the locked pin
-/// path ([`QueryHandle::snapshot`]) — a lock-free pin may then lag until
-/// someone pins through the lock. Every pin, however stale, is
-/// internally exact: its result *is* `timeline[pin.seq()]`.
+/// Acquiring the reader publishes the current one, so the first pin is
+/// exact. From then on engines with cheap snapshots (the q-hierarchical
+/// engine) republish on demand after every update a pin observed as
+/// missing, so the lag is at most one update behind the writer.
+/// Fallback engines with `Ω(|view|)` snapshots (delta-IVM) republish
+/// only under the lock ([`QueryHandle::snapshot`], or acquiring another
+/// reader) — a held reader's pin may then lag until someone does.
+/// Every pin, however stale, is internally exact: its result *is*
+/// `timeline[pin.seq()]`.
 #[derive(Clone)]
 pub struct PinReader {
     name: Arc<str>,

@@ -1154,43 +1154,3 @@ fn duplicated_update_frame_is_refused() {
         other => panic!("a log that does not land on its own stamps recovered: {other:?}"),
     }
 }
-
-/// A recovered session is published: the first thing a reader does may be
-/// a lock-free pin, with no locked read or write before it, and it must
-/// see the recovered state at the recovered seq, not the empty core a
-/// checkpoint was loaded into or a query's registration-time result.
-#[test]
-fn recovered_session_pins_lock_free_at_the_recovered_seq() {
-    for (sharded, checkpoint) in [(false, true), (true, true), (false, false), (true, false)] {
-        let disk = SimDisk::new();
-        let sess = fresh(&disk, small_opts(FsyncPolicy::Always), sharded);
-        let e = sess.relation("E").unwrap();
-        let t = sess.relation("T").unwrap();
-        sess.apply_batch(&[Update::Insert(e, vec![1, 2]), Update::Insert(t, vec![2])])
-            .unwrap();
-        if checkpoint {
-            sess.checkpoint().unwrap();
-        }
-        // The tail past the checkpoint.
-        sess.apply(&Update::Insert(e, vec![3, 2])).unwrap();
-        sess.apply(&Update::Delete(e, vec![1, 2])).unwrap();
-        drop(sess);
-
-        let rec = DurableSession::recover(
-            Box::new(disk.strict_view()),
-            small_opts(FsyncPolicy::Always),
-        )
-        .unwrap();
-        let what = format!("sharded={sharded} checkpoint={checkpoint}");
-        let pin = pin_reader(&rec, "qh").pin();
-        assert_eq!(pin.seq(), 4, "{what}");
-        assert_eq!(pin.results_sorted(), vec![vec![3, 2]], "{what}");
-        assert_eq!(rec.seq().unwrap(), 4, "{what}");
-        let locked = rec.snapshot("qh").unwrap();
-        assert_eq!(
-            (locked.seq(), locked.results_sorted()),
-            (pin.seq(), pin.results_sorted()),
-            "{what}"
-        );
-    }
-}

@@ -1,0 +1,258 @@
+//! The lock-free read contract, as one table over every handle that
+//! hands out a [`PinReader`].
+//!
+//! A `PinReader` is freshened where it is acquired
+//! (`QueryHandle::pin_reader`), so on every face of the system the
+//! *first* pin, taken before any locked read, is the current result:
+//! it equals the brute-force `timeline[seq()]`, and its stamp lies
+//! between the last commit that touched the query's relations and
+//! `seq()` (the two coincide for the query the script's last update
+//! touches, so there `pin.seq() == seq()`). One relaxation, shared with
+//! `tests/replication.rs`: a sharded replica applies a run of records
+//! as one batch, which hands each shard a contiguous range of the run's
+//! seqs, so there a stamp is only bounded by `seq()`.
+
+use cq_updates::prelude::*;
+use cqu_testutil::{result_timeline, SimDisk};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// A q-hierarchical and a delta-IVM registration over disjoint
+/// footprints, so a sharded session plans them into two shards.
+const QUERIES: &[(&str, &str)] = &[
+    ("qh", "Q(x, y) :- E(x, y), T(y)."),
+    ("ivm", "Q(x, y) :- S(x), G(x, y), U(y)."),
+];
+
+const SYNC: Duration = Duration::from_secs(20);
+
+/// The script every row commits, one effective update per seq, and the
+/// brute-force result of each query after each of them.
+struct Oracle {
+    /// Committed before the checkpoint of the rows that take one.
+    head: Vec<Update>,
+    /// Committed after it; touches both footprints and ends on `qh`'s.
+    tail: Vec<Update>,
+    queries: Vec<Query>,
+    timelines: Vec<Vec<Vec<Vec<Const>>>>,
+}
+
+impl Oracle {
+    fn new() -> Oracle {
+        let mut s = Session::new();
+        for (name, src) in QUERIES {
+            s.register(name, src).unwrap();
+        }
+        let rel = |name: &str| s.relation(name).unwrap();
+        let (e, t, sr, g, u) = (rel("E"), rel("T"), rel("S"), rel("G"), rel("U"));
+        let head = vec![
+            Update::Insert(e, vec![1, 2]),
+            Update::Insert(t, vec![2]),
+            Update::Insert(sr, vec![1]),
+            Update::Insert(g, vec![1, 5]),
+            Update::Insert(u, vec![5]),
+        ];
+        let tail = vec![
+            Update::Insert(g, vec![2, 5]),
+            Update::Insert(sr, vec![2]),
+            Update::Delete(g, vec![1, 5]),
+            Update::Insert(e, vec![3, 2]),
+            Update::Delete(e, vec![1, 2]),
+        ];
+        let queries: Vec<Query> = QUERIES
+            .iter()
+            .map(|(name, _)| s.query(name).unwrap().query().clone())
+            .collect();
+        let script = [head.clone(), tail.clone()].concat();
+        let timelines = queries
+            .iter()
+            .map(|q| result_timeline(s.schema(), q, &script))
+            .collect();
+        Oracle {
+            head,
+            tail,
+            queries,
+            timelines,
+        }
+    }
+
+    fn script(&self) -> impl Iterator<Item = &Update> {
+        self.head.iter().chain(&self.tail)
+    }
+
+    /// The seq of the last update on query `i`'s footprint.
+    fn last_touch(&self, i: usize) -> u64 {
+        let footprint = self.queries[i].atoms();
+        self.script()
+            .enumerate()
+            .filter(|(_, u)| footprint.iter().any(|a| a.relation == u.relation()))
+            .map(|(k, _)| k as u64 + 1)
+            .last()
+            .unwrap_or(0)
+    }
+
+    /// Takes a reader on every query and pins it before any locked read,
+    /// then checks each pin against the timeline and a locked snapshot.
+    fn check(
+        &self,
+        what: &str,
+        seq: u64,
+        exact_stamps: bool,
+        reader: impl Fn(&str) -> PinReader,
+        locked: impl Fn(&str) -> QuerySnapshot,
+    ) {
+        assert_eq!(seq, self.script().count() as u64, "{what}: seq()");
+        let pins: Vec<QuerySnapshot> = QUERIES.iter().map(|(n, _)| reader(n).pin()).collect();
+        let kinds: Vec<EngineKind> = pins.iter().map(QuerySnapshot::kind).collect();
+        assert_eq!(kinds, [EngineKind::QHierarchical, EngineKind::DeltaIvm]);
+        for (i, pin) in pins.iter().enumerate() {
+            let name = QUERIES[i].0;
+            let rows = pin.results_sorted();
+            assert_eq!(
+                rows, self.timelines[i][seq as usize],
+                "{what}/{name}: the first lock-free pin is not the current result"
+            );
+            let floor = if exact_stamps { self.last_touch(i) } else { 0 };
+            assert!(
+                (floor..=seq).contains(&pin.seq()),
+                "{what}/{name}: pin stamped {} outside {floor}..={seq}",
+                pin.seq()
+            );
+            let locked = locked(name);
+            assert_eq!(locked.results_sorted(), rows, "{what}/{name}: locked read");
+            assert!(
+                (pin.seq()..=seq).contains(&locked.seq()),
+                "{what}/{name}: locked read stamped {} outside {}..={seq}",
+                locked.seq(),
+                pin.seq()
+            );
+        }
+    }
+}
+
+fn durable(disk: &SimDisk, sharded: bool) -> DurableSession {
+    let opts = DurableOptions::default();
+    if sharded {
+        return DurableSession::create_sharded(Box::new(disk.clone()), opts, QUERIES).unwrap();
+    }
+    let sess = DurableSession::create(Box::new(disk.clone()), opts).unwrap();
+    for (name, src) in QUERIES {
+        sess.register(name, src).unwrap();
+    }
+    sess
+}
+
+/// Commits the script, with a checkpoint between head and tail if asked.
+fn commit_all(sess: &DurableSession, o: &Oracle, checkpoint: bool) {
+    for u in &o.head {
+        sess.apply(u).unwrap();
+    }
+    if checkpoint {
+        sess.checkpoint().unwrap();
+    }
+    for u in &o.tail {
+        sess.apply(u).unwrap();
+    }
+}
+
+#[test]
+fn first_lock_free_pin_is_current() {
+    let o = Oracle::new();
+
+    let mut session = Session::new();
+    for (name, src) in QUERIES {
+        session.register(name, src).unwrap();
+    }
+    for u in o.script() {
+        session.apply(u).unwrap();
+    }
+    o.check(
+        "Session",
+        session.seq(),
+        true,
+        |n| session.query(n).unwrap().pin_reader(),
+        |n| session.query(n).unwrap().snapshot(),
+    );
+
+    let shared = SharedSession::new(Session::new());
+    for (name, src) in QUERIES {
+        shared.register(name, src).unwrap();
+    }
+    for u in o.script() {
+        shared.apply(u).unwrap();
+    }
+    o.check(
+        "SharedSession",
+        shared.read(|s| s.seq()).unwrap(),
+        true,
+        |n| shared.reader(n).unwrap(),
+        |n| shared.snapshot(n).unwrap(),
+    );
+
+    let mut builder = ShardedSessionBuilder::new();
+    for (name, src) in QUERIES {
+        builder.register(name, src).unwrap();
+    }
+    let sharded = builder.build().unwrap();
+    assert_eq!(sharded.shard_count(), 2);
+    for u in o.script() {
+        sharded.apply(u).unwrap();
+    }
+    o.check(
+        "ShardedSession",
+        sharded.seq(),
+        true,
+        |n| sharded.reader(n).unwrap(),
+        |n| sharded.snapshot(n).unwrap(),
+    );
+
+    for (is_sharded, checkpoint) in [(false, true), (true, true), (false, false), (true, false)] {
+        let disk = SimDisk::new();
+        commit_all(&durable(&disk, is_sharded), &o, checkpoint);
+        let rec = DurableSession::recover(Box::new(disk.strict_view()), DurableOptions::default())
+            .unwrap();
+        o.check(
+            &format!("DurableSession recovered, sharded={is_sharded} checkpoint={checkpoint}"),
+            rec.seq().unwrap(),
+            true,
+            |n| match (rec.shared(), rec.sharded()) {
+                (Some(single), _) => single.reader(n).unwrap(),
+                (None, Some(plan)) => plan.reader(n).unwrap(),
+                (None, None) => unreachable!("a session is single or sharded"),
+            },
+            |n| rec.snapshot(n).unwrap(),
+        );
+    }
+
+    // Followers bootstrapped from a checkpoint and fed the tail as
+    // records: one read through `ReplicaSession::reader`, one through
+    // the raw core handle, each on a replica nobody has read before.
+    for is_sharded in [false, true] {
+        let leader = Arc::new(durable(&SimDisk::new(), is_sharded));
+        commit_all(&leader, &o, true);
+        let server =
+            ReplicationServer::bind("127.0.0.1:0", Arc::clone(&leader), LeaderConfig::default())
+                .unwrap();
+        for raw in [false, true] {
+            let replica =
+                ReplicaSession::connect(server.local_addr(), ReplicaOptions::default()).unwrap();
+            assert!(
+                replica.wait_for_seq(leader.seq().unwrap(), SYNC),
+                "{replica:?}"
+            );
+            assert_eq!(replica.stats().bootstraps, 1);
+            o.check(
+                &format!("ReplicaSession, sharded={is_sharded} raw={raw}"),
+                replica.applied_seq(),
+                !is_sharded,
+                |n| match (raw, replica.shared(), replica.sharded()) {
+                    (false, ..) => replica.reader(n).unwrap(),
+                    (true, Some(single), _) => single.reader(n).unwrap(),
+                    (true, None, Some(plan)) => plan.reader(n).unwrap(),
+                    (true, None, None) => panic!("bootstrapped replica shows no core"),
+                },
+                |n| replica.snapshot(n).unwrap(),
+            );
+        }
+    }
+}

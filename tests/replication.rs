@@ -415,10 +415,10 @@ fn late_follower_bootstraps_from_checkpoint() {
     assert_eq!((ls.bootstraps, ls.resumes), (1, 0));
 }
 
-/// A bootstrap is published before readers are shown its core. A reader
-/// through the raw `shared()`/`sharded()` handle, which does not freshen
-/// the epoch it hands out, pins the checkpoint's state at the
+/// A bootstrap with no tail behind it: a reader through the raw
+/// `shared()`/`sharded()` handle pins the checkpoint's state at the
 /// checkpoint's seq, not the empty core the checkpoint was loaded into.
+/// (`tests/read_contract.rs` has the rows with a tail.)
 #[test]
 fn bootstrapped_core_is_published_before_it_is_shown() {
     for sharded in [false, true] {
