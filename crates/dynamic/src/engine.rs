@@ -346,12 +346,6 @@ pub trait DynamicEngine: Send + Sync {
     }
 }
 
-impl cqu_storage::ApplyUpdate for Box<dyn DynamicEngine> {
-    fn apply_update(&mut self, update: &Update) -> bool {
-        self.apply(update)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,9 +6,35 @@
 //! that has been evicted (or that predates the ring). A resume cursor
 //! `from_seq` is servable from the ring iff `from_seq >= floor` — every
 //! event with seq > `from_seq` is still retained. Below the floor the
-//! caller must fall back to a snapshot resync.
+//! caller must fall back to a snapshot resync. [`SeqRing::replay_since`]
+//! is that decision for a ring of change events, and [`ReplayOutcome`]
+//! its answer, on every path a cursor can arrive by (an in-process
+//! `subscribe_from`, a reconnecting network client, a replica's front
+//! end).
 
+use crate::backpressure::ChangeEvent;
 use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// What the retention ring could recover for a resume cursor.
+#[derive(Debug)]
+pub enum ReplayOutcome {
+    /// The cursor is covered: `event` is the netted delta stream
+    /// `from_seq → upto` (`None` when it nets to nothing).
+    Covered {
+        /// The seq the replay catches the caller up to
+        /// (`max(from_seq, last retained seq)`).
+        upto: u64,
+        /// The netted catch-up delta, stamped `upto`.
+        event: Option<ChangeEvent>,
+    },
+    /// The cursor predates the ring's floor (`Some`) or retention was
+    /// never enabled (`None`): only a snapshot resync can help.
+    Unavailable {
+        /// The ring's current coverage floor, if retention is on.
+        floor: Option<u64>,
+    },
+}
 
 /// A bounded ring of `(seq, item)` pairs with an eviction floor.
 ///
@@ -109,9 +135,73 @@ impl<T> SeqRing<T> {
     }
 }
 
+impl SeqRing<Arc<ChangeEvent>> {
+    /// Nets the retained events after `from_seq` into at most one
+    /// catch-up event ([`ChangeEvent::net`]).
+    pub fn replay_since(&self, from_seq: u64) -> ReplayOutcome {
+        if !self.covers(from_seq) {
+            return ReplayOutcome::Unavailable {
+                floor: Some(self.floor),
+            };
+        }
+        // The catch-up covers the whole retained span, whatever the seq
+        // of its last non-empty constituent was.
+        let upto = from_seq.max(self.head());
+        let mut event = ChangeEvent::net(self.since(from_seq).map(|(_, e)| &**e));
+        event.seq = upto;
+        ReplayOutcome::Covered {
+            upto,
+            event: (!event.is_empty()).then_some(event),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn replay_nets_the_retained_span() {
+        let event = |seq, added: &[u64], removed: &[u64]| {
+            Arc::new(ChangeEvent {
+                seq,
+                added: added.iter().map(|&a| vec![a]).collect(),
+                removed: removed.iter().map(|&r| vec![r]).collect(),
+            })
+        };
+        let mut ring = SeqRing::new(2, 0);
+        for e in [
+            event(2, &[1], &[]),
+            event(4, &[2], &[1]),
+            event(7, &[1], &[2]),
+        ] {
+            ring.push(e.seq, e);
+        }
+        // Evicted: seq 2 → floor 2.
+        assert!(matches!(
+            ring.replay_since(1),
+            ReplayOutcome::Unavailable { floor: Some(2) }
+        ));
+        match ring.replay_since(2) {
+            ReplayOutcome::Covered { upto: 7, event } => assert!(event.is_none(), "{event:?}"),
+            other => panic!("{other:?}"),
+        }
+        match ring.replay_since(4) {
+            ReplayOutcome::Covered {
+                upto: 7,
+                event: Some(e),
+            } => assert_eq!(e, *event(7, &[1], &[2])),
+            other => panic!("{other:?}"),
+        }
+        // At or past the head nothing is owed, and the cursor stands.
+        assert!(matches!(
+            ring.replay_since(9),
+            ReplayOutcome::Covered {
+                upto: 9,
+                event: None
+            }
+        ));
+    }
 
     #[test]
     fn empty_ring_covers_from_floor() {

@@ -7,7 +7,7 @@
 //!                    ┌────────────────────────────┐
 //!  commits ──────────▶ FeedSource (session layer)  │
 //!                    └──────┬─────────────────────┘
-//!                           │ one FeedStream per subscribed query
+//!                           │ one feed (Receiver) per subscribed query
 //!                    ┌──────▼──────┐   encode ONCE per commit
 //!                    │ fan-out pump │──▶ Arc<[u8]> ────┬──────────┐
 //!                    └─────────────┘                   ▼          ▼
@@ -34,10 +34,12 @@
 //! cursor and the retention ring nets the gap. Under both policies the
 //! commit path never blocks.
 
+use crate::backpressure::{ChangeEvent, Receiver, TryRecv};
 use crate::protocol::{
     encode_delta_frame, encode_snapshot_frames, read_frame, snapshot_frames, ErrorCode, Frame, Row,
     SubscribeMode, PROTOCOL_VERSION,
 };
+use crate::ring::ReplayOutcome;
 use cqu_obs::{Counter, Gauge, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufWriter, Write};
@@ -53,97 +55,6 @@ const TICK: Duration = Duration::from_millis(50);
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One netted result delta as the serving layer sees it: the wire-level
-/// mirror of the session's `ChangeEvent`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FeedDelta {
-    /// Global timeline position after this delta.
-    pub seq: u64,
-    /// Rows that entered the result.
-    pub added: Vec<Row>,
-    /// Rows that left the result.
-    pub removed: Vec<Row>,
-}
-
-impl FeedDelta {
-    /// Whether the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-
-    /// Nets a run of sequential deltas into one exact delta stamped with
-    /// the last seq: per-row add/remove counts cancel (a row added then
-    /// removed — or removed then re-added — disappears), and both sides
-    /// come out sorted and duplicate-free. This is the coalescing
-    /// function behind lagging subscribers and ring replay.
-    pub fn net<'a>(parts: impl IntoIterator<Item = &'a FeedDelta>) -> FeedDelta {
-        let mut seq = 0;
-        let mut counts: HashMap<&'a Row, i64> = HashMap::new();
-        for part in parts {
-            seq = seq.max(part.seq);
-            for row in &part.added {
-                *counts.entry(row).or_insert(0) += 1;
-            }
-            for row in &part.removed {
-                *counts.entry(row).or_insert(0) -= 1;
-            }
-        }
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
-        for (row, count) in counts {
-            match count.cmp(&0) {
-                std::cmp::Ordering::Greater => added.push(row.clone()),
-                std::cmp::Ordering::Less => removed.push(row.clone()),
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-        added.sort_unstable();
-        removed.sort_unstable();
-        FeedDelta {
-            seq,
-            added,
-            removed,
-        }
-    }
-}
-
-/// What a [`FeedSource`] could recover for a resume cursor.
-#[derive(Debug)]
-pub enum Replay {
-    /// The cursor is covered by retention: `delta` is the netted
-    /// catch-up to `upto` (`None` when everything cancelled).
-    Netted {
-        /// The seq the replay catches the client up to.
-        upto: u64,
-        /// The netted catch-up delta, if the result changed net.
-        delta: Option<FeedDelta>,
-    },
-    /// Retention has evicted the cursor — only a snapshot resync helps.
-    Evicted {
-        /// The smallest cursor retention can still serve.
-        floor: u64,
-    },
-}
-
-/// Outcome of polling a [`FeedStream`].
-#[derive(Debug)]
-pub enum FeedPoll {
-    /// A new delta was published.
-    Event(FeedDelta),
-    /// Nothing arrived within the timeout; the feed is still open.
-    Empty,
-    /// The feed is closed for good (its session or query is gone).
-    Closed,
-}
-
-/// A blocking change feed for one query, as handed out by a
-/// [`FeedSource`]. The server opens exactly one per subscribed query
-/// (the fan-out pump) however many clients subscribe.
-pub trait FeedStream: Send {
-    /// Waits up to `timeout` for the next published delta.
-    fn recv_timeout(&mut self, timeout: Duration) -> FeedPoll;
 }
 
 /// Why a [`FeedSource`] operation failed.
@@ -179,14 +90,15 @@ impl SourceError {
     }
 }
 
-/// The engine-side contract the server runs against. The `cq-updates`
-/// facade implements it for `SharedSession` and `ShardedSession`; the
-/// unit tests script one by hand.
+/// The engine-side contract the server runs against, in the feed's own
+/// vocabulary ([`crate::backpressure`], [`crate::ring`]): the events a
+/// source publishes are the events the server queues. The `cq-updates`
+/// facade implements it over its session core.
 ///
 /// Seq discipline: [`FeedSource::snapshot`] pins `(seq, rows)` frames
-/// that are exact cuts of the update timeline, per-query deltas carry
+/// that are exact cuts of the update timeline, per-query events carry
 /// strictly increasing seqs, and [`FeedSource::replay`] nets retained
-/// deltas after a cursor. The server's resume correctness leans on one
+/// events after a cursor. The server's resume correctness leans on one
 /// invariant: *a delta is either covered by a replay computed after it
 /// was published, or arrives on a feed opened before it was published* —
 /// which holds because sources publish to retention and feeds
@@ -201,11 +113,13 @@ pub trait FeedSource: Send + Sync + 'static {
     /// Pins the query's current result as an exact `(seq, rows)` frame.
     fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError>;
 
-    /// Nets the retained deltas of `name` after `from_seq`.
-    fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError>;
+    /// Nets the retained events of `name` after `from_seq`.
+    fn replay(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, SourceError>;
 
-    /// Opens a live delta feed for `name`.
-    fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError>;
+    /// Opens a live feed of `name`'s events. The server opens exactly
+    /// one per subscribed query (the fan-out pump) however many clients
+    /// subscribe; dropping it detaches it from the source.
+    fn open_feed(&self, name: &str) -> Result<Receiver<Arc<ChangeEvent>>, SourceError>;
 
     /// The metrics registry the source's engine records into, if any.
     /// When [`ServeConfig::registry`] is unset the server adopts this
@@ -343,18 +257,19 @@ impl ServeMetrics {
 
 /// One queued outbound frame. Control frames are pre-encoded and never
 /// dropped; delta frames carry both the shared encoding (fast path) and
-/// the decoded payload (so lag coalescing can net without re-decoding).
+/// the event the source published (so lag coalescing can net without
+/// re-decoding).
 enum Out {
     Ctl(Arc<[u8]>),
     Delta {
         query: Arc<str>,
-        delta: Arc<FeedDelta>,
+        delta: Arc<ChangeEvent>,
         bytes: Arc<[u8]>,
     },
     /// The product of lag coalescing; encoded at write time (rare path).
     Coalesced {
         query: Arc<str>,
-        delta: FeedDelta,
+        delta: ChangeEvent,
     },
 }
 
@@ -479,7 +394,7 @@ impl OutQueue {
     fn push_delta(
         &self,
         query: &Arc<str>,
-        delta: &Arc<FeedDelta>,
+        delta: &Arc<ChangeEvent>,
         bytes: &Arc<[u8]>,
         policy: LagPolicy,
     ) -> DeltaPush {
@@ -521,7 +436,7 @@ impl OutQueue {
                 // query converges to at most one pending frame under
                 // sustained lag, so the queue stays bounded by
                 // `cap + #subscriptions`.
-                let netted = FeedDelta::net(
+                let netted = ChangeEvent::net(
                     backlog
                         .iter()
                         .map(|item| match item {
@@ -1007,7 +922,7 @@ fn handle_subscribe(
     // Resume cursor: replay + attach entirely under the lock.
     if let Some(n) = from_seq {
         let subs = lock(&fanout.subs);
-        if let Replay::Netted { upto, delta } = shared.source.replay(name, n)? {
+        if let ReplayOutcome::Covered { upto, event } = shared.source.replay(name, n)? {
             let cursor = n.max(upto);
             let mut frames = vec![Frame::Subscribed {
                 name: name.into(),
@@ -1016,8 +931,8 @@ fn handle_subscribe(
             }
             .encode()
             .into()];
-            if let Some(d) = delta {
-                frames.push(encode_delta_frame(name, cursor, &d.added, &d.removed).into());
+            if let Some(e) = event {
+                frames.push(encode_delta_frame(name, cursor, &e.added, &e.removed).into());
             }
             return attach(conn, subs, name, frames, cursor);
         }
@@ -1034,7 +949,7 @@ fn handle_subscribe(
     // close the enumeration window.
     let (snap_seq, snap_frames) = cached_snapshot(shared, &fanout, name)?;
     let subs = lock(&fanout.subs);
-    if let Replay::Netted { upto, delta } = shared.source.replay(name, snap_seq)? {
+    if let ReplayOutcome::Covered { upto, event } = shared.source.replay(name, snap_seq)? {
         let cursor = snap_seq.max(upto);
         let mut frames: Vec<Arc<[u8]>> = vec![Frame::Subscribed {
             name: name.into(),
@@ -1044,8 +959,8 @@ fn handle_subscribe(
         .encode()
         .into()];
         frames.extend(snap_frames);
-        if let Some(d) = delta {
-            frames.push(encode_delta_frame(name, cursor, &d.added, &d.removed).into());
+        if let Some(e) = event {
+            frames.push(encode_delta_frame(name, cursor, &e.added, &e.removed).into());
         }
         return attach(conn, subs, name, frames, cursor);
     }
@@ -1167,21 +1082,22 @@ fn pump_for(shared: &Arc<Shared>, name: &str) -> Result<Arc<FanOut>, SourceError
 }
 
 /// The per-query fan-out pump: drains the source feed, encodes each
-/// delta **once** into shared bytes, and pushes them to every attached
+/// event **once** into shared bytes, and pushes bytes and event (the
+/// `Arc` the source published, never a copy) to every attached
 /// subscription's bounded queue. Never touches a socket, never blocks
 /// on a consumer.
-fn pump_loop(shared: &Shared, fanout: &FanOut, mut feed: Box<dyn FeedStream>) {
+fn pump_loop(shared: &Shared, fanout: &FanOut, feed: Receiver<Arc<ChangeEvent>>) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         let delta = match feed.recv_timeout(TICK) {
-            FeedPoll::Empty => continue,
-            FeedPoll::Closed => {
+            TryRecv::Empty => continue,
+            TryRecv::Closed => {
                 fanout.closed.store(true, Ordering::SeqCst);
                 return;
             }
-            FeedPoll::Event(delta) => Arc::new(delta),
+            TryRecv::Item(event) => event,
         };
         // THE fan-out batching invariant: one serialization per commit,
         // shared by every subscriber.
@@ -1289,5 +1205,22 @@ mod tests {
         assert!(!lock(&q.state).closed);
         assert!(!q.push_ctl_run((0..4).map(|_| frame())));
         assert!(lock(&q.state).closed);
+    }
+
+    /// A queued delta holds the event the source published, not a copy.
+    #[test]
+    fn delta_push_shares_the_published_event() {
+        let q = OutQueue::new(4, 8, Arc::new(Gauge::default()));
+        let event = Arc::new(ChangeEvent {
+            seq: 3,
+            added: vec![vec![1]],
+            removed: Vec::new(),
+        });
+        let pushed = q.push_delta(&Arc::from("q"), &event, &frame(), LagPolicy::Coalesce);
+        assert!(matches!(pushed, DeltaPush::Sent));
+        match q.recv_tick() {
+            Ok(Some(Out::Delta { delta, .. })) => assert!(Arc::ptr_eq(&delta, &event)),
+            _ => panic!("the delta frame was not queued"),
+        }
     }
 }

@@ -8,14 +8,13 @@
 //! * [`relation`] / [`database`] — relations as hashed tuple sets, the
 //!   database with active-domain reference counting (`n = |adom(D)|` is the
 //!   parameter all the paper's bounds are stated in), sizes `|D|`/`‖D‖`.
-//! * [`update`] — update commands, logs, and a compact binary codec
-//!   (via `bytes`) so experiment workloads are replayable.
+//! * [`update`] — update commands, the [`ApplyUpdate`] contract every
+//!   update consumer keeps (effective updates are undone by their
+//!   [`Update::inverse`]), logs, and a compact binary codec (via
+//!   `bytes`) so experiment workloads are replayable.
 //! * [`index`] — hash indexes on arbitrary column subsets, both one-shot
 //!   (for recompute baselines) and incrementally maintained (for the IVM
 //!   baseline).
-//! * [`transaction`] — all-or-nothing update batches: effective updates
-//!   are recorded and rolled back via [`Update::inverse`] unless
-//!   committed.
 //! * [`workload`] — deterministic pseudo-random workload generators for the
 //!   experiment harness (matrix-shaped, star-shaped, churn streams).
 
@@ -23,15 +22,13 @@
 pub mod database;
 pub mod index;
 pub mod relation;
-pub mod transaction;
 pub mod update;
 pub mod workload;
 
 pub use database::Database;
 pub use index::Index;
 pub use relation::Relation;
-pub use transaction::{ApplyUpdate, Transaction};
-pub use update::{Update, UpdateLog};
+pub use update::{ApplyUpdate, Update, UpdateLog};
 
 /// A database constant (`dom = N≥1`; 0 is valid for us too, but generators
 /// start at 1 to match the paper).

@@ -47,6 +47,24 @@ impl Update {
     }
 }
 
+/// Anything that can consume single-tuple updates under set semantics.
+///
+/// Implementations must return `true` iff the update was *effective*
+/// (duplicate inserts / absent deletes are no-ops), and must guarantee
+/// that applying the inverse of an effective update restores the previous
+/// state: inserts and deletes are their own undo (paper, Section 2),
+/// which is what transactional rollback relies on.
+pub trait ApplyUpdate {
+    /// Applies one update; returns `true` iff state changed.
+    fn apply_update(&mut self, update: &Update) -> bool;
+}
+
+impl ApplyUpdate for crate::Database {
+    fn apply_update(&mut self, update: &Update) -> bool {
+        self.apply(update)
+    }
+}
+
 /// A replayable sequence of updates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateLog {

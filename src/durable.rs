@@ -397,11 +397,6 @@ impl DurableSession {
         let mut replay = Replay::bootstrap(sharded, scan.checkpoint, 0, opts.registry.clone())?;
         replay.feed(scan.records)?;
         let core = replay.settle()?.clone();
-        // Replay publishes on demand only, and a checkpoint load runs
-        // below epochs stamped before it. The session is about to be
-        // shared, so publish the recovered state once, here, where no
-        // tail write is left to copy what the fresh epochs pin.
-        core.force_seq(replay.cursor())?;
         let regs = replay.regs().to_vec();
 
         let wal = instrument(
@@ -594,11 +589,9 @@ impl DurableSession {
         }
         st.wal.commit()?;
         ship(st, head, &recs);
-        // No reader can interleave observations here: the WAL lock
-        // serializes writers, and per-update seq stamps are never
-        // observable below event granularity — the log keeps submission
-        // order even when a multi-shard batch commits per-shard
-        // sub-batches.
+        // The log stamps the batch in submission order; a multi-shard
+        // batch stamps every shard it changes with `head`, where each
+        // holds the timeline's state on its own relations.
         let report = core.apply_batch_prevalidated(updates)?;
         debug_assert_eq!(report.applied, effective.len());
         debug_assert_eq!(core.seq(), head);

@@ -60,7 +60,7 @@
 //!
 //! * [`query`] — query AST/parser, q-hierarchical checks, q-trees, cores,
 //!   and the dichotomy classifier (`cqu-query`).
-//! * [`storage`] — databases, updates, transactions, indexes, workloads
+//! * [`storage`] — databases, updates, indexes, workloads
 //!   (`cqu-storage`).
 //! * [`dynamic`] — the paper's dynamic engine (`cqu-dynamic`).
 //! * [`baseline`] — recompute / IVM / semi-join comparators
@@ -135,6 +135,6 @@ pub mod prelude {
     pub use cqu_query::{
         core_of, parse_query, Classification, Query, QueryBuilder, QueryError, Schema, Var, Verdict,
     };
-    pub use cqu_storage::{ApplyUpdate, Const, Database, Transaction, Update, UpdateLog};
+    pub use cqu_storage::{ApplyUpdate, Const, Database, Update, UpdateLog};
     pub use cqu_wal::{FsDir, FsyncPolicy, WalDir};
 }

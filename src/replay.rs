@@ -21,12 +21,13 @@
 //! * `SeqBurn` moves the counter past numbers a rollback consumed;
 //! * every run, group and burn must land the core's seq counter on the
 //!   log's own stamp. The counter is forced only across a real jump
-//!   (bootstrap, a burn, a gap), never papered over afterwards.
+//!   (after a checkpoint load, a burn, a gap), never papered over
+//!   afterwards.
 //!
-//! Replay publishes epochs on demand only, and a checkpoint loads into a
-//! core whose epochs were stamped before the load. Whoever shares the
-//! core publishes it first, once (`force_seq` at the cursor): recovery
-//! after the whole scan, a replica after each bootstrap.
+//! Replay positions the counter and publishes no epoch
+//! ([`Session::force_seq`]): whoever reads the core next publishes what
+//! it looks at (a locked read, or acquiring a `PinReader`), and a
+//! replica's applier keeps held readers fresh from there.
 //!
 //! The checkpoint body codec lives here with its one reader, as does the
 //! choice of the core's form ([`build_core`]).
@@ -303,14 +304,8 @@ impl Replay {
                 }
                 replay.regs = body.regs;
                 let core = build_core(sharded, &replay.regs, replay.registry.as_ref())?;
-                // The load draws one seq per tuple, so it starts that far
-                // below the checkpoint's seq and lands on it. Forcing the
-                // counter after the load instead would publish an epoch
-                // over every loaded component, and the tail's first write
-                // to each would copy it; the owner publishes when the
-                // tail is in (see the module docs).
-                let tuples: u64 = body.rels.iter().map(|(_, t)| t.len() as u64).sum();
-                core.force_seq(seq.saturating_sub(tuples))?;
+                // The load draws one seq per tuple from zero; `adopt`
+                // forces the counter onto the checkpoint's seq.
                 load_ckpt_tuples(&core, body.rels)?;
                 replay.cursor = seq;
                 replay.adopt(core)?;
@@ -355,11 +350,11 @@ impl Replay {
     /// Applies one run of plain updates (`group_end: None`) or one
     /// committed group where its stamps say. The counter is positioned
     /// just below the first stamp: in steady state it already sits there
-    /// and nothing is called; only a gap in the stream pays
-    /// [`ShardedSession::force_seq`], which republishes every epoch, and
-    /// it never moves back. Then the landing check: every update the log
-    /// carries was effective when logged, so replaying it must draw
-    /// exactly its stamps, or the state has diverged from the log's.
+    /// and nothing is called; only a gap in the stream calls
+    /// [`ShardedSession::force_seq`], and it never moves back. Then the
+    /// landing check: every update the log carries was effective when
+    /// logged, so replaying it must draw exactly its stamps, or the
+    /// state has diverged from the log's.
     fn apply_stamped(&mut self, run: SeqRun, group_end: Option<u64>) -> Result<(), DurableError> {
         let first = run.first_seq;
         let below = first
@@ -690,8 +685,9 @@ mod tests {
         assert_eq!(rows(&replay), vec![vec![1, 2]]);
     }
 
-    /// A gap pays one `force_seq` (every epoch republished: one per
-    /// registration); consecutive stamps before and after it pay none.
+    /// A gap forces the counter across it, once, and positioning
+    /// publishes nothing: the first epoch after the bootstrap is the one
+    /// a reader asks for, stamped where the counter was forced to.
     #[test]
     fn a_gap_forces_the_counter_once() {
         let registry = Arc::new(Registry::new());
@@ -700,18 +696,17 @@ mod tests {
         let publications = registry.counter("session_epoch_publications_total");
         let before = publications.get();
         replay.feed(vec![e(3, 3, 2)]).unwrap();
-        assert_eq!(
-            publications.get(),
-            before,
-            "consecutive stamps force nothing"
-        );
         // Seqs 4..=6 never reached the log (a burn that failed to land).
         replay.feed(vec![e(7, 4, 2), e(8, 5, 2)]).unwrap();
-        assert_eq!(publications.get(), before + 1, "the gap forces once");
-        replay.feed(vec![e(9, 6, 2)]).unwrap();
-        assert_eq!(publications.get(), before + 1, "and then never again");
-        assert_eq!(replay.cursor(), 9);
+        assert_eq!(replay.core().unwrap().seq(), 8, "forced over the gap");
+        replay
+            .feed(vec![e(9, 6, 2), Rec::SeqBurn { upto: 12 }])
+            .unwrap();
+        assert_eq!(publications.get(), before, "replay publishes nothing");
+        assert_eq!(replay.cursor(), 12);
         assert_eq!(rows(&replay).len(), 5);
+        assert_eq!(publications.get(), before + 1, "the locked read did");
+        assert_eq!(replay.core().unwrap().snapshot("q").unwrap().seq(), 12);
     }
 
     #[test]

@@ -51,9 +51,9 @@
 //! (`Session::publish_watched`). A replica nobody pins lock-free never
 //! copies a component: a replicated commit costs what it costs on the
 //! leader, O(δ). A held `PinReader` still costs one copy of each touched
-//! component per commit, as a retained pin does on the leader. The seq
-//! counter is forced (`Session::force_seq`, which republishes
-//! everything) only for a real jump: bootstrap, a `SeqBurn`, a gap.
+//! component per commit, as a retained pin does on the leader. Forcing
+//! the seq counter across a jump (`Session::force_seq`: after a
+//! checkpoint load, over a `SeqBurn`, over a gap) publishes nothing.
 //!
 //! ## Bootstrap, resume, epochs
 //!
@@ -240,12 +240,6 @@ impl ReplicaApply for SessionApplier {
         let replay = Replay::bootstrap(sharded, checkpoint, self.ring_cap, self.registry.clone())
             .map_err(err_str)?;
         let cursor = replay.cursor();
-        if let Some(core) = replay.core() {
-            // Replay publishes on demand only, and a checkpoint load runs
-            // below epochs stamped before it. Readers get this core
-            // next, so publish the bootstrap's state once.
-            core.force_seq(cursor).map_err(err_str)?;
-        }
         self.replay = Some(replay);
         self.mirror();
         // A re-bootstrap may land behind the old state (a promoted

@@ -1,14 +1,14 @@
-//! Glue between the engine and the network: the [`FeedSource`]
-//! implementation over the concurrent session core, plus a convenience
-//! launcher.
+//! The session core as a [`FeedSource`], plus a convenience launcher.
 //!
-//! The serving stack is layered so `cqu-serve` stays engine-agnostic:
-//! the server runtime talks to a [`FeedSource`] of wire-level rows
-//! (`Vec<u64>` — type-identical to the engine's `Tuple`, so conversion
-//! is a clone, never a re-encoding), and this module adapts the session
-//! layer to that contract. One source body ([`CoreSource`]) serves the
-//! core in either form — snapshots pin epochs, feeds subscribe, replay
-//! nets the per-query retention ring
+//! `cqu-serve` stays engine-agnostic by running against a
+//! [`FeedSource`], and the change feed has one vocabulary from the
+//! engine to the socket ([`cqu_serve::backpressure`]): the
+//! `Arc<ChangeEvent>` a commit publishes is the one the server's pump
+//! receives, queues and encodes, and a resume cursor gets the session's
+//! own [`ReplayOutcome`]. So this module converts
+//! nothing but errors. One source body ([`CoreSource`]) serves the core
+//! in either form — snapshots pin epochs, feeds subscribe, replay nets
+//! the per-query retention ring
 //! ([`QueryHandle::retain_deltas`](crate::session::QueryHandle::retain_deltas)
 //! is enabled on every query), all on the one global seq timeline, so a
 //! client cannot tell the deployments apart — behind two constructors:
@@ -30,14 +30,12 @@
 //! ```
 
 use crate::error::CqError;
-use crate::session::{ChangeEvent, ReplayOutcome, SharedSession, Subscription};
+use crate::session::{ChangeEvent, ReplayOutcome, SharedSession};
 use crate::shard::ShardedSession;
-use cqu_serve::server::{FeedDelta, FeedPoll, FeedSource, FeedStream, Replay, SourceError};
-use cqu_serve::{Row, ServeConfig, Server};
+use cqu_serve::server::{FeedSource, SourceError};
+use cqu_serve::{Receiver, Row, ServeConfig, Server};
 use std::net::ToSocketAddrs;
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use cqu_serve::server::ServerStats;
 pub use cqu_serve::{Client, ClientError, Frame, LagPolicy, Mirror, SubscribeMode};
@@ -47,43 +45,6 @@ fn source_err(e: CqError) -> SourceError {
         CqError::UnknownQuery(name) => SourceError::UnknownQuery(name),
         CqError::DuplicateQuery(name) => SourceError::Invalid(format!("duplicate query {name:?}")),
         other => SourceError::Invalid(other.to_string()),
-    }
-}
-
-fn to_delta(event: &ChangeEvent) -> FeedDelta {
-    FeedDelta {
-        seq: event.seq,
-        added: event.added.clone(),
-        removed: event.removed.clone(),
-    }
-}
-
-fn to_replay(outcome: ReplayOutcome) -> Replay {
-    match outcome {
-        ReplayOutcome::Covered { upto, event } => Replay::Netted {
-            upto,
-            delta: event.map(|e| to_delta(&e)),
-        },
-        ReplayOutcome::Unavailable { floor } => Replay::Evicted {
-            // Retention disabled: no cursor is ever servable.
-            floor: floor.unwrap_or(u64::MAX),
-        },
-    }
-}
-
-/// A [`Subscription`] as a serving feed: converts each
-/// `Arc<ChangeEvent>` into a wire [`FeedDelta`] — one row-clone per
-/// commit per query server-wide, since the server opens exactly one
-/// feed per query.
-struct SubscriptionFeed(Subscription);
-
-impl FeedStream for SubscriptionFeed {
-    fn recv_timeout(&mut self, timeout: Duration) -> FeedPoll {
-        match self.0.recv_timeout_raw(timeout) {
-            Ok(event) => FeedPoll::Event(to_delta(&event)),
-            Err(RecvTimeoutError::Timeout) => FeedPoll::Empty,
-            Err(RecvTimeoutError::Disconnected) => FeedPoll::Closed,
-        }
     }
 }
 
@@ -167,16 +128,13 @@ impl<H: Send + Sync + 'static> FeedSource for CoreSource<H> {
         Ok((snap.seq(), snap.results_sorted()))
     }
 
-    fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
-        self.core
-            .replay_since(name, from_seq)
-            .map(to_replay)
-            .map_err(source_err)
+    fn replay(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, SourceError> {
+        self.core.replay_since(name, from_seq).map_err(source_err)
     }
 
-    fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
+    fn open_feed(&self, name: &str) -> Result<Receiver<Arc<ChangeEvent>>, SourceError> {
         let sub = self.core.subscribe(name).map_err(source_err)?;
-        Ok(Box::new(SubscriptionFeed(sub)))
+        Ok(sub.into_receiver())
     }
 
     fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
@@ -280,14 +238,14 @@ impl FeedSource for ReplicaSource {
         Ok((snap.seq(), snap.results_sorted()))
     }
 
-    fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
+    fn replay(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, SourceError> {
         let outcome = self.core()?.replay_since(name, from_seq);
-        outcome.map(to_replay).map_err(source_err)
+        outcome.map_err(source_err)
     }
 
-    fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
+    fn open_feed(&self, name: &str) -> Result<Receiver<Arc<ChangeEvent>>, SourceError> {
         let sub = self.core()?.subscribe(name).map_err(source_err)?;
-        Ok(Box::new(SubscriptionFeed(sub)))
+        Ok(sub.into_receiver())
     }
 
     fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {

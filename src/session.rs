@@ -78,13 +78,14 @@ use cqu_obs::{Counter, Histogram, Registry};
 use cqu_query::classify::{classify, Classification, Verdict};
 use cqu_query::hierarchical::{q_hierarchical_violation, Violation};
 use cqu_query::{parse_query, Query, QueryBuilder, QueryError, RelId, Schema};
-use cqu_serve::backpressure::{BoundedQueue, TryRecv};
-use cqu_serve::ring::SeqRing;
+use cqu_serve::{BoundedQueue, Receiver, SeqRing};
 use cqu_storage::{ApplyUpdate, Database, Tuple, Update};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+pub use cqu_serve::{ChangeEvent, ReplayOutcome};
 
 /// Locks an internal fine-grained mutex, shrugging off poisoning: the
 /// guarded state (subscriber lists, snapshot caches) is replaced
@@ -111,105 +112,73 @@ pub enum EngineChoice {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryId(usize);
 
-/// One result-set delta, published to [`Subscription`]s after every
-/// effective [`Session::apply`] / [`Session::apply_batch`] — or, inside a
-/// [`Session::transaction`], once at commit with the transaction's net
-/// delta (nothing at all on rollback).
+/// The receiving end of a [`QueryHandle::subscribe`] change feed: the
+/// uncapped face of the feed queue.
 ///
-/// Events are delivered as [`Arc<ChangeEvent>`]: one allocation per
-/// update, shared by every subscriber on the query (multi-subscriber
-/// fan-out never clones the payload).
-///
-/// Both sides are sorted and duplicate-free; a tuple never appears on
-/// both sides of one event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChangeEvent {
-    /// Session-wide sequence number of the causing update (for batches
-    /// and transactions: of their last effective update).
-    pub seq: u64,
-    /// Result tuples that entered `ϕ(D)`.
-    pub added: Vec<Tuple>,
-    /// Result tuples that left `ϕ(D)`.
-    pub removed: Vec<Tuple>,
-}
-
-/// The receiving end of a [`QueryHandle::subscribe`] change feed.
-///
-/// Events accumulate until polled; dropping the subscription detaches it
-/// (the session prunes dead feeds before its next delta extraction).
-/// Subscriptions are `Send`: hand one to a reader thread and drain it
-/// there while the session keeps applying updates.
+/// Events accumulate until polled; dropping the subscription closes its
+/// queue, and the session forgets a closed queue before its next delta
+/// extraction. Subscriptions are `Send`: hand one to a reader thread
+/// and drain it there while the session keeps applying updates.
 #[derive(Debug)]
 pub struct Subscription {
     rx: Receiver<Arc<ChangeEvent>>,
-    _alive: Arc<()>,
 }
 
 impl Subscription {
     /// Takes the next pending event, if any (non-blocking).
     pub fn poll(&self) -> Option<Arc<ChangeEvent>> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv().item()
     }
 
     /// Drains all pending events (non-blocking).
     pub fn drain(&self) -> Vec<Arc<ChangeEvent>> {
-        std::iter::from_fn(|| self.poll()).collect()
+        self.rx.drain()
     }
 
     /// Blocks until the next event arrives; `None` once the feed is
-    /// disconnected (the session — or its query — was dropped).
+    /// closed (the session — or its query — was dropped) and drained.
     pub fn recv(&self) -> Option<Arc<ChangeEvent>> {
-        self.rx.recv().ok()
+        self.rx.recv()
     }
 
     /// Blocks up to `timeout` for the next event.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<ChangeEvent>> {
-        self.rx.recv_timeout(timeout).ok()
+        self.rx.recv_timeout(timeout).item()
     }
 
-    /// Like [`Subscription::recv_timeout`], but distinguishes an idle
-    /// feed from a closed one (session or query dropped) — the serving
-    /// layer needs the difference to tear down fan-out pumps.
-    pub(crate) fn recv_timeout_raw(
-        &self,
-        timeout: Duration,
-    ) -> Result<Arc<ChangeEvent>, std::sync::mpsc::RecvTimeoutError> {
-        self.rx.recv_timeout(timeout)
+    /// The queue end itself: what the serving layer's fan-out pump
+    /// polls, where an idle feed and a closed one must differ.
+    pub(crate) fn into_receiver(self) -> Receiver<Arc<ChangeEvent>> {
+        self.rx
     }
 }
 
 /// The receiving end of a [`QueryHandle::subscribe_bounded`] change
-/// feed: at most `cap` events are ever pending. When the consumer falls
-/// behind, the session **coalesces** — pending events plus the new one
-/// are netted into a single exact catch-up event — instead of growing
-/// the queue or blocking the writer. The same lag policy network
-/// subscribers get, for in-process feeds.
+/// feed: the same queue end with a capacity, so at most `cap` events
+/// are ever pending. When the consumer falls behind, the session
+/// **coalesces** — pending events plus the new one are netted into a
+/// single exact catch-up event — instead of growing the queue or
+/// blocking the writer. The same lag policy network subscribers get,
+/// for in-process feeds.
 #[derive(Debug)]
 pub struct BoundedSubscription {
-    queue: Arc<BoundedQueue<Arc<ChangeEvent>>>,
-    _alive: Arc<()>,
+    feed: Subscription,
 }
 
 impl BoundedSubscription {
     /// Takes the next pending event, if any (non-blocking).
     pub fn poll(&self) -> Option<Arc<ChangeEvent>> {
-        match self.queue.try_recv() {
-            TryRecv::Item(e) => Some(e),
-            TryRecv::Empty | TryRecv::Closed => None,
-        }
+        self.feed.poll()
     }
 
     /// Drains all pending events (non-blocking).
     pub fn drain(&self) -> Vec<Arc<ChangeEvent>> {
-        self.queue.drain()
+        self.feed.drain()
     }
 
     /// Blocks up to `timeout` for the next event.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<ChangeEvent>> {
-        match self.queue.recv_timeout(timeout) {
-            TryRecv::Item(e) => Some(e),
-            TryRecv::Empty | TryRecv::Closed => None,
-        }
+        self.feed.recv_timeout(timeout)
     }
 
     /// How many times the session had to coalesce because this consumer
@@ -217,18 +186,12 @@ impl BoundedSubscription {
     /// same net delta the individual events would have, so a nonzero
     /// count means coarser granularity, never lost changes.
     pub fn coalesced(&self) -> u64 {
-        self.queue.coalesced()
+        self.feed.rx.coalesced()
     }
 
     /// Number of events currently pending (≤ the subscribed capacity).
     pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-}
-
-impl Drop for BoundedSubscription {
-    fn drop(&mut self) {
-        self.queue.close();
+        self.feed.rx.len()
     }
 }
 
@@ -262,27 +225,6 @@ pub enum Resume {
     },
 }
 
-/// What [`QueryHandle::replay_since`] could recover from the retention
-/// ring.
-#[derive(Debug)]
-pub enum ReplayOutcome {
-    /// The cursor is covered: `event` is the netted delta stream
-    /// `from_seq → upto` (`None` when it nets to nothing).
-    Covered {
-        /// The seq the replay catches the caller up to
-        /// (`max(from_seq, last retained seq)`).
-        upto: u64,
-        /// The netted catch-up delta, stamped `upto`.
-        event: Option<ChangeEvent>,
-    },
-    /// The cursor predates the ring's floor (`Some`) or retention was
-    /// never enabled (`None`): only a snapshot resync can help.
-    Unavailable {
-        /// The ring's current coverage floor, if retention is on.
-        floor: Option<u64>,
-    },
-}
-
 /// Why the auto-router chose the engine it chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteReason {
@@ -298,67 +240,34 @@ pub enum RouteReason {
     Forced,
 }
 
-/// Where a feed endpoint delivers its events.
-enum Sink {
-    /// Unbounded mpsc ([`QueryHandle::subscribe`]).
-    Channel(Sender<Arc<ChangeEvent>>),
-    /// Bounded coalescing queue ([`QueryHandle::subscribe_bounded`]).
-    Bounded(Arc<BoundedQueue<Arc<ChangeEvent>>>),
-}
-
-impl Sink {
-    /// Delivers one event; `false` means the consumer is gone and the
-    /// subscriber should be pruned.
-    fn deliver(&self, event: &Arc<ChangeEvent>) -> bool {
-        match self {
-            Sink::Channel(tx) => tx.send(Arc::clone(event)).is_ok(),
-            Sink::Bounded(q) => {
-                q.push_coalescing(Arc::clone(event), |all| Arc::new(net_events(all)))
-            }
-        }
-    }
-}
-
-/// Nets a run of per-query events into one exact catch-up event stamped
-/// with the last seq — the coalescing function for bounded feeds and the
-/// replay function for resume cursors. The net delta may be empty (the
-/// changes cancelled); callers decide whether an empty event is worth
-/// delivering.
-fn net_events<E: std::borrow::Borrow<ChangeEvent>>(events: Vec<E>) -> ChangeEvent {
-    let seq = events
-        .last()
-        .map(|e| e.borrow().seq)
-        .expect("netting requires at least one event");
-    let mut delta = ResultDelta::default();
-    for e in events {
-        let e = e.borrow();
-        delta.added.extend(e.added.iter().cloned());
-        delta.removed.extend(e.removed.iter().cloned());
-    }
-    delta.normalize();
-    ChangeEvent {
-        seq,
-        added: delta.added,
-        removed: delta.removed,
-    }
-}
-
-/// One feed endpoint: the sink plus a liveness token mirroring the
-/// subscription's lifetime, so dead feeds can be pruned without
-/// sending.
-struct Subscriber {
-    sink: Sink,
-    alive: Weak<()>,
-}
-
-/// A query's change-feed state: the live subscribers and, when serving
-/// enables it, the bounded seq-keyed delta retention ring that resume
-/// cursors replay from. One mutex guards both so ring retention and
-/// fan-out observe events in the same order atomically.
+/// A query's change-feed state: the live subscribers' queues and, when
+/// serving enables it, the bounded seq-keyed delta retention ring that
+/// resume cursors replay from. One mutex guards both so ring retention
+/// and fan-out observe events in the same order atomically.
 #[derive(Default)]
 struct FeedState {
-    subs: Vec<Subscriber>,
+    subs: Vec<Arc<BoundedQueue<Arc<ChangeEvent>>>>,
     ring: Option<SeqRing<Arc<ChangeEvent>>>,
+}
+
+impl FeedState {
+    /// Forgets the queues whose consumer is gone and returns how many
+    /// stay. Runs before every tracked update, so a detached feed stops
+    /// costing delta extraction immediately.
+    fn prune(&mut self) -> usize {
+        self.subs.retain(|q| !q.is_closed());
+        self.subs.len()
+    }
+}
+
+impl Drop for FeedState {
+    /// A registration that goes away (with its session) closes its
+    /// subscribers' queues: they drain what is pending, then see the end.
+    fn drop(&mut self) {
+        for queue in &self.subs {
+            queue.close();
+        }
+    }
 }
 
 /// One published epoch of a query: an immutable, internally consistent
@@ -440,23 +349,13 @@ impl Registered {
         self.relevant.get(rel.index()).copied().unwrap_or(false)
     }
 
-    /// Prunes dropped subscriptions and returns how many remain — called
-    /// before every tracked update so detached feeds stop costing delta
-    /// extraction immediately.
-    fn prune_subscribers(&self) -> usize {
-        let mut feed = lock(&self.feed);
-        feed.subs.retain(|s| s.alive.strong_count() > 0);
-        feed.subs.len()
-    }
-
     /// Whether the write path must extract result deltas for this query:
     /// someone is subscribed, or delta retention is enabled (the ring
     /// must see every event, subscribers or not, to keep resume cursors
     /// servable).
     fn wants_deltas(&self) -> bool {
         let mut feed = lock(&self.feed);
-        feed.subs.retain(|s| s.alive.strong_count() > 0);
-        !feed.subs.is_empty() || feed.ring.is_some()
+        feed.prune() > 0 || feed.ring.is_some()
     }
 
     /// Publishes a normalized engine-produced delta; empty deltas are
@@ -477,8 +376,11 @@ impl Registered {
         if let Some(ring) = feed.ring.as_mut() {
             ring.push(seq, Arc::clone(&event));
         }
-        feed.subs
-            .retain(|s| s.alive.strong_count() > 0 && s.sink.deliver(&event));
+        feed.subs.retain(|queue| {
+            queue.push_coalescing(Arc::clone(&event), |all| {
+                Arc::new(ChangeEvent::net(all.iter().map(|e| &**e)))
+            })
+        });
     }
 
     /// Returns the published epoch for the *current* engine version,
@@ -612,6 +514,22 @@ impl StagedQuery {
     }
 }
 
+/// The members of a batch that changed the master database
+/// ([`Session::apply_batch_to_db`]), awaiting their engines and their
+/// stamp ([`Session::publish_batch`]).
+pub(crate) struct EffectiveBatch<'a> {
+    updates: Cow<'a, [Update]>,
+    /// When the first half began, if the session is instrumented.
+    start: Option<Instant>,
+}
+
+impl EffectiveBatch<'_> {
+    /// How many seqs the batch draws: one per effective update.
+    pub(crate) fn len(&self) -> usize {
+        self.updates.len()
+    }
+}
+
 /// A set of named queries maintained together under one update stream.
 ///
 /// `Session` is `Send + Sync`; writers are serialized through `&mut self`
@@ -737,22 +655,23 @@ impl Session {
         self.seq
     }
 
-    /// Recovery hook: forces the sequence counter to `seq` and
-    /// republishes every registration's epoch stamped with it.
+    /// Replay hook: positions the sequence counter at `seq` and marks
+    /// every registration's epoch stale. It publishes nothing: an epoch
+    /// is published by a locked read, by acquiring a [`PinReader`], by
+    /// the writer on a pin's demand
+    /// ([`Registered::republish_on_demand`]) or by the replica's applier
+    /// ([`Session::publish_watched`]), never as a side effect of
+    /// positioning — so positioning pins no component and costs the
+    /// next write no copy.
     ///
     /// Replaying a log applies updates through the normal dispatch path,
-    /// which draws fresh sequence numbers from zero — numbers that do
-    /// not match the log's stamps whenever rollbacks burned part of the
-    /// budget in a previous life. The durable layer replays first, then
-    /// forces the counter to the last durable seq so post-recovery
-    /// updates and subscriber cursors continue the original timeline.
-    /// Only sound while no readers are attached (recovery runs before
-    /// the session is shared), which is why it stays crate-private.
-    ///
-    /// A replica also calls it on a live core, but only for a real jump
-    /// of the counter (bootstrap, a `SeqBurn`, a gap in the stream),
-    /// never per commit: the fresh epochs hold an `Arc` on every
-    /// component, so the next write to each one copies it.
+    /// which draws fresh sequence numbers; they match the log's stamps
+    /// only where the log has no jump. The replay machine
+    /// (`src/replay.rs`) calls this across each real jump (after a
+    /// checkpoint load, over a `SeqBurn`, over a gap in the stream), so
+    /// post-recovery updates and subscriber cursors continue the
+    /// original timeline. The state is unchanged across the call; the
+    /// stale mark makes the next publication carry the new stamp.
     pub(crate) fn force_seq(&mut self, seq: u64) {
         if let Some(source) = &self.seq_source {
             source.store(seq, Ordering::Relaxed);
@@ -760,7 +679,6 @@ impl Session {
         self.seq = seq;
         for reg in &mut self.regs {
             reg.touch();
-            reg.publish_epoch(seq, reg.footprint_gen);
         }
     }
 
@@ -1133,13 +1051,38 @@ impl Session {
     /// shard router, which has already validated every update against
     /// the (identical) union schema and must not pay for it twice.
     pub(crate) fn apply_batch_prevalidated(&mut self, updates: &[Update]) -> UpdateReport {
+        let batch = self.apply_batch_to_db(updates);
+        let applied = batch.len();
+        if applied > 0 {
+            // Each effective member advances the stream position,
+            // exactly as if applied singly — so a snapshot's `seq()`
+            // always counts effective updates, batched or not — but
+            // subscribers still get one netted event, stamped with the
+            // last member's number.
+            let stamp = self.advance_seq(applied as u64);
+            self.publish_batch(batch, stamp);
+        }
+        UpdateReport {
+            total: updates.len(),
+            applied,
+        }
+    }
+
+    /// First half of a batch: applies `updates` to the master database
+    /// and returns the effective subset. Only updates that change the
+    /// database can concern any engine: set-semantics no-ops are dropped
+    /// here, so an engine whose relations saw only no-ops is skipped
+    /// entirely. The common all-effective batch stays zero-copy (`kept`
+    /// only materializes once the first no-op appears).
+    ///
+    /// The engines lag the database until [`Session::publish_batch`]
+    /// runs; the caller holds the session exclusively across both. The
+    /// halves are apart so that the shard router can apply a batch to
+    /// every shard it spans, draw the batch's seq range once, and stamp
+    /// every shard with the range's head (each shard's state then *is*
+    /// the timeline's at that seq, on its own relations).
+    pub(crate) fn apply_batch_to_db<'a>(&mut self, updates: &'a [Update]) -> EffectiveBatch<'a> {
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        // Only updates that change the master database can concern any
-        // engine: set-semantics no-ops are dropped here, so an engine
-        // whose relations saw only no-ops is skipped entirely — no batch
-        // call, no delta extraction, no (empty) publish. The common
-        // all-effective batch stays zero-copy (`kept` only materializes
-        // once the first no-op appears).
         let mut kept: Option<Vec<Update>> = None;
         for (i, u) in updates.iter().enumerate() {
             match (self.db.apply(u), &mut kept) {
@@ -1149,19 +1092,22 @@ impl Session {
                 (false, Some(_)) => {}
             }
         }
-        let effective: &[Update] = kept.as_deref().unwrap_or(updates);
-        let applied = effective.len();
-        if applied == 0 {
-            return UpdateReport {
-                total: updates.len(),
-                applied: 0,
-            };
+        EffectiveBatch {
+            updates: kept.map_or(Cow::Borrowed(updates), Cow::Owned),
+            start,
         }
-        // Each effective member advances the stream position, exactly as
-        // if applied singly — so a snapshot's `seq()` always counts
-        // effective updates, batched or not — but subscribers still get
-        // one netted event, stamped with the last member's number.
-        self.advance_seq(applied as u64);
+    }
+
+    /// Second half of a batch: runs every concerned engine over the
+    /// effective updates and publishes at `stamp`, the batch's last seq
+    /// (the caller drew the numbers). An empty batch publishes nothing
+    /// and leaves the session's position alone.
+    pub(crate) fn publish_batch(&mut self, batch: EffectiveBatch<'_>, stamp: u64) {
+        let effective: &[Update] = &batch.updates;
+        if effective.is_empty() {
+            return;
+        }
+        self.seq = stamp;
         let mut filtered: Vec<Update> = Vec::new();
         for reg in &mut self.regs {
             // Zero-copy when every effective update concerns this query;
@@ -1193,23 +1139,19 @@ impl Session {
             if reg.wants_deltas() {
                 let mut delta = ResultDelta::default();
                 reg.engine.apply_batch_tracked(routed, &mut delta);
-                reg.publish(self.seq, delta);
+                reg.publish(stamp, delta);
             } else {
                 reg.engine.apply_batch(routed);
             }
             // One epoch publication per batch, stamped with the batch's
             // final stream position (a transaction cannot be open here:
             // it holds the session `&mut`).
-            reg.republish_on_demand(self.seq);
+            reg.republish_on_demand(stamp);
         }
-        if let (Some(m), Some(t0)) = (self.metrics.as_ref(), start) {
+        if let (Some(m), Some(t0)) = (self.metrics.as_ref(), batch.start) {
             m.batches.inc();
-            m.updates.add(applied as u64);
+            m.updates.add(effective.len() as u64);
             m.commit_latency_ns.record(t0.elapsed().as_nanos() as u64);
-        }
-        UpdateReport {
-            total: updates.len(),
-            applied,
         }
     }
 
@@ -1277,9 +1219,8 @@ impl Session {
 }
 
 impl ApplyUpdate for Session {
-    /// Pre-validated routing — e.g. for driving a session through a bare
-    /// [`cqu_storage::Transaction`]; panics on malformed updates
-    /// (validate first).
+    /// Pre-validated routing (the shard router validates against the
+    /// identical union schema first); panics on malformed updates.
     fn apply_update(&mut self, update: &Update) -> bool {
         self.dispatch(update)
     }
@@ -1480,8 +1421,9 @@ impl<'a> QueryHandle<'a> {
     /// are buffered and emitted once, netted, at commit.
     ///
     /// Every subscriber receives the *same* `Arc<ChangeEvent>` per
-    /// update: fan-out costs one channel send per subscriber, never a
-    /// payload clone.
+    /// update: fan-out costs one queue push per subscriber, never a
+    /// payload clone. This is [`QueryHandle::subscribe_bounded`] with no
+    /// cap: a consumer that stops polling holds every event since.
     ///
     /// Cost model: engines with native delta extraction
     /// ([`DynamicEngine::delta_hint`] — the q-hierarchical engine,
@@ -1490,13 +1432,7 @@ impl<'a> QueryHandle<'a> {
     /// without it (recompute, semi-join) pay a full result enumeration
     /// and diff per update while subscribed.
     pub fn subscribe(&self) -> Subscription {
-        let (tx, rx) = channel();
-        let alive = Arc::new(());
-        lock(&self.reg.feed).subs.push(Subscriber {
-            sink: Sink::Channel(tx),
-            alive: Arc::downgrade(&alive),
-        });
-        Subscription { rx, _alive: alive }
+        self.subscribe_bounded(usize::MAX).feed
     }
 
     /// Opens a **bounded** change feed holding at most `cap` pending
@@ -1514,15 +1450,10 @@ impl<'a> QueryHandle<'a> {
     /// when the changes cancelled, which still advances the consumer's
     /// cursor to its `seq`.
     pub fn subscribe_bounded(&self, cap: usize) -> BoundedSubscription {
-        let queue = Arc::new(BoundedQueue::new(cap));
-        let alive = Arc::new(());
-        lock(&self.reg.feed).subs.push(Subscriber {
-            sink: Sink::Bounded(Arc::clone(&queue)),
-            alive: Arc::downgrade(&alive),
-        });
+        let (queue, rx) = BoundedQueue::channel(cap);
+        lock(&self.reg.feed).subs.push(queue);
         BoundedSubscription {
-            queue,
-            _alive: alive,
+            feed: Subscription { rx },
         }
     }
 
@@ -1561,26 +1492,10 @@ impl<'a> QueryHandle<'a> {
     /// opening a feed (the serving layer runs its own fan-out and calls
     /// this per reconnecting client).
     pub fn replay_since(&self, from_seq: u64) -> ReplayOutcome {
-        let feed = lock(&self.reg.feed);
-        let Some(ring) = feed.ring.as_ref() else {
-            return ReplayOutcome::Unavailable { floor: None };
-        };
-        if !ring.covers(from_seq) {
-            return ReplayOutcome::Unavailable {
-                floor: Some(ring.floor()),
-            };
+        match lock(&self.reg.feed).ring.as_ref() {
+            Some(ring) => ring.replay_since(from_seq),
+            None => ReplayOutcome::Unavailable { floor: None },
         }
-        let events: Vec<&ChangeEvent> = ring.since(from_seq).map(|(_, e)| &**e).collect();
-        let upto = from_seq.max(ring.head());
-        if events.is_empty() {
-            return ReplayOutcome::Covered { upto, event: None };
-        }
-        let mut event = net_events(events);
-        // The catch-up covers the whole retained span, whatever the seq
-        // of the last non-empty constituent was.
-        event.seq = upto;
-        let event = (!event.added.is_empty() || !event.removed.is_empty()).then_some(event);
-        ReplayOutcome::Covered { upto, event }
     }
 
     /// Resumes a change feed from a cursor: the returned [`Resume`]
@@ -1614,7 +1529,7 @@ impl<'a> QueryHandle<'a> {
     /// Number of live subscriptions on this query (dropped feeds are
     /// pruned first).
     pub fn subscriber_count(&self) -> usize {
-        self.reg.prune_subscribers()
+        lock(&self.reg.feed).prune()
     }
 }
 

@@ -575,7 +575,8 @@ impl ShardedSession {
     /// one sub-batch per shard — per-shard order is preserved, and since
     /// every query's footprint lives inside a single shard, every query
     /// observes exactly the relative order of the updates that concern
-    /// it.
+    /// it. The batch draws one contiguous seq range and every shard it
+    /// changed is stamped with the range's last number.
     pub fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, CqError> {
         if self.inner.open {
             return self.write_shard(0)?.apply_batch(updates);
@@ -613,7 +614,13 @@ impl ShardedSession {
             return Ok(report);
         }
         // Multi-shard: split into per-shard sub-batches (order preserved
-        // within each), lock ascending, commit each sub-batch.
+        // within each) and lock ascending. Every shard applies its part
+        // to its database first; then the whole range is drawn at once
+        // and every touched shard publishes at its head. The log stamps
+        // the batch in submission order, so a range per shard would
+        // hand a shard a stamp whose timeline state it does not hold;
+        // at the batch head each shard holds exactly the timeline's
+        // state on its own relations.
         let mut groups: Vec<Vec<Update>> = vec![Vec::new(); self.inner.shards.len()];
         for u in updates {
             groups[self.route(u.relation())].push(u.clone());
@@ -622,13 +629,20 @@ impl ShardedSession {
             .filter(|&s| !groups[s].is_empty())
             .collect();
         let mut guards = self.lock_shards(&touched)?;
-        let mut applied = 0;
-        for (guard, &sid) in guards.iter_mut().zip(&touched) {
-            let sub = guard.apply_batch_prevalidated(&groups[sid]).applied;
+        let parts: Vec<_> = guards
+            .iter_mut()
+            .zip(&touched)
+            .map(|(guard, &sid)| guard.apply_batch_to_db(&groups[sid]))
+            .collect();
+        let applied: usize = parts.iter().map(|part| part.len()).sum();
+        // Relaxed, as in `Session::advance_seq`: uniqueness carries the
+        // argument, and the stamp is read through the shard locks.
+        let head = self.inner.seq.fetch_add(applied as u64, Ordering::Relaxed) + applied as u64;
+        for ((guard, part), &sid) in guards.iter_mut().zip(parts).zip(&touched) {
             if let Some(m) = metrics {
-                m.shard_commits[sid].add(sub as u64);
+                m.shard_commits[sid].add(part.len() as u64);
             }
-            applied += sub;
+            guard.publish_batch(part, head);
         }
         Ok(UpdateReport {
             total: updates.len(),
@@ -842,10 +856,10 @@ impl ShardedSession {
         self.read_shard(name, |s| s.query(name).map(|h| h.count()))?
     }
 
-    /// Recovery hook: forces the shared sequence counter to `seq` and
-    /// restamps every shard (see [`Session::force_seq`]). All shards are
-    /// write-locked together, so the restamp is one atomic cut — sound
-    /// only before the session is shared, hence crate-private.
+    /// Replay hook: positions the shared sequence counter and every
+    /// shard at `seq` (see [`Session::force_seq`]; nothing is
+    /// published). All shards are write-locked together, so the move is
+    /// one atomic cut.
     pub(crate) fn force_seq(&self, seq: u64) -> Result<(), CqError> {
         let all: Vec<usize> = (0..self.inner.shards.len()).collect();
         let mut guards = self.lock_shards(&all)?;

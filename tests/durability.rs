@@ -320,7 +320,8 @@ fn check_recovery(
     assert_eq!(sess.is_sharded(), sharded, "recovered mode");
     let r = sess.seq().unwrap();
     // Lock-free pins first, before a locked read can freshen an epoch:
-    // recovery itself must have published what it recovered.
+    // recovery positions the counter and publishes nothing, so it is
+    // acquiring the reader that must show what was recovered.
     let pins: Vec<QuerySnapshot> = queries
         .iter()
         .map(|(name, _)| pin_reader(&sess, name).pin())
@@ -364,7 +365,10 @@ fn check_recovery(
         .map(|(name, _)| (name.clone(), sess.snapshot(name).unwrap().results_sorted()))
         .collect();
     for (pin, (name, rows)) in pins.iter().zip(&got) {
-        assert_eq!(pin.seq(), r, "{name}: lock-free pin stamped off the head");
+        assert!(
+            pin.seq() <= r,
+            "{name}: lock-free pin stamped past the head"
+        );
         assert_eq!(pin.results_sorted(), *rows, "{name}: lock-free pin");
     }
     let matched = candidates.iter().any(|db| {

@@ -7,10 +7,10 @@
 //! it equals the brute-force `timeline[seq()]`, and its stamp lies
 //! between the last commit that touched the query's relations and
 //! `seq()` (the two coincide for the query the script's last update
-//! touches, so there `pin.seq() == seq()`). One relaxation, shared with
-//! `tests/replication.rs`: a sharded replica applies a run of records
-//! as one batch, which hands each shard a contiguous range of the run's
-//! seqs, so there a stamp is only bounded by `seq()`.
+//! touches, so there `pin.seq() == seq()`). A pin and a locked read are
+//! each a `(seq, state)` pair of the timeline: their rows are
+//! `timeline[their own seq()]`, also when the script was committed as
+//! batches that span shards.
 
 use cq_updates::prelude::*;
 use cqu_testutil::{result_timeline, SimDisk};
@@ -97,7 +97,6 @@ impl Oracle {
         &self,
         what: &str,
         seq: u64,
-        exact_stamps: bool,
         reader: impl Fn(&str) -> PinReader,
         locked: impl Fn(&str) -> QuerySnapshot,
     ) {
@@ -112,7 +111,13 @@ impl Oracle {
                 rows, self.timelines[i][seq as usize],
                 "{what}/{name}: the first lock-free pin is not the current result"
             );
-            let floor = if exact_stamps { self.last_touch(i) } else { 0 };
+            assert_eq!(
+                rows,
+                self.timelines[i][pin.seq() as usize],
+                "{what}/{name}: the pin is not timeline[{}]",
+                pin.seq()
+            );
+            let floor = self.last_touch(i);
             assert!(
                 (floor..=seq).contains(&pin.seq()),
                 "{what}/{name}: pin stamped {} outside {floor}..={seq}",
@@ -120,6 +125,12 @@ impl Oracle {
             );
             let locked = locked(name);
             assert_eq!(locked.results_sorted(), rows, "{what}/{name}: locked read");
+            assert_eq!(
+                rows,
+                self.timelines[i][locked.seq() as usize],
+                "{what}/{name}: the locked read is not timeline[{}]",
+                locked.seq()
+            );
             assert!(
                 (pin.seq()..=seq).contains(&locked.seq()),
                 "{what}/{name}: locked read stamped {} outside {}..={seq}",
@@ -155,6 +166,62 @@ fn commit_all(sess: &DurableSession, o: &Oracle, checkpoint: bool) {
     }
 }
 
+fn sharded_plan() -> ShardedSession {
+    let mut builder = ShardedSessionBuilder::new();
+    for (name, src) in QUERIES {
+        builder.register(name, src).unwrap();
+    }
+    let sharded = builder.build().unwrap();
+    assert_eq!(sharded.shard_count(), 2);
+    sharded
+}
+
+/// Head and tail each interleave both footprints, so committed as two
+/// batches each spans both shards. The log stamps a batch in submission
+/// order; every shard the batch changed is stamped with its last seq,
+/// where the shard holds the timeline's state. (A seq range per shard
+/// stamped `qh` 7 over the state of seq 10.)
+#[test]
+fn multi_shard_batches_are_stamped_with_their_head() {
+    let o = Oracle::new();
+
+    let sharded = sharded_plan();
+    sharded.apply_batch(&o.head).unwrap();
+    sharded.apply_batch(&o.tail).unwrap();
+    o.check(
+        "ShardedSession, batched",
+        sharded.seq(),
+        |n| sharded.reader(n).unwrap(),
+        |n| sharded.snapshot(n).unwrap(),
+    );
+
+    let leader = Arc::new(durable(&SimDisk::new(), true));
+    leader.apply_batch(&o.head).unwrap();
+    leader.apply_batch(&o.tail).unwrap();
+    let plan = leader.sharded().unwrap();
+    o.check(
+        "DurableSession, sharded, batched",
+        leader.seq().unwrap(),
+        |n| plan.reader(n).unwrap(),
+        |n| leader.snapshot(n).unwrap(),
+    );
+
+    let server =
+        ReplicationServer::bind("127.0.0.1:0", Arc::clone(&leader), LeaderConfig::default())
+            .unwrap();
+    let replica = ReplicaSession::connect(server.local_addr(), ReplicaOptions::default()).unwrap();
+    assert!(
+        replica.wait_for_seq(leader.seq().unwrap(), SYNC),
+        "{replica:?}"
+    );
+    o.check(
+        "ReplicaSession, sharded, batched",
+        replica.applied_seq(),
+        |n| replica.reader(n).unwrap(),
+        |n| replica.snapshot(n).unwrap(),
+    );
+}
+
 #[test]
 fn first_lock_free_pin_is_current() {
     let o = Oracle::new();
@@ -169,7 +236,6 @@ fn first_lock_free_pin_is_current() {
     o.check(
         "Session",
         session.seq(),
-        true,
         |n| session.query(n).unwrap().pin_reader(),
         |n| session.query(n).unwrap().snapshot(),
     );
@@ -184,24 +250,17 @@ fn first_lock_free_pin_is_current() {
     o.check(
         "SharedSession",
         shared.read(|s| s.seq()).unwrap(),
-        true,
         |n| shared.reader(n).unwrap(),
         |n| shared.snapshot(n).unwrap(),
     );
 
-    let mut builder = ShardedSessionBuilder::new();
-    for (name, src) in QUERIES {
-        builder.register(name, src).unwrap();
-    }
-    let sharded = builder.build().unwrap();
-    assert_eq!(sharded.shard_count(), 2);
+    let sharded = sharded_plan();
     for u in o.script() {
         sharded.apply(u).unwrap();
     }
     o.check(
         "ShardedSession",
         sharded.seq(),
-        true,
         |n| sharded.reader(n).unwrap(),
         |n| sharded.snapshot(n).unwrap(),
     );
@@ -214,7 +273,6 @@ fn first_lock_free_pin_is_current() {
         o.check(
             &format!("DurableSession recovered, sharded={is_sharded} checkpoint={checkpoint}"),
             rec.seq().unwrap(),
-            true,
             |n| match (rec.shared(), rec.sharded()) {
                 (Some(single), _) => single.reader(n).unwrap(),
                 (None, Some(plan)) => plan.reader(n).unwrap(),
@@ -244,7 +302,6 @@ fn first_lock_free_pin_is_current() {
             o.check(
                 &format!("ReplicaSession, sharded={is_sharded} raw={raw}"),
                 replica.applied_seq(),
-                !is_sharded,
                 |n| match (raw, replica.shared(), replica.sharded()) {
                     (false, ..) => replica.reader(n).unwrap(),
                     (true, Some(single), _) => single.reader(n).unwrap(),

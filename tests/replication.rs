@@ -274,12 +274,6 @@ fn assert_converged(
         replica.applied_seq(),
         replica.stats()
     );
-    // Seq stamps are frame-exact only in single-writer mode: within a
-    // sharded transaction or batch, in-memory seq assignment may
-    // permute relative to the driver's effective order, so shard epoch
-    // stamps (and the frame timeline itself) are only meaningful at
-    // operation boundaries there.
-    let exact_stamps = replica.sharded().is_none();
     let final_db = db_at(schema, frames, head);
     for (name, q) in queries {
         let leader_rows = sess.snapshot(name).unwrap().results_sorted();
@@ -288,14 +282,12 @@ fn assert_converged(
         // published seq, which may trail the global head — but never
         // exceed it.
         assert!(snap.seq() <= head, "{tag}: {name} stamped past the head");
-        if exact_stamps {
-            assert_eq!(
-                snap.results_sorted(),
-                brute_force(q, &db_at(schema, frames, snap.seq())),
-                "{tag}: {name} snapshot is not timeline[{}]",
-                snap.seq()
-            );
-        }
+        assert_eq!(
+            snap.results_sorted(),
+            brute_force(q, &db_at(schema, frames, snap.seq())),
+            "{tag}: {name} snapshot is not timeline[{}]",
+            snap.seq()
+        );
         assert_eq!(
             snap.results_sorted(),
             leader_rows,
@@ -311,21 +303,13 @@ fn assert_converged(
         // its result *is* timeline[pin.seq()]. At quiescence it sits on
         // the watermark, so in every mode it must match the final cut.
         let pin = replica.reader(name).unwrap().pin();
-        if exact_stamps {
-            assert_eq!(
-                pin.results_sorted(),
-                brute_force(q, &db_at(schema, frames, pin.seq())),
-                "{tag}: {name} pin at seq {} is not timeline[{}]",
-                pin.seq(),
-                pin.seq()
-            );
-        } else {
-            assert_eq!(
-                pin.results_sorted(),
-                leader_rows,
-                "{tag}: {name} pin diverged at quiescence"
-            );
-        }
+        assert_eq!(
+            pin.results_sorted(),
+            brute_force(q, &db_at(schema, frames, pin.seq())),
+            "{tag}: {name} pin at seq {} is not timeline[{}]",
+            pin.seq(),
+            pin.seq()
+        );
     }
 }
 

@@ -14,6 +14,7 @@
 
 use cq_updates::prelude::*;
 use cq_updates::serve::{Client, ClientError, Frame, LagPolicy, Mirror, SubscribeMode};
+use cq_updates::serving::server::FeedSource;
 use cq_updates::serving::ServeConfig;
 use cqu_testutil::{random_updates, result_timeline, Lcg, WorkloadConfig};
 use proptest::prelude::*;
@@ -102,12 +103,22 @@ fn wait_rows(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// For **every** cursor `N` on the global timeline and every engine
-    /// route, `replay_since(N)` returns a single netted delta that is
-    /// *exact*: its removed rows are all present in frame `N`, its added
-    /// rows all absent, and folding it into frame `N` lands precisely on
-    /// the final result — the brute-force `result_timeline` being the
-    /// oracle.
+    /// One generated script, every face of the change feed, every
+    /// engine route; the brute-force `result_timeline` is the oracle and
+    /// each face must reconstruct `timeline[seq]`:
+    ///
+    /// * an uncapped `Subscription` steps through `timeline[e.seq]`
+    ///   event by event, and the feed the server's pump reads carries
+    ///   the very same `Arc`s (nothing between them copies a row);
+    /// * a `BoundedSubscription` of cap 1, never polled, holds one
+    ///   netted event that folds the empty result into the final one;
+    /// * for **every** cursor `N` a consumer can hold (a commit
+    ///   boundary), `replay_since(N)` returns a single netted delta
+    ///   that is *exact*: its removed rows are all present
+    ///   in frame `N`, its added rows all absent, and folding it into
+    ///   frame `N` lands precisely on the final result;
+    /// * a `Client` mirror served over TCP converges to the final
+    ///   result, at a cursor whose frame that result is.
     #[test]
     fn replay_nets_exactly_the_timeline_diff(seed in 0u64..1_000_000) {
         let mut session = Session::new();
@@ -116,10 +127,6 @@ proptest! {
         }
         let schema = session.schema().clone();
         let script = churn(&schema, seed, stress_steps(240) / 3);
-        // Ring sized to cover the whole run: every cursor stays servable.
-        for (name, _) in ROUTES {
-            session.query(name).unwrap().retain_deltas(script.len() + 1);
-        }
         let timelines: Vec<_> = ROUTES
             .iter()
             .map(|(name, _)| {
@@ -127,24 +134,84 @@ proptest! {
                 result_timeline(&schema, &q, &script)
             })
             .collect();
-        for u in &script {
-            session.apply(u).unwrap();
+        let shared = SharedSession::new(session);
+        // Ring sized to cover the whole run: every cursor stays servable.
+        let source = Arc::new(SessionSource::new(shared.clone(), script.len() + 1).unwrap());
+        let server = ServerHandle::bind("127.0.0.1:0", Arc::clone(&source) as _).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let mut mirrors = Vec::new();
+        let mut feeds = Vec::new();
+        for (name, _) in ROUTES {
+            client.subscribe(name, None).unwrap();
+            mirrors.push(Mirror::new());
+            feeds.push((
+                shared.subscribe(name).unwrap(),
+                source.open_feed(name).unwrap(),
+                shared.subscribe_bounded(name, 1).unwrap(),
+            ));
         }
-        let final_seq = session.seq();
+
+        // Singles and batches, so per-update and netted events both flow.
+        let seq = || shared.read(|s| s.seq()).unwrap();
+        let mut cursors = vec![0];
+        for (k, window) in script.chunks(5).enumerate() {
+            if k % 2 == 0 {
+                shared.apply_batch(window).unwrap();
+                cursors.push(seq());
+            } else {
+                for u in window {
+                    shared.apply(u).unwrap();
+                    cursors.push(seq());
+                }
+            }
+        }
+        let final_seq = seq();
         prop_assert_eq!(final_seq as usize + 1, timelines[0].len());
 
         for (i, (name, _)) in ROUTES.iter().enumerate() {
-            let handle = session.query(name).unwrap();
-            let final_rows = handle.results_sorted();
-            prop_assert_eq!(&final_rows, timelines[i].last().unwrap());
-            for n in 0..=final_seq {
-                let ReplayOutcome::Covered { upto, event } = handle.replay_since(n) else {
+            let timeline = &timelines[i];
+            let final_rows = timeline.last().unwrap();
+            prop_assert_eq!(&shared.snapshot(name).unwrap().results_sorted(), final_rows);
+            let (feed, pumped, bounded) = &feeds[i];
+
+            let mut rows: BTreeSet<Vec<u64>> = BTreeSet::new();
+            let events = feed.drain();
+            for e in &events {
+                for r in &e.removed {
+                    prop_assert!(rows.remove(r), "{}: event removes an absent row", name);
+                }
+                for r in &e.added {
+                    prop_assert!(rows.insert(r.clone()), "{}: event re-adds a row", name);
+                }
+                prop_assert_eq!(
+                    &rows.iter().cloned().collect::<Vec<_>>(), &timeline[e.seq as usize],
+                    "{}: feed is not at timeline[{}]", name, e.seq
+                );
+            }
+            let pumped = pumped.drain();
+            prop_assert_eq!(pumped.len(), events.len());
+            prop_assert!(
+                events.iter().zip(&pumped).all(|(a, b)| Arc::ptr_eq(a, b)),
+                "{}: the pump's feed carries a copy", name
+            );
+
+            let netted = bounded.drain();
+            prop_assert!(netted.len() <= 1, "{}: cap 1 holds {}", name, netted.len());
+            for e in &netted {
+                prop_assert!(e.removed.is_empty(), "{}: netted from the empty result", name);
+            }
+            let folded = netted.first().map_or_else(Vec::new, |e| e.added.clone());
+            prop_assert_eq!(&folded, final_rows, "{}: cap-1 feed", name);
+
+            for &n in &cursors {
+                let replay = shared.read(|s| s.query(name).unwrap().replay_since(n)).unwrap();
+                let ReplayOutcome::Covered { upto, event } = replay else {
                     prop_assert!(false, "{}: ring sized to cover cursor {}", name, n);
                     unreachable!()
                 };
                 prop_assert!(upto >= n, "{}: replay may never rewind a cursor", name);
                 let mut rows: BTreeSet<Vec<u64>> =
-                    timelines[i][n as usize].iter().cloned().collect();
+                    timeline[n as usize].iter().cloned().collect();
                 if let Some(e) = &event {
                     prop_assert_eq!(e.seq, upto, "{}: catch-up must be stamped `upto`", name);
                     for r in &e.removed {
@@ -162,10 +229,32 @@ proptest! {
                 }
                 let rows: Vec<_> = rows.into_iter().collect();
                 prop_assert_eq!(
-                    rows, final_rows.clone(),
+                    &rows, final_rows,
                     "{}: resume at {} diverged from the oracle", name, n
                 );
             }
+        }
+
+        // The one client carries all three subscriptions: a frame goes
+        // to whichever mirror it names.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let behind = |mirrors: &[Mirror]| {
+            (0..ROUTES.len()).find(|&i| &mirrors[i].rows_sorted() != timelines[i].last().unwrap())
+        };
+        while let Some(i) = behind(&mirrors) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            prop_assert!(!left.is_zero(), "{}: mirror stuck at {}", ROUTES[i].0, mirrors[i].seq());
+            if let Some(frame) = client.next(left).unwrap() {
+                for ((name, _), mirror) in ROUTES.iter().zip(&mut mirrors) {
+                    mirror.apply(name, &frame);
+                }
+            }
+        }
+        for (i, mirror) in mirrors.iter().enumerate() {
+            prop_assert_eq!(
+                &mirror.rows_sorted(), &timelines[i][mirror.seq() as usize],
+                "{}: mirror is not at timeline[{}]", ROUTES[i].0, mirror.seq()
+            );
         }
     }
 

@@ -5,6 +5,7 @@ use cq_updates::prelude::*;
 use cq_updates::query::generator::Lcg;
 use cqu_testutil::{random_query, random_updates, GenConfig, WorkloadConfig};
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// Acceptance: the session routes each query class to the right engine
 /// without the caller naming one.
@@ -157,7 +158,9 @@ fn failed_registration_leaves_schema_untouched() {
 
 /// Dropped subscriptions are pruned before the next delta snapshot, so
 /// detached feeds stop costing result enumerations even when the result
-/// never changes again.
+/// never changes again. The other way round, a session that goes first
+/// ends its feeds, bounded or not: they hand out what is pending, then
+/// `recv` returns `None` instead of blocking.
 #[test]
 fn dropped_subscriptions_are_pruned() {
     let mut s = Session::new();
@@ -172,6 +175,16 @@ fn dropped_subscriptions_are_pruned() {
     assert_eq!(s.query("pairs").unwrap().subscriber_count(), 1);
     drop(second);
     assert_eq!(s.query("pairs").unwrap().subscriber_count(), 0);
+
+    let t = s.relation("T").unwrap();
+    let feed = s.query("pairs").unwrap().subscribe();
+    let bounded = s.query("pairs").unwrap().subscribe_bounded(1);
+    s.apply(&Update::Insert(t, vec![2])).unwrap();
+    drop(s);
+    assert_eq!(feed.recv().unwrap().added, vec![vec![1, 2]]);
+    assert!(feed.recv().is_none(), "the session is gone");
+    assert_eq!(bounded.drain().len(), 1);
+    assert!(bounded.recv_timeout(Duration::from_secs(30)).is_none());
 }
 
 /// Queries registered after data has flowed are seeded from the master
@@ -336,7 +349,7 @@ fn transactions_buffer_events_until_commit() {
 /// touch transaction path: one enumeration per transaction instead of
 /// two per update, same net event semantics.
 #[test]
-fn transactions_net_events_on_diff_fallback_engines() {
+fn transactions_net_their_events_on_diff_fallback_engines() {
     let mut s = Session::new();
     s.register_with(
         "pairs",
@@ -474,7 +487,7 @@ proptest! {
     /// netted fold of the per-update events the same updates produce when
     /// replayed individually.
     #[test]
-    fn transaction_net_events_equal_replayed_events(seed in 0u64..100_000) {
+    fn transaction_netted_events_equal_replayed_events(seed in 0u64..100_000) {
         let cfg = GenConfig { max_vars: 4, max_atoms: 3, max_arity: 3, self_join_pct: 25 };
         let q = random_query(&mut Lcg::new(seed), cfg);
         let mut tx_session = Session::new();
