@@ -17,16 +17,18 @@
 //! cost of this kind is unavoidable; for q-hierarchical queries the
 //! [`cqu_dynamic::QhEngine`] removes it entirely.
 //!
-//! Batches take the grouped form of the same formula: the batch is first
-//! netted under set semantics (an insert/delete pair costs two hash
-//! probes), the surviving commits are grouped per relation and sign, and
+//! The view keeps no database: its hash indexes hold the facts its delta
+//! joins probe, and the caller owns `D` and hands it only effective facts
+//! ([`DynamicEngine`]). A netted set ([`DynamicEngine::apply_net`], at
+//! most one fact per tuple) takes the grouped form of the same formula:
+//! the facts are grouped per relation and sign, and
 //! each group runs the delta join **once** with the whole group `ΔR`
 //! bound at the fixed atom — "old" atoms probe the base state without
 //! `ΔR`, "new" atoms additionally probe a **persistent ΔR slot**: one
 //! pre-built index per distinct `(relation, key columns)` pair, resolved
 //! to a dense slot id at plan-build time and cleared/refilled per group,
 //! so a steady stream of batches allocates no indexes at all
-//! ([`DeltaIvmEngine::delta_slot_builds`] is the counter the
+//! ([`DeltaIvmView::delta_slot_builds`] is the counter the
 //! `delta_slots_are_persistent_across_batches` test trips on).
 //! Each affected valuation is counted exactly once, at the first atom
 //! position where it uses a group tuple, so the grouped delta equals the
@@ -39,13 +41,14 @@
 
 use crate::join::JoinPlan;
 use cqu_common::FxHashMap;
-use cqu_dynamic::{net_effective, DynamicEngine, ResultDelta, UpdateReport};
+use cqu_dynamic::{DynamicEngine, ResultDelta, Standalone};
 use cqu_query::{Query, RelId, Var};
 use cqu_storage::{Const, Database, Index, Update};
 use std::collections::hash_map::Entry;
+use std::ops::{Deref, DerefMut};
 
 /// The one ΔR `Index` constructor: every construction bumps the
-/// engine's build counter, so [`DeltaIvmEngine::delta_slot_builds`]
+/// engine's build counter, so [`DeltaIvmView::delta_slot_builds`]
 /// measures real allocation events. Batch-path code must route any ΔR
 /// index it ever needs through here (never bare `Index::new`), or the
 /// `delta_slots_are_persistent_across_batches` test below loses its
@@ -55,10 +58,37 @@ fn new_delta_index(cols: Vec<usize>, builds: &mut u64) -> Index {
     Index::new(cols)
 }
 
-/// Incremental-view-maintenance baseline engine.
-pub struct DeltaIvmEngine {
+/// The delta-IVM engine in its stand-alone form: a [`DeltaIvmView`] with
+/// its own copy of `D`. A newtype only because inherent constructors must
+/// live in the crate that defines [`Standalone`]; everything else is the
+/// owner's, through `Deref`.
+pub struct DeltaIvmEngine(Standalone<DeltaIvmView>);
+
+impl DeltaIvmEngine {
+    /// Builds the view over `db0` and keeps a copy of `db0`.
+    pub fn new(query: &Query, db0: &Database) -> Self {
+        DeltaIvmEngine(Standalone::over(DeltaIvmView::empty(query), db0))
+    }
+}
+
+impl Deref for DeltaIvmEngine {
+    type Target = Standalone<DeltaIvmView>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for DeltaIvmEngine {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+/// Incremental-view-maintenance baseline engine, maintained against the
+/// caller's `D`.
+pub struct DeltaIvmView {
     query: Query,
-    db: Database,
     /// Persistent hash indexes, densely stored; `(relation, columns)` is
     /// resolved to a slot at plan-build time so the update hot path never
     /// hashes composite keys or clones column vectors.
@@ -91,19 +121,9 @@ pub struct DeltaIvmEngine {
     scratch: Vec<Vec<Const>>,
 }
 
-impl DeltaIvmEngine {
-    /// Builds the engine and loads `db0` tuple by tuple.
-    pub fn new(query: &Query, db0: &Database) -> Self {
-        let mut engine = Self::empty(query);
-        for rel in db0.schema().relations() {
-            for t in db0.relation(rel).iter() {
-                engine.apply(&Update::Insert(rel, t.clone()));
-            }
-        }
-        engine
-    }
-
-    /// Builds the engine over the empty database.
+impl DeltaIvmView {
+    /// Builds the view over the empty database (load a `D₀` with
+    /// [`DynamicEngine::load`]).
     pub fn empty(query: &Query) -> Self {
         let delta_plans: Vec<JoinPlan> = (0..query.atoms().len())
             .map(|i| JoinPlan::new(query, Some(i)))
@@ -160,9 +180,8 @@ impl DeltaIvmEngine {
             plan_step_dslot.push(steps);
         }
         let scratch = vec![Vec::new(); query.atoms().len()];
-        DeltaIvmEngine {
+        DeltaIvmView {
             query: query.clone(),
-            db: Database::new(query.schema().clone()),
             indexes,
             index_rel,
             delta_plans,
@@ -182,17 +201,12 @@ impl DeltaIvmEngine {
     }
 
     /// Lifetime number of ΔR index constructions. Equal to
-    /// [`DeltaIvmEngine::delta_slot_count`] by construction — the slots
+    /// [`DeltaIvmView::delta_slot_count`] by construction — the slots
     /// are built once and refilled per group. Benchmarks assert this
     /// stays put across batches (the old code rebuilt temporary indexes
     /// for every group of every batch).
     pub fn delta_slot_builds(&self) -> u64 {
         self.delta_slot_builds
-    }
-
-    /// The current database.
-    pub fn database(&self) -> &Database {
-        &self.db
     }
 
     /// Size of the materialised view (number of distinct result tuples).
@@ -201,18 +215,14 @@ impl DeltaIvmEngine {
     }
 
     /// Evaluates the delta for the changed tuples `group` of relation
-    /// `rel` against the current `db`/`indexes` state, which must NOT
-    /// contain the group. Atoms with body index `> i` additionally see
-    /// the group as candidates ("new" state) — via the persistent ΔR
-    /// slots when `use_slots` is set (the grouped batch path; the caller
-    /// filled them with [`DeltaIvmEngine::fill_delta_slots`]), or
-    /// directly via the single tuple otherwise (the single-update fast
-    /// path, `group.len() == 1`).
+    /// `rel` against the current `indexes` state, which must NOT contain
+    /// the group. Atoms with body index `> i` additionally see
+    /// the group as candidates ("new" state) via the persistent ΔR slots
+    /// (the caller filled them with [`DeltaIvmView::fill_delta_slots`]).
     fn delta_for(
         &self,
         rel: RelId,
         group: &[&[Const]],
-        use_slots: bool,
         scratch: &mut [Vec<Const>],
         delta: &mut FxHashMap<Vec<Const>, u64>,
     ) {
@@ -228,7 +238,6 @@ impl DeltaIvmEngine {
                     i,
                     rel,
                     t,
-                    use_slots,
                     0,
                     &mut assign,
                     scratch,
@@ -246,7 +255,6 @@ impl DeltaIvmEngine {
         fixed: usize,
         rel: RelId,
         t: &[Const],
-        use_slots: bool,
         step: usize,
         assign: &mut Vec<Option<Const>>,
         scratch: &mut [Vec<Const>],
@@ -287,18 +295,7 @@ impl DeltaIvmEngine {
                 }
             }
             if ok {
-                this.delta_recurse(
-                    plan,
-                    slots,
-                    fixed,
-                    rel,
-                    t,
-                    use_slots,
-                    step + 1,
-                    assign,
-                    scratch,
-                    delta,
-                );
+                this.delta_recurse(plan, slots, fixed, rel, t, step + 1, assign, scratch, delta);
             }
             for v in bound {
                 assign[v.index()] = None;
@@ -320,23 +317,13 @@ impl DeltaIvmEngine {
             try_fact(self, fact, assign, scratch, delta);
         }
         // "New"-state atoms (body index > fixed) additionally see the
-        // changed tuples.
+        // changed tuples, through the persistent ΔR slot resolved at
+        // plan-build time (no hash on the column set, no per-group index
+        // construction).
         if aid > fixed && atom.relation == rel {
-            if use_slots {
-                // Grouped path: probe the persistent ΔR slot resolved at
-                // plan-build time (no hash on the column set, no per-
-                // group index construction).
-                let dslot = self.plan_step_dslot[fixed][step];
-                for fact in self.delta_slots[dslot].probe(&key) {
-                    try_fact(self, fact, assign, scratch, delta);
-                }
-            } else {
-                let matches_key = cols
-                    .iter()
-                    .all(|&p| t[p] == assign[atom.args[p].index()].unwrap());
-                if matches_key {
-                    try_fact(self, t, assign, scratch, delta);
-                }
+            let dslot = self.plan_step_dslot[fixed][step];
+            for fact in self.delta_slots[dslot].probe(&key) {
+                try_fact(self, fact, assign, scratch, delta);
             }
         }
         scratch[step] = key;
@@ -396,37 +383,6 @@ impl DeltaIvmEngine {
         }
     }
 
-    /// Single-update application, optionally tracking the result delta.
-    fn apply_inner(
-        &mut self,
-        update: &Update,
-        scratch: &mut [Vec<Const>],
-        track: Option<&mut ResultDelta>,
-    ) -> bool {
-        let rel = update.relation();
-        let t = update.tuple();
-        let mut counts: FxHashMap<Vec<Const>, u64> = FxHashMap::default();
-        if update.is_insert() {
-            if self.db.relation(rel).contains(t) {
-                return false;
-            }
-            // Delta is evaluated in the "without t" state.
-            self.delta_for(rel, &[t], false, scratch, &mut counts);
-            self.db.insert(rel, t.to_vec());
-            self.touch_indexes(rel, t, true);
-            self.apply_delta(counts, true, track);
-        } else {
-            if !self.db.relation(rel).contains(t) {
-                return false;
-            }
-            self.db.delete(rel, t);
-            self.touch_indexes(rel, t, false);
-            self.delta_for(rel, &[t], false, scratch, &mut counts);
-            self.apply_delta(counts, false, track);
-        }
-        true
-    }
-
     /// Loads `group` into the persistent `ΔR` slots of `rel` (clearing
     /// their previous contents, bucket allocations retained). Slots of
     /// other relations are left alone — a grouped delta over `rel` never
@@ -455,62 +411,42 @@ impl DeltaIvmEngine {
         self.fill_delta_slots(rel, group);
         let mut counts: FxHashMap<Vec<Const>, u64> = FxHashMap::default();
         if insert {
-            self.delta_for(rel, group, true, scratch, &mut counts);
+            // The delta is evaluated in the state without the group.
+            self.delta_for(rel, group, scratch, &mut counts);
             for &t in group {
-                self.db.insert(rel, t.to_vec());
                 self.touch_indexes(rel, t, true);
             }
             self.apply_delta(counts, true, track);
         } else {
             for &t in group {
-                self.db.delete(rel, t);
                 self.touch_indexes(rel, t, false);
             }
-            self.delta_for(rel, group, true, scratch, &mut counts);
+            self.delta_for(rel, group, scratch, &mut counts);
             self.apply_delta(counts, false, track);
         }
     }
 
-    /// Netted, per-relation-grouped batch application (see module docs).
-    fn batch_inner(
-        &mut self,
-        updates: &[Update],
-        mut track: Option<&mut ResultDelta>,
-    ) -> UpdateReport {
-        if updates.len() < 2 {
-            let applied = updates
-                .iter()
-                .filter(|u| match track.as_deref_mut() {
-                    Some(d) => self.apply_tracked(u, d),
-                    None => self.apply(u),
-                })
-                .count();
-            return UpdateReport {
-                total: updates.len(),
-                applied,
-            };
-        }
-        let (applied, net) = net_effective(&self.db, updates);
+    /// Per-relation-grouped application of a netted set (see module
+    /// docs); each maximal run of one relation is one group per sign.
+    fn net_inner(&mut self, net: &[Update], mut track: Option<&mut ResultDelta>) {
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut i = 0;
         while i < net.len() {
-            let rel = net[i].0;
+            let rel = net[i].relation();
             let end = net[i..]
                 .iter()
-                .position(|e| e.0 != rel)
+                .position(|f| f.relation() != rel)
                 .map_or(net.len(), |p| i + p);
             // Deletes first: the base state a grouped delta probes must be
             // consistent, and support counts depend only on it.
-            let deletes: Vec<&[Const]> = net[i..end]
-                .iter()
-                .filter(|e| !e.2)
-                .map(|e| e.1.as_slice())
-                .collect();
-            let inserts: Vec<&[Const]> = net[i..end]
-                .iter()
-                .filter(|e| e.2)
-                .map(|e| e.1.as_slice())
-                .collect();
+            let group = |insert: bool| -> Vec<&[Const]> {
+                net[i..end]
+                    .iter()
+                    .filter(|f| f.is_insert() == insert)
+                    .map(|f| f.tuple())
+                    .collect()
+            };
+            let (deletes, inserts) = (group(false), group(true));
             if !deletes.is_empty() {
                 self.commit_group(rel, &deletes, false, &mut scratch, track.as_deref_mut());
             }
@@ -520,27 +456,16 @@ impl DeltaIvmEngine {
             i = end;
         }
         self.scratch = scratch;
-        UpdateReport {
-            total: updates.len(),
-            applied,
-        }
     }
 }
 
-impl DynamicEngine for DeltaIvmEngine {
+impl DynamicEngine for DeltaIvmView {
     fn query(&self) -> &Query {
         &self.query
     }
 
-    fn apply(&mut self, update: &Update) -> bool {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let changed = self.apply_inner(update, &mut scratch, None);
-        self.scratch = scratch;
-        changed
-    }
-
-    fn apply_batch(&mut self, updates: &[Update]) -> UpdateReport {
-        self.batch_inner(updates, None)
+    fn apply_net(&mut self, net: &[Update]) {
+        self.net_inner(net, None);
     }
 
     fn delta_hint(&self) -> bool {
@@ -550,15 +475,8 @@ impl DynamicEngine for DeltaIvmEngine {
     /// Native delta extraction: support transitions (`0 → n` / `n → 0`)
     /// fall out of the view maintenance the engine performs anyway, so
     /// tracking costs `O(δ)` on top of the delta join.
-    fn apply_tracked(&mut self, update: &Update, delta: &mut ResultDelta) -> bool {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let changed = self.apply_inner(update, &mut scratch, Some(delta));
-        self.scratch = scratch;
-        changed
-    }
-
-    fn apply_batch_tracked(&mut self, updates: &[Update], delta: &mut ResultDelta) -> UpdateReport {
-        self.batch_inner(updates, Some(delta))
+    fn apply_net_tracked(&mut self, net: &[Update], delta: &mut ResultDelta) {
+        self.net_inner(net, Some(delta));
     }
 
     fn count(&self) -> u64 {
@@ -594,6 +512,10 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    fn ivm(q: &Query) -> Standalone<DeltaIvmView> {
+        Standalone::from_empty(DeltaIvmView::empty(q))
+    }
+
     fn random_script(q: &Query, seed: u64, steps: usize, domain: u64) -> Vec<Update> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let rels: Vec<_> = q.schema().relations().collect();
@@ -613,8 +535,8 @@ mod tests {
 
     fn agree_on(src: &str, seed: u64) {
         let q = parse_query(src).unwrap();
-        let mut ivm = DeltaIvmEngine::empty(&q);
-        let mut naive = RecomputeEngine::empty(&q);
+        let mut ivm = ivm(&q);
+        let mut naive = Standalone::from_empty(RecomputeEngine::empty(&q));
         for u in random_script(&q, seed, 200, 5) {
             assert_eq!(ivm.apply(&u), naive.apply(&u), "{src}: effectiveness");
             assert_eq!(ivm.count(), naive.count(), "{src} after {u:?}");
@@ -645,7 +567,7 @@ mod tests {
     fn support_counts_valuations() {
         // Q(x) :- E(x, y): support of [1] is the number of y-partners.
         let q = parse_query("Q(x) :- E(x, y).").unwrap();
-        let mut e = DeltaIvmEngine::empty(&q);
+        let mut e = ivm(&q);
         let er = q.schema().relation("E").unwrap();
         e.apply(&Update::Insert(er, vec![1, 10]));
         e.apply(&Update::Insert(er, vec![1, 11]));
@@ -683,8 +605,8 @@ mod tests {
             let q = parse_query(src).unwrap();
             for seed in 0..6u64 {
                 let script = random_script(&q, 100 + seed, 120, 4);
-                let mut seq = DeltaIvmEngine::empty(&q);
-                let mut bat = DeltaIvmEngine::empty(&q);
+                let mut seq = ivm(&q);
+                let mut bat = ivm(&q);
                 for window in script.chunks(16) {
                     let applied = window.iter().filter(|u| seq.apply(u)).count();
                     let report = bat.apply_batch(window);
@@ -708,7 +630,7 @@ mod tests {
     fn tracked_deltas_match_full_diff() {
         let q = parse_query("Q(x, y) :- S(x), E(x, y), T(y).").unwrap();
         let script = random_script(&q, 9, 150, 4);
-        let mut e = DeltaIvmEngine::empty(&q);
+        let mut e = ivm(&q);
         for u in &script {
             let before = e.results_sorted();
             let mut got = ResultDelta::default();
@@ -718,7 +640,7 @@ mod tests {
             diff_sorted_into(&before, &e.results_sorted(), &mut want);
             assert_eq!(got, want, "single {u:?}");
         }
-        let mut e = DeltaIvmEngine::empty(&q);
+        let mut e = ivm(&q);
         for window in script.chunks(13) {
             let before = e.results_sorted();
             let mut got = ResultDelta::default();
@@ -736,7 +658,7 @@ mod tests {
     #[test]
     fn delta_slots_are_persistent_across_batches() {
         let q = parse_query("Q(x, y) :- E(x, x), E(x, y), E(y, y).").unwrap();
-        let mut e = DeltaIvmEngine::empty(&q);
+        let mut e = ivm(&q);
         assert!(
             e.delta_slot_count() > 0,
             "self-join query must need ΔR slots"
@@ -751,7 +673,7 @@ mod tests {
         // Queries without self-joins never probe the group from a "new"
         // atom: zero slots, zero builds.
         let q = parse_query("Q(x, y) :- S(x), E(x, y), T(y).").unwrap();
-        let e = DeltaIvmEngine::empty(&q);
+        let e = ivm(&q);
         assert_eq!(e.delta_slot_count(), 0);
         assert_eq!(e.delta_slot_builds(), 0);
     }
@@ -760,7 +682,7 @@ mod tests {
     fn cancelling_batch_is_cheap_and_silent() {
         let q = parse_query("Q(x, y) :- S(x), E(x, y), T(y).").unwrap();
         let er = q.schema().relation("E").unwrap();
-        let mut e = DeltaIvmEngine::empty(&q);
+        let mut e = ivm(&q);
         let batch: Vec<Update> = (0..50)
             .flat_map(|i| {
                 [

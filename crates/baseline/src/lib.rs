@@ -17,6 +17,9 @@
 //! All three work on *every* CQ, including the non-q-hierarchical queries
 //! [`cqu_dynamic::QhEngine`] rejects; the benchmarks measure exactly how
 //! much that generality costs per update/request as `n` grows.
+//! Like the paper's engine they take effective facts from the caller,
+//! who owns `D` ([`DynamicEngine`]); recompute and semi-join keep the
+//! relations their query reads as their state, delta-IVM keeps none.
 
 #![warn(missing_docs)]
 pub mod ivm;
@@ -24,12 +27,12 @@ pub mod join;
 pub mod naive;
 pub mod semijoin;
 
-pub use ivm::DeltaIvmEngine;
+pub use ivm::{DeltaIvmEngine, DeltaIvmView};
 pub use join::{evaluate, JoinEvaluator, JoinPlan};
 pub use naive::RecomputeEngine;
 pub use semijoin::SemiJoinEngine;
 
-use cqu_dynamic::{DynamicEngine, QhEngine};
+use cqu_dynamic::{DynamicEngine, QhEngine, QhStructure, Standalone};
 use cqu_query::{Query, QueryError};
 use cqu_storage::Database;
 
@@ -57,20 +60,37 @@ impl EngineKind {
         }
     }
 
-    /// Instantiates the engine over `db0`.
+    /// Instantiates the engine over `db0` in its stand-alone form, with
+    /// its own copy of `db0` ([`Standalone`]).
     ///
     /// The q-hierarchical engine refuses hard queries; the error carries
     /// the Definition 3.1 violation witness
     /// ([`QueryError::NotQHierarchical`]). The baselines accept every CQ.
-    pub fn build(self, q: &Query, db0: &Database) -> Result<Box<dyn DynamicEngine>, QueryError> {
-        match self {
-            EngineKind::QHierarchical => {
-                QhEngine::new(q, db0).map(|e| Box::new(e) as Box<dyn DynamicEngine>)
-            }
-            EngineKind::Recompute => Ok(Box::new(RecomputeEngine::new(q, db0))),
-            EngineKind::DeltaIvm => Ok(Box::new(DeltaIvmEngine::new(q, db0))),
-            EngineKind::SemiJoin => Ok(Box::new(SemiJoinEngine::new(q, db0))),
-        }
+    pub fn build(self, q: &Query, db0: &Database) -> Result<Box<Standalone>, QueryError> {
+        let engine: Box<Standalone> = match self {
+            EngineKind::QHierarchical => Box::new(QhEngine::new(q, db0)?),
+            EngineKind::Recompute => Box::new(Standalone::over(RecomputeEngine::empty(q), db0)),
+            EngineKind::DeltaIvm => Box::new(Standalone::over(DeltaIvmView::empty(q), db0)),
+            EngineKind::SemiJoin => Box::new(Standalone::over(SemiJoinEngine::empty(q), db0)),
+        };
+        Ok(engine)
+    }
+
+    /// Instantiates the engine over the caller's `db`, which the caller
+    /// keeps as the one `D` (errors as [`EngineKind::build`]).
+    pub fn preprocess(
+        self,
+        q: &Query,
+        db: &Database,
+    ) -> Result<Box<dyn DynamicEngine>, QueryError> {
+        let mut engine: Box<dyn DynamicEngine> = match self {
+            EngineKind::QHierarchical => Box::new(QhStructure::empty(q)?),
+            EngineKind::Recompute => Box::new(RecomputeEngine::empty(q)),
+            EngineKind::DeltaIvm => Box::new(DeltaIvmView::empty(q)),
+            EngineKind::SemiJoin => Box::new(SemiJoinEngine::empty(q)),
+        };
+        engine.load(db);
+        Ok(engine)
     }
 
     /// Whether this engine kind admits `q` at all.
@@ -124,7 +144,7 @@ mod tests {
         let db = Database::new(q.schema().clone());
         let er = q.schema().relation("E").unwrap();
         let tr = q.schema().relation("T").unwrap();
-        let mut engines: Vec<(EngineKind, Box<dyn DynamicEngine>)> = EngineKind::all()
+        let mut engines: Vec<(EngineKind, Box<Standalone>)> = EngineKind::all()
             .into_iter()
             .map(|k| (k, k.build(&q, &db).unwrap()))
             .collect();

@@ -1,7 +1,7 @@
 //! The recompute baseline: O(1) updates, full re-evaluation per request.
 //!
 //! This is the opposite corner of the design space from the paper's
-//! engine: updates just touch the stored database, and every `count` /
+//! engine: updates just touch the stored relations, and every `count` /
 //! `answer` / `enumerate` call re-runs the join from scratch. It works for
 //! *every* conjunctive query — including the non-q-hierarchical ones the
 //! dynamic engine rejects — at `Ω(‖D‖)` cost per request, which is exactly
@@ -16,16 +16,18 @@ use cqu_storage::{Const, Database, Update};
 /// Recompute-per-request baseline engine.
 pub struct RecomputeEngine {
     query: Query,
+    /// The relations the query reads: the engine's state is this part of
+    /// `D`, so it keeps it as state (the caller still decides which
+    /// updates are effective).
     db: Database,
 }
 
 impl RecomputeEngine {
-    /// Builds the engine over an initial database.
+    /// Builds the engine over the relations of `db0` the query reads.
     pub fn new(query: &Query, db0: &Database) -> Self {
-        RecomputeEngine {
-            query: query.clone(),
-            db: db0.clone(),
-        }
+        let mut engine = Self::empty(query);
+        engine.load(db0);
+        engine
     }
 
     /// Builds the engine over the empty database.
@@ -36,11 +38,6 @@ impl RecomputeEngine {
             db,
         }
     }
-
-    /// The current database.
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
 }
 
 impl DynamicEngine for RecomputeEngine {
@@ -48,8 +45,9 @@ impl DynamicEngine for RecomputeEngine {
         &self.query
     }
 
-    fn apply(&mut self, update: &Update) -> bool {
-        self.db.apply(update)
+    fn apply_net(&mut self, net: &[Update]) {
+        let changed = self.db.apply_all(net);
+        debug_assert_eq!(changed, net.len(), "recompute engine handed a no-op");
     }
 
     fn count(&self) -> u64 {
@@ -72,12 +70,13 @@ impl DynamicEngine for RecomputeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqu_dynamic::Standalone;
     use cqu_query::parse_query;
 
     #[test]
     fn tracks_updates() {
         let q = parse_query("Q(x, y) :- S(x), E(x, y), T(y).").unwrap();
-        let mut e = RecomputeEngine::empty(&q);
+        let mut e = Standalone::from_empty(RecomputeEngine::empty(&q));
         let s = q.schema().relation("S").unwrap();
         let er = q.schema().relation("E").unwrap();
         let t = q.schema().relation("T").unwrap();
@@ -96,7 +95,7 @@ mod tests {
     fn handles_hard_queries_the_dynamic_engine_rejects() {
         let q = parse_query("Q(x) :- E(x, y), T(y).").unwrap();
         assert!(cqu_dynamic::QhEngine::empty(&q).is_err());
-        let mut e = RecomputeEngine::empty(&q);
+        let mut e = Standalone::from_empty(RecomputeEngine::empty(&q));
         let er = q.schema().relation("E").unwrap();
         let t = q.schema().relation("T").unwrap();
         e.apply(&Update::Insert(er, vec![1, 5]));

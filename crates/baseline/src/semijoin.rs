@@ -22,21 +22,15 @@ use cqu_storage::{Const, Database, Index, Update};
 /// Semi-join-reduction baseline engine.
 pub struct SemiJoinEngine {
     query: Query,
+    /// The relations the query reads: the engine's state is this part of
+    /// `D`, so it keeps it as state (the caller still decides which
+    /// updates are effective).
     db: Database,
     /// Whether semi-join reduction applies (self-join-free query).
     reduces: bool,
 }
 
 impl SemiJoinEngine {
-    /// Builds the engine over an initial database.
-    pub fn new(query: &Query, db0: &Database) -> Self {
-        SemiJoinEngine {
-            query: query.clone(),
-            db: db0.clone(),
-            reduces: query.is_self_join_free(),
-        }
-    }
-
     /// Builds the engine over the empty database.
     pub fn empty(query: &Query) -> Self {
         let db = Database::new(query.schema().clone());
@@ -124,8 +118,9 @@ impl DynamicEngine for SemiJoinEngine {
         &self.query
     }
 
-    fn apply(&mut self, update: &Update) -> bool {
-        self.db.apply(update)
+    fn apply_net(&mut self, net: &[Update]) {
+        let changed = self.db.apply_all(net);
+        debug_assert_eq!(changed, net.len(), "semi-join engine handed a no-op");
     }
 
     fn count(&self) -> u64 {
@@ -152,12 +147,13 @@ impl DynamicEngine for SemiJoinEngine {
 mod tests {
     use super::*;
     use crate::naive::RecomputeEngine;
+    use cqu_dynamic::Standalone;
     use cqu_query::parse_query;
 
     #[test]
     fn reduction_removes_dangling_tuples() {
         let q = parse_query("Q(x, y) :- S(x), E(x, y), T(y).").unwrap();
-        let mut e = SemiJoinEngine::empty(&q);
+        let mut e = Standalone::from_empty(SemiJoinEngine::empty(&q));
         let s = q.schema().relation("S").unwrap();
         let er = q.schema().relation("E").unwrap();
         let t = q.schema().relation("T").unwrap();
@@ -182,8 +178,8 @@ mod tests {
             "Q(x, y) :- E(x, x), E(x, y), E(y, y).", // self-join fallback
         ] {
             let q = parse_query(src).unwrap();
-            let mut a = SemiJoinEngine::empty(&q);
-            let mut b = RecomputeEngine::empty(&q);
+            let mut a = Standalone::from_empty(SemiJoinEngine::empty(&q));
+            let mut b = Standalone::from_empty(RecomputeEngine::empty(&q));
             let rels: Vec<_> = q.schema().relations().collect();
             for i in 0..60u64 {
                 let rel = rels[(i % rels.len() as u64) as usize];
@@ -205,7 +201,7 @@ mod tests {
     #[test]
     fn empty_relation_empties_everything() {
         let q = parse_query("Q(x, y) :- S(x), E(x, y), T(y).").unwrap();
-        let mut e = SemiJoinEngine::empty(&q);
+        let mut e = Standalone::from_empty(SemiJoinEngine::empty(&q));
         let s = q.schema().relation("S").unwrap();
         let er = q.schema().relation("E").unwrap();
         e.apply(&Update::Insert(s, vec![1]));

@@ -3,22 +3,19 @@
 //! under random update scripts — and with the dynamic engine whenever the
 //! query is q-hierarchical.
 
-use cqu_baseline::{DeltaIvmEngine, RecomputeEngine, SemiJoinEngine};
-use cqu_dynamic::{DynamicEngine, QhEngine};
+use cqu_baseline::EngineKind;
+use cqu_dynamic::Standalone;
 use cqu_query::generator::{random_q_hierarchical, random_query, GenConfig, Lcg};
 use cqu_storage::{Const, Database, Update};
 use proptest::prelude::*;
 
 fn drive_all(q: &cqu_query::Query, seed: u64, steps: usize) -> Result<(), TestCaseError> {
     let db0 = Database::new(q.schema().clone());
-    let mut engines: Vec<(&str, Box<dyn DynamicEngine>)> = vec![
-        ("recompute", Box::new(RecomputeEngine::new(q, &db0))),
-        ("delta-ivm", Box::new(DeltaIvmEngine::new(q, &db0))),
-        ("semijoin", Box::new(SemiJoinEngine::new(q, &db0))),
-    ];
-    if let Ok(e) = QhEngine::new(q, &db0) {
-        engines.push(("qh-dynamic", Box::new(e)));
-    }
+    // The q-hierarchical engine joins whenever it admits the query.
+    let mut engines: Vec<(&str, Box<Standalone>)> = EngineKind::all()
+        .into_iter()
+        .filter_map(|k| Some((k.name(), k.build(q, &db0).ok()?)))
+        .collect();
     let mut rng = Lcg::new(seed);
     let rels: Vec<_> = q.schema().relations().collect();
     for step in 0..steps {

@@ -20,6 +20,7 @@ use cq_updates::serve::{Client, LagPolicy};
 use cq_updates::serving::server::FeedSource;
 use cq_updates::serving::ServeConfig;
 use cqu_dynamic::selfjoin::Phi2Engine;
+use cqu_dynamic::Standalone;
 use cqu_lowerbounds::{
     omv_via_enumeration, oumv_via_boolean_set, ov_via_counting, phi_et, phi_set_boolean,
     phi_set_join, OmvInstance, OuMvInstance, OvInstance,
@@ -38,6 +39,12 @@ fn header(title: &str) {
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
+}
+
+/// A stand-alone `kind` engine for `q` over the empty database.
+fn fresh(kind: EngineKind, q: &Query) -> Box<Standalone> {
+    kind.build(q, &Database::new(q.schema().clone()))
+        .expect("the engine admits the query")
 }
 
 /// The engine of Example 6.1 loaded with the database `D₀` of Table 1
@@ -159,7 +166,7 @@ pub fn figure3() -> JsonReport {
     ));
     println!("Figure 3(b) — after insert E(b,p) (paper: Cstart = 38, C[x,b]=24):");
     dump(&engine, "after");
-    cqu_dynamic::audit::check_invariants(&engine).unwrap();
+    cqu_dynamic::audit::check_invariants(&engine, engine.database()).unwrap();
     println!("  audit: all maintained registers match from-scratch recomputation ✓");
     report.add_fact("audit_ok", 1.0);
     report
@@ -173,12 +180,12 @@ fn update_and_delay_row(
     report: &mut JsonReport,
     n: usize,
     label: &str,
-    engine: &mut dyn DynamicEngine,
+    engine: &mut Standalone,
     updates: &[Update],
     delay_limit: usize,
 ) {
     let upd = time_updates(engine, updates);
-    let delay = time_delays(engine, delay_limit);
+    let delay = time_delays(&**engine, delay_limit);
     let (first, steady) = delay.map_or((0, 0), |s| (s.max_ns, s.p50_ns));
     println!(
         "{n:>8}  {label:<12}  {:>12.2}  {:>12.2}  {:>14.2}  {:>14.2}",
@@ -273,7 +280,7 @@ pub fn e2_counting(ns: &[usize], churn_steps: usize) -> JsonReport {
 
 /// Replaces the content of the unary relation `rel`, which holds `prev`,
 /// by `next`.
-fn sync(engine: &mut dyn DynamicEngine, rel: RelId, prev: &mut Vec<Const>, next: Vec<Const>) {
+fn sync(engine: &mut Standalone, rel: RelId, prev: &mut Vec<Const>, next: Vec<Const>) {
     for x in prev.drain(..) {
         engine.apply(&Update::Delete(rel, vec![x]));
     }
@@ -301,7 +308,7 @@ pub fn e3_hard_enumeration(ns: &[usize], rounds: usize) -> JsonReport {
         let inst = OuMvInstance::random(n, 0.02, 3);
         // Shared protocol: per round, sync S and T to uᵗ/vᵗ and enumerate
         // the full (≤ n·n but typically small) result.
-        let mut run = |engine: &mut dyn DynamicEngine, name: &str| {
+        let mut run = |engine: &mut Standalone, name: &str| {
             let schema = engine.query().schema().clone();
             let s = schema.relation("S").unwrap();
             let e = schema.relation("E").unwrap();
@@ -333,9 +340,12 @@ pub fn e3_hard_enumeration(ns: &[usize], rounds: usize) -> JsonReport {
             );
             report.add(&format!("{name}/n={n}/round"), &stats);
         };
-        run(&mut RecomputeEngine::empty(&hard), "recompute/ϕ_S-E-T");
-        run(&mut DeltaIvmEngine::empty(&hard), "delta-ivm/ϕ_S-E-T");
-        run(&mut SemiJoinEngine::empty(&hard), "semijoin/ϕ_S-E-T");
+        run(
+            &mut fresh(EngineKind::Recompute, &hard),
+            "recompute/ϕ_S-E-T",
+        );
+        run(&mut fresh(EngineKind::DeltaIvm, &hard), "delta-ivm/ϕ_S-E-T");
+        run(&mut fresh(EngineKind::SemiJoin, &hard), "semijoin/ϕ_S-E-T");
         run(
             &mut QhEngine::empty(&easy).unwrap(),
             "qh-dynamic/easy-sibling",
@@ -390,10 +400,10 @@ pub fn e4_omv(ns: &[usize]) -> JsonReport {
             inst.solve_naive()
         });
         solver_row(&mut report, &key, &cols, "recompute", Some(&naive), || {
-            oumv_via_boolean_set(&inst, &mut RecomputeEngine::empty(&q_oumv))
+            oumv_via_boolean_set(&inst, &mut fresh(EngineKind::Recompute, &q_oumv))
         });
         solver_row(&mut report, &key, &cols, "delta-ivm", Some(&naive), || {
-            oumv_via_boolean_set(&inst, &mut DeltaIvmEngine::empty(&q_oumv))
+            oumv_via_boolean_set(&inst, &mut fresh(EngineKind::DeltaIvm, &q_oumv))
         });
         let cols = format!("{n:>6}    OMv");
         let key = format!("omv/n={n}");
@@ -402,10 +412,10 @@ pub fn e4_omv(ns: &[usize]) -> JsonReport {
             inst.solve_naive()
         });
         solver_row(&mut report, &key, &cols, "delta-ivm", Some(&naive), || {
-            omv_via_enumeration(&inst, &mut DeltaIvmEngine::empty(&q_omv))
+            omv_via_enumeration(&inst, &mut fresh(EngineKind::DeltaIvm, &q_omv))
         });
         solver_row(&mut report, &key, &cols, "recompute", Some(&naive), || {
-            omv_via_enumeration(&inst, &mut RecomputeEngine::empty(&q_omv))
+            omv_via_enumeration(&inst, &mut fresh(EngineKind::Recompute, &q_omv))
         });
     }
     println!(
@@ -436,10 +446,10 @@ pub fn e5_ov_counting(ns: &[usize]) -> JsonReport {
             });
             report.add_fact(&format!("{key}/orthogonal_pair"), naive as u8 as f64);
             solver_row(&mut report, &key, &cols, "delta-ivm", Some(&naive), || {
-                ov_via_counting(&inst, &mut DeltaIvmEngine::empty(&q))
+                ov_via_counting(&inst, &mut fresh(EngineKind::DeltaIvm, &q))
             });
             solver_row(&mut report, &key, &cols, "recompute", Some(&naive), || {
-                ov_via_counting(&inst, &mut RecomputeEngine::empty(&q))
+                ov_via_counting(&inst, &mut fresh(EngineKind::Recompute, &q))
             });
         }
     }
@@ -519,13 +529,15 @@ pub fn e7_selfjoins(ns: &[usize], churn_steps: usize, delay_limit: usize) -> Jso
                 }
             })
             .collect();
-        let mut contenders: Vec<(&str, Box<dyn DynamicEngine>)> =
-            vec![("phi2-amort", Box::new(Phi2Engine::new()))];
+        let mut contenders: Vec<(&str, Box<Standalone>)> = vec![(
+            "phi2-amort",
+            Box::new(Standalone::from_empty(Phi2Engine::new())),
+        )];
         // The recompute baseline materialises |ϕ₁(D)|·|E| tuples per
         // request, a quadratic blow-up; it runs only where that fits in
         // memory (the shape is already unmistakable there).
         if n <= 4_000 {
-            contenders.push(("recompute", Box::new(RecomputeEngine::empty(&q2))));
+            contenders.push(("recompute", fresh(EngineKind::Recompute, &q2)));
         } else {
             println!("{n:>8}  recompute     (skipped: materialises |ϕ1|·|E| tuples)");
         }

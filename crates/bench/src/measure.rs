@@ -1,6 +1,6 @@
 //! Timing utilities for the experiment harness.
 
-use cqu_dynamic::DynamicEngine;
+use cqu_dynamic::{DynamicEngine, Standalone};
 use cqu_storage::Update;
 use std::time::Instant;
 
@@ -175,7 +175,7 @@ impl JsonReport {
 }
 
 /// Times each update individually through `engine`.
-pub fn time_updates(engine: &mut dyn DynamicEngine, updates: &[Update]) -> Stats {
+pub fn time_updates(engine: &mut Standalone, updates: &[Update]) -> Stats {
     Stats::from_samples(
         updates
             .iter()
@@ -234,7 +234,7 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Times `count()` calls, one after each of the given updates.
-pub fn time_counts(engine: &mut dyn DynamicEngine, updates: &[Update]) -> (Stats, Stats) {
+pub fn time_counts(engine: &mut Standalone, updates: &[Update]) -> (Stats, Stats) {
     let mut update_samples = Vec::with_capacity(updates.len());
     let mut count_samples = Vec::with_capacity(updates.len());
     for u in updates {

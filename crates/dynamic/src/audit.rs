@@ -4,27 +4,30 @@
 //! counters `C^i_ψ`, weights `C^i`, free weights `C̃^i`, per-child sums,
 //! fit-list membership, `C_start`, `C̃_start`). This module recomputes all
 //! of them **independently** — presence from a direct scan of the
-//! database, weights by brute-force backtracking joins over `atoms(v)` —
-//! and compares. Property tests drive random update streams through the
-//! engine and call [`check_invariants`] after every step; this is the main
-//! correctness argument for the Section 6 implementation beyond the
-//! end-to-end result checks.
+//! database the structure is maintained against, weights by brute-force
+//! backtracking joins over `atoms(v)` — and compares. Property tests
+//! drive random update streams through the engine and call
+//! [`check_invariants`] after every step, and a session audits every
+//! registration against its one `D`; this is the main correctness
+//! argument for the Section 6 implementation beyond the end-to-end
+//! result checks.
 
 use crate::structure::ComponentStructure;
-use crate::QhEngine;
+use crate::QhStructure;
 use cqu_common::{FxHashMap, FxHashSet};
 use cqu_query::qtree::NodeId;
 use cqu_query::{AtomId, Query, Var};
 use cqu_storage::{Const, Database};
 
-/// Verifies every maintained register of `engine` against independent
-/// recomputation. Returns a description of the first inconsistency found.
+/// Verifies every maintained register of `structure` against independent
+/// recomputation over `db`, the `D` its owner keeps. Returns a
+/// description of the first inconsistency found.
 ///
 /// Cost is roughly `O(|items| · |D|^{|atoms(v)|})` — intended for tests on
 /// small databases, not production use.
-pub fn check_invariants(engine: &QhEngine) -> Result<(), String> {
-    for (ci, comp) in engine.components().iter().enumerate() {
-        check_component(ci, comp, engine.database())?;
+pub fn check_invariants(structure: &QhStructure, db: &Database) -> Result<(), String> {
+    for (ci, comp) in structure.components().iter().enumerate() {
+        check_component(ci, comp, db)?;
     }
     Ok(())
 }
@@ -279,8 +282,13 @@ fn backtrack(
 mod tests {
     use super::*;
     use crate::engine::DynamicEngine;
+    use crate::QhEngine;
     use cqu_query::parse_query;
     use cqu_storage::Update;
+
+    fn audited(e: &QhEngine) {
+        check_invariants(e, e.database()).unwrap();
+    }
 
     #[test]
     fn audit_passes_on_small_run() {
@@ -288,21 +296,33 @@ mod tests {
         let mut e = QhEngine::empty(&q).unwrap();
         let er = q.schema().relation("E").unwrap();
         let tr = q.schema().relation("T").unwrap();
-        check_invariants(&e).unwrap();
+        audited(&e);
         for (a, b) in [(1, 2), (1, 3), (2, 3), (3, 3)] {
             e.apply(&Update::Insert(er, vec![a, b]));
-            check_invariants(&e).unwrap();
+            audited(&e);
         }
         for t in [2, 3] {
             e.apply(&Update::Insert(tr, vec![t]));
-            check_invariants(&e).unwrap();
+            audited(&e);
         }
         for (a, b) in [(1, 3), (3, 3)] {
             e.apply(&Update::Delete(er, vec![a, b]));
-            check_invariants(&e).unwrap();
+            audited(&e);
         }
         e.apply(&Update::Delete(tr, vec![2]));
-        check_invariants(&e).unwrap();
+        audited(&e);
+    }
+
+    /// A structure out of step with the `D` it is audited against is
+    /// caught: the audit reads presence from the caller's database.
+    #[test]
+    fn audit_reads_the_callers_database() {
+        let q = parse_query("Q(x, y) :- E(x, y), T(y).").unwrap();
+        let mut e = QhEngine::empty(&q).unwrap();
+        let er = q.schema().relation("E").unwrap();
+        e.apply(&Update::Insert(er, vec![1, 2]));
+        let stale = Database::new(q.schema().clone());
+        assert!(check_invariants(&e, &stale).is_err());
     }
 
     #[test]
@@ -318,14 +338,14 @@ mod tests {
         let fr = qb.schema().relation("F").unwrap();
         for (a, b) in [(1, 2), (2, 2), (5, 6)] {
             e.apply(&Update::Insert(er, vec![a, b]));
-            check_invariants(&e).unwrap();
+            audited(&e);
         }
         for (a, b) in [(2, 9), (6, 1)] {
             e.apply(&Update::Insert(fr, vec![a, b]));
-            check_invariants(&e).unwrap();
+            audited(&e);
         }
         assert!(e.answer());
         e.apply(&Update::Delete(fr, vec![2, 9]));
-        check_invariants(&e).unwrap();
+        audited(&e);
     }
 }

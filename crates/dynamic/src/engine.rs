@@ -1,10 +1,13 @@
 //! The dynamic-engine interface shared by the paper's algorithm and all
-//! baselines.
+//! baselines, and the one set-semantics rule ([`net_effective`]) every
+//! owner of a database decides effectiveness with.
 //!
 //! A dynamic query evaluation algorithm (paper, Section 2) consists of
-//! `preprocess` (the constructor), `update`, and — depending on the task —
-//! `enumerate`, `count`, and `answer`. This trait captures the latter four;
-//! construction is engine-specific because preprocessing guarantees differ.
+//! `preprocess` ([`DynamicEngine::load`] on an engine built empty),
+//! `update`, and — depending on the task — `enumerate`, `count`, and
+//! `answer`. The caller owns `D`: it decides which updates change `D` and
+//! hands the engine only those, so no engine keeps a database to decide
+//! it again.
 
 use cqu_common::FxHashMap;
 use cqu_query::{Query, RelId};
@@ -13,8 +16,8 @@ use cqu_storage::{Const, Database, Update};
 /// The net effect of an update (or batch) on a query result: the tuples
 /// that entered and left `ϕ(D)`.
 ///
-/// Producers ([`DynamicEngine::apply_tracked`] /
-/// [`DynamicEngine::apply_batch_tracked`]) *append* raw presence flips;
+/// Producers ([`DynamicEngine::apply_net_tracked`],
+/// [`Standalone::apply_tracked`]) *append* raw presence flips;
 /// call [`ResultDelta::normalize`] before consuming — it nets out
 /// add/remove pairs accumulated across several updates (a tuple that
 /// entered and left again within a transaction vanishes from the delta)
@@ -93,43 +96,64 @@ pub fn diff_sorted_into(before: &[Vec<Const>], after: &[Vec<Const>], out: &mut R
     out.added.extend_from_slice(&after[j..]);
 }
 
-/// Nets a batch against `db` under set semantics: returns the
-/// as-if-sequential effective count plus the per-fact net commits
-/// `(relation, tuple, insert)`, sorted by relation for index locality.
-/// An insert/delete pair of the same tuple cancels to two hash probes.
-pub fn net_effective(db: &Database, updates: &[Update]) -> (usize, Vec<(RelId, Vec<Const>, bool)>) {
-    // (initial presence, current presence) per touched tuple.
-    let mut shadow: FxHashMap<(RelId, &[Const]), (bool, bool)> = FxHashMap::default();
-    let mut applied = 0usize;
-    for u in updates {
-        let key = (u.relation(), u.tuple());
-        let entry = shadow.entry(key).or_insert_with(|| {
-            let present = db.relation(key.0).contains(key.1);
-            (present, present)
-        });
-        let target = u.is_insert();
-        if entry.1 != target {
-            entry.1 = target;
-            applied += 1;
-        }
-    }
-    let mut net: Vec<(RelId, Vec<Const>, bool)> = shadow
-        .into_iter()
-        .filter(|(_, (initial, current))| initial != current)
-        .map(|((rel, tuple), (_, current))| (rel, tuple.to_vec(), current))
-        .collect();
-    net.sort_unstable();
-    (applied, net)
+/// A batch netted under set semantics ([`net_effective`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Netted {
+    /// Positions of the members that change `D` when the batch is
+    /// applied in order: exactly those for which a sequential
+    /// `Database::apply` returns `true`.
+    pub effective: Vec<usize>,
+    /// The net facts: one per tuple whose presence the whole batch
+    /// flips, sorted by relation (then tuple). Applied to the initial
+    /// `D` in any order they give the final `D`; an insert/delete pair
+    /// of one tuple cancels out of it.
+    pub net: Vec<Update>,
 }
 
-/// Outcome of a batched update application ([`DynamicEngine::apply_batch`]).
+/// The set-semantics rule, once for the whole system: nets `updates`
+/// against the caller's `D`, whose presence bits `present(rel, tuple)`
+/// supplies (asked at most once per distinct tuple; the batch's own
+/// earlier members overlay it).
+pub fn net_effective(
+    updates: &[Update],
+    mut present: impl FnMut(RelId, &[Const]) -> bool,
+) -> Netted {
+    // (initial presence, current presence) per touched tuple.
+    let mut shadow: FxHashMap<(RelId, &[Const]), (bool, bool)> = FxHashMap::default();
+    let mut effective = Vec::new();
+    for (i, u) in updates.iter().enumerate() {
+        let entry = shadow.entry((u.relation(), u.tuple())).or_insert_with(|| {
+            let p = present(u.relation(), u.tuple());
+            (p, p)
+        });
+        if entry.1 != u.is_insert() {
+            entry.1 = u.is_insert();
+            effective.push(i);
+        }
+    }
+    let mut net: Vec<Update> = shadow
+        .into_iter()
+        .filter(|(_, (initial, current))| initial != current)
+        .map(|((rel, tuple), (_, insert))| {
+            if insert {
+                Update::Insert(rel, tuple.to_vec())
+            } else {
+                Update::Delete(rel, tuple.to_vec())
+            }
+        })
+        .collect();
+    net.sort_unstable_by(|a, b| (a.relation(), a.tuple()).cmp(&(b.relation(), b.tuple())));
+    Netted { effective, net }
+}
+
+/// Outcome of a batched update application
+/// ([`Standalone::apply_batch`], the session's `apply_batch`).
 ///
 /// `applied` counts the updates that would have been effective had the
-/// batch been applied one at a time — engines that net out the batch
-/// internally (see `QhEngine`) still report sequential-equivalent
-/// numbers, so callers can swap batching in and out without changing
+/// batch been applied one at a time, although only the net facts reach
+/// the engines, so callers can swap batching in and out without changing
 /// the final state or the report. Engine-internal instrumentation (e.g.
-/// `QhEngine::last_update_work`) reflects the work *actually* done and
+/// `QhStructure::last_update_work`) reflects the work *actually* done and
 /// may legitimately differ under netting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateReport {
@@ -218,6 +242,17 @@ impl ResultSnapshot for MaterializedSnapshot {
 
 /// A dynamic query-evaluation algorithm over a fixed query.
 ///
+/// **The caller owns `D`.** An engine is handed only *effective* facts —
+/// inserts of absent tuples and deletes of present ones, as decided
+/// against the caller's own database (a `Database::apply` that returned
+/// `true`, or the net of [`net_effective`]) — and keeps no database to
+/// decide it again: a no-op handed in corrupts its state. A fact of a
+/// relation the query does not reference, or one that matches no atom
+/// pattern (`E(1, 2)` against `E(x, x)`), changes `D` but must leave the
+/// answer untouched. Preprocessing ([`DynamicEngine::load`]) reads the
+/// caller's `D` once. [`Standalone`] pairs an engine with a `D` of its
+/// own for callers that keep none.
+///
 /// Engines are `Send + Sync`: they hold plain data (no interior
 /// mutability), writers go through `&mut self`, and concurrent readers
 /// share `&self` — the session layer serializes the former and hands the
@@ -226,31 +261,16 @@ pub trait DynamicEngine: Send + Sync {
     /// The query this engine maintains.
     fn query(&self) -> &Query;
 
-    /// Applies a single-tuple update; returns `true` iff the database
-    /// changed (set semantics: duplicate inserts / absent deletes are
-    /// no-ops and must be tolerated).
-    fn apply(&mut self, update: &Update) -> bool;
-
-    /// Applies a batch of updates, equivalent to applying them in order.
-    ///
-    /// The default implementation loops [`DynamicEngine::apply`]; engines
-    /// can override it to amortise work across the batch (grouping by
-    /// relation, cancelling insert/delete pairs, deferring propagation)
-    /// as long as the final state and the report match the sequential
-    /// semantics.
-    fn apply_batch(&mut self, updates: &[Update]) -> UpdateReport {
-        let applied = updates.iter().filter(|u| self.apply(u)).count();
-        UpdateReport {
-            total: updates.len(),
-            applied,
-        }
-    }
+    /// Applies a netted set of effective facts (see the trait docs): at
+    /// most one per tuple, as [`Netted::net`] holds them. One effective
+    /// update is a set of one (`std::slice::from_ref`).
+    fn apply_net(&mut self, net: &[Update]);
 
     /// Whether this engine extracts result deltas *natively* — as a side
     /// product of its own maintenance work — rather than by diffing full
     /// result snapshots.
     ///
-    /// When `true`, [`DynamicEngine::apply_tracked`] costs the plain
+    /// When `true`, [`DynamicEngine::apply_net_tracked`] costs the plain
     /// update plus `O(δ)` for `δ` flipped result tuples, so change feeds
     /// stay cheap no matter how large `ϕ(D)` is. When `false` (the
     /// default), the tracked methods fall back to enumerating the result
@@ -259,46 +279,39 @@ pub trait DynamicEngine: Send + Sync {
         false
     }
 
-    /// Applies a single-tuple update like [`DynamicEngine::apply`] while
+    /// Applies a netted set like [`DynamicEngine::apply_net`] while
     /// appending the result delta it caused to `delta` (raw flips — the
     /// consumer calls [`ResultDelta::normalize`] before publishing).
     ///
-    /// The default implementation diffs full result snapshots; engines
-    /// with [`DynamicEngine::delta_hint`] override it with native
+    /// The default diffs full result snapshots around the whole set;
+    /// engines with [`DynamicEngine::delta_hint`] override it with native
     /// extraction.
-    fn apply_tracked(&mut self, update: &Update, delta: &mut ResultDelta) -> bool {
+    fn apply_net_tracked(&mut self, net: &[Update], delta: &mut ResultDelta) {
         let before = self.results_sorted();
-        if !self.apply(update) {
-            return false;
-        }
+        self.apply_net(net);
         diff_sorted_into(&before, &self.results_sorted(), delta);
-        true
     }
 
-    /// Applies a batch like [`DynamicEngine::apply_batch`] while
-    /// appending the batch's result delta to `delta`.
-    ///
-    /// The default loops [`DynamicEngine::apply_tracked`] when the engine
-    /// extracts deltas natively (flips accumulate and net out in
-    /// `normalize`), and otherwise performs one snapshot diff around the
-    /// whole batch.
-    fn apply_batch_tracked(&mut self, updates: &[Update], delta: &mut ResultDelta) -> UpdateReport {
-        if self.delta_hint() {
-            let applied = updates
-                .iter()
-                .filter(|u| self.apply_tracked(u, delta))
-                .count();
-            return UpdateReport {
-                total: updates.len(),
-                applied,
-            };
+    /// `preprocess(ϕ, D₀)` for an engine built over the empty database:
+    /// feeds it every fact of the caller's `db0` in a relation the query
+    /// references, as effective inserts.
+    fn load(&mut self, db0: &Database) {
+        let mut rels: Vec<RelId> = self.query().atoms().iter().map(|a| a.relation).collect();
+        rels.sort_unstable();
+        rels.dedup();
+        for rel in rels {
+            for tuple in db0.relation(rel).iter() {
+                self.apply_net(&[Update::Insert(rel, tuple.clone())]);
+            }
         }
-        let before = self.results_sorted();
-        let report = self.apply_batch(updates);
-        if report.applied > 0 {
-            diff_sorted_into(&before, &self.results_sorted(), delta);
-        }
-        report
+    }
+
+    /// Checks the engine's maintained registers against an independent
+    /// recomputation over `db`, the caller's `D`; returns the first
+    /// inconsistency. Brute-force cost — for tests. The default has
+    /// nothing to check.
+    fn audit(&self, _db: &Database) -> Result<(), String> {
+        Ok(())
     }
 
     /// `|ϕ(D)|` on the current database.
@@ -346,9 +359,147 @@ pub trait DynamicEngine: Send + Sync {
     }
 }
 
+/// An engine together with the one copy of `D` it is maintained
+/// against, for callers that keep no database of their own (benchmarks,
+/// the lower-bound reductions, tests): set semantics is decided here, so
+/// the engine it derefs to only ever sees effective facts. There is no
+/// `DerefMut` — every mutation passes the database first.
+/// `Box<Standalone>` is the type-erased form.
+pub struct Standalone<E: ?Sized + DynamicEngine = dyn DynamicEngine> {
+    db: Database,
+    engine: E,
+}
+
+impl<E: DynamicEngine> Standalone<E> {
+    /// Preprocesses `engine`, built over the empty database, with `db0`
+    /// ([`DynamicEngine::load`]) and keeps a copy of `db0` as its `D`.
+    pub fn over(mut engine: E, db0: &Database) -> Self {
+        engine.load(db0);
+        let db = db0.clone();
+        Standalone { db, engine }
+    }
+
+    /// Pairs `engine`, built over the empty database, with an empty `D`.
+    pub fn from_empty(engine: E) -> Self {
+        let db = Database::new(engine.query().schema().clone());
+        Standalone { db, engine }
+    }
+}
+
+impl<E: ?Sized + DynamicEngine> Standalone<E> {
+    /// The current database.
+    pub fn database(&self) -> &Database {
+        &self.db
+    }
+
+    /// Applies a single-tuple update; returns `true` iff the database
+    /// changed (only then does the engine see it).
+    pub fn apply(&mut self, update: &Update) -> bool {
+        let effective = self.db.apply(update);
+        if effective {
+            self.engine.apply_net(std::slice::from_ref(update));
+        }
+        effective
+    }
+
+    /// [`Standalone::apply`] appending the result delta to `delta`.
+    pub fn apply_tracked(&mut self, update: &Update, delta: &mut ResultDelta) -> bool {
+        let effective = self.db.apply(update);
+        if effective {
+            self.engine
+                .apply_net_tracked(std::slice::from_ref(update), delta);
+        }
+        effective
+    }
+
+    /// Applies a batch, equivalent to its members in order: netted
+    /// against `D` first, so the engine walks only the net facts.
+    pub fn apply_batch(&mut self, updates: &[Update]) -> UpdateReport {
+        self.batch(updates, None)
+    }
+
+    /// [`Standalone::apply_batch`] appending the batch's result delta to
+    /// `delta`.
+    pub fn apply_batch_tracked(
+        &mut self,
+        updates: &[Update],
+        delta: &mut ResultDelta,
+    ) -> UpdateReport {
+        self.batch(updates, Some(delta))
+    }
+
+    fn batch(&mut self, updates: &[Update], delta: Option<&mut ResultDelta>) -> UpdateReport {
+        let Netted { effective, net } =
+            net_effective(updates, |rel, t| self.db.relation(rel).contains(t));
+        for fact in &net {
+            self.db.apply(fact);
+        }
+        match delta {
+            _ if effective.is_empty() => {}
+            Some(delta) => self.engine.apply_net_tracked(&net, delta),
+            None => self.engine.apply_net(&net),
+        }
+        UpdateReport {
+            total: updates.len(),
+            applied: effective.len(),
+        }
+    }
+}
+
+impl<E: ?Sized + DynamicEngine> std::ops::Deref for Standalone<E> {
+    type Target = E;
+
+    fn deref(&self) -> &E {
+        &self.engine
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqu_query::Schema;
+    use cqu_testutil::{cancelling_pairs, random_updates, WorkloadConfig};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The one effectiveness rule against sequential `Database::apply`
+        /// on scripts full of duplicate inserts, absent deletes and
+        /// cancelling pairs: its effective members are exactly the ones
+        /// sequential `apply` returns `true` for, and its net, applied to
+        /// the initial `D`, is effective fact by fact and gives the final
+        /// `D`.
+        #[test]
+        fn net_effective_equals_sequential_apply(seed in 0u64..100_000, preload in 0usize..24) {
+            let mut schema = Schema::new();
+            schema.intern("E", 2).unwrap();
+            schema.intern("T", 1).unwrap();
+            let cfg = |steps| WorkloadConfig { steps, domain: 3, insert_permille: 550 };
+            let mut initial = Database::new(schema.clone());
+            initial.apply_all(&random_updates(&schema, seed, cfg(preload)));
+            let mut script = random_updates(&schema, seed ^ 0x5EED, cfg(30));
+            script.extend(cancelling_pairs(&script[..8]));
+            script.extend_from_within(4..16);
+
+            let netted = net_effective(&script, |rel, t| initial.relation(rel).contains(t));
+            let mut sequential = initial.clone();
+            let effective: Vec<usize> = (0..script.len())
+                .filter(|&i| sequential.apply(&script[i]))
+                .collect();
+            prop_assert_eq!(&netted.effective, &effective);
+            let mut netted_db = initial.clone();
+            for fact in &netted.net {
+                prop_assert!(netted_db.apply(fact), "net fact {:?} is a no-op", fact);
+            }
+            for rel in schema.relations() {
+                prop_assert_eq!(
+                    netted_db.relation(rel).sorted(),
+                    sequential.relation(rel).sorted()
+                );
+            }
+        }
+    }
 
     #[test]
     fn normalize_nets_and_sorts() {

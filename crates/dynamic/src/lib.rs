@@ -1,15 +1,25 @@
 //! The dynamic query-evaluation algorithm of *Answering Conjunctive
 //! Queries under Updates* (Berkholz, Keppeler, Schweikardt; PODS 2017).
 //!
-//! [`QhEngine`] implements Theorem 3.2: for every **q-hierarchical**
+//! [`QhStructure`] implements Theorem 3.2: for every **q-hierarchical**
 //! conjunctive query it offers
 //!
-//! * `preprocess` in time `poly(ϕ) · O(‖D₀‖)` (the constructor replays the
-//!   initial database through constant-time updates),
+//! * `preprocess` in time `poly(ϕ) · O(‖D₀‖)` ([`DynamicEngine::load`]
+//!   replays the caller's initial database through constant-time
+//!   updates),
 //! * `update` in time `poly(ϕ)` per inserted/deleted tuple,
 //! * `enumerate` with delay `poly(ϕ)` ([`ResultIter`], Algorithm 1),
 //! * `count` (`|ϕ(D)|`) and `answer` in time `O(1)` (reading the maintained
 //!   `C̃_start` / `C_start` registers).
+//!
+//! **The caller owns `D`** (the paper's structure stores it once): the
+//! structure's per-atom counters `C^i_ψ` record which facts are present,
+//! so it keeps no database of its own. Its mutations accept only facts
+//! the caller found effective against its `D` ([`DynamicEngine`]), and
+//! preprocessing loads the caller's `D`. The one set-semantics rule is
+//! [`net_effective`]; a session calls it against its own database, and
+//! [`Standalone`] pairs an engine with a `D` for everyone else —
+//! [`QhEngine`] is the q-tree structure in that form:
 //!
 //! ```
 //! use cqu_dynamic::{DynamicEngine, QhEngine};
@@ -42,8 +52,8 @@ pub mod selfjoin;
 pub mod structure;
 
 pub use engine::{
-    diff_sorted_into, net_effective, DynamicEngine, MaterializedSnapshot, ResultDelta,
-    ResultSnapshot, UpdateReport,
+    diff_sorted_into, net_effective, DynamicEngine, MaterializedSnapshot, Netted, ResultDelta,
+    ResultSnapshot, Standalone, UpdateReport,
 };
 pub use enumerate::{ComponentIter, ResultIter};
 pub use structure::ComponentStructure;
@@ -53,11 +63,28 @@ use cqu_query::{Query, QueryError, RelId};
 use cqu_storage::{Const, Database, Update};
 use std::sync::Arc;
 
-/// The dynamic engine for q-hierarchical conjunctive queries
-/// (Theorem 3.2).
-pub struct QhEngine {
+/// The q-tree engine in its stand-alone form: a [`QhStructure`] with its
+/// own copy of `D`.
+pub type QhEngine = Standalone<QhStructure>;
+
+impl Standalone<QhStructure> {
+    /// `preprocess(ϕ, D₀)`: builds the q-tree forest and loads `db0` —
+    /// `O(poly(ϕ) · ‖D₀‖)` total. Fails with
+    /// [`QueryError::NotQHierarchical`] iff `query` is not q-hierarchical.
+    pub fn new(query: &Query, db0: &Database) -> Result<Self, QueryError> {
+        Ok(Standalone::over(QhStructure::empty(query)?, db0))
+    }
+
+    /// `preprocess(ϕ, ∅)`: an engine over the empty database.
+    pub fn empty(query: &Query) -> Result<Self, QueryError> {
+        Ok(Standalone::from_empty(QhStructure::empty(query)?))
+    }
+}
+
+/// The dynamic data structure for q-hierarchical conjunctive queries
+/// (Theorem 3.2, Section 6), maintained against the caller's `D`.
+pub struct QhStructure {
     query: Arc<Query>,
-    db: Database,
     /// The per-component dynamic structures, behind `Arc`s for epoch
     /// snapshots: a pin clones the `Arc`s (O(1) per component), and the
     /// writer goes copy-on-write — [`Arc::make_mut`] mutates in place
@@ -72,23 +99,11 @@ pub struct QhEngine {
     last_work: u64,
 }
 
-impl QhEngine {
-    /// `preprocess(ϕ, D₀)`: builds the q-tree forest, then loads `db0` by
-    /// replaying its facts as insertions — `O(poly(ϕ) · ‖D₀‖)` total.
-    ///
-    /// Fails with [`QueryError::NotQHierarchical`] iff `query` is not
+impl QhStructure {
+    /// The structure over the empty database (load a `D₀` with
+    /// [`DynamicEngine::load`]). Fails with
+    /// [`QueryError::NotQHierarchical`] iff `query` is not
     /// q-hierarchical.
-    pub fn new(query: &Query, db0: &Database) -> Result<Self, QueryError> {
-        let mut engine = Self::empty(query)?;
-        for rel in db0.schema().relations() {
-            for tuple in db0.relation(rel).iter() {
-                engine.apply(&Update::Insert(rel, tuple.clone()));
-            }
-        }
-        Ok(engine)
-    }
-
-    /// `preprocess(ϕ, ∅)`: an engine over the empty database.
     pub fn empty(query: &Query) -> Result<Self, QueryError> {
         let forest = QTree::forest(query)?;
         let query = Arc::new(query.clone());
@@ -100,19 +115,12 @@ impl QhEngine {
             .iter()
             .map(|c| c.output_slots(query.free()))
             .collect();
-        let db = Database::new(query.schema().clone());
-        Ok(QhEngine {
+        Ok(QhStructure {
             query,
-            db,
             components,
             out_slots,
             last_work: 0,
         })
-    }
-
-    /// The engine's internal copy of the current database.
-    pub fn database(&self) -> &Database {
-        &self.db
     }
 
     /// The per-component structures (for auditing and instrumentation).
@@ -134,56 +142,6 @@ impl QhEngine {
     /// assert it never grows with the database.
     pub fn last_update_work(&self) -> u64 {
         self.last_work
-    }
-
-    /// Shared body of `apply_batch` / `apply_batch_tracked`: net the
-    /// batch against the shadow presence bits, commit the survivors
-    /// grouped by relation, optionally extracting deltas.
-    fn batch_inner(
-        &mut self,
-        updates: &[Update],
-        mut track: Option<&mut ResultDelta>,
-    ) -> UpdateReport {
-        if updates.len() < 2 {
-            let applied = updates
-                .iter()
-                .filter(|u| match track.as_deref_mut() {
-                    Some(d) => self.apply_tracked(u, d),
-                    None => self.apply(u),
-                })
-                .count();
-            return UpdateReport {
-                total: updates.len(),
-                applied,
-            };
-        }
-        let (applied, net) = net_effective(&self.db, updates);
-        let mut work = 0u64;
-        for (rel, tuple, insert) in net {
-            let u = if insert {
-                Update::Insert(rel, tuple)
-            } else {
-                Update::Delete(rel, tuple)
-            };
-            let changed = self.db.apply(&u);
-            debug_assert!(changed, "netted update must be effective");
-            work += match track.as_deref_mut() {
-                Some(d) => self.track_fact(rel, u.tuple(), insert, d),
-                None => self
-                    .components
-                    .iter_mut()
-                    .filter(|c| c.uses_relation(rel))
-                    .map(|c| Arc::make_mut(c).apply_fact(rel, u.tuple(), insert))
-                    .sum::<u64>(),
-            };
-        }
-        if applied > 0 {
-            self.last_work = work;
-        }
-        UpdateReport {
-            total: updates.len(),
-            applied,
-        }
     }
 
     /// Applies one effective fact to every component while assembling the
@@ -281,67 +239,47 @@ impl QhEngine {
     }
 }
 
-impl DynamicEngine for QhEngine {
+impl DynamicEngine for QhStructure {
     fn query(&self) -> &Query {
         &self.query
     }
 
-    fn apply(&mut self, update: &Update) -> bool {
-        // Set semantics: only effective changes reach the structures.
-        if !self.db.apply(update) {
-            return false;
-        }
-        let rel = update.relation();
-        let insert = update.is_insert();
-        let tuple = update.tuple();
-        self.last_work = self
-            .components
-            .iter_mut()
-            .filter(|c| c.uses_relation(rel))
-            .map(|c| Arc::make_mut(c).apply_fact(rel, tuple, insert))
+    /// Afterwards [`QhStructure::last_update_work`] holds the *total*
+    /// structural work of the set's facts (0 for an empty set, e.g. a
+    /// fully cancelling batch).
+    fn apply_net(&mut self, net: &[Update]) {
+        self.last_work = net
+            .iter()
+            .map(|fact| {
+                let (rel, insert) = (fact.relation(), fact.is_insert());
+                self.components
+                    .iter_mut()
+                    .filter(|c| c.uses_relation(rel))
+                    .map(|c| Arc::make_mut(c).apply_fact(rel, fact.tuple(), insert))
+                    .sum::<u64>()
+            })
             .sum();
-        true
-    }
-
-    /// Batched updates with netting: the batch is first replayed against a
-    /// shadow of the affected tuples' presence bits (hash lookups only),
-    /// which yields the sequential-equivalent `applied` count; then only
-    /// the tuples whose presence actually *changed* are propagated into
-    /// the q-tree structures, grouped by relation. An insert/delete pair
-    /// of the same tuple therefore costs two hash probes instead of two
-    /// full structure walks.
-    ///
-    /// After an effective batch, [`QhEngine::last_update_work`] holds the
-    /// *total* structural work of the netted commits (0 for a fully
-    /// cancelling batch) — not the last single update's work as in the
-    /// sequential path.
-    fn apply_batch(&mut self, updates: &[Update]) -> UpdateReport {
-        self.batch_inner(updates, None)
     }
 
     fn delta_hint(&self) -> bool {
         true
     }
 
-    /// Native `O(δ)` delta extraction: the update walk itself reports
-    /// which output assignments flipped between absent and present
-    /// ([`ComponentStructure::apply_fact_tracked`]); no result snapshot
-    /// is ever taken.
-    fn apply_tracked(&mut self, update: &Update, delta: &mut ResultDelta) -> bool {
-        if !self.db.apply(update) {
-            return false;
-        }
-        self.last_work =
-            self.track_fact(update.relation(), update.tuple(), update.is_insert(), delta);
-        true
+    /// Native `O(δ)` delta extraction per fact: the update walk itself
+    /// reports which output assignments flipped between absent and
+    /// present ([`ComponentStructure::apply_fact_tracked`]); no result
+    /// snapshot is ever taken. Flips of the same result tuple across
+    /// facts cancel in [`ResultDelta::normalize`].
+    fn apply_net_tracked(&mut self, net: &[Update], delta: &mut ResultDelta) {
+        self.last_work = net
+            .iter()
+            .map(|f| self.track_fact(f.relation(), f.tuple(), f.is_insert(), delta))
+            .sum();
     }
 
-    /// Netted batch with native delta extraction per surviving commit.
-    /// Flips of the same tuple across commits cancel in
-    /// [`ResultDelta::normalize`]; a fully cancelling batch appends
-    /// nothing at all.
-    fn apply_batch_tracked(&mut self, updates: &[Update], delta: &mut ResultDelta) -> UpdateReport {
-        self.batch_inner(updates, Some(delta))
+    /// [`audit::check_invariants`] against the caller's `D`.
+    fn audit(&self, db: &Database) -> Result<(), String> {
+        audit::check_invariants(self, db)
     }
 
     fn count(&self) -> u64 {

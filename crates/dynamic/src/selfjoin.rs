@@ -92,62 +92,30 @@ impl Phi2Engine {
     pub fn num_loops(&self) -> usize {
         self.loops.len()
     }
-}
 
-impl Default for Phi2Engine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DynamicEngine for Phi2Engine {
-    fn query(&self) -> &Query {
-        &self.query
-    }
-
-    fn apply(&mut self, update: &Update) -> bool {
+    /// The edge and loop sets *are* `E`: the engine's state is the
+    /// relation itself, kept as state rather than as a guard.
+    fn toggle(&mut self, fact: &Update) {
         assert_eq!(
-            update.relation(),
+            fact.relation(),
             self.rel,
             "ϕ₂ engine has a single relation E"
         );
-        let t = update.tuple();
+        let t = fact.tuple();
         let e = (t[0], t[1]);
-        let changed = if update.is_insert() {
+        let changed = if fact.is_insert() {
             self.edges.insert(e)
         } else {
             self.edges.remove(e)
         };
-        if changed && e.0 == e.1 {
-            if update.is_insert() {
+        debug_assert!(changed, "ϕ₂ engine handed a no-op {fact:?}");
+        if e.0 == e.1 {
+            if fact.is_insert() {
                 self.loops.insert(e);
             } else {
                 self.loops.remove(e);
             }
         }
-        changed
-    }
-
-    /// `|ϕ₂(D)| = |ϕ₁(D)| · |E|`. Computing `|ϕ₁(D)|` under updates is
-    /// conditionally hard (Theorem 3.5); this engine deliberately performs
-    /// the linear-time computation on demand rather than maintaining it.
-    fn count(&self) -> u64 {
-        let pairs = self
-            .edges
-            .items
-            .iter()
-            .filter(|(a, b)| self.loops.contains(&(*a, *a)) && self.loops.contains(&(*b, *b)))
-            .count() as u64;
-        pairs * self.edges.len() as u64
-    }
-
-    fn is_nonempty(&self) -> bool {
-        // ϕ₂(D) ≠ ∅ iff some loop exists: (c,c) gives (c,c,c,c).
-        self.loops.len() > 0
-    }
-
-    fn delta_hint(&self) -> bool {
-        true
     }
 
     /// Native delta extraction for the Lemma A.2 engine: one linear scan
@@ -156,18 +124,10 @@ impl DynamicEngine for Phi2Engine {
     /// incrementally is what Theorem 3.5 conditionally forbids; the
     /// per-update scan is the natural price, and `δ` itself is `Ω(|E|)`
     /// whenever a pair enters or leaves `ϕ₁`.)
-    fn apply_tracked(&mut self, update: &Update, delta: &mut ResultDelta) -> bool {
-        assert_eq!(
-            update.relation(),
-            self.rel,
-            "ϕ₂ engine has a single relation E"
-        );
-        let t = update.tuple();
+    fn toggle_tracked(&mut self, fact: &Update, delta: &mut ResultDelta) {
+        let t = fact.tuple();
         let e = (t[0], t[1]);
-        let insert = update.is_insert();
-        if insert == self.edges.contains(&e) {
-            return false; // set-semantics no-op
-        }
+        let insert = fact.is_insert();
         // added  = ϕ₁_old × {e}  ∪  (ϕ₁_new ∖ ϕ₁_old) × E_new
         // removed = (ϕ₁_old ∖ ϕ₁_new) × E_old  ∪  ϕ₁_new × {e}
         // — both unions disjoint, so raw pushes need no dedup.
@@ -192,7 +152,7 @@ impl DynamicEngine for Phi2Engine {
             } else if lp(e.0) && lp(e.1) {
                 new_pairs.push(e);
             }
-            self.apply(update);
+            self.toggle(fact);
             for &(x, y) in &new_pairs {
                 for &(z1, z2) in &self.edges.items {
                     delta.added.push(vec![x, y, z1, z2]);
@@ -217,13 +177,58 @@ impl DynamicEngine for Phi2Engine {
                     delta.removed.push(vec![x, y, z1, z2]);
                 }
             }
-            self.apply(update);
+            self.toggle(fact);
             for &(x, y) in &self.edges.items {
                 if self.loops.contains(&(x, x)) && self.loops.contains(&(y, y)) {
                     delta.removed.push(vec![x, y, e.0, e.1]);
                 }
             }
         }
+    }
+}
+
+impl Default for Phi2Engine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl DynamicEngine for Phi2Engine {
+    fn query(&self) -> &Query {
+        &self.query
+    }
+
+    fn apply_net(&mut self, net: &[Update]) {
+        for fact in net {
+            self.toggle(fact);
+        }
+    }
+
+    fn apply_net_tracked(&mut self, net: &[Update], delta: &mut ResultDelta) {
+        for fact in net {
+            self.toggle_tracked(fact, delta);
+        }
+    }
+
+    /// `|ϕ₂(D)| = |ϕ₁(D)| · |E|`. Computing `|ϕ₁(D)|` under updates is
+    /// conditionally hard (Theorem 3.5); this engine deliberately performs
+    /// the linear-time computation on demand rather than maintaining it.
+    fn count(&self) -> u64 {
+        let pairs = self
+            .edges
+            .items
+            .iter()
+            .filter(|(a, b)| self.loops.contains(&(*a, *a)) && self.loops.contains(&(*b, *b)))
+            .count() as u64;
+        pairs * self.edges.len() as u64
+    }
+
+    fn is_nonempty(&self) -> bool {
+        // ϕ₂(D) ≠ ∅ iff some loop exists: (c,c) gives (c,c,c,c).
+        self.loops.len() > 0
+    }
+
+    fn delta_hint(&self) -> bool {
         true
     }
 
@@ -323,13 +328,19 @@ impl Iterator for Phi2Iter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Standalone;
 
-    fn ins(e: &mut Phi2Engine, a: Const, b: Const) {
+    /// The engine with its own `E`, which filters the no-ops out.
+    fn fresh() -> Standalone<Phi2Engine> {
+        Standalone::from_empty(Phi2Engine::new())
+    }
+
+    fn ins(e: &mut Standalone<Phi2Engine>, a: Const, b: Const) {
         let u = Update::Insert(e.rel, vec![a, b]);
         e.apply(&u);
     }
 
-    fn del(e: &mut Phi2Engine, a: Const, b: Const) {
+    fn del(e: &mut Standalone<Phi2Engine>, a: Const, b: Const) {
         let u = Update::Delete(e.rel, vec![a, b]);
         e.apply(&u);
     }
@@ -363,9 +374,9 @@ mod tests {
 
     #[test]
     fn empty_and_loopless() {
-        let e = Phi2Engine::new();
+        let e = fresh();
         check(&e, &[]);
-        let mut e = Phi2Engine::new();
+        let mut e = fresh();
         ins(&mut e, 1, 2);
         ins(&mut e, 2, 3);
         check(&e, &[(1, 2), (2, 3)]);
@@ -374,7 +385,7 @@ mod tests {
 
     #[test]
     fn single_loop() {
-        let mut e = Phi2Engine::new();
+        let mut e = fresh();
         ins(&mut e, 5, 5);
         check(&e, &[(5, 5)]);
         // Result: (5,5,5,5) only.
@@ -383,7 +394,7 @@ mod tests {
 
     #[test]
     fn paper_shape_small_graph() {
-        let mut e = Phi2Engine::new();
+        let mut e = fresh();
         let edges = [(1, 1), (2, 2), (1, 2), (2, 3), (3, 3), (3, 1)];
         for &(a, b) in &edges {
             ins(&mut e, a, b);
@@ -395,7 +406,7 @@ mod tests {
 
     #[test]
     fn updates_including_pivot_deletion() {
-        let mut e = Phi2Engine::new();
+        let mut e = fresh();
         let mut live: Vec<(Const, Const)> = Vec::new();
         let script: &[(bool, Const, Const)] = &[
             (true, 1, 1),
@@ -422,7 +433,7 @@ mod tests {
 
     #[test]
     fn tracked_deltas_match_brute_force_diff() {
-        let mut e = Phi2Engine::new();
+        let mut e = fresh();
         let mut live: Vec<(Const, Const)> = Vec::new();
         let script: &[(bool, Const, Const)] = &[
             (true, 1, 1),
@@ -465,7 +476,7 @@ mod tests {
 
     #[test]
     fn duplicate_updates_are_noops() {
-        let mut e = Phi2Engine::new();
+        let mut e = fresh();
         ins(&mut e, 1, 1);
         ins(&mut e, 1, 1);
         assert_eq!(e.num_edges(), 1);
@@ -478,7 +489,7 @@ mod tests {
 
     #[test]
     fn enumeration_is_duplicate_free_on_dense_graph() {
-        let mut e = Phi2Engine::new();
+        let mut e = fresh();
         let mut edges = Vec::new();
         for a in 1..=4u64 {
             for b in 1..=4u64 {

@@ -76,7 +76,8 @@ fn drive(q: &Query, seed: u64, steps: usize) {
         );
         if step % 13 == 0 || step == steps - 1 {
             assert_eq!(engine.results_sorted(), brute_force(q, &db), "{q} @{step}");
-            audit::check_invariants(&engine).unwrap_or_else(|m| panic!("{q}: {m}"));
+            audit::check_invariants(&engine, engine.database())
+                .unwrap_or_else(|m| panic!("{q}: {m}"));
         }
     }
 }

@@ -108,7 +108,7 @@ fn figure_3a_weights_and_cstart() {
     assert!(comp.item_weights("y", &[A, D]).is_none());
     assert!(comp.item_weights("x", &[C]).is_none());
 
-    cqu_dynamic::audit::check_invariants(&engine).unwrap();
+    cqu_dynamic::audit::check_invariants(&engine, engine.database()).unwrap();
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn figure_3b_after_inserting_e_b_p() {
         "item [y, b/x, p] becomes fit with weight 3"
     );
     assert_eq!(w("y'", &[B, P]), 1);
-    cqu_dynamic::audit::check_invariants(&engine).unwrap();
+    cqu_dynamic::audit::check_invariants(&engine, engine.database()).unwrap();
 
     // Removing the tuple again restores Figure 3(a) exactly.
     assert!(engine.apply(&Update::Delete(er, vec![B, P])));
@@ -136,7 +136,7 @@ fn figure_3b_after_inserting_e_b_p() {
     let comp = &engine.components()[0];
     assert_eq!(comp.item_weights("y", &[B, P]).unwrap().0, 0);
     assert_eq!(comp.item_weights("x", &[B]).unwrap().0, 9);
-    cqu_dynamic::audit::check_invariants(&engine).unwrap();
+    cqu_dynamic::audit::check_invariants(&engine, engine.database()).unwrap();
 }
 
 #[test]
@@ -231,5 +231,5 @@ fn full_teardown_empties_structure() {
     assert_eq!(engine.count(), 0);
     assert_eq!(engine.num_items(), 0, "all items garbage-collected");
     assert_eq!(engine.enumerate().count(), 0);
-    cqu_dynamic::audit::check_invariants(&engine).unwrap();
+    cqu_dynamic::audit::check_invariants(&engine, engine.database()).unwrap();
 }

@@ -132,7 +132,7 @@ proptest! {
             prop_assert_eq!(engine.is_nonempty(), !brute_force(q, &db).is_empty());
             if step % 7 == 0 || step + 1 == script.len() {
                 prop_assert_eq!(engine.results_sorted(), brute_force(q, &db));
-                if let Err(msg) = audit::check_invariants(&engine) {
+                if let Err(msg) = audit::check_invariants(&engine, engine.database()) {
                     prop_assert!(false, "invariant violation: {}", msg);
                 }
             }

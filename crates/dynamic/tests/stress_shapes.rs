@@ -45,12 +45,12 @@ fn deep_chain_counts_products_along_paths() {
     }
     // Every full path survives: count = b^depth.
     assert_eq!(e.count(), b.pow(depth as u32));
-    cqu_dynamic::audit::check_invariants(&e).unwrap();
+    cqu_dynamic::audit::check_invariants(&e, e.database()).unwrap();
     // Deleting one level-2 fact kills exactly b^(depth-2) results.
     let r2 = q.schema().relation("R2").unwrap();
     assert!(e.apply(&Update::Delete(r2, vec![1, 1])));
     assert_eq!(e.count(), b.pow(depth as u32) - b.pow(depth as u32 - 2));
-    cqu_dynamic::audit::check_invariants(&e).unwrap();
+    cqu_dynamic::audit::check_invariants(&e, e.database()).unwrap();
 }
 
 #[test]
@@ -77,7 +77,7 @@ fn wide_star_count_is_product_of_fanouts() {
     let r3 = q.schema().relation("R3").unwrap();
     e.apply(&Update::Delete(r3, vec![77, 301]));
     assert_eq!(e.count(), 0);
-    cqu_dynamic::audit::check_invariants(&e).unwrap();
+    cqu_dynamic::audit::check_invariants(&e, e.database()).unwrap();
 }
 
 #[test]
@@ -114,7 +114,7 @@ fn high_arity_atom_with_heavy_repeats() {
     assert_eq!(e.results_sorted(), vec![vec![1, 2], vec![3, 3]]);
     assert!(e.apply(&Update::Delete(r, vec![1, 1, 2, 1, 2])));
     assert_eq!(e.results_sorted(), vec![vec![3, 3]]);
-    cqu_dynamic::audit::check_invariants(&e).unwrap();
+    cqu_dynamic::audit::check_invariants(&e, e.database()).unwrap();
 }
 
 #[test]

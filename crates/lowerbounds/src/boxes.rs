@@ -32,7 +32,7 @@
 //! databases.
 
 use cqu_common::{FxHashMap, FxHashSet};
-use cqu_dynamic::DynamicEngine;
+use cqu_dynamic::Standalone;
 use cqu_query::homomorphism::find_homomorphism_with;
 use cqu_query::Query;
 use cqu_storage::{Const, Update};
@@ -46,20 +46,20 @@ pub struct BoxCounter {
     /// `|Π|`: permutations of the free tuple extending to endomorphisms.
     pi_size: u64,
     /// Engines indexed `[mask][ℓ]`, `mask ⊆ [k]` as a bitmask, `ℓ ∈ 0..=k`.
-    engines: Vec<Vec<Box<dyn DynamicEngine>>>,
+    engines: Vec<Vec<Box<Standalone>>>,
 }
 
 impl BoxCounter {
     /// Builds the counter over the empty database.
     ///
     /// `boxes[i]` is `X_{xᵢ}` for the `i`-th free variable; the sets must
-    /// be pairwise disjoint. `factory` constructs a fresh dynamic counting
-    /// engine for `query` (e.g. a `DeltaIvmEngine`); `(k+1)·2^k` of them
-    /// are created.
+    /// be pairwise disjoint. `factory` constructs a fresh stand-alone
+    /// counting engine for `query` over the empty database (e.g. a
+    /// delta-IVM one); `(k+1)·2^k` of them are created.
     pub fn new(
         query: &Query,
         boxes: &[FxHashSet<Const>],
-        factory: &dyn Fn(&Query) -> Box<dyn DynamicEngine>,
+        factory: &dyn Fn(&Query) -> Box<Standalone>,
     ) -> Self {
         let k = query.arity();
         assert_eq!(boxes.len(), k, "one box per free variable");
@@ -86,7 +86,7 @@ impl BoxCounter {
             }
         }
         debug_assert!(pi_size >= 1, "the identity is always an endomorphism");
-        let engines: Vec<Vec<Box<dyn DynamicEngine>>> = (0..1usize << k)
+        let engines: Vec<Vec<Box<Standalone>>> = (0..1usize << k)
             .map(|_| (0..=k).map(|_| factory(query)).collect())
             .collect();
         BoxCounter {
@@ -240,14 +240,17 @@ fn next_permutation(perm: &mut [usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqu_baseline::{evaluate, DeltaIvmEngine};
+    use cqu_baseline::{evaluate, EngineKind};
     use cqu_query::parse_query;
     use cqu_storage::Database;
 
-    type EngineFactory = dyn Fn(&Query) -> Box<dyn DynamicEngine>;
+    type EngineFactory = dyn Fn(&Query) -> Box<Standalone>;
 
     fn ivm_factory() -> Box<EngineFactory> {
-        Box::new(|q: &Query| Box::new(DeltaIvmEngine::empty(q)) as Box<dyn DynamicEngine>)
+        Box::new(|q: &Query| {
+            let empty = Database::new(q.schema().clone());
+            EngineKind::DeltaIvm.build(q, &empty).unwrap()
+        })
     }
 
     /// Brute force |ϕ(D) ∩ boxes| via full evaluation.

@@ -7,7 +7,7 @@
 //! reductions can: this crate defines the three problems with naive
 //! reference solvers ([`omv`]) and implements the paper's reductions from
 //! them to dynamic query evaluation ([`reduction`]), generically over any
-//! [`cqu_dynamic::DynamicEngine`].
+//! stand-alone engine ([`cqu_dynamic::Standalone`]).
 //!
 //! The experiment harness uses both directions: correctness (reduction
 //! answers equal naive answers) and timing (per-round cost through a CQ

@@ -14,7 +14,7 @@
 
 use crate::omv::{OmvInstance, OuMvInstance, OvInstance};
 use cqu_common::{BitSet, FxHashSet};
-use cqu_dynamic::DynamicEngine;
+use cqu_dynamic::Standalone;
 use cqu_query::hierarchical::Violation;
 use cqu_query::{parse_query, Query, RelId};
 use cqu_storage::{Const, Update};
@@ -37,7 +37,7 @@ pub fn phi_et() -> Query {
 /// Applies the updates needed to change relation `rel` from `current` to
 /// `desired` through `engine`, and replaces `current`.
 fn sync_relation(
-    engine: &mut dyn DynamicEngine,
+    engine: &mut Standalone,
     rel: RelId,
     current: &mut FxHashSet<Vec<Const>>,
     desired: FxHashSet<Vec<Const>>,
@@ -63,7 +63,7 @@ fn sync_relation(
 ///
 /// `engine` must be a freshly built engine for [`phi_set_boolean`] over the
 /// empty database. Returns the round answers `(uᵗ)ᵀ M vᵗ`.
-pub fn oumv_via_boolean_set(instance: &OuMvInstance, engine: &mut dyn DynamicEngine) -> Vec<bool> {
+pub fn oumv_via_boolean_set(instance: &OuMvInstance, engine: &mut Standalone) -> Vec<bool> {
     let schema = engine.query().schema();
     let s = schema.relation("S").expect("phi_set schema");
     let e = schema.relation("E").expect("phi_set schema");
@@ -97,7 +97,7 @@ pub fn oumv_via_boolean_set(instance: &OuMvInstance, engine: &mut dyn DynamicEng
 ///
 /// `engine` must be a freshly built engine for [`phi_et`] over the empty
 /// database. Returns the products `M vᵗ`.
-pub fn omv_via_enumeration(instance: &OmvInstance, engine: &mut dyn DynamicEngine) -> Vec<BitSet> {
+pub fn omv_via_enumeration(instance: &OmvInstance, engine: &mut Standalone) -> Vec<BitSet> {
     let schema = engine.query().schema();
     let e = schema.relation("E").expect("phi_et schema");
     let t = schema.relation("T").expect("phi_et schema");
@@ -131,7 +131,7 @@ pub fn omv_via_enumeration(instance: &OmvInstance, engine: &mut dyn DynamicEngin
 ///
 /// `engine` must be a freshly built engine for [`phi_et`] over the empty
 /// database. Returns `true` iff some `u ∈ U, v ∈ V` are orthogonal.
-pub fn ov_via_counting(instance: &OvInstance, engine: &mut dyn DynamicEngine) -> bool {
+pub fn ov_via_counting(instance: &OvInstance, engine: &mut Standalone) -> bool {
     let schema = engine.query().schema();
     let e = schema.relation("E").expect("phi_et schema");
     let t = schema.relation("T").expect("phi_et schema");
@@ -169,7 +169,7 @@ pub fn oumv_via_core(
     core: &Query,
     violation: &Violation,
     instance: &OuMvInstance,
-    engine: &mut dyn DynamicEngine,
+    engine: &mut Standalone,
 ) -> Vec<bool> {
     let (x, y, psi_x, psi_xy, psi_y) = match violation {
         Violation::Incomparable {
@@ -281,7 +281,7 @@ pub fn oumv_via_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqu_baseline::{DeltaIvmEngine, RecomputeEngine};
+    use cqu_baseline::{DeltaIvmView, RecomputeEngine};
     use cqu_query::{core_of, hierarchical::q_hierarchical_violation};
 
     #[test]
@@ -289,7 +289,7 @@ mod tests {
         for seed in 0..3 {
             let inst = OuMvInstance::random(9, 0.25, seed);
             let q = phi_set_boolean();
-            let mut engine = RecomputeEngine::empty(&q);
+            let mut engine = Standalone::from_empty(RecomputeEngine::empty(&q));
             let got = oumv_via_boolean_set(&inst, &mut engine);
             assert_eq!(got, inst.solve_naive(), "seed {seed}");
         }
@@ -299,7 +299,7 @@ mod tests {
     fn oumv_reduction_matches_naive_ivm() {
         let inst = OuMvInstance::random(8, 0.35, 11);
         let q = phi_set_boolean();
-        let mut engine = DeltaIvmEngine::empty(&q);
+        let mut engine = Standalone::from_empty(DeltaIvmView::empty(&q));
         assert_eq!(oumv_via_boolean_set(&inst, &mut engine), inst.solve_naive());
     }
 
@@ -308,7 +308,7 @@ mod tests {
         for seed in [5, 6] {
             let inst = OmvInstance::random(10, 0.3, seed);
             let q = phi_et();
-            let mut engine = RecomputeEngine::empty(&q);
+            let mut engine = Standalone::from_empty(RecomputeEngine::empty(&q));
             let got = omv_via_enumeration(&inst, &mut engine);
             assert_eq!(got, inst.solve_naive(), "seed {seed}");
         }
@@ -321,7 +321,7 @@ mod tests {
             let density = if seed % 2 == 0 { 0.35 } else { 0.85 };
             let inst = OvInstance::random(12, density, seed);
             let q = phi_et();
-            let mut engine = RecomputeEngine::empty(&q);
+            let mut engine = Standalone::from_empty(RecomputeEngine::empty(&q));
             let got = ov_via_counting(&inst, &mut engine);
             assert_eq!(got, inst.solve_naive(), "seed {seed} density {density}");
         }
@@ -333,7 +333,7 @@ mod tests {
         let core = core_of(&q);
         let violation = q_hierarchical_violation(&core).unwrap();
         let inst = OuMvInstance::random(7, 0.3, 21);
-        let mut engine = RecomputeEngine::empty(&core);
+        let mut engine = Standalone::from_empty(RecomputeEngine::empty(&core));
         let got = oumv_via_core(&core, &violation, &inst, &mut engine);
         assert_eq!(got, inst.solve_naive());
     }
@@ -350,7 +350,7 @@ mod tests {
         assert!(matches!(violation, Violation::Incomparable { .. }));
         for seed in [1, 2, 3] {
             let inst = OuMvInstance::random(6, 0.4, seed);
-            let mut engine = RecomputeEngine::empty(&core);
+            let mut engine = Standalone::from_empty(RecomputeEngine::empty(&core));
             let got = oumv_via_core(&core, &violation, &inst, &mut engine);
             assert_eq!(got, inst.solve_naive(), "seed {seed}");
         }
@@ -363,7 +363,7 @@ mod tests {
         let core = core_of(&q);
         let violation = q_hierarchical_violation(&core).unwrap();
         let inst = OuMvInstance::random(6, 0.3, 8);
-        let mut engine = RecomputeEngine::empty(&core);
+        let mut engine = Standalone::from_empty(RecomputeEngine::empty(&core));
         let got = oumv_via_core(&core, &violation, &inst, &mut engine);
         assert_eq!(got, inst.solve_naive());
     }

@@ -2,14 +2,21 @@
 //! answers obtained *through* dynamic CQ engines always equal the naive
 //! matrix/vector solvers' answers.
 
-use cqu_baseline::{DeltaIvmEngine, RecomputeEngine};
+use cqu_baseline::EngineKind;
+use cqu_dynamic::Standalone;
 use cqu_lowerbounds::{
     omv_via_enumeration, oumv_via_boolean_set, oumv_via_core, ov_via_counting, phi_et,
     phi_set_boolean, OmvInstance, OuMvInstance, OvInstance,
 };
 use cqu_query::hierarchical::q_hierarchical_violation;
-use cqu_query::{core_of, parse_query};
+use cqu_query::{core_of, parse_query, Query};
+use cqu_storage::Database;
 use proptest::prelude::*;
+
+/// A stand-alone `kind` engine over the empty database.
+fn fresh(kind: EngineKind, q: &Query) -> Box<Standalone> {
+    kind.build(q, &Database::new(q.schema().clone())).unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -19,9 +26,9 @@ proptest! {
         let inst = OuMvInstance::random(n, density, seed);
         let naive = inst.solve_naive();
         let q = phi_set_boolean();
-        let mut rec = RecomputeEngine::empty(&q);
+        let mut rec = fresh(EngineKind::Recompute, &q);
         prop_assert_eq!(oumv_via_boolean_set(&inst, &mut rec), naive.clone());
-        let mut ivm = DeltaIvmEngine::empty(&q);
+        let mut ivm = fresh(EngineKind::DeltaIvm, &q);
         prop_assert_eq!(oumv_via_boolean_set(&inst, &mut ivm), naive);
     }
 
@@ -30,9 +37,9 @@ proptest! {
         let inst = OmvInstance::random(n, density, seed);
         let naive = inst.solve_naive();
         let q = phi_et();
-        let mut rec = RecomputeEngine::empty(&q);
+        let mut rec = fresh(EngineKind::Recompute, &q);
         prop_assert_eq!(omv_via_enumeration(&inst, &mut rec), naive.clone());
-        let mut ivm = DeltaIvmEngine::empty(&q);
+        let mut ivm = fresh(EngineKind::DeltaIvm, &q);
         prop_assert_eq!(omv_via_enumeration(&inst, &mut ivm), naive);
     }
 
@@ -41,7 +48,7 @@ proptest! {
         let inst = OvInstance::random(n, density, seed);
         let naive = inst.solve_naive();
         let q = phi_et();
-        let mut ivm = DeltaIvmEngine::empty(&q);
+        let mut ivm = fresh(EngineKind::DeltaIvm, &q);
         prop_assert_eq!(ov_via_counting(&inst, &mut ivm), naive);
     }
 
@@ -63,7 +70,7 @@ proptest! {
             if let Some(violation @ cqu_query::hierarchical::Violation::Incomparable { .. }) =
                 q_hierarchical_violation(&core)
             {
-                let mut engine = RecomputeEngine::empty(&core);
+                let mut engine = fresh(EngineKind::Recompute, &core);
                 prop_assert_eq!(
                     oumv_via_core(&core, &violation, &inst, &mut engine),
                     naive.clone(),
@@ -82,13 +89,13 @@ fn hand_crafted_edge_instances() {
     let mut inst = OuMvInstance::random(n, 0.9, 1);
     inst.matrix = cqu_common::BitMatrix::zeros(n);
     let q = phi_set_boolean();
-    let mut e = RecomputeEngine::empty(&q);
+    let mut e = fresh(EngineKind::Recompute, &q);
     assert!(oumv_via_boolean_set(&inst, &mut e).iter().all(|&b| !b));
 
     // All-ones matrix: answer is true iff both vectors are nonzero.
     let mut inst = OuMvInstance::random(n, 0.4, 2);
     inst.matrix = cqu_common::BitMatrix::from_fn(n, |_, _| true);
-    let mut e = RecomputeEngine::empty(&q);
+    let mut e = fresh(EngineKind::Recompute, &q);
     let got = oumv_via_boolean_set(&inst, &mut e);
     for (i, (u, v)) in inst.pairs.iter().enumerate() {
         assert_eq!(got[i], u.count_ones() > 0 && v.count_ones() > 0);

@@ -126,7 +126,7 @@ fn main() {
     );
 
     // Cross-check both monitors against from-scratch recompute twins
-    // registered on the same session (seeded from the master database).
+    // registered on the same session (seeded from the session's one database).
     session
         .register_with(
             "blocked_check",

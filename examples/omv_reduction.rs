@@ -3,15 +3,17 @@
 //! per-round cost grow with `n` — the empirical face of the paper's
 //! OMv/OV-conditional hardness.
 //!
-//! The engines are owned by a `Session` with explicit
-//! [`EngineChoice::Forced`] overrides (the reductions need specific
-//! baselines, not the router's choice) and driven through the
-//! [`Session::engine_mut`] escape hatch.
+//! A `Session` with explicit [`EngineChoice::Forced`] overrides picks
+//! the engines (the reductions need specific baselines, not the router's
+//! choice); each reduction then drives a stand-alone engine of the kind
+//! the session routed, one that owns its database — a session's engines
+//! are maintained against the session's `D` and are not handed out.
 //!
 //! ```text
 //! cargo run --release --example omv_reduction
 //! ```
 
+use cq_updates::dynamic::Standalone;
 use cq_updates::lowerbounds::{
     omv_via_enumeration, oumv_via_boolean_set, ov_via_counting, phi_et, phi_set_boolean,
     OmvInstance, OuMvInstance, OvInstance,
@@ -19,12 +21,15 @@ use cq_updates::lowerbounds::{
 use cq_updates::prelude::*;
 use std::time::Instant;
 
-/// A fresh session holding one forced-engine copy of `q` under `name`.
-fn forced_session(name: &str, q: &Query, kind: EngineKind) -> Session {
+/// A stand-alone engine over the empty database, of the kind a session
+/// routes `q` to when registered as `name` with `kind` forced.
+fn routed_engine(name: &str, q: &Query, kind: EngineKind) -> Box<Standalone> {
     let mut s = Session::new();
     s.register_query(name, q, EngineChoice::Forced(kind))
         .unwrap();
-    s
+    let routed = s.query(name).unwrap().kind();
+    assert_eq!(routed, kind);
+    routed.build(q, &Database::new(q.schema().clone())).unwrap()
 }
 
 fn main() {
@@ -41,9 +46,9 @@ fn main() {
         let t0 = Instant::now();
         let naive = inst.solve_naive();
         let t_naive = t0.elapsed().as_secs_f64() * 1e3;
-        let mut session = forced_session("oumv", &phi_set_boolean(), EngineKind::DeltaIvm);
+        let mut engine = routed_engine("oumv", &phi_set_boolean(), EngineKind::DeltaIvm);
         let t1 = Instant::now();
-        let via = oumv_via_boolean_set(&inst, session.engine_mut("oumv").unwrap());
+        let via = oumv_via_boolean_set(&inst, &mut engine);
         let t_via = t1.elapsed().as_secs_f64() * 1e3;
         println!("{n:>6} {t_naive:>14.2} {t_via:>14.2} {:>10}", via == naive);
         assert_eq!(via, naive);
@@ -53,8 +58,8 @@ fn main() {
     for n in [64usize, 128] {
         let inst = OmvInstance::random(n, 0.10, 7);
         let naive = inst.solve_naive();
-        let mut session = forced_session("omv", &phi_et(), EngineKind::Recompute);
-        let via = omv_via_enumeration(&inst, session.engine_mut("omv").unwrap());
+        let mut engine = routed_engine("omv", &phi_et(), EngineKind::Recompute);
+        let via = omv_via_enumeration(&inst, &mut engine);
         println!(
             "  n = {n}: reduction output matches naive M·v products: {}",
             via == naive
@@ -66,9 +71,9 @@ fn main() {
     for (n, density) in [(512usize, 0.35), (512, 0.92), (1024, 0.92)] {
         let inst = OvInstance::random(n, density, 9);
         let naive = inst.solve_naive();
-        let mut session = forced_session("ov", &phi_et(), EngineKind::DeltaIvm);
+        let mut engine = routed_engine("ov", &phi_et(), EngineKind::DeltaIvm);
         let t0 = Instant::now();
-        let via = ov_via_counting(&inst, session.engine_mut("ov").unwrap());
+        let via = ov_via_counting(&inst, &mut engine);
         println!(
             "  n = {n}, d = {}, density {density}: orthogonal pair = {via} \
              (naive agrees: {}) in {:.1} ms",

@@ -34,11 +34,11 @@
 //! Plain applies and batches are logged *before* they touch the session,
 //! so their seqs are predicted: under the WAL lock (which serializes
 //! every durable commit) the session's counter is stable, and
-//! effectiveness is decided under shard read guards by a read of the
-//! relation plus an overlay for within-batch dependencies — the same
-//! set-semantics rule the session itself applies. The records are then
-//! appended, committed and shipped with no session lock held (locked
-//! readers never wait on an fsync), and only then does the batch apply.
+//! effectiveness is decided once, by the set-semantics rule the session
+//! itself uses ([`cqu_dynamic::net_effective`]) reading presence through
+//! shard read guards. The records are then appended, committed and
+//! shipped with no session lock held (locked readers never wait on an
+//! fsync), and only then does the netted batch apply, as netted.
 //! Transactions cannot be predicted (the closure is opaque), so they
 //! dispatch first — uncommitted state is invisible while the writer
 //! locks are held — and log inside the commit window, still before any
@@ -54,18 +54,15 @@
 
 use crate::error::CqError;
 use crate::replay::{build_core, ckpt_mode, encode_choice, encode_ckpt_body, Reg, Replay};
-use crate::session::{
-    validate_update, EngineChoice, QueryId, QuerySnapshot, Session, SharedSession,
-};
+use crate::session::{validate_update, EngineChoice, QueryId, QuerySnapshot, SharedSession};
 use crate::shard::{ShardedSession, ShardedTransaction};
-use cqu_common::FxHashMap;
-use cqu_dynamic::UpdateReport;
+use cqu_dynamic::{net_effective, UpdateReport};
 use cqu_obs::Registry;
 use cqu_query::{parse_query, RelId};
-use cqu_storage::{Tuple, Update};
+use cqu_storage::Update;
 use cqu_wal::{epoch, FsDir, FsyncPolicy, Rec, Wal, WalDir, WalError, WalOptions};
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLockReadGuard};
+use std::sync::{Arc, Mutex};
 
 /// A durable-layer failure.
 #[derive(Debug)]
@@ -194,9 +191,13 @@ fn lock_wal(wal: &Mutex<WalState>) -> Result<std::sync::MutexGuard<'_, WalState>
 /// Builds one `Update` record per entry of `effective`, stamped
 /// `seq0+1..` — the commit path appends them to the log and then ships
 /// the same values to any attached replication queues.
-fn update_recs(core: &ShardedSession, seq0: u64, effective: &[Update]) -> Vec<Rec> {
+fn update_recs<'u>(
+    core: &ShardedSession,
+    seq0: u64,
+    effective: impl IntoIterator<Item = &'u Update>,
+) -> Vec<Rec> {
     effective
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, u)| {
             let (insert, rel, tuple) = match u {
@@ -226,43 +227,6 @@ fn ship(st: &mut WalState, head: u64, recs: &[Rec]) {
     }
     let frame: Arc<[u8]> = cqu_repl::protocol::encode_records_frame(recs).into();
     st.sinks.retain(|(_, q)| q.push(head, Arc::clone(&frame)));
-}
-
-/// Validates `updates` and predicts the effective subset under set
-/// semantics: `shards` (read guards on every shard — one consistent
-/// cut) answer for the live relations, and an overlay carries
-/// within-batch dependencies — exactly the rule the session's dispatch
-/// applies, so the predicted seqs match the drawn ones.
-fn predict_effective(
-    core: &ShardedSession,
-    shards: &[RwLockReadGuard<'_, Session>],
-    updates: &[Update],
-) -> Result<Vec<Update>, CqError> {
-    // Every shard session carries the full schema.
-    let schema = shards[0].schema();
-    let present = |rel: RelId, tuple: &[u64]| {
-        let shard = &shards[core.route(rel)];
-        shard.database().relation(rel).contains(tuple)
-    };
-    let mut overlay: FxHashMap<(u32, Tuple), bool> = FxHashMap::default();
-    let mut effective = Vec::new();
-    for u in updates {
-        validate_update(schema, u)?;
-        let (rel, tuple, insert) = match u {
-            Update::Insert(r, t) => (*r, t, true),
-            Update::Delete(r, t) => (*r, t, false),
-        };
-        let key = (rel.0, tuple.clone());
-        let cur = overlay
-            .get(&key)
-            .copied()
-            .unwrap_or_else(|| present(rel, tuple));
-        if insert != cur {
-            effective.push(u.clone());
-            overlay.insert(key, insert);
-        }
-    }
-    Ok(effective)
 }
 
 /// Attaches the options' registry, if any, to a freshly opened log
@@ -573,17 +537,27 @@ impl DurableSession {
         let mut st = lock_wal(&self.wal)?;
         let st = &mut *st;
         let core = &self.core;
-        // The read guards drop before the log is touched.
-        let effective = core.read_all(|shards| predict_effective(core, shards, updates))??;
-        if effective.is_empty() {
+        // Validate, then decide effectiveness once for log and session
+        // alike, against one consistent cut (read guards on every shard;
+        // every shard session carries the full schema). The guards drop
+        // before the log is touched; the WAL lock keeps the cut current.
+        let netted = core.read_all(|shards| {
+            for u in updates {
+                validate_update(shards[0].schema(), u)?;
+            }
+            Ok::<_, CqError>(net_effective(updates, |rel, t| {
+                shards[core.route(rel)].database().relation(rel).contains(t)
+            }))
+        })??;
+        if netted.effective.is_empty() {
             return Ok(UpdateReport {
                 total: updates.len(),
                 applied: 0,
             });
         }
         let seq0 = core.seq();
-        let head = seq0 + effective.len() as u64;
-        let recs = update_recs(core, seq0, &effective);
+        let head = seq0 + netted.effective.len() as u64;
+        let recs = update_recs(core, seq0, netted.effective.iter().map(|&i| &updates[i]));
         for rec in &recs {
             st.wal.append(rec);
         }
@@ -592,8 +566,7 @@ impl DurableSession {
         // The log stamps the batch in submission order; a multi-shard
         // batch stamps every shard it changes with `head`, where each
         // holds the timeline's state on its own relations.
-        let report = core.apply_batch_prevalidated(updates)?;
-        debug_assert_eq!(report.applied, effective.len());
+        let report = core.commit_batch(updates, Some(netted))?;
         debug_assert_eq!(core.seq(), head);
         Ok(report)
     }

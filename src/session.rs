@@ -73,14 +73,13 @@ use crate::error::CqError;
 use crate::shard::ShardedSession;
 use cqu_baseline::EngineKind;
 use cqu_common::{EpochCell, FxHashMap};
-use cqu_dynamic::{DynamicEngine, ResultDelta, ResultSnapshot, UpdateReport};
+use cqu_dynamic::{net_effective, DynamicEngine, ResultDelta, ResultSnapshot, UpdateReport};
 use cqu_obs::{Counter, Histogram, Registry};
 use cqu_query::classify::{classify, Classification, Verdict};
 use cqu_query::hierarchical::{q_hierarchical_violation, Violation};
 use cqu_query::{parse_query, Query, QueryBuilder, QueryError, RelId, Schema};
 use cqu_serve::{BoundedQueue, Receiver, SeqRing};
 use cqu_storage::{ApplyUpdate, Database, Tuple, Update};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -514,20 +513,17 @@ impl StagedQuery {
     }
 }
 
-/// The members of a batch that changed the master database
-/// ([`Session::apply_batch_to_db`]), awaiting their engines and their
-/// stamp ([`Session::publish_batch`]).
-pub(crate) struct EffectiveBatch<'a> {
-    updates: Cow<'a, [Update]>,
+/// A netted batch already applied to the session's `D`
+/// ([`Session::apply_net_to_db`]), awaiting its engines and its stamp
+/// ([`Session::publish_batch`]).
+pub(crate) struct EffectiveBatch {
+    /// How many seqs the batch draws: one per sequentially effective
+    /// member.
+    pub(crate) applied: usize,
+    /// The net facts the engines receive.
+    net: Vec<Update>,
     /// When the first half began, if the session is instrumented.
     start: Option<Instant>,
-}
-
-impl EffectiveBatch<'_> {
-    /// How many seqs the batch draws: one per effective update.
-    pub(crate) fn len(&self) -> usize {
-        self.updates.len()
-    }
 }
 
 /// A set of named queries maintained together under one update stream.
@@ -538,7 +534,9 @@ impl EffectiveBatch<'_> {
 /// packaged one-writer-lock deployment.
 pub struct Session {
     schema: Schema,
-    /// Master database: the ground truth every engine was seeded from.
+    /// The one copy of `D`: every effectiveness decision is made against
+    /// it, and the engines, which keep no database, receive only the
+    /// facts that changed it.
     db: Database,
     regs: Vec<Registered>,
     by_name: FxHashMap<String, usize>,
@@ -711,9 +709,24 @@ impl Session {
         &self.schema
     }
 
-    /// The master database all engines were seeded from.
+    /// The one copy of `D` every engine of this session is maintained
+    /// against.
     pub fn database(&self) -> &Database {
         &self.db
+    }
+
+    /// Audits every registration against the one `D`
+    /// ([`DynamicEngine::audit`]: the q-tree counters and weights of
+    /// Section 6.4 recomputed by brute force; engines without redundant
+    /// registers pass). Brute-force cost — for tests, on states built
+    /// from a checkpoint, a log tail or a late registration as much as on
+    /// live ones.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.regs.iter().try_for_each(|reg| {
+            reg.engine
+                .audit(&self.db)
+                .map_err(|e| format!("{}: {e}", reg.name))
+        })
     }
 
     /// Number of effective update commands dispatched so far: single
@@ -773,7 +786,7 @@ impl Session {
     /// The fallible half of a registration: everything that can refuse
     /// the query (duplicate name, arity clash, engine admission) runs
     /// here against `&self`, so a failed registration leaves schema and
-    /// master database untouched — and the durable layer can put its
+    /// the database untouched — and the durable layer can put its
     /// log write between this and [`Session::commit_query`].
     pub(crate) fn stage_query(
         &self,
@@ -801,10 +814,10 @@ impl Session {
         Ok(staged)
     }
 
-    /// The infallible half: grows schema + database, builds the engine,
-    /// publishes the genesis epoch. `staged` must come from
-    /// [`Session::stage_query`] on this session with no schema change in
-    /// between. The admission pre-check there is the only failure mode
+    /// The infallible half: grows schema + database, builds the engine
+    /// from the session's `D`, publishes the genesis epoch. `staged` must
+    /// come from [`Session::stage_query`] on this session with no schema
+    /// change in between. The admission pre-check there is the only failure mode
     /// an engine constructor has, so a build error here is a bug — panic
     /// loudly rather than `?`-masking a broken atomicity invariant.
     pub(crate) fn commit_query(&mut self, staged: StagedQuery) -> QueryId {
@@ -819,7 +832,7 @@ impl Session {
         }
         let engine = staged
             .kind
-            .build(maintained, &self.db)
+            .preprocess(maintained, &self.db)
             .expect("admission pre-check guarantees the engine admits the query");
         let id = QueryId(self.regs.len());
         self.by_name.insert(staged.name.clone(), id.0);
@@ -919,36 +932,25 @@ impl Session {
             })
     }
 
-    /// Escape hatch: mutable access to the underlying engine of `name`,
-    /// e.g. to drive it through the lower-bound reductions.
-    pub fn engine_mut(&mut self, name: &str) -> Result<&mut dyn DynamicEngine, CqError> {
-        let &idx = self
-            .by_name
-            .get(name)
-            .ok_or_else(|| CqError::UnknownQuery(name.to_string()))?;
-        // The caller may mutate the engine arbitrarily: stale any pin.
-        self.regs[idx].touch();
-        Ok(self.regs[idx].engine.as_mut())
-    }
-
     /// Checks an update against the session schema.
     fn validate(&self, update: &Update) -> Result<(), CqError> {
         validate_update(&self.schema, update)
     }
 
-    /// Routes one pre-validated update to the master database and every
-    /// engine that can be concerned by it, forwarding engine-produced
-    /// result deltas to subscribers (or to the open transaction's buffer).
+    /// Routes one pre-validated update to the one `D` and, if it changed
+    /// it, to every engine that can be concerned by it, forwarding
+    /// engine-produced result deltas to subscribers (or to the open
+    /// transaction's buffer).
     ///
     /// Delta extraction is the engine's business
-    /// ([`DynamicEngine::apply_tracked`]): q-hierarchical, delta-IVM, and
-    /// ϕ₂ engines produce deltas natively at O(δ) as a side product of
+    /// ([`DynamicEngine::apply_net_tracked`]): q-hierarchical, delta-IVM,
+    /// and ϕ₂ engines produce deltas natively at O(δ) as a side product of
     /// their maintenance; only engines without
     /// [`DynamicEngine::delta_hint`] fall back to snapshot diffing, inside
     /// the engine layer. No result materialization happens here.
     fn dispatch(&mut self, update: &Update) -> bool {
         if !self.db.apply(update) {
-            // Set-semantics no-op: no engine state can change either.
+            // Set-semantics no-op: decided here, once; no engine sees it.
             return false;
         }
         // Rollback inverses do NOT draw sequence numbers: a rolled-back
@@ -970,6 +972,7 @@ impl Session {
         // its footprint) the footprint max is exactly this counter —
         // O(1) maintenance, read once for the whole loop.
         let generation = self.db.generation();
+        let fact = std::slice::from_ref(update);
         for (idx, reg) in self.regs.iter_mut().enumerate() {
             if !reg.wants(update.relation()) {
                 continue;
@@ -989,7 +992,7 @@ impl Session {
                         if matches!(buf[idx], TxTrack::Untouched) {
                             buf[idx] = TxTrack::Snapshot(reg.engine.results_sorted());
                         }
-                        reg.engine.apply(update);
+                        reg.engine.apply_net(fact);
                     }
                     Some(buf) => {
                         if matches!(buf[idx], TxTrack::Untouched) {
@@ -998,16 +1001,16 @@ impl Session {
                         let TxTrack::Native(acc) = &mut buf[idx] else {
                             unreachable!("native engines never snapshot")
                         };
-                        reg.engine.apply_tracked(update, acc);
+                        reg.engine.apply_net_tracked(fact, acc);
                     }
                     None => {
                         let mut delta = ResultDelta::default();
-                        reg.engine.apply_tracked(update, &mut delta);
+                        reg.engine.apply_net_tracked(fact, &mut delta);
                         reg.publish(self.seq, delta);
                     }
                 }
             } else {
-                reg.engine.apply(update);
+                reg.engine.apply_net(fact);
             }
             // Demand-driven epoch publication — but never inside an open
             // transaction (lock-free pins must not observe uncommitted
@@ -1033,9 +1036,11 @@ impl Session {
     }
 
     /// Applies a batch of updates to every registered query, equivalent
-    /// to applying them in order — but amortised: each engine receives
-    /// the whole batch at once ([`DynamicEngine::apply_batch`]), so the
-    /// dynamic engine nets out cancelling updates and groups by relation.
+    /// to applying them in order — but amortised: the batch is netted
+    /// against the one `D` once ([`cqu_dynamic::net_effective`]) and each
+    /// engine receives the net facts at once
+    /// ([`DynamicEngine::apply_net`]), so cancelling updates never reach
+    /// an engine and delta-IVM groups by relation.
     ///
     /// All-or-nothing: the batch is validated up front and nothing is
     /// applied if any update is malformed. Subscribers see one
@@ -1044,15 +1049,9 @@ impl Session {
         for u in updates {
             self.validate(u)?;
         }
-        Ok(self.apply_batch_prevalidated(updates))
-    }
-
-    /// The batch path after validation — also the entry point for the
-    /// shard router, which has already validated every update against
-    /// the (identical) union schema and must not pay for it twice.
-    pub(crate) fn apply_batch_prevalidated(&mut self, updates: &[Update]) -> UpdateReport {
-        let batch = self.apply_batch_to_db(updates);
-        let applied = batch.len();
+        let netted = net_effective(updates, |rel, t| self.db.relation(rel).contains(t));
+        let batch = self.apply_net_to_db(netted.effective.len(), netted.net);
+        let applied = batch.applied;
         if applied > 0 {
             // Each effective member advances the stream position,
             // exactly as if applied singly — so a snapshot's `seq()`
@@ -1062,18 +1061,15 @@ impl Session {
             let stamp = self.advance_seq(applied as u64);
             self.publish_batch(batch, stamp);
         }
-        UpdateReport {
+        Ok(UpdateReport {
             total: updates.len(),
             applied,
-        }
+        })
     }
 
-    /// First half of a batch: applies `updates` to the master database
-    /// and returns the effective subset. Only updates that change the
-    /// database can concern any engine: set-semantics no-ops are dropped
-    /// here, so an engine whose relations saw only no-ops is skipped
-    /// entirely. The common all-effective batch stays zero-copy (`kept`
-    /// only materializes once the first no-op appears).
+    /// First half of a batch: applies `net`, netted against this
+    /// session's `D` ([`cqu_dynamic::net_effective`], `applied` effective
+    /// members), to the one `D`.
     ///
     /// The engines lag the database until [`Session::publish_batch`]
     /// runs; the caller holds the session exclusively across both. The
@@ -1081,56 +1077,47 @@ impl Session {
     /// every shard it spans, draw the batch's seq range once, and stamp
     /// every shard with the range's head (each shard's state then *is*
     /// the timeline's at that seq, on its own relations).
-    pub(crate) fn apply_batch_to_db<'a>(&mut self, updates: &'a [Update]) -> EffectiveBatch<'a> {
+    pub(crate) fn apply_net_to_db(&mut self, applied: usize, net: Vec<Update>) -> EffectiveBatch {
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        let mut kept: Option<Vec<Update>> = None;
-        for (i, u) in updates.iter().enumerate() {
-            match (self.db.apply(u), &mut kept) {
-                (true, None) => {}
-                (true, Some(v)) => v.push(u.clone()),
-                (false, None) => kept = Some(updates[..i].to_vec()),
-                (false, Some(_)) => {}
-            }
+        for fact in &net {
+            let changed = self.db.apply(fact);
+            debug_assert!(changed, "net fact {fact:?} is a no-op");
         }
         EffectiveBatch {
-            updates: kept.map_or(Cow::Borrowed(updates), Cow::Owned),
+            applied,
+            net,
             start,
         }
     }
 
-    /// Second half of a batch: runs every concerned engine over the
-    /// effective updates and publishes at `stamp`, the batch's last seq
-    /// (the caller drew the numbers). An empty batch publishes nothing
-    /// and leaves the session's position alone.
-    pub(crate) fn publish_batch(&mut self, batch: EffectiveBatch<'_>, stamp: u64) {
-        let effective: &[Update] = &batch.updates;
-        if effective.is_empty() {
+    /// Second half of a batch: runs every concerned engine over the net
+    /// facts and publishes at `stamp`, the batch's last seq (the caller
+    /// drew the numbers). A batch with no effective member publishes
+    /// nothing and leaves the session's position alone.
+    pub(crate) fn publish_batch(&mut self, batch: EffectiveBatch, stamp: u64) {
+        if batch.applied == 0 {
             return;
         }
         self.seq = stamp;
+        let net: &[Update] = &batch.net;
         let mut filtered: Vec<Update> = Vec::new();
         for reg in &mut self.regs {
-            // Zero-copy when every effective update concerns this query;
+            // Zero-copy when every net fact concerns this query;
             // otherwise route the relevant subset (possibly empty).
-            let routed: &[Update] = if effective.iter().all(|u| reg.wants(u.relation())) {
-                effective
+            let routed: &[Update] = if net.iter().all(|u| reg.wants(u.relation())) {
+                net
             } else {
                 filtered.clear();
-                filtered.extend(
-                    effective
-                        .iter()
-                        .filter(|u| reg.wants(u.relation()))
-                        .cloned(),
-                );
+                filtered.extend(net.iter().filter(|u| reg.wants(u.relation())).cloned());
                 &filtered
             };
             if routed.is_empty() {
                 continue;
             }
             reg.touch();
-            // The batch's routed members include the most recent
-            // effective change to any footprint relation, so their max
-            // per-relation stamp is the new footprint generation.
+            // The batch's routed facts include the most recent change to
+            // any footprint relation, so their max per-relation stamp is
+            // the new footprint generation.
             reg.footprint_gen = routed
                 .iter()
                 .map(|u| self.db.relation_generation(u.relation()))
@@ -1138,10 +1125,10 @@ impl Session {
                 .expect("routed is nonempty");
             if reg.wants_deltas() {
                 let mut delta = ResultDelta::default();
-                reg.engine.apply_batch_tracked(routed, &mut delta);
+                reg.engine.apply_net_tracked(routed, &mut delta);
                 reg.publish(stamp, delta);
             } else {
-                reg.engine.apply_batch(routed);
+                reg.engine.apply_net(routed);
             }
             // One epoch publication per batch, stamped with the batch's
             // final stream position (a transaction cannot be open here:
@@ -1150,7 +1137,7 @@ impl Session {
         }
         if let (Some(m), Some(t0)) = (self.metrics.as_ref(), batch.start) {
             m.batches.inc();
-            m.updates.add(effective.len() as u64);
+            m.updates.add(batch.applied as u64);
             m.commit_latency_ns.record(t0.elapsed().as_nanos() as u64);
         }
     }
@@ -1161,7 +1148,7 @@ impl Session {
     /// through [`Session::query`] are impossible while it borrows the
     /// session); unless [`SessionTransaction::commit`] is called,
     /// dropping the guard rolls every effective update back via
-    /// [`Update::inverse`], across the master database and every engine.
+    /// [`Update::inverse`], across the one `D` and every engine.
     ///
     /// Subscriber events are **buffered**: during the transaction each
     /// query's deltas accumulate and net out; `commit` emits at most one

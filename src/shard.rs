@@ -79,7 +79,7 @@ use crate::session::{
     ReplayOutcome, Resume, Session, SessionTransaction, Subscription,
 };
 use cqu_common::{FxHashMap, UnionFind};
-use cqu_dynamic::UpdateReport;
+use cqu_dynamic::{net_effective, Netted, UpdateReport};
 use cqu_obs::{Counter, Histogram, Registry};
 use cqu_query::{parse_query, Query, RelId, Schema};
 use cqu_storage::{ApplyUpdate, Update};
@@ -569,12 +569,10 @@ impl ShardedSession {
 
     /// Applies a batch, equivalent to applying its members in order.
     /// All-or-nothing under validation: nothing is applied if any update
-    /// is malformed. A batch confined to one shard takes one lock and
-    /// one engine-level batch pass (netting, grouping); a batch spanning
-    /// shards locks every touched shard in canonical order, then commits
-    /// one sub-batch per shard — per-shard order is preserved, and since
-    /// every query's footprint lives inside a single shard, every query
-    /// observes exactly the relative order of the updates that concern
+    /// is malformed. The batch locks every shard it touches in canonical
+    /// order and is netted once, each tuple against the shard owning it;
+    /// since every query's footprint lives inside a single shard, every
+    /// query observes exactly the net effect of the updates that concern
     /// it. The batch draws one contiguous seq range and every shard it
     /// changed is stamped with the range's last number.
     pub fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, CqError> {
@@ -584,65 +582,54 @@ impl ShardedSession {
         for u in updates {
             validate_update(&self.inner.schema, u)?;
         }
-        self.apply_batch_prevalidated(updates)
+        self.commit_batch(updates, None)
     }
 
-    /// The batch path after validation — also the durable layer's entry
-    /// point, which validated while predicting the effective subset.
-    pub(crate) fn apply_batch_prevalidated(
+    /// The batch path after validation: `updates` netted once, by the
+    /// caller (the durable layer, under read guards on every shard that
+    /// its WAL lock has kept current since) or here, under the touched
+    /// shards' writer locks. Every shard applies its net facts
+    /// to its database first; then the whole seq range is drawn at once
+    /// and every shard publishes at its head. The log stamps the batch in
+    /// submission order, so a range per shard would hand a shard a stamp
+    /// whose timeline state it does not hold; at the batch head each
+    /// shard holds exactly the timeline's state on its own relations.
+    pub(crate) fn commit_batch(
         &self,
         updates: &[Update],
+        netted: Option<Netted>,
     ) -> Result<UpdateReport, CqError> {
-        let Some(first) = updates.first() else {
-            return Ok(UpdateReport {
-                total: 0,
-                applied: 0,
-            });
-        };
-        let metrics = self.inner.metrics.as_ref();
-        let first_sid = self.route(first.relation());
-        if updates
-            .iter()
-            .all(|u| self.route(u.relation()) == first_sid)
-        {
-            let report = self
-                .write_shard(first_sid)?
-                .apply_batch_prevalidated(updates);
-            if let Some(m) = metrics {
-                m.shard_commits[first_sid].add(report.applied as u64);
-            }
-            return Ok(report);
-        }
-        // Multi-shard: split into per-shard sub-batches (order preserved
-        // within each) and lock ascending. Every shard applies its part
-        // to its database first; then the whole range is drawn at once
-        // and every touched shard publishes at its head. The log stamps
-        // the batch in submission order, so a range per shard would
-        // hand a shard a stamp whose timeline state it does not hold;
-        // at the batch head each shard holds exactly the timeline's
-        // state on its own relations.
-        let mut groups: Vec<Vec<Update>> = vec![Vec::new(); self.inner.shards.len()];
-        for u in updates {
-            groups[self.route(u.relation())].push(u.clone());
-        }
-        let touched: Vec<usize> = (0..groups.len())
-            .filter(|&s| !groups[s].is_empty())
-            .collect();
+        let mut touched: Vec<usize> = updates.iter().map(|u| self.route(u.relation())).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let slot = |rel: RelId| touched.binary_search(&self.route(rel)).expect("locked");
         let mut guards = self.lock_shards(&touched)?;
-        let parts: Vec<_> = guards
+        let netted = netted.unwrap_or_else(|| {
+            net_effective(updates, |rel, t| {
+                guards[slot(rel)].database().relation(rel).contains(t)
+            })
+        });
+        let mut parts: Vec<(usize, Vec<Update>)> = vec![(0, Vec::new()); touched.len()];
+        for &i in &netted.effective {
+            parts[slot(updates[i].relation())].0 += 1;
+        }
+        for fact in netted.net {
+            parts[slot(fact.relation())].1.push(fact);
+        }
+        let batches: Vec<_> = guards
             .iter_mut()
-            .zip(&touched)
-            .map(|(guard, &sid)| guard.apply_batch_to_db(&groups[sid]))
+            .zip(parts)
+            .map(|(guard, (applied, net))| guard.apply_net_to_db(applied, net))
             .collect();
-        let applied: usize = parts.iter().map(|part| part.len()).sum();
+        let applied = netted.effective.len();
         // Relaxed, as in `Session::advance_seq`: uniqueness carries the
         // argument, and the stamp is read through the shard locks.
         let head = self.inner.seq.fetch_add(applied as u64, Ordering::Relaxed) + applied as u64;
-        for ((guard, part), &sid) in guards.iter_mut().zip(parts).zip(&touched) {
-            if let Some(m) = metrics {
-                m.shard_commits[sid].add(part.len() as u64);
+        for ((guard, batch), &sid) in guards.iter_mut().zip(batches).zip(&touched) {
+            if let Some(m) = self.inner.metrics.as_ref() {
+                m.shard_commits[sid].add(batch.applied as u64);
             }
-            guard.publish_batch(part, head);
+            guard.publish_batch(batch, head);
         }
         Ok(UpdateReport {
             total: updates.len(),
@@ -654,15 +641,7 @@ impl ShardedSession {
     /// lock order that makes concurrent multi-shard writers deadlock-free).
     fn lock_shards(&self, shards: &[usize]) -> Result<Vec<RwLockWriteGuard<'_, Session>>, CqError> {
         debug_assert!(shards.windows(2).all(|w| w[0] < w[1]), "canonical order");
-        let mut guards = Vec::with_capacity(shards.len());
-        for &sid in shards {
-            guards.push(
-                self.inner.shards[sid]
-                    .write()
-                    .map_err(|_| CqError::Poisoned)?,
-            );
-        }
-        Ok(guards)
+        shards.iter().map(|&sid| self.write_shard(sid)).collect()
     }
 
     /// Runs `f` inside an all-or-nothing transaction spanning **all**
@@ -867,6 +846,13 @@ impl ShardedSession {
             guard.force_seq(seq);
         }
         Ok(())
+    }
+
+    /// [`Session::check_invariants`] on every shard, each against its own
+    /// database, under read guards taken together.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.read_all(|guards| guards.iter().try_for_each(|g| g.check_invariants()))
+            .map_err(|e| e.to_string())?
     }
 
     /// Replica hook: [`Session::publish_watched`] on every shard, under

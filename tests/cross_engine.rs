@@ -6,6 +6,7 @@
 //! one [`Session`], registered with explicit [`EngineChoice::Forced`]
 //! overrides so every supporting engine kind sees the same stream.
 
+use cq_updates::dynamic::Standalone;
 use cq_updates::prelude::*;
 use cqu_testutil::{brute_force, random_updates, WorkloadConfig};
 use rand::rngs::SmallRng;
@@ -50,6 +51,7 @@ fn run_all_engines(src: &str, seed: u64, steps: usize, domain: u64) {
         );
         if step % 11 == 0 || step == steps - 1 {
             let expected = brute_force(&q, &oracle_db);
+            session.check_invariants().unwrap();
             for name in &names {
                 let h = session.query(name).unwrap();
                 assert_eq!(h.kind().name(), *name);
@@ -63,7 +65,7 @@ fn run_all_engines(src: &str, seed: u64, steps: usize, domain: u64) {
             }
         }
     }
-    // The master database the session maintains matches the oracle's.
+    // The one database the session maintains matches the oracle's.
     assert_eq!(session.database().cardinality(), oracle_db.cardinality());
     assert_eq!(
         session.database().active_domain_size(),
@@ -113,8 +115,8 @@ fn example_6_1_under_random_churn() {
 fn phi2_amortised_engine_agrees_with_recompute() {
     let q2 = parse_query("Q(x, y, z1, z2) :- E(x,x), E(x,y), E(y,y), E(z1,z2).").unwrap();
     let er = q2.schema().relation("E").unwrap();
-    let mut amort = Phi2Engine::new();
-    let mut rec = RecomputeEngine::empty(&q2);
+    let mut amort = Standalone::from_empty(Phi2Engine::new());
+    let mut rec = Standalone::from_empty(RecomputeEngine::empty(&q2));
     let mut rng = SmallRng::seed_from_u64(13);
     for step in 0..300 {
         let a = rng.gen_range(1..=5u64);

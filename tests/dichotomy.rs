@@ -2,6 +2,7 @@
 //! admission, and the Chandra–Merlin core equivalence (`core(ϕ)(D) = ϕ(D)`)
 //! that Theorems 1.2/1.3 rely on.
 
+use cq_updates::dynamic::Standalone;
 use cq_updates::prelude::*;
 use cq_updates::query::hierarchical::is_q_hierarchical;
 use rand::rngs::SmallRng;
@@ -48,7 +49,7 @@ fn core_evaluation_equals_original() {
     // Maintain the core dynamically; check against recompute on ϕ itself.
     // (Same schema: relation names survive restriction.)
     let mut core_engine = QhEngine::new(&core, &Database::new(core.schema().clone())).unwrap();
-    let mut full = RecomputeEngine::empty(&q);
+    let mut full = Standalone::from_empty(RecomputeEngine::empty(&q));
     let er = q.schema().relation("E").unwrap();
     let er_core = core.schema().relation("E").unwrap();
     let mut rng = SmallRng::seed_from_u64(77);

@@ -306,8 +306,20 @@ fn pin_reader(sess: &DurableSession, name: &str) -> PinReader {
     }
 }
 
-/// Recovers from `view` and checks the oracle invariants. Returns the
-/// recovered session so callers can keep writing to it.
+/// The q-tree audit over every registration of `sess`, each shard
+/// against its own database: recovery builds every engine from the
+/// session's `D` (a checkpoint load, then the log tail).
+fn audit(sess: &DurableSession) {
+    let audited = match (sess.shared(), sess.sharded()) {
+        (Some(single), _) => single.read(Session::check_invariants).unwrap(),
+        (None, Some(sharded)) => sharded.check_invariants(),
+        (None, None) => unreachable!("a session is single or sharded"),
+    };
+    audited.expect("the recovered state passes the audit");
+}
+
+/// Recovers from `view` and checks the oracle invariants and the audit.
+/// Returns the recovered session so callers can keep writing to it.
 fn check_recovery(
     view: SimDisk,
     schema: &Schema,
@@ -382,6 +394,7 @@ fn check_recovery(
         "recovered state at seq {r} matches no valid cut ({} candidate(s)); got {got:?}",
         candidates.len()
     );
+    audit(&sess);
     sess
 }
 
@@ -572,6 +585,7 @@ fn mid_stream_registration_survives() {
         small_opts(FsyncPolicy::Always),
     )
     .unwrap();
+    audit(&rec);
     assert_eq!(rec.seq().unwrap(), 3);
     assert_eq!(
         rec.snapshot("qh").unwrap().results_sorted(),
@@ -596,6 +610,7 @@ fn recovery_roundtrips_and_stays_writable() {
     let view = disk.strict_view();
     let rec =
         DurableSession::recover(Box::new(view.clone()), small_opts(FsyncPolicy::Always)).unwrap();
+    audit(&rec);
     assert_eq!(rec.seq().unwrap(), run.frames.len() as u64);
     let more = script_ops(&schema, 43, 20);
     let run2 = {
@@ -644,6 +659,7 @@ fn recover_empty_and_create_nonvirgin_refuse() {
     ));
     // But recovery of the (query-less) log now succeeds.
     let rec = DurableSession::recover(Box::new(disk), DurableOptions::default()).unwrap();
+    audit(&rec);
     assert_eq!(rec.seq().unwrap(), 0);
     assert!(!rec.is_sharded());
 }
@@ -702,6 +718,7 @@ fn sharded_mode_roundtrip_and_sealed_registration() {
         small_opts(FsyncPolicy::Always),
     )
     .unwrap();
+    audit(&rec);
     assert!(rec.is_sharded());
     assert_eq!(rec.seq().unwrap(), 3);
     assert_eq!(
@@ -864,6 +881,7 @@ fn failed_tx_commit_is_never_replayed() {
 
     let rec = DurableSession::recover(Box::new(full_view(&disk)), small_opts(FsyncPolicy::Always))
         .unwrap();
+    audit(&rec);
     assert_eq!(
         rec.snapshot("qh").unwrap().results_sorted(),
         before,
@@ -881,6 +899,7 @@ fn failed_tx_commit_is_never_replayed() {
     let after = sess.snapshot("qh").unwrap().results_sorted();
     let rec2 = DurableSession::recover(Box::new(full_view(&disk)), small_opts(FsyncPolicy::Always))
         .unwrap();
+    audit(&rec2);
     assert_eq!(rec2.snapshot("qh").unwrap().results_sorted(), after);
     assert_eq!(rec2.seq().unwrap(), sess.seq().unwrap());
 }
@@ -917,6 +936,7 @@ fn acknowledged_writes_survive_a_torn_predecessor() {
 
     let rec = DurableSession::recover(Box::new(full_view(&disk)), small_opts(FsyncPolicy::Always))
         .unwrap();
+    audit(&rec);
     assert_eq!(
         rec.snapshot("qh").unwrap().results_sorted(),
         live,
@@ -967,6 +987,7 @@ fn failed_rollback_burn_surfaces_the_wal_error() {
     let after = sess.snapshot("qh").unwrap().results_sorted();
     let rec = DurableSession::recover(Box::new(full_view(&disk)), small_opts(FsyncPolicy::Always))
         .unwrap();
+    audit(&rec);
     assert_eq!(rec.snapshot("qh").unwrap().results_sorted(), after);
     assert_eq!(
         rec.seq().unwrap(),
@@ -1020,6 +1041,7 @@ fn failed_register_commit_leaves_the_session_unchanged() {
 
     let rec = DurableSession::recover(Box::new(full_view(&disk)), small_opts(FsyncPolicy::Always))
         .unwrap();
+    audit(&rec);
     for (name, want) in [
         ("qh", vec![vec![1, 2], vec![9, 2]]),
         ("other", vec![vec![2]]),
@@ -1127,6 +1149,7 @@ fn duplicated_update_frame_is_refused() {
 
     let view = disk.strict_view();
     let rec = DurableSession::recover(Box::new(view.strict_view()), opts()).unwrap();
+    audit(&rec);
     assert_eq!(rec.seq().unwrap(), 3, "the undamaged log recovers");
 
     let name = view

@@ -256,9 +256,25 @@ fn run_op(sess: &DurableSession, db: &mut Database, frames: &mut Vec<Option<Upda
     assert_eq!(sess.seq().unwrap(), frames.len() as u64);
 }
 
+/// The q-tree audit over every registration of one core, each shard
+/// against its own database: a bootstrap, like a recovery, builds every
+/// engine from the session's `D` (a checkpoint load or the log, then the
+/// tail).
+fn audit(tag: &str, single: Option<&SharedSession>, sharded: Option<&ShardedSession>) {
+    let audited = match (single, sharded) {
+        (Some(single), _) => single.read(Session::check_invariants).unwrap(),
+        (None, Some(sharded)) => sharded.check_invariants(),
+        (None, None) => panic!("{tag}: no core to audit"),
+    };
+    if let Err(e) = audited {
+        panic!("{tag}: audit failed: {e}");
+    }
+}
+
 /// Asserts `replica` has fully converged: watermark at the leader head,
 /// every query equal to both the leader and the brute-force oracle at
-/// the final cut, and a watermark pin exact against `timeline[s]`.
+/// the final cut, a watermark pin exact against `timeline[s]`, and the
+/// audit passing on both sides.
 fn assert_converged(
     tag: &str,
     sess: &DurableSession,
@@ -275,6 +291,8 @@ fn assert_converged(
         replica.stats()
     );
     let final_db = db_at(schema, frames, head);
+    audit(tag, sess.shared(), sess.sharded());
+    audit(tag, replica.shared().as_ref(), replica.sharded().as_ref());
     for (name, q) in queries {
         let leader_rows = sess.snapshot(name).unwrap().results_sorted();
         let snap = replica.snapshot(name).unwrap();
@@ -426,6 +444,8 @@ fn bootstrapped_core_is_published_before_it_is_shown() {
         let pin = reader.pin();
         assert_eq!(pin.seq(), seq, "sharded={sharded}");
         assert_eq!(pin.results_sorted(), vec![vec![1, 2]], "sharded={sharded}");
+        let tag = format!("checkpoint bootstrap, sharded={sharded}");
+        audit(&tag, replica.shared().as_ref(), replica.sharded().as_ref());
     }
 }
 
@@ -1386,6 +1406,12 @@ fn replay_differential_case(seed: u64, sharded: bool) {
     let recovered = DurableSession::recover(Box::new(view.clone()), small_opts()).unwrap();
     assert_eq!(recovered.seq().unwrap(), head);
     assert_eq!(recovered.is_sharded(), sharded);
+    audit("recovery", recovered.shared(), recovered.sharded());
+    audit(
+        "bootstrap",
+        replica.shared().as_ref(),
+        replica.sharded().as_ref(),
+    );
 
     for (name, q) in &queries {
         let want = brute_force(q, &db);

@@ -1,9 +1,10 @@
 //! Integration tests for the unified `Session` API: classifier routing,
 //! batch/transactional updates, change subscriptions, and schema growth.
 
+use cq_updates::dynamic::Standalone;
 use cq_updates::prelude::*;
 use cq_updates::query::generator::Lcg;
-use cqu_testutil::{random_query, random_updates, GenConfig, WorkloadConfig};
+use cqu_testutil::{brute_force, random_query, random_updates, GenConfig, WorkloadConfig};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -117,7 +118,7 @@ fn session_level_errors_are_typed() {
     );
 }
 
-/// A failed registration must leave the session schema and master
+/// A failed registration must leave the session schema and its
 /// database exactly as they were — no half-interned relations that a
 /// later update could address and crash on.
 #[test]
@@ -187,7 +188,7 @@ fn dropped_subscriptions_are_pruned() {
     assert!(bounded.recv_timeout(Duration::from_secs(30)).is_none());
 }
 
-/// Queries registered after data has flowed are seeded from the master
+/// Queries registered after data has flowed are seeded from the session's
 /// database, and later schema growth never disturbs earlier engines.
 #[test]
 fn late_registration_sees_existing_data() {
@@ -397,19 +398,94 @@ fn workload(q: &Query, seed: u64, steps: usize, domain: u64) -> Vec<Update> {
     )
 }
 
+/// Registrations over the shared relations `E`, `T`, `S`: a
+/// repeated-variable atom (`E(1, 2)` changes `D` but matches no atom
+/// pattern of `loops`), a via-core route and a delta-IVM fallback.
+/// [`LATE`] joins mid-stream, its engine built from the session's `D`.
+const ZOO: &[(&str, &str, EngineKind, RouteReason)] = &[
+    (
+        "loops",
+        "Q(x) :- E(x, x), T(x).",
+        EngineKind::QHierarchical,
+        RouteReason::QHierarchical,
+    ),
+    (
+        "pairs",
+        "Q(x, y) :- E(x, y), T(y).",
+        EngineKind::QHierarchical,
+        RouteReason::QHierarchical,
+    ),
+    (
+        "via_core",
+        "Q() :- E(x,x), E(x,y), E(y,y).",
+        EngineKind::QHierarchical,
+        RouteReason::QHierarchicalCore,
+    ),
+    (
+        "hard",
+        "Q(x, y) :- S(x), E(x, y), T(y).",
+        EngineKind::DeltaIvm,
+        RouteReason::Fallback,
+    ),
+];
+
+const LATE: (&str, &str) = ("late", "Q(x, z) :- E(x, z), S(x).");
+
+/// A session over [`ZOO`], the brute-force oracle's empty `D` and a
+/// churny script over the shared relations.
+fn zoo(seed: u64, steps: usize) -> (Session, Database, Vec<Update>) {
+    let mut s = Session::new();
+    for &(name, src, kind, reason) in ZOO {
+        s.register(name, src).unwrap();
+        let h = s.query(name).unwrap();
+        assert_eq!((h.kind(), h.route_reason()), (kind, reason), "{name}");
+    }
+    let cfg = WorkloadConfig {
+        steps,
+        domain: 3,
+        insert_permille: 600,
+    };
+    let script = random_updates(s.schema(), seed, cfg);
+    let oracle = Database::new(s.schema().clone());
+    (s, oracle, script)
+}
+
+/// Every registration equals brute force over the oracle's `D`, and the
+/// session's audit passes against its one `D`.
+fn check_zoo(s: &Session, oracle: &Database, at: &str) -> Result<(), TestCaseError> {
+    for h in s.queries() {
+        let want = brute_force(h.query(), oracle);
+        prop_assert_eq!(h.count() as usize, want.len(), "{} count {}", h.name(), at);
+        prop_assert_eq!(h.results_sorted(), want, "{} {}", h.name(), at);
+    }
+    s.check_invariants()
+        .map_err(|e| TestCaseError::fail(format!("audit {at}: {e}")))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// The auto-routed session agrees with the naive recompute engine on
-    /// random queries (q-hierarchical or not) under random update logs.
+    /// random queries (q-hierarchical or not) under random update logs,
+    /// and a session of several registrations over shared relations —
+    /// one made at step `mid` — equals brute force after every apply.
     #[test]
-    fn auto_routing_agrees_with_naive_recompute(seed in 0u64..100_000) {
+    fn auto_routing_agrees_with_naive_recompute(seed in 0u64..100_000, mid in 0usize..60) {
+        let (mut zoo, mut oracle, script) = zoo(seed ^ 0x200, 60);
+        for (step, u) in script.iter().enumerate() {
+            if step == mid {
+                zoo.register(LATE.0, LATE.1).unwrap();
+            }
+            prop_assert_eq!(zoo.apply(u).unwrap(), oracle.apply(u), "effectiveness @{}", step);
+            check_zoo(&zoo, &oracle, &format!("after apply @{step}"))?;
+        }
+
         let cfg = GenConfig { max_vars: 4, max_atoms: 3, max_arity: 3, self_join_pct: 25 };
         let q = random_query(&mut Lcg::new(seed), cfg);
         let mut session = Session::new();
         session.register_query("q", &q, EngineChoice::Auto).unwrap();
         let q = session.query("q").unwrap().query().clone();
-        let mut oracle = RecomputeEngine::empty(&q);
+        let mut oracle = Standalone::from_empty(RecomputeEngine::empty(&q));
         let log = UpdateLog::from_updates(workload(&q, seed ^ 0xA5A5, 60, 4));
         for (step, u) in log.iter().enumerate() {
             let changed = session.apply(u).unwrap();
@@ -424,9 +500,25 @@ proptest! {
     }
 
     /// `apply_batch` is equivalent to sequential `apply`, chunk by chunk,
-    /// including the report's sequential-equivalent `applied` count.
+    /// including the report's sequential-equivalent `applied` count —
+    /// also on the several-registration session, which equals brute force
+    /// after every batch, the late registration made before batch `mid`.
     #[test]
-    fn apply_batch_equals_sequential_apply(seed in 0u64..100_000, chunk in 1usize..16) {
+    fn apply_batch_equals_sequential_apply(
+        seed in 0u64..100_000,
+        chunk in 1usize..16,
+        mid in 0usize..4,
+    ) {
+        let (mut zoo, mut oracle, script) = zoo(seed ^ 0x300, 64);
+        for (i, window) in script.chunks(chunk).enumerate() {
+            if i == mid {
+                zoo.register(LATE.0, LATE.1).unwrap();
+            }
+            let report = zoo.apply_batch(window).unwrap();
+            prop_assert_eq!(report.applied, oracle.apply_all(window));
+            check_zoo(&zoo, &oracle, &format!("after batch {i}"))?;
+        }
+
         let cfg = GenConfig { max_vars: 4, max_atoms: 3, max_arity: 3, self_join_pct: 25 };
         let q = random_query(&mut Lcg::new(seed), cfg);
         let mut batched = Session::new();
@@ -529,9 +621,39 @@ proptest! {
         );
     }
 
-    /// A rolled-back transaction is a perfect no-op mid-stream.
+    /// A rolled-back transaction is a perfect no-op mid-stream — also on
+    /// the several-registration session, which equals brute force after
+    /// every apply, a commit and a rollback, the late registration made
+    /// at step `mid` of the prefix (or after it).
     #[test]
-    fn transaction_rollback_is_a_noop(seed in 0u64..100_000, cut in 1usize..40) {
+    fn transaction_rollback_is_a_noop(
+        seed in 0u64..100_000,
+        cut in 1usize..40,
+        mid in 0usize..40,
+    ) {
+        let (mut zoo, mut oracle, script) = zoo(seed ^ 0x400, 50);
+        let (prefix, rest) = script.split_at(cut);
+        for (step, u) in prefix.iter().enumerate() {
+            if step == mid {
+                zoo.register(LATE.0, LATE.1).unwrap();
+            }
+            prop_assert_eq!(zoo.apply(u).unwrap(), oracle.apply(u), "effectiveness @{}", step);
+            check_zoo(&zoo, &oracle, &format!("after apply @{step}"))?;
+        }
+        if mid >= cut {
+            zoo.register(LATE.0, LATE.1).unwrap();
+        }
+        let (committed, rolled_back) = rest.split_at(rest.len() / 2);
+        let mut txn = zoo.transaction();
+        txn.apply_all(committed).unwrap();
+        txn.commit();
+        oracle.apply_all(committed);
+        check_zoo(&zoo, &oracle, "after commit")?;
+        let mut txn = zoo.transaction();
+        txn.apply_all(rolled_back).unwrap();
+        txn.rollback();
+        check_zoo(&zoo, &oracle, "after rollback")?;
+
         let cfg = GenConfig { max_vars: 4, max_atoms: 3, max_arity: 2, self_join_pct: 25 };
         let q = random_query(&mut Lcg::new(seed), cfg);
         let mut session = Session::new();
