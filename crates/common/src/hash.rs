@@ -2,8 +2,8 @@
 //!
 //! The default `SipHash 1-3` hasher of the standard library is robust
 //! against HashDoS but slow for the short integer keys that dominate this
-//! workload (database constants are `u64`, item keys are short `u64`
-//! sequences). The Fx algorithm (originating in Firefox and used by rustc)
+//! workload (database constants are `u64`, item keys are a `u32` row id
+//! and a `u64` constant). The Fx algorithm (originating in Firefox and used by rustc)
 //! is a simple multiply-xor mix that is dramatically faster for such keys.
 //!
 //! `rustc-hash` is not on the allowed dependency list for this project, so

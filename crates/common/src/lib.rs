@@ -6,12 +6,13 @@
 //!
 //! * [`hash`] — an Fx-style fast hasher plus `FxHashMap`/`FxHashSet`
 //!   aliases. The paper's RAM-model `d`-ary arrays `A_v` are replaced by
-//!   hash maps keyed on path constants, exactly as the paper's footnote 2
+//!   hash maps keyed on (parent item, constant), as the paper's footnote 2
 //!   prescribes for real-world machines.
 //! * [`slab`] — a slab arena with a free list. Items of the dynamic data
-//!   structure (Section 6 of the paper) live in a slab and are addressed by
-//!   dense `u32` ids so the intrusive doubly-linked "fit lists" need no
-//!   allocation per link operation.
+//!   structure (Section 6 of the paper) live in one slab of `Copy` rows per
+//!   q-tree node and are addressed by dense `u32` ids, so the intrusive
+//!   doubly-linked "fit lists" need no allocation per link operation and a
+//!   copy of a slab is one `memcpy`.
 //! * [`bitset`] — dense bitsets and square boolean matrices used by the
 //!   OMv/OuMv/OV lower-bound machinery (Section 5 of the paper).
 //! * [`epoch`] — a hand-rolled arc-swap ([`EpochCell`]): lock-free O(1)

@@ -37,7 +37,9 @@ impl SlabId {
     }
 }
 
-#[derive(Clone)]
+// `Copy` when `T` is: cloning a slab of `Copy` entries is then one
+// `memcpy` of the slot vector.
+#[derive(Clone, Copy)]
 enum Slot<T> {
     Occupied(T),
     /// Free slot, storing the next entry of the free list.
@@ -49,7 +51,8 @@ enum Slot<T> {
 /// Cloning a slab (for `T: Clone`) preserves every id — occupied slots,
 /// vacancies, and the free list are copied verbatim, so intrusive links
 /// stored inside `T` stay valid in the copy. The snapshot machinery of
-/// `cqu-dynamic` relies on this.
+/// `cqu-dynamic` relies on this. For `T: Copy` the clone is one
+/// contiguous copy.
 #[derive(Clone)]
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,

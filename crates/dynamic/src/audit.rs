@@ -14,7 +14,7 @@
 
 use crate::structure::ComponentStructure;
 use crate::QhStructure;
-use cqu_common::{FxHashMap, FxHashSet};
+use cqu_common::{FxHashMap, FxHashSet, SlabId};
 use cqu_query::qtree::NodeId;
 use cqu_query::{AtomId, Query, Var};
 use cqu_storage::{Const, Database};
@@ -73,60 +73,72 @@ fn check_component(ci: usize, comp: &ComponentStructure, db: &Database) -> Resul
         let id = comp
             .lookup_item(*node, key)
             .ok_or_else(|| format!("component {ci}: missing item [{node}, {key:?}]"))?;
-        let item = comp.items.get(id).unwrap();
-        if item.atom_counts.as_ref() != counts.as_slice() {
+        let stored = comp.node_items(*node).atom_counts(id);
+        if stored != counts.as_slice() {
             return Err(format!(
-                "component {ci}: item [{node}, {key:?}] atom counts {:?} != expected {counts:?}",
-                item.atom_counts
+                "component {ci}: item [{node}, {key:?}] atom counts {stored:?} != expected {counts:?}"
             ));
         }
     }
 
     // ---- Weights via brute-force joins (definitions of E^i and E~^i). ----
-    for (_, item) in comp.iter_items() {
-        let meta = tree.node(item.node);
+    for (node, id, row) in comp.iter_items() {
+        let meta = tree.node(node);
+        let key = comp.item_key(node, id);
+        // The parent chain and the lookup agree: the key rebuilt from the
+        // row's parents addresses the row itself.
+        if comp.lookup_item(node, &key) != Some(id) {
+            return Err(format!(
+                "component {ci}: item [{node}, {key:?}] is not where its key leads"
+            ));
+        }
         let mut fixed: FxHashMap<Var, Const> = FxHashMap::default();
         for (j, &nid) in meta.path.iter().enumerate() {
-            fixed.insert(tree.node(nid).var, item.key[j]);
+            fixed.insert(tree.node(nid).var, key[j]);
         }
         let (c, ctilde) = reference_weights(q, db, &meta.atoms, &fixed);
-        if item.weight != c {
+        if row.weight != c {
             return Err(format!(
-                "component {ci}: item [{}, {:?}] weight {} != reference C^i {c}",
-                item.node, item.key, item.weight
+                "component {ci}: item [{node}, {key:?}] weight {} != reference C^i {c}",
+                row.weight
             ));
         }
-        if meta.free && item.free_weight != ctilde {
+        if meta.free && row.free_weight != ctilde {
             return Err(format!(
-                "component {ci}: item [{}, {:?}] free weight {} != reference C~^i {ctilde}",
-                item.node, item.key, item.free_weight
+                "component {ci}: item [{node}, {key:?}] free weight {} != reference C~^i {ctilde}",
+                row.free_weight
             ));
         }
-        if item.in_list != (c > 0) {
+        if row.in_list != (c > 0) {
             return Err(format!(
-                "component {ci}: item [{}, {:?}] fit-list membership {} but C^i = {c}",
-                item.node, item.key, item.in_list
+                "component {ci}: item [{node}, {key:?}] fit-list membership {} but C^i = {c}",
+                row.in_list
+            ));
+        }
+        if !row.in_list && (row.prev.is_some() || row.next.is_some()) {
+            return Err(format!(
+                "component {ci}: unfit item [{node}, {key:?}] keeps list links"
             ));
         }
     }
 
     // ---- List structure and maintained sums. ----
-    let walk = |head: cqu_common::SlabId| -> Result<Vec<cqu_common::SlabId>, String> {
+    let walk = |node: NodeId, head: SlabId| -> Result<Vec<SlabId>, String> {
+        let rows = &comp.node_items(node).rows;
         let mut out = Vec::new();
         let mut cur = head;
-        let mut prev = cqu_common::SlabId::NONE;
+        let mut prev = SlabId::NONE;
         while cur.is_some() {
-            let item = comp
-                .items
+            let row = rows
                 .get(cur)
                 .ok_or_else(|| format!("component {ci}: dangling list pointer {cur:?}"))?;
-            if item.prev != prev {
+            if row.prev != prev {
                 return Err(format!("component {ci}: broken prev link at {cur:?}"));
             }
             out.push(cur);
             prev = cur;
-            cur = item.next;
-            if out.len() > comp.num_items() {
+            cur = row.next;
+            if out.len() > rows.len() {
                 return Err(format!("component {ci}: list cycle detected"));
             }
         }
@@ -134,20 +146,22 @@ fn check_component(ci: usize, comp: &ComponentStructure, db: &Database) -> Resul
     };
 
     // Start list: exactly the fit root items; C_start / C̃_start sums.
-    let start_items = walk(comp.start_head())?;
+    let root = tree.root();
+    let roots = &comp.node_items(root).rows;
+    let start_items = walk(root, comp.start_head())?;
     let start_set: FxHashSet<_> = start_items.iter().copied().collect();
     let mut c_start = 0u64;
     let mut ct_start = 0u64;
     for &id in &start_items {
-        let item = comp.items.get(id).unwrap();
-        if item.node != tree.root() || !item.parent.is_none() {
+        let row = &roots[id];
+        if row.parent.is_some() {
             return Err(format!("component {ci}: non-root item in start list"));
         }
-        c_start += item.weight;
-        ct_start += item.free_weight;
+        c_start += row.weight;
+        ct_start += row.free_weight;
     }
-    for (id, item) in comp.iter_items() {
-        if item.node == tree.root() && item.in_list != start_set.contains(&id) {
+    for (id, row) in roots.iter() {
+        if row.in_list != start_set.contains(&id) {
             return Err(format!("component {ci}: start-list membership mismatch"));
         }
     }
@@ -157,7 +171,7 @@ fn check_component(ci: usize, comp: &ComponentStructure, db: &Database) -> Resul
             comp.c_start()
         ));
     }
-    if tree.node(tree.root()).free && comp.ct_start() != ct_start {
+    if tree.node(root).free && comp.ct_start() != ct_start {
         return Err(format!(
             "component {ci}: C~_start {} != recomputed {ct_start}",
             comp.ct_start()
@@ -165,35 +179,36 @@ fn check_component(ci: usize, comp: &ComponentStructure, db: &Database) -> Resul
     }
 
     // Child lists: membership, parentage, and sum registers.
-    for (pid, parent) in comp.iter_items() {
-        let meta = tree.node(parent.node);
+    for (node, pid, _) in comp.iter_items() {
+        let meta = tree.node(node);
+        let regs = comp.node_items(node).children(pid);
         for (pos, &child_node) in meta.children.iter().enumerate() {
-            let listed = walk(parent.child_heads[pos])?;
+            let listed = walk(child_node, regs[pos].head)?;
             let mut sum = 0u64;
             let mut fsum = 0u64;
             for &id in &listed {
-                let item = comp.items.get(id).unwrap();
-                if item.parent != pid || item.node != child_node {
+                let row = &comp.node_items(child_node).rows[id];
+                if row.parent != pid {
                     return Err(format!(
                         "component {ci}: item in wrong child list of {pid:?} slot {pos}"
                     ));
                 }
-                if !item.in_list {
+                if !row.in_list {
                     return Err(format!("component {ci}: unfit item in a child list"));
                 }
-                sum += item.weight;
-                fsum += item.free_weight;
+                sum += row.weight;
+                fsum += row.free_weight;
             }
-            if parent.child_sums[pos] != sum {
+            if regs[pos].sum != sum {
                 return Err(format!(
                     "component {ci}: child sum {} != recomputed {sum} (slot {pos})",
-                    parent.child_sums[pos]
+                    regs[pos].sum
                 ));
             }
-            if tree.node(child_node).free && parent.free_child_sums[pos] != fsum {
+            if tree.node(child_node).free && regs[pos].free_sum != fsum {
                 return Err(format!(
                     "component {ci}: free child sum {} != recomputed {fsum} (slot {pos})",
-                    parent.free_child_sums[pos]
+                    regs[pos].free_sum
                 ));
             }
         }

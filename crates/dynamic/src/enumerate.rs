@@ -13,20 +13,31 @@
 //! component iterators as an odometer (the nested-loop scheme the paper
 //! sketches at the start of Section 6).
 
-use crate::structure::ComponentStructure;
+use crate::structure::{ComponentStructure, NodeItems};
 use cqu_common::SlabId;
 use cqu_storage::Const;
 use std::sync::Arc;
 
+/// One position `μ` of Algorithm 1's item vector: the node `y_μ`'s array
+/// and where its items hang below the item at the parent position.
+struct Position<'a> {
+    /// `A_{y_μ}`.
+    items: &'a NodeItems,
+    /// The position of `y_μ`'s parent (unused at position 0, the root).
+    parent: usize,
+    /// `y_μ`'s index among its parent's children.
+    child: usize,
+    /// The current item.
+    current: SlabId,
+    /// Pinned positions are never advanced nor re-seeded — the delta
+    /// extractor's prefix-constrained enumeration.
+    pinned: bool,
+}
+
 /// Algorithm 1 over one component. Yields tuples aligned with
 /// [`ComponentStructure::output_vars`] (document order).
 pub struct ComponentIter<'a> {
-    s: &'a ComponentStructure,
-    /// Current item per position of `free_order`.
-    current: Vec<SlabId>,
-    /// Positions whose item is pinned (never advanced, never re-seeded) —
-    /// the delta extractor's prefix-constrained enumeration.
-    pinned: Vec<bool>,
+    positions: Vec<Position<'a>>,
     done: bool,
 }
 
@@ -36,8 +47,7 @@ impl<'a> ComponentIter<'a> {
     /// For Boolean components (no free variables) the iterator is empty —
     /// use [`ComponentStructure::is_nonempty`] as the guard instead.
     pub fn new(s: &'a ComponentStructure) -> Self {
-        let k = s.free_order().len();
-        Self::with_pinned(s, vec![SlabId::NONE; k])
+        Self::start(s, |_| SlabId::NONE)
     }
 
     /// Starts an enumeration with some positions pinned to specific items
@@ -47,78 +57,82 @@ impl<'a> ComponentIter<'a> {
     /// change-feed extraction: it yields precisely the output tuples that
     /// extend the pinned assignment.
     pub(crate) fn with_pinned(s: &'a ComponentStructure, fixed: Vec<SlabId>) -> Self {
-        let k = s.free_order().len();
-        debug_assert_eq!(fixed.len(), k);
-        let pinned: Vec<bool> = fixed.iter().map(|id| id.is_some()).collect();
+        debug_assert_eq!(fixed.len(), s.free_order().len());
+        Self::start(s, |mu| fixed[mu])
+    }
+
+    /// Positions the iterator on the first item vector, with position `μ`
+    /// pinned to `fixed(μ)` unless that is `SlabId::NONE`.
+    fn start(s: &'a ComponentStructure, fixed: impl Fn(usize) -> SlabId) -> Self {
+        let positions: Vec<Position<'a>> = s
+            .free_order()
+            .iter()
+            .enumerate()
+            .map(|(mu, &node)| Position {
+                items: s.node_items(node),
+                parent: s.parent_pos()[mu],
+                child: s.pos_in_parent(node),
+                current: fixed(mu),
+                pinned: fixed(mu).is_some(),
+            })
+            .collect();
         let mut it = ComponentIter {
-            s,
-            current: fixed,
-            pinned,
+            positions,
             done: false,
         };
-        if k == 0 {
-            it.done = true;
-            return it;
-        }
-        if !it.pinned[0] {
-            if s.start_head().is_none() {
-                it.done = true;
-                return it;
+        match it.positions.first_mut() {
+            None => it.done = true,
+            Some(root) if !root.pinned => {
+                root.current = s.start_head();
+                it.done = root.current.is_none();
             }
-            it.current[0] = s.start_head();
+            Some(_) => {}
         }
-        for mu in 1..k {
-            if !it.pinned[mu] {
-                it.current[mu] = it.seed(mu);
-            }
+        if !it.done {
+            it.seed_after(0);
         }
         it
     }
 
-    /// `Set(I, μ)` of Algorithm 1: the first element of the `y_μ`-list of
-    /// the current parent item.
-    fn seed(&self, mu: usize) -> SlabId {
-        let node = self.s.free_order()[mu];
-        let parent_item = self.current[self.s.parent_pos()[mu]];
-        let slot = self.s.pos_in_parent(node);
-        let head = self.s.child_head(parent_item, slot);
-        debug_assert!(head.is_some(), "fit items have nonempty child lists");
-        head
+    /// `Set(I, μ)` of Algorithm 1 for every unpinned `μ > j`: the first
+    /// element of the `y_μ`-list of the current parent item.
+    fn seed_after(&mut self, j: usize) {
+        for mu in (j + 1)..self.positions.len() {
+            let p = &self.positions[mu];
+            if p.pinned {
+                continue;
+            }
+            let up = &self.positions[p.parent];
+            let head = up.items.child(up.current, p.child).head;
+            debug_assert!(head.is_some(), "fit items have nonempty child lists");
+            self.positions[mu].current = head;
+        }
     }
 
-    /// The output tuple of the current item vector: each item contributes
-    /// the last constant of its key (its own variable's value).
-    fn emit(&self) -> Vec<Const> {
-        self.current
-            .iter()
-            .map(|&id| self.s.item_constant(id))
-            .collect()
+    /// Writes the current item vector's constants — each item's own
+    /// variable value — into `out` at the positions `slots` names.
+    fn scatter(&self, out: &mut [Const], slots: &[usize]) {
+        for (p, &slot) in self.positions.iter().zip(slots) {
+            out[slot] = p.items.rows[p.current].constant;
+        }
     }
 
     /// Advances to the next item vector; returns `false` at the end.
     fn advance(&mut self) -> bool {
-        let k = self.current.len();
         // Maximal advanceable (non-pinned) j whose item has a successor.
-        let mut j = k;
-        for cand in (0..k).rev() {
-            if self.pinned[cand] {
+        for j in (0..self.positions.len()).rev() {
+            let p = &mut self.positions[j];
+            if p.pinned {
                 continue;
             }
-            if self.s.item_next(self.current[cand]).is_some() {
-                j = cand;
-                break;
+            let next = p.items.rows[p.current].next;
+            if next.is_some() {
+                p.current = next;
+                self.seed_after(j);
+                return true;
             }
         }
-        if j == k {
-            return false;
-        }
-        self.current[j] = self.s.item_next(self.current[j]);
-        for mu in (j + 1)..k {
-            if !self.pinned[mu] {
-                self.current[mu] = self.seed(mu);
-            }
-        }
-        true
+        false
     }
 }
 
@@ -129,10 +143,12 @@ impl Iterator for ComponentIter<'_> {
         if self.done {
             return None;
         }
-        let out = self.emit();
-        if !self.advance() {
-            self.done = true;
-        }
+        let out = self
+            .positions
+            .iter()
+            .map(|p| p.items.rows[p.current].constant)
+            .collect();
+        self.done = !self.advance();
         Some(out)
     }
 }
@@ -143,9 +159,9 @@ impl Iterator for ComponentIter<'_> {
 /// as guards: if any is empty, the whole result is empty.
 pub struct ResultIter<'a> {
     comps: Vec<&'a ComponentStructure>,
-    /// Iterator and current tuple per component with free variables.
+    /// Per component with free variables: its iterator, positioned on the
+    /// item vector the next output uses.
     iters: Vec<ComponentIter<'a>>,
-    current: Vec<Vec<Const>>,
     /// For component `c` and document-order position `p`:
     /// `out_slots[c][p]` is the position in the final output tuple.
     out_slots: Vec<Vec<usize>>,
@@ -174,7 +190,6 @@ impl<'a> ResultIter<'a> {
         let mut it = ResultIter {
             comps: with_free,
             iters: Vec::new(),
-            current: Vec::new(),
             out_slots,
             arity: free.len(),
             emit_empty_tuple: free.is_empty() && nonempty_guards,
@@ -183,40 +198,20 @@ impl<'a> ResultIter<'a> {
         if it.done || it.emit_empty_tuple {
             return it;
         }
-        for &c in &it.comps {
-            let mut ci = ComponentIter::new(c);
-            match ci.next() {
-                Some(t) => {
-                    it.iters.push(ci);
-                    it.current.push(t);
-                }
-                None => {
-                    it.done = true;
-                    return it;
-                }
-            }
-        }
+        it.iters = it.comps.iter().map(|&c| ComponentIter::new(c)).collect();
+        // Every free variable lives in some component, so `iters` is empty
+        // only in theory; the check keeps `next` from emitting zeros.
+        it.done = it.iters.is_empty() || it.iters.iter().any(|ci| ci.done);
         it
     }
 
-    fn emit(&self) -> Vec<Const> {
-        let mut out = vec![0; self.arity];
-        for (ci, tuple) in self.current.iter().enumerate() {
-            for (p, &v) in tuple.iter().enumerate() {
-                out[self.out_slots[ci][p]] = v;
-            }
-        }
-        out
-    }
-
+    /// The odometer step: advance the last component that can, and restart
+    /// every component after it.
     fn advance(&mut self) -> bool {
         for i in (0..self.iters.len()).rev() {
-            if let Some(t) = self.iters[i].next() {
-                self.current[i] = t;
+            if self.iters[i].advance() {
                 for j in (i + 1)..self.iters.len() {
-                    let mut fresh = ComponentIter::new(self.comps[j]);
-                    self.current[j] = fresh.next().expect("component was nonempty");
-                    self.iters[j] = fresh;
+                    self.iters[j] = ComponentIter::new(self.comps[j]);
                 }
                 return true;
             }
@@ -236,34 +231,11 @@ impl Iterator for ResultIter<'_> {
             self.done = true;
             return Some(Vec::new());
         }
-        if self.iters.is_empty() {
-            // No free components at all, but arity > 0 cannot happen: every
-            // free variable lives in some component.
-            self.done = true;
-            return None;
+        let mut out = vec![0; self.arity];
+        for (ci, slots) in self.iters.iter().zip(&self.out_slots) {
+            ci.scatter(&mut out, slots);
         }
-        let out = self.emit();
-        if !self.advance() {
-            self.done = true;
-        }
+        self.done = !self.advance();
         Some(out)
-    }
-}
-
-impl ComponentStructure {
-    pub(crate) fn start_head(&self) -> SlabId {
-        self.start_head
-    }
-
-    pub(crate) fn child_head(&self, item: SlabId, slot: usize) -> SlabId {
-        self.items[item].child_heads[slot]
-    }
-
-    pub(crate) fn item_next(&self, item: SlabId) -> SlabId {
-        self.items[item].next
-    }
-
-    pub(crate) fn item_constant(&self, item: SlabId) -> Const {
-        *self.items[item].key.last().expect("keys are nonempty")
     }
 }

@@ -56,7 +56,7 @@ pub use engine::{
     ResultSnapshot, Standalone, UpdateReport,
 };
 pub use enumerate::{ComponentIter, ResultIter};
-pub use structure::ComponentStructure;
+pub use structure::{ComponentStructure, ItemRegisters};
 
 use cqu_query::qtree::QTree;
 use cqu_query::{Query, QueryError, RelId};
@@ -97,6 +97,9 @@ pub struct QhStructure {
     /// Items visited by the most recent effective update (see
     /// [`QhEngine::last_update_work`]).
     last_work: u64,
+    /// `|ϕ(D)|`, refreshed after every mutation, so a count reads one
+    /// field whatever the components' layout.
+    count: u64,
 }
 
 impl QhStructure {
@@ -120,6 +123,7 @@ impl QhStructure {
             components,
             out_slots,
             last_work: 0,
+            count: 0,
         })
     }
 
@@ -142,6 +146,16 @@ impl QhStructure {
     /// assert it never grows with the database.
     pub fn last_update_work(&self) -> u64 {
         self.last_work
+    }
+
+    /// Recomputes the cached `|ϕ(D)| = Π_i |ϕ_i(D)|` over the connected
+    /// components; Boolean components contribute 1 (nonempty) or 0
+    /// (empty). `O(components)`.
+    fn refresh_count(&mut self) {
+        self.count = self.components.iter().fold(1u64, |acc, c| {
+            acc.checked_mul(c.result_count())
+                .expect("result count overflowed u64")
+        });
     }
 
     /// Applies one effective fact to every component while assembling the
@@ -259,6 +273,7 @@ impl DynamicEngine for QhStructure {
                     .sum::<u64>()
             })
             .sum();
+        self.refresh_count();
     }
 
     /// Native `O(δ)` delta extraction per fact: the update walk itself
@@ -271,6 +286,24 @@ impl DynamicEngine for QhStructure {
             .iter()
             .map(|f| self.track_fact(f.relation(), f.tuple(), f.is_insert(), delta))
             .sum();
+        self.refresh_count();
+    }
+
+    /// Walks the caller's tuples in place, with no `Update` built per
+    /// tuple.
+    fn load(&mut self, db0: &Database) {
+        let mut rels: Vec<RelId> = self.query.atoms().iter().map(|a| a.relation).collect();
+        rels.sort_unstable();
+        rels.dedup();
+        for rel in rels {
+            for c in self.components.iter_mut().filter(|c| c.uses_relation(rel)) {
+                let c = Arc::make_mut(c);
+                for tuple in db0.relation(rel).iter() {
+                    c.apply_fact(rel, tuple, true);
+                }
+            }
+        }
+        self.refresh_count();
     }
 
     /// [`audit::check_invariants`] against the caller's `D`.
@@ -278,16 +311,11 @@ impl DynamicEngine for QhStructure {
         audit::check_invariants(self, db)
     }
 
-    // Inlined across crates: a caller's count is a short loop over the
-    // components, with no call.
+    // Inlined across crates: a caller's count is one field read, with
+    // no call.
     #[inline]
     fn count(&self) -> u64 {
-        // |ϕ(D)| = Π_i |ϕ_i(D)| over the connected components; Boolean
-        // components contribute 1 (nonempty) or 0 (empty).
-        self.components.iter().fold(1u64, |acc, c| {
-            acc.checked_mul(c.result_count())
-                .expect("result count overflowed u64")
-        })
+        self.count
     }
 
     fn is_nonempty(&self) -> bool {
@@ -307,7 +335,7 @@ impl DynamicEngine for QhStructure {
     /// The snapshot keeps O(1) counting and constant-delay enumeration.
     fn snapshot(&self) -> Box<dyn engine::ResultSnapshot> {
         Box::new(QhSnapshot {
-            count: self.count(),
+            count: self.count,
             components: self.components.clone(),
             free: self.query.free().to_vec(),
         })

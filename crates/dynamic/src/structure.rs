@@ -21,61 +21,152 @@
 //! are maintained incrementally, so a single-tuple update touches only the
 //! `O(‖ϕ‖)` items along the updated atom's q-tree path.
 //!
-//! The paper's RAM-model arrays `A_v` become per-node hash maps keyed by
-//! the item's path constants (the substitution its footnote 2 prescribes).
+//! The paper's RAM-model arrays `A_v` become one arena of fixed-width rows
+//! per q-tree node. An item is determined by its parent item and its own
+//! constant `a` — `α` is the parent chain's constants — so `A_v` is
+//! addressed by the pair (parent row, `a`) through a hash map (the
+//! substitution footnote 2 prescribes), with no key stored per item. A row
+//! holds the parent, `a`, the weights and the fit-list links; the counters
+//! `C^i_ψ` and the per-child registers sit in flat arrays of the node's
+//! fixed stride, indexed by row. Everything is plain `Copy` data, so a
+//! copy of a component is a few array copies per node.
 
 use cqu_common::{FxHashMap, Slab, SlabId};
-use cqu_query::qtree::{NodeId, QTree};
-use cqu_query::{Component, Query, RelId};
+use cqu_query::qtree::{AtomPath, NodeId, QTree};
+use cqu_query::{Component, Query, RelId, Var};
 use cqu_storage::Const;
 use std::sync::Arc;
 
-/// One item `[v, α, a]`. The assignment and constant are packed into `key`:
-/// the constants along `path[v]`, the item's own constant last.
-#[derive(Debug, Clone)]
-pub(crate) struct Item {
-    /// The q-tree node `v`.
-    pub node: NodeId,
-    /// Constants along `path[v]` (root first, own constant last). Shared
-    /// with the item's lookup entry and with every copy-on-write clone.
-    pub key: Arc<[Const]>,
-    /// The parent item `[parent(v), α|path[parent(v)), α(parent(v))]`,
-    /// `SlabId::NONE` for root items.
+/// The fixed-width part of one item `[v, α, a]`: its row of `A_v`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    /// The parent item's row in `A_{parent(v)}`, `SlabId::NONE` for root
+    /// items.
     pub parent: SlabId,
-    /// `C^i_ψ` for each `ψ ∈ atoms(v)`, indexed like
-    /// [`cqu_query::qtree::QTreeNode::atoms`].
-    pub atom_counts: Box<[u64]>,
-    /// `C^i_u` for each child `u ∈ N(v)`, indexed by child position.
-    pub child_sums: Box<[u64]>,
-    /// Head of the list `L^i_u` for each child position.
-    pub child_heads: Box<[SlabId]>,
-    /// `C̃^i_u` for each child position (only free children are used).
-    pub free_child_sums: Box<[u64]>,
+    /// The item's own constant `a`.
+    pub constant: Const,
     /// The weight `C^i`.
     pub weight: u64,
     /// The free weight `C̃^i` (meaningful only when `v` is free).
     pub free_weight: u64,
-    /// Intrusive links within the containing fit list.
+    /// Intrusive links within the containing fit list (rows of `A_v`).
     pub prev: SlabId,
-    /// See [`Item::prev`].
+    /// See [`Row::prev`].
     pub next: SlabId,
     /// Whether the item currently sits in its fit list.
     pub in_list: bool,
 }
 
-/// The dynamic structure for one connected component.
-///
-/// Cloning copies the whole item arena and lookup maps — slab ids (and
-/// with them all intrusive list links) survive verbatim, so the copy
-/// enumerates identically. Item keys are immutable and reference-counted,
-/// so the copy shares them: per item it allocates only the counters it
-/// may change. This is the copy-on-*write* path behind
-/// [`crate::QhEngine`]'s epoch snapshots: components live behind `Arc`s
-/// that pins share for free, and the writer clones a component only when
-/// it must mutate one that a live pin still references — `O(‖D_i‖)` once
-/// per retained epoch per touched component, never on the pin itself.
+/// An item's registers for one child `u ∈ N(v)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChildRegs {
+    /// `C^i_u`.
+    pub sum: u64,
+    /// `C̃^i_u` (only free children use it).
+    pub free_sum: u64,
+    /// Head of the list `L^i_u` (a row of `A_u`).
+    pub head: SlabId,
+}
+
+impl ChildRegs {
+    const ZERO: ChildRegs = ChildRegs {
+        sum: 0,
+        free_sum: 0,
+        head: SlabId::NONE,
+    };
+}
+
+/// The array `A_v` of one q-tree node `v`.
 #[derive(Clone)]
-pub struct ComponentStructure {
+pub(crate) struct NodeItems {
+    pub rows: Slab<Row>,
+    /// `|atoms(v)|`, the stride of `atom_counts`.
+    atoms: usize,
+    /// `|N(v)|`, the stride of `children`.
+    fanout: usize,
+    /// `C^i_ψ` per row, indexed like
+    /// [`cqu_query::qtree::QTreeNode::atoms`].
+    atom_counts: Vec<u64>,
+    /// The child registers per row, by child position.
+    children: Vec<ChildRegs>,
+    /// (parent row, own constant) → row.
+    lookup: FxHashMap<(SlabId, Const), SlabId>,
+}
+
+impl NodeItems {
+    fn new(atoms: usize, fanout: usize) -> Self {
+        NodeItems {
+            rows: Slab::new(),
+            atoms,
+            fanout,
+            atom_counts: Vec::new(),
+            children: Vec::new(),
+            lookup: FxHashMap::default(),
+        }
+    }
+
+    /// The item with parent row `parent` and own constant `a`.
+    #[inline]
+    pub fn get(&self, parent: SlabId, a: Const) -> Option<SlabId> {
+        self.lookup.get(&(parent, a)).copied()
+    }
+
+    pub fn atom_counts(&self, id: SlabId) -> &[u64] {
+        let start = id.index() * self.atoms;
+        &self.atom_counts[start..start + self.atoms]
+    }
+
+    pub fn children(&self, id: SlabId) -> &[ChildRegs] {
+        let start = id.index() * self.fanout;
+        &self.children[start..start + self.fanout]
+    }
+
+    #[inline]
+    pub fn child(&self, id: SlabId, pos: usize) -> &ChildRegs {
+        &self.children[id.index() * self.fanout + pos]
+    }
+
+    fn child_mut(&mut self, id: SlabId, pos: usize) -> &mut ChildRegs {
+        &mut self.children[id.index() * self.fanout + pos]
+    }
+
+    /// Allocates a fresh (unfit, weight-0) item. A recycled row starts
+    /// from zero exactly like a new one.
+    fn create(&mut self, parent: SlabId, a: Const) -> SlabId {
+        let id = self.rows.insert(Row {
+            parent,
+            constant: a,
+            weight: 0,
+            free_weight: 0,
+            prev: SlabId::NONE,
+            next: SlabId::NONE,
+            in_list: false,
+        });
+        reset_row(&mut self.atom_counts, id, self.atoms, 0);
+        reset_row(&mut self.children, id, self.fanout, ChildRegs::ZERO);
+        self.lookup.insert((parent, a), id);
+        id
+    }
+
+    fn destroy(&mut self, id: SlabId) {
+        let row = self.rows.remove(id);
+        self.lookup.remove(&(row.parent, row.constant));
+    }
+}
+
+/// Zeroes row `id`'s `stride` entries of a flat arena, growing the arena
+/// when the row is new.
+fn reset_row<T: Copy>(arena: &mut Vec<T>, id: SlabId, stride: usize, zero: T) {
+    let (start, end) = (id.index() * stride, (id.index() + 1) * stride);
+    if arena.len() < end {
+        arena.resize(end, zero);
+    }
+    arena[start..end].fill(zero);
+}
+
+/// What every copy of a component shares: the query, its q-tree and the
+/// maps derived from it, none of which an update changes.
+struct Shape {
     query: Arc<Query>,
     comp: Component,
     tree: QTree,
@@ -83,16 +174,6 @@ pub struct ComponentStructure {
     /// the guard that keeps updates to foreign relations from touching
     /// (and under copy-on-write: from cloning) this component.
     uses_rel: Box<[bool]>,
-    pub(crate) items: Slab<Item>,
-    /// Per q-tree node: path-constants → item id (replaces the array `A_v`).
-    lookup: Vec<FxHashMap<Arc<[Const]>, SlabId>>,
-    /// Head of the start list `L_start` (fit root items).
-    pub(crate) start_head: SlabId,
-    /// `C_start = Σ_{i ∈ L_start} C^i`.
-    c_start: u64,
-    /// `C̃_start = Σ_{i ∈ L_start} C̃^i` (only when the component has free
-    /// variables).
-    ct_start: u64,
     /// Free q-tree nodes in document order (pre-order) — the tree `T'` of
     /// Algorithm 1.
     free_order: Vec<NodeId>,
@@ -102,9 +183,84 @@ pub struct ComponentStructure {
     /// For each position `μ` in `free_order` (except 0): the position of
     /// the parent node in `free_order`.
     parent_pos: Vec<usize>,
-    /// For each position in `free_order`: whether the node's var is free —
-    /// always true; kept for the output mapping below.
-    out_vars: Vec<cqu_query::Var>,
+    /// The variable of each node in `free_order`: the component's output
+    /// columns.
+    out_vars: Vec<Var>,
+}
+
+impl Shape {
+    /// The atoms over `rel` whose equality pattern `fact` matches —
+    /// self-joins mean several may (Section 6.4's loop over atoms
+    /// `ψ = R z₁⋯z_r` with `z_s = z_t ⇒ b_s = b_t`).
+    fn matching<'a>(&'a self, rel: RelId, fact: &'a [Const]) -> impl Iterator<Item = &'a AtomPath> {
+        self.tree.atom_paths().iter().filter(move |ap| {
+            self.query.atom(ap.atom).relation == rel
+                && ap
+                    .canon
+                    .iter()
+                    .enumerate()
+                    .all(|(p, &c)| fact[p] == fact[c])
+        })
+    }
+}
+
+/// The mutable part of a component: the arrays `A_v` and the start list.
+#[derive(Clone)]
+struct Items {
+    /// `A_v` per q-tree node.
+    nodes: Vec<NodeItems>,
+    /// Head of the start list `L_start` (fit root items).
+    start_head: SlabId,
+    /// `C_start = Σ_{i ∈ L_start} C^i`.
+    c_start: u64,
+    /// `C̃_start = Σ_{i ∈ L_start} C̃^i` (only when the component has free
+    /// variables).
+    ct_start: u64,
+}
+
+/// The dynamic structure for one connected component.
+///
+/// Cloning copies, per q-tree node, the row arena, the two counter arrays
+/// and the lookup map — `O(q-tree nodes)` allocations whatever `‖D‖` is,
+/// each a copy of plain data — and shares the immutable q-tree. Row ids
+/// (and with them all intrusive list links) survive verbatim, so the copy
+/// enumerates identically. This is the copy-on-*write* path behind
+/// [`crate::QhEngine`]'s epoch snapshots: components live behind `Arc`s
+/// that pins share for free, and the writer clones a component only when
+/// it must mutate one that a live pin still references — `O(‖D_i‖)` bytes
+/// once per retained epoch per touched component, never on the pin itself.
+#[derive(Clone)]
+pub struct ComponentStructure {
+    shape: Arc<Shape>,
+    items: Items,
+}
+
+/// One item's stored registers ([`ComponentStructure::item_registers`]):
+/// what a test reads to see that a recycled row starts from zero. Row ids
+/// index the array `A_v` of the item's node (links) or of the child's
+/// node (`child_heads`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ItemRegisters {
+    /// The item's row in `A_v`.
+    pub row: u32,
+    /// `C^i`.
+    pub weight: u64,
+    /// `C̃^i`.
+    pub free_weight: u64,
+    /// `C^i_ψ` per `ψ ∈ atoms(v)`.
+    pub atom_counts: Vec<u64>,
+    /// `C^i_u` per child position.
+    pub child_sums: Vec<u64>,
+    /// `C̃^i_u` per child position.
+    pub free_child_sums: Vec<u64>,
+    /// Head row of `L^i_u` per child position.
+    pub child_heads: Vec<Option<u32>>,
+    /// Previous row in the item's fit list.
+    pub prev: Option<u32>,
+    /// Next row in the item's fit list.
+    pub next: Option<u32>,
+    /// Whether the item sits in its fit list.
+    pub in_list: bool,
 }
 
 impl ComponentStructure {
@@ -133,101 +289,113 @@ impl ComponentStructure {
                     .unwrap_or(usize::MAX)
             })
             .collect();
-        let out_vars: Vec<cqu_query::Var> =
-            free_order.iter().map(|&nid| tree.node(nid).var).collect();
+        let out_vars: Vec<Var> = free_order.iter().map(|&nid| tree.node(nid).var).collect();
         let mut uses_rel = vec![false; query.schema().len()];
         for &aid in &comp.atoms {
             uses_rel[query.atom(aid).relation.index()] = true;
         }
+        let nodes = tree
+            .nodes()
+            .iter()
+            .map(|node| NodeItems::new(node.atoms.len(), node.children.len()))
+            .collect();
         ComponentStructure {
-            query,
-            comp,
-            tree,
-            uses_rel: uses_rel.into(),
-            items: Slab::new(),
-            lookup: vec![FxHashMap::default(); n],
-            start_head: SlabId::NONE,
-            c_start: 0,
-            ct_start: 0,
-            free_order,
-            pos_in_parent,
-            parent_pos,
-            out_vars,
+            shape: Arc::new(Shape {
+                query,
+                comp,
+                tree,
+                uses_rel: uses_rel.into(),
+                free_order,
+                pos_in_parent,
+                parent_pos,
+                out_vars,
+            }),
+            items: Items {
+                nodes,
+                start_head: SlabId::NONE,
+                c_start: 0,
+                ct_start: 0,
+            },
         }
     }
 
     /// The component's q-tree.
     pub fn tree(&self) -> &QTree {
-        &self.tree
+        &self.shape.tree
     }
 
     /// The component description.
     pub fn component(&self) -> &Component {
-        &self.comp
+        &self.shape.comp
     }
 
     /// Whether any atom of this component is over `rel` — updates to
     /// other relations provably cannot change this component's state.
     pub fn uses_relation(&self, rel: RelId) -> bool {
-        self.uses_rel.get(rel.index()).copied().unwrap_or(false)
+        self.shape
+            .uses_rel
+            .get(rel.index())
+            .copied()
+            .unwrap_or(false)
     }
 
     /// The query this component belongs to.
     pub fn query(&self) -> &Query {
-        &self.query
+        &self.shape.query
     }
 
     /// `C_start`: for quantifier-free components this is `|ϕ_i(D)|`; it is
     /// positive iff the component's result is nonempty.
     pub fn c_start(&self) -> u64 {
-        self.c_start
+        self.items.c_start
     }
 
     /// `C̃_start = |ϕ_i(D)|` for components with free variables.
     pub fn ct_start(&self) -> u64 {
-        self.ct_start
+        self.items.ct_start
     }
 
     /// The number of result tuples this component contributes:
     /// `C̃_start` if it has free variables, else `1/0` for nonempty/empty.
     pub fn result_count(&self) -> u64 {
-        if self.free_order.is_empty() {
-            u64::from(self.c_start > 0)
+        if self.shape.free_order.is_empty() {
+            u64::from(self.items.c_start > 0)
         } else {
-            self.ct_start
+            self.items.ct_start
         }
     }
 
     /// Returns `true` iff the component's result is nonempty.
     pub fn is_nonempty(&self) -> bool {
-        self.c_start > 0
+        self.items.c_start > 0
     }
 
     /// Free q-tree nodes in document order (Algorithm 1's `y₁,…,y_k`).
     pub(crate) fn free_order(&self) -> &[NodeId] {
-        &self.free_order
+        &self.shape.free_order
     }
 
     /// Parent positions within `free_order`.
     pub(crate) fn parent_pos(&self) -> &[usize] {
-        &self.parent_pos
+        &self.shape.parent_pos
     }
 
     /// Position of `node` within its parent's child list.
     pub(crate) fn pos_in_parent(&self, node: NodeId) -> usize {
-        self.pos_in_parent[node]
+        self.shape.pos_in_parent[node]
     }
 
     /// The component's output variables in document order.
-    pub fn output_vars(&self) -> &[cqu_query::Var] {
-        &self.out_vars
+    pub fn output_vars(&self) -> &[Var] {
+        &self.shape.out_vars
     }
 
     /// Positions of this component's output variables within `free` (the
     /// query's output tuple) — the scatter map shared by cross-product
     /// enumeration and delta cross-assembly.
-    pub(crate) fn output_slots(&self, free: &[cqu_query::Var]) -> Vec<usize> {
-        self.out_vars
+    pub(crate) fn output_slots(&self, free: &[Var]) -> Vec<usize> {
+        self.shape
+            .out_vars
             .iter()
             .map(|v| {
                 free.iter()
@@ -239,37 +407,23 @@ impl ComponentStructure {
 
     /// Number of live items (for linear-preprocessing assertions).
     pub fn num_items(&self) -> usize {
-        self.items.len()
+        self.items.nodes.iter().map(|n| n.rows.len()).sum()
     }
 
     /// Applies one effective fact change for relation `rel`.
     ///
     /// Called once per update command (after the storage layer has
     /// confirmed it changes the database). Walks every atom of the
-    /// component over `rel` whose equality pattern matches `fact` —
-    /// self-joins mean several atoms may match (Section 6.4's loop over
-    /// atoms `ψ = R z₁⋯z_r` with `z_s = z_t ⇒ b_s = b_t`).
+    /// component over `rel` whose equality pattern matches `fact`.
     /// Returns the number of items visited — the structural "work" of the
     /// update, which Theorem 3.2 bounds by `poly(ϕ)` independent of the
     /// database (asserted by integration tests without timing noise).
     pub fn apply_fact(&mut self, rel: RelId, fact: &[Const], insert: bool) -> u64 {
-        let mut work = 0u64;
-        for ap_idx in 0..self.tree.atom_paths().len() {
-            let ap = &self.tree.atom_paths()[ap_idx];
-            if self.query.atom(ap.atom).relation != rel {
-                continue;
-            }
-            if !ap
-                .canon
-                .iter()
-                .enumerate()
-                .all(|(p, &c)| fact[p] == fact[c])
-            {
-                continue;
-            }
-            work += self.apply_atom(ap_idx, fact, insert);
-        }
-        work
+        let shape = &*self.shape;
+        shape
+            .matching(rel, fact)
+            .map(|ap| self.items.apply_atom(shape, ap, fact, insert))
+            .sum()
     }
 
     /// Like [`ComponentStructure::apply_fact`], but also extracts the
@@ -298,11 +452,11 @@ impl ComponentStructure {
         added: &mut Vec<Vec<Const>>,
         removed: &mut Vec<Vec<Const>>,
     ) -> u64 {
-        if self.free_order.is_empty() {
+        if self.shape.free_order.is_empty() {
             // Boolean component: presence of {()} is the only observable.
-            let before = self.c_start > 0;
+            let before = self.is_nonempty();
             let work = self.apply_fact(rel, fact, insert);
-            let after = self.c_start > 0;
+            let after = self.is_nonempty();
             if before != after {
                 if after {
                     added.push(Vec::new());
@@ -312,346 +466,372 @@ impl ComponentStructure {
             }
             return work;
         }
+        let shape = &*self.shape;
         let mut work = 0u64;
-        for ap_idx in 0..self.tree.atom_paths().len() {
-            let ap = &self.tree.atom_paths()[ap_idx];
-            if self.query.atom(ap.atom).relation != rel {
-                continue;
-            }
-            if !ap
-                .canon
+        for ap in shape.matching(rel, fact) {
+            // One tracked atom application: bracket the plain walk with
+            // fit-prefix measurements and enumerate the flipped extensions.
+            let path = &shape.tree.node(ap.rep).path;
+            // Free nodes form a prefix of every root-anchored path.
+            let f = path
                 .iter()
-                .enumerate()
-                .all(|(p, &c)| fact[p] == fact[c])
-            {
-                continue;
+                .take_while(|&&n| shape.tree.node(n).free)
+                .count();
+            let before = self.items.fit_prefix(&path[..f], ap, fact);
+            work += self.items.apply_atom(shape, ap, fact, insert);
+            let after = self.items.fit_prefix(&path[..f], ap, fact);
+            if insert && after > before {
+                // Items i_1..i_{before+1} are fit now and i_{before+1} was
+                // unfit before: every present extension of α_{before+1} is new.
+                self.collect_extensions(&path[..=before], ap, fact, added);
+            } else if !insert && before > after {
+                // The flipped tuples existed only in the pre-delete state:
+                // restore it (updates are their own undo), enumerate the
+                // extensions of the shortest newly-unfit prefix, re-delete.
+                self.items.apply_atom(shape, ap, fact, true);
+                self.collect_extensions(&path[..=after], ap, fact, removed);
+                self.items.apply_atom(shape, ap, fact, false);
             }
-            work += self.apply_atom_tracked(ap_idx, fact, insert, added, removed);
         }
         work
     }
 
-    /// One tracked atom application: bracket [`ComponentStructure::apply_atom`]
-    /// with fit-prefix measurements and enumerate the flipped extensions.
-    fn apply_atom_tracked(
-        &mut self,
-        ap_idx: usize,
+    /// Appends all output tuples extending the (all-fit) item chain that
+    /// `fact` selects along `prefix` to `out` — the pinned Algorithm 1 walk.
+    fn collect_extensions(
+        &self,
+        prefix: &[NodeId],
+        ap: &AtomPath,
         fact: &[Const],
-        insert: bool,
-        added: &mut Vec<Vec<Const>>,
-        removed: &mut Vec<Vec<Const>>,
-    ) -> u64 {
-        let ap = &self.tree.atom_paths()[ap_idx];
-        let path: Vec<NodeId> = self.tree.node(ap.rep).path.clone();
-        let consts: Vec<Const> = ap.extract.iter().map(|&p| fact[p]).collect();
-        // Free nodes form a prefix of every root-anchored path.
-        let f = path.iter().take_while(|&&n| self.tree.node(n).free).count();
-        let before = self.fit_prefix(&path[..f], &consts);
-        let work = self.apply_atom(ap_idx, fact, insert);
-        let after = self.fit_prefix(&path[..f], &consts);
-        if insert && after > before {
-            // Items i_1..i_{before+1} are fit now and i_{before+1} was
-            // unfit before: every present extension of α_{before+1} is new.
-            self.collect_extensions(&path[..=before], &consts, added);
-        } else if !insert && before > after {
-            // The flipped tuples existed only in the pre-delete state:
-            // restore it (updates are their own undo), enumerate the
-            // extensions of the shortest newly-unfit prefix, re-delete.
-            self.apply_atom(ap_idx, fact, true);
-            self.collect_extensions(&path[..=after], &consts, removed);
-            self.apply_atom(ap_idx, fact, false);
-        }
-        work
-    }
-
-    /// Length of the longest all-fit item chain along `free_path` keyed by
-    /// prefixes of `consts` (missing items count as unfit).
-    fn fit_prefix(&self, free_path: &[NodeId], consts: &[Const]) -> usize {
-        for (j, &node) in free_path.iter().enumerate() {
-            let fit = self.lookup[node]
-                .get(&consts[..=j])
-                .is_some_and(|&id| self.items[id].weight > 0);
-            if !fit {
-                return j;
-            }
-        }
-        free_path.len()
-    }
-
-    /// Appends all output tuples extending the (all-fit) item chain of
-    /// `prefix`/`consts` to `out` — the pinned Algorithm 1 walk.
-    fn collect_extensions(&self, prefix: &[NodeId], consts: &[Const], out: &mut Vec<Vec<Const>>) {
-        let mut fixed: Vec<SlabId> = vec![SlabId::NONE; self.free_order.len()];
+        out: &mut Vec<Vec<Const>>,
+    ) {
+        let free_order = &self.shape.free_order;
+        let mut fixed: Vec<SlabId> = vec![SlabId::NONE; free_order.len()];
+        let mut id = SlabId::NONE;
         for (j, &node) in prefix.iter().enumerate() {
-            let pos = self
-                .free_order
+            let pos = free_order
                 .iter()
                 .position(|&n| n == node)
                 .expect("path free prefix lies in the free subtree");
-            fixed[pos] = self.lookup[node][&consts[..=j]];
+            id = self.items.nodes[node]
+                .get(id, fact[ap.extract[j]])
+                .expect("fit prefix items are present");
+            fixed[pos] = id;
         }
         out.extend(crate::enumerate::ComponentIter::with_pinned(self, fixed));
     }
 
-    /// The per-atom update walk of Section 6.4: create/locate the items
-    /// `i_1,…,i_d` along the atom's q-tree path, bump `C^{i_d…}_ψ`, then
-    /// recompute weights bottom-up, fixing list membership and propagating
-    /// sum deltas.
-    fn apply_atom(&mut self, ap_idx: usize, fact: &[Const], insert: bool) -> u64 {
-        let ap = &self.tree.atom_paths()[ap_idx];
-        let atom_id = ap.atom;
-        let path: Vec<NodeId> = self.tree.node(ap.rep).path.clone();
-        let consts: Vec<Const> = ap.extract.iter().map(|&p| fact[p]).collect();
-        let atom_pos: Vec<usize> = ap.atom_pos.clone();
-        let d = path.len();
-
-        // Locate (and for inserts create) the items top-down so parents
-        // exist before children reference them.
-        let mut ids: Vec<SlabId> = Vec::with_capacity(d);
-        for j in 0..d {
-            let node = path[j];
-            let id = match self.lookup[node].get(&consts[..=j]) {
-                Some(&id) => id,
-                None => {
-                    assert!(
-                        insert,
-                        "delete of untracked fact {fact:?} for atom #{atom_id}: \
-                         engine updates must mirror effective database updates"
-                    );
-                    let parent = ids.last().copied().unwrap_or(SlabId::NONE);
-                    self.create_item(node, consts[..=j].into(), parent)
-                }
-            };
-            ids.push(id);
-        }
-
-        // Bottom-up: bump the atom counter and recompute (steps 1–5 of the
-        // update procedure, plus 2a/4a for the free weights).
-        for j in (0..d).rev() {
-            let id = ids[j];
-            {
-                let item = &mut self.items[id];
-                let slot = atom_pos[j];
-                if insert {
-                    item.atom_counts[slot] += 1;
-                } else {
-                    debug_assert!(item.atom_counts[slot] > 0, "atom counter underflow");
-                    item.atom_counts[slot] -= 1;
-                }
-            }
-            self.recompute(id);
-            // Step 5: drop items that no longer satisfy the presence
-            // condition (no atom of atoms(v) has a matching expansion).
-            if !insert && self.items[id].atom_counts.iter().all(|&c| c == 0) {
-                self.destroy_item(id);
-            }
-        }
-        2 * d as u64
+    /// The array `A_v` of q-tree node `node`.
+    pub(crate) fn node_items(&self, node: NodeId) -> &NodeItems {
+        &self.items.nodes[node]
     }
 
-    /// Allocates a fresh (unfit, weight-0) item.
-    fn create_item(&mut self, node: NodeId, key: Arc<[Const]>, parent: SlabId) -> SlabId {
-        let meta = self.tree.node(node);
-        let item = Item {
-            node,
-            key: Arc::clone(&key),
-            parent,
-            atom_counts: vec![0; meta.atoms.len()].into(),
-            child_sums: vec![0; meta.children.len()].into(),
-            child_heads: vec![SlabId::NONE; meta.children.len()].into(),
-            free_child_sums: vec![0; meta.children.len()].into(),
-            weight: 0,
-            free_weight: 0,
-            prev: SlabId::NONE,
-            next: SlabId::NONE,
-            in_list: false,
-        };
-        let id = self.items.insert(item);
-        self.lookup[node].insert(key, id);
-        id
+    /// Head of the start list `L_start`.
+    pub(crate) fn start_head(&self) -> SlabId {
+        self.items.start_head
     }
 
-    /// Frees an item that is no longer present. The item must be unfit
-    /// (weight 0, not in any list) and — by the monotone presence invariant
-    /// — must have no live children.
-    fn destroy_item(&mut self, id: SlabId) {
-        let item = &self.items[id];
-        debug_assert_eq!(item.weight, 0);
-        debug_assert!(!item.in_list);
-        debug_assert!(item.child_heads.iter().all(|h| h.is_none()));
-        self.lookup[item.node].remove(&item.key);
-        self.items.remove(id);
-    }
-
-    /// Recomputes `C^i` (Lemma 6.3) and `C̃^i` (Lemma 6.4) for one item,
-    /// updates its fit-list membership, and propagates the weight deltas to
-    /// the parent's sums (or to `C_start`/`C̃_start` for root items).
-    fn recompute(&mut self, id: SlabId) {
-        let (node, old_weight, old_free_weight, new_weight, new_free_weight) = {
-            let item = &self.items[id];
-            let meta = self.tree.node(item.node);
-            let mut w: u64 = 1;
-            for &pos in &meta.rep_positions {
-                w = w
-                    .checked_mul(item.atom_counts[pos])
-                    .expect("result weight overflowed u64");
-            }
-            for &s in item.child_sums.iter() {
-                w = w.checked_mul(s).expect("result weight overflowed u64");
-            }
-            let fw = if !meta.free || w == 0 {
-                u64::from(meta.free && w > 0)
-            } else {
-                let mut fw: u64 = 1;
-                for (pos, &c) in meta.children.iter().enumerate() {
-                    if self.tree.node(c).free {
-                        fw = fw
-                            .checked_mul(item.free_child_sums[pos])
-                            .expect("result count overflowed u64");
-                    }
-                }
-                fw
-            };
-            (item.node, item.weight, item.free_weight, w, fw)
-        };
-        {
-            let item = &mut self.items[id];
-            item.weight = new_weight;
-            item.free_weight = new_free_weight;
-        }
-        // Fit-list membership: fit ⇔ C^i > 0.
-        if new_weight > 0 && !self.items[id].in_list {
-            self.list_push(id);
-        } else if new_weight == 0 && self.items[id].in_list {
-            self.list_remove(id);
-        }
-        // Propagate sum deltas upward (one level only; the caller's
-        // bottom-up loop recomputes the parent next).
-        let parent = self.items[id].parent;
-        if parent.is_none() {
-            self.c_start = self.c_start - old_weight + new_weight;
-            if self.tree.node(self.tree.root()).free {
-                self.ct_start = self.ct_start - old_free_weight + new_free_weight;
-            }
-        } else {
-            let pos = self.pos_in_parent[node];
-            let p = &mut self.items[parent];
-            p.child_sums[pos] = p.child_sums[pos] - old_weight + new_weight;
-            p.free_child_sums[pos] = p.free_child_sums[pos] - old_free_weight + new_free_weight;
-        }
-    }
-
-    /// Pushes `id` at the front of its containing fit list.
-    fn list_push(&mut self, id: SlabId) {
-        let (parent, node) = {
-            let item = &self.items[id];
-            (item.parent, item.node)
-        };
-        let old_head = if parent.is_none() {
-            std::mem::replace(&mut self.start_head, id)
-        } else {
-            let pos = self.pos_in_parent[node];
-            std::mem::replace(&mut self.items[parent].child_heads[pos], id)
-        };
-        {
-            let item = &mut self.items[id];
-            item.prev = SlabId::NONE;
-            item.next = old_head;
-            item.in_list = true;
-        }
-        if old_head.is_some() {
-            self.items[old_head].prev = id;
-        }
-    }
-
-    /// Unlinks `id` from its containing fit list.
-    fn list_remove(&mut self, id: SlabId) {
-        let (parent, node, prev, next) = {
-            let item = &self.items[id];
-            (item.parent, item.node, item.prev, item.next)
-        };
-        if prev.is_some() {
-            self.items[prev].next = next;
-        } else if parent.is_none() {
-            debug_assert_eq!(self.start_head, id);
-            self.start_head = next;
-        } else {
-            let pos = self.pos_in_parent[node];
-            debug_assert_eq!(self.items[parent].child_heads[pos], id);
-            self.items[parent].child_heads[pos] = next;
-        }
-        if next.is_some() {
-            self.items[next].prev = prev;
-        }
-        let item = &mut self.items[id];
-        item.prev = SlabId::NONE;
-        item.next = SlabId::NONE;
-        item.in_list = false;
-    }
-
-    /// Looks up an item id by node and path constants (audit/debug).
+    /// Looks up an item by node and path constants (root constant first).
     pub(crate) fn lookup_item(&self, node: NodeId, key: &[Const]) -> Option<SlabId> {
-        self.lookup[node].get(key).copied()
+        let path = &self.shape.tree.node(node).path;
+        if key.len() != path.len() {
+            return None;
+        }
+        let mut id = SlabId::NONE;
+        for (&n, &a) in path.iter().zip(key) {
+            id = self.items.nodes[n].get(id, a)?;
+        }
+        Some(id)
     }
 
-    /// Iterates over all live items (audit/debug).
-    pub(crate) fn iter_items(&self) -> impl Iterator<Item = (SlabId, &Item)> {
-        self.items.iter()
+    /// The path constants of item `id` of `node` (root constant first),
+    /// rebuilt by walking its parent rows.
+    pub(crate) fn item_key(&self, node: NodeId, id: SlabId) -> Vec<Const> {
+        let path = &self.shape.tree.node(node).path;
+        let mut key = vec![0; path.len()];
+        let mut id = id;
+        for (j, &n) in path.iter().enumerate().rev() {
+            let row = &self.items.nodes[n].rows[id];
+            key[j] = row.constant;
+            id = row.parent;
+        }
+        key
+    }
+
+    /// Iterates over all live items as `(node, row id, row)` (audit/debug).
+    pub(crate) fn iter_items(&self) -> impl Iterator<Item = (NodeId, SlabId, &Row)> {
+        self.items
+            .nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(node, items)| items.rows.iter().map(move |(id, row)| (node, id, row)))
+    }
+
+    /// The q-tree node whose variable is named `var`.
+    fn node_named(&self, var: &str) -> Option<NodeId> {
+        let (tree, query) = (&self.shape.tree, &self.shape.query);
+        (0..tree.len()).find(|&n| query.var_name(tree.node(n).var) == var)
     }
 
     /// Public inspection hook: the weight pair `(C^i, C̃^i)` of the item at
     /// the q-tree node whose variable is named `var`, with path constants
     /// `key` (root constant first). Used to reproduce Figure 3.
     pub fn item_weights(&self, var: &str, key: &[Const]) -> Option<(u64, u64)> {
-        let node =
-            (0..self.tree.len()).find(|&n| self.query.var_name(self.tree.node(n).var) == var)?;
-        let id = self.lookup[node].get(key).copied()?;
-        let item = &self.items[id];
-        Some((item.weight, item.free_weight))
+        let node = self.node_named(var)?;
+        let row = &self.items.nodes[node].rows[self.lookup_item(node, key)?];
+        Some((row.weight, row.free_weight))
     }
-}
 
-impl ComponentStructure {
+    /// Public inspection hook: every register the item at the node of
+    /// `var` with path constants `key` stores, with its row id.
+    pub fn item_registers(&self, var: &str, key: &[Const]) -> Option<ItemRegisters> {
+        let node = self.node_named(var)?;
+        let id = self.lookup_item(node, key)?;
+        let items = &self.items.nodes[node];
+        let row = &items.rows[id];
+        let link = |id: SlabId| id.is_some().then_some(id.0);
+        let children = items.children(id);
+        Some(ItemRegisters {
+            row: id.0,
+            weight: row.weight,
+            free_weight: row.free_weight,
+            atom_counts: items.atom_counts(id).to_vec(),
+            child_sums: children.iter().map(|c| c.sum).collect(),
+            free_child_sums: children.iter().map(|c| c.free_sum).collect(),
+            child_heads: children.iter().map(|c| link(c.head)).collect(),
+            prev: link(row.prev),
+            next: link(row.next),
+            in_list: row.in_list,
+        })
+    }
+
     /// Renders the structure in the style of Figure 3: one line per item,
     /// grouped by q-tree node in document order, with weights. Intended
     /// for debugging and the experiments binary.
     pub fn render_structure(&self) -> String {
         use std::fmt::Write as _;
+        let tree = &self.shape.tree;
         let mut out = String::new();
         let _ = writeln!(
             out,
             "Cstart = {}{}",
-            self.c_start,
-            if self.tree.node(self.tree.root()).free {
-                format!(", C̃start = {}", self.ct_start)
+            self.items.c_start,
+            if tree.node(tree.root()).free {
+                format!(", C̃start = {}", self.items.ct_start)
             } else {
                 String::new()
             }
         );
         // Stable order: nodes by id, items by key.
-        for node in 0..self.tree.len() {
-            let var = self.query.var_name(self.tree.node(node).var);
-            let mut items: Vec<&Item> = self
-                .iter_items()
-                .filter(|(_, it)| it.node == node)
-                .map(|(_, it)| it)
+        for node in 0..tree.len() {
+            let var = self.shape.query.var_name(tree.node(node).var);
+            let mut items: Vec<(Vec<Const>, &Row)> = self.items.nodes[node]
+                .rows
+                .iter()
+                .map(|(id, row)| (self.item_key(node, id), row))
                 .collect();
-            items.sort_by(|a, b| a.key.cmp(&b.key));
-            for item in items {
+            items.sort_by(|a, b| a.0.cmp(&b.0));
+            for (key, row) in items {
                 let _ = writeln!(
                     out,
-                    "  [{var}, {:?}] C = {}{}{}",
-                    item.key,
-                    item.weight,
-                    if self.tree.node(node).free {
-                        format!(", C̃ = {}", item.free_weight)
+                    "  [{var}, {key:?}] C = {}{}{}",
+                    row.weight,
+                    if tree.node(node).free {
+                        format!(", C̃ = {}", row.free_weight)
                     } else {
                         String::new()
                     },
-                    if item.in_list { "" } else { "  (unfit)" }
+                    if row.in_list { "" } else { "  (unfit)" }
                 );
             }
         }
         out
+    }
+}
+
+impl Items {
+    /// The per-atom update walk of Section 6.4: create/locate the items
+    /// `i_1,…,i_d` along the atom's q-tree path, bump `C^{i_d…}_ψ`, then
+    /// recompute weights bottom-up, fixing list membership and propagating
+    /// sum deltas. Allocates nothing unless it creates an item.
+    fn apply_atom(&mut self, shape: &Shape, ap: &AtomPath, fact: &[Const], insert: bool) -> u64 {
+        let path = &shape.tree.node(ap.rep).path;
+
+        // Locate (and for inserts create) the items top-down so parents
+        // exist before children reference them.
+        let mut id = SlabId::NONE;
+        for (j, &node) in path.iter().enumerate() {
+            let a = fact[ap.extract[j]];
+            id = match self.nodes[node].get(id, a) {
+                Some(found) => found,
+                None => {
+                    assert!(
+                        insert,
+                        "delete of untracked fact {fact:?} for atom #{}: \
+                         engine updates must mirror effective database updates",
+                        ap.atom
+                    );
+                    self.nodes[node].create(id, a)
+                }
+            };
+        }
+
+        // Bottom-up along the parent rows: bump the atom counter and
+        // recompute (steps 1–5 of the update procedure, plus 2a/4a for the
+        // free weights).
+        for (j, &node) in path.iter().enumerate().rev() {
+            let items = &mut self.nodes[node];
+            let parent = items.rows[id].parent;
+            let start = id.index() * items.atoms;
+            let count = &mut items.atom_counts[start + ap.atom_pos[j]];
+            if insert {
+                *count += 1;
+            } else {
+                debug_assert!(*count > 0, "atom counter underflow");
+                *count -= 1;
+            }
+            self.recompute(shape, node, id);
+            // Step 5: drop items that no longer satisfy the presence
+            // condition (no atom of atoms(v) has a matching expansion).
+            if !insert && self.nodes[node].atom_counts(id).iter().all(|&c| c == 0) {
+                self.destroy_item(node, id);
+            }
+            id = parent;
+        }
+        2 * path.len() as u64
+    }
+
+    /// Length of the longest all-fit item chain along `free_path` that
+    /// `fact` selects (missing items count as unfit).
+    fn fit_prefix(&self, free_path: &[NodeId], ap: &AtomPath, fact: &[Const]) -> usize {
+        let mut id = SlabId::NONE;
+        for (j, &node) in free_path.iter().enumerate() {
+            let items = &self.nodes[node];
+            match items.get(id, fact[ap.extract[j]]) {
+                Some(found) if items.rows[found].weight > 0 => id = found,
+                _ => return j,
+            }
+        }
+        free_path.len()
+    }
+
+    /// Frees an item that is no longer present. The item must be unfit
+    /// (weight 0, not in any list) and — by the monotone presence invariant
+    /// — must have no live children, so its counters are all zero again.
+    fn destroy_item(&mut self, node: NodeId, id: SlabId) {
+        let items = &mut self.nodes[node];
+        debug_assert_eq!(items.rows[id].weight, 0);
+        debug_assert!(!items.rows[id].in_list);
+        debug_assert!(items.children(id).iter().all(|c| c.head.is_none()));
+        items.destroy(id);
+    }
+
+    /// Recomputes `C^i` (Lemma 6.3) and `C̃^i` (Lemma 6.4) for one item,
+    /// updates its fit-list membership, and propagates the weight deltas to
+    /// the parent's sums (or to `C_start`/`C̃_start` for root items).
+    fn recompute(&mut self, shape: &Shape, node: NodeId, id: SlabId) {
+        let meta = shape.tree.node(node);
+        let items = &mut self.nodes[node];
+        let old = items.rows[id];
+        let (weight, free_weight) = {
+            let counts = items.atom_counts(id);
+            let children = items.children(id);
+            let mut w: u64 = 1;
+            for &pos in &meta.rep_positions {
+                w = w
+                    .checked_mul(counts[pos])
+                    .expect("result weight overflowed u64");
+            }
+            for c in children {
+                w = w.checked_mul(c.sum).expect("result weight overflowed u64");
+            }
+            let fw = if !meta.free || w == 0 {
+                0
+            } else {
+                let mut fw: u64 = 1;
+                for (c, &child) in children.iter().zip(&meta.children) {
+                    if shape.tree.node(child).free {
+                        fw = fw
+                            .checked_mul(c.free_sum)
+                            .expect("result count overflowed u64");
+                    }
+                }
+                fw
+            };
+            (w, fw)
+        };
+        let row = &mut items.rows[id];
+        row.weight = weight;
+        row.free_weight = free_weight;
+        // Fit-list membership: fit ⇔ C^i > 0.
+        if weight > 0 && !old.in_list {
+            self.list_push(shape, node, id);
+        } else if weight == 0 && old.in_list {
+            self.list_remove(shape, node, id);
+        }
+        // Propagate sum deltas upward (one level only; the caller's
+        // bottom-up loop recomputes the parent next).
+        match meta.parent {
+            None => {
+                self.c_start = self.c_start - old.weight + weight;
+                if meta.free {
+                    self.ct_start = self.ct_start - old.free_weight + free_weight;
+                }
+            }
+            Some(up) => {
+                let c = self.nodes[up].child_mut(old.parent, shape.pos_in_parent[node]);
+                c.sum = c.sum - old.weight + weight;
+                c.free_sum = c.free_sum - old.free_weight + free_weight;
+            }
+        }
+    }
+
+    /// The head of the fit list that items of `node` under `parent` sit
+    /// in: `L^parent_node`, or the start list for root items.
+    fn head_mut(&mut self, shape: &Shape, node: NodeId, parent: SlabId) -> &mut SlabId {
+        match shape.tree.node(node).parent {
+            None => &mut self.start_head,
+            Some(up) => {
+                &mut self.nodes[up]
+                    .child_mut(parent, shape.pos_in_parent[node])
+                    .head
+            }
+        }
+    }
+
+    /// Pushes `id` at the front of its containing fit list.
+    fn list_push(&mut self, shape: &Shape, node: NodeId, id: SlabId) {
+        let parent = self.nodes[node].rows[id].parent;
+        let old_head = std::mem::replace(self.head_mut(shape, node, parent), id);
+        let rows = &mut self.nodes[node].rows;
+        let row = &mut rows[id];
+        row.prev = SlabId::NONE;
+        row.next = old_head;
+        row.in_list = true;
+        if old_head.is_some() {
+            rows[old_head].prev = id;
+        }
+    }
+
+    /// Unlinks `id` from its containing fit list.
+    fn list_remove(&mut self, shape: &Shape, node: NodeId, id: SlabId) {
+        let Row {
+            parent, prev, next, ..
+        } = self.nodes[node].rows[id];
+        if prev.is_some() {
+            self.nodes[node].rows[prev].next = next;
+        } else {
+            let head = self.head_mut(shape, node, parent);
+            debug_assert_eq!(*head, id);
+            *head = next;
+        }
+        let rows = &mut self.nodes[node].rows;
+        if next.is_some() {
+            rows[next].prev = prev;
+        }
+        let row = &mut rows[id];
+        row.prev = SlabId::NONE;
+        row.next = SlabId::NONE;
+        row.in_list = false;
     }
 }

@@ -53,6 +53,9 @@
 //! * Readers are untouched by all of this: [`ShardedSession::reader`]
 //!   hands out the same lock-free [`PinReader`]s as a single session,
 //!   and a pin remains one atomic load regardless of the shard count.
+//!   Acquiring one takes the shard's read lock once, and a writer
+//!   committing back to back lets such a waiting reader in before its
+//!   next commit, so the acquisition never waits out a burst.
 //!
 //! ```
 //! use cq_updates::prelude::*;
@@ -83,8 +86,8 @@ use cqu_dynamic::{net_effective, Netted, UpdateReport};
 use cqu_obs::{Counter, Histogram, Registry};
 use cqu_query::{parse_query, Query, RelId, Schema};
 use cqu_storage::{ApplyUpdate, Update};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, LockResult, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
 
 /// Collects query registrations, then partitions them into independent
@@ -217,7 +220,7 @@ impl ShardedSessionBuilder {
                 })
                 .collect(),
         });
-        let shards: Vec<RwLock<Session>> = sessions.into_iter().map(RwLock::new).collect();
+        let shards: Vec<Shard> = sessions.into_iter().map(Shard::new).collect();
         Ok(ShardedSession {
             inner: Arc::new(Inner {
                 schema: self.schema,
@@ -359,13 +362,68 @@ struct ShardMetrics {
     shard_commits: Vec<Arc<Counter>>,
 }
 
+/// Yields a writer spends at most letting announced readers in
+/// ([`Shard::write`]): a bound, so a reader descheduled between
+/// announcing itself and taking the lock delays a writer a little, never
+/// indefinitely.
+const READER_HANDOFF_YIELDS: usize = 1024;
+
+/// One shard: its session behind a writer lock.
+struct Shard {
+    lock: RwLock<Session>,
+    /// Readers acquiring a [`PinReader`] that the lock turned away because
+    /// a writer held it. `std`'s `RwLock` hands a released lock to
+    /// whichever thread asks first, and a writer committing back to back
+    /// asks again within microseconds, before a woken reader is even
+    /// scheduled: without a handoff, a reader could wait out every commit
+    /// of a burst before it gets its lock-free endpoint.
+    announced_readers: AtomicUsize,
+}
+
+impl Shard {
+    fn new(session: Session) -> Self {
+        Shard {
+            lock: RwLock::new(session),
+            announced_readers: AtomicUsize::new(0),
+        }
+    }
+
+    /// Read-locks the shard for a reader that must not wait out a burst
+    /// of commits: while a writer holds the lock, the reader announces
+    /// itself, and the next writer lets it in first.
+    fn read_announced(&self) -> LockResult<RwLockReadGuard<'_, Session>> {
+        match self.lock.try_read() {
+            Ok(guard) => Ok(guard),
+            Err(TryLockError::Poisoned(e)) => Err(e),
+            Err(TryLockError::WouldBlock) => {
+                self.announced_readers.fetch_add(1, Ordering::AcqRel);
+                let guard = self.lock.read();
+                self.announced_readers.fetch_sub(1, Ordering::AcqRel);
+                guard
+            }
+        }
+    }
+
+    /// Write-locks the shard after letting announced readers take their
+    /// turn.
+    fn write(&self) -> LockResult<RwLockWriteGuard<'_, Session>> {
+        for _ in 0..READER_HANDOFF_YIELDS {
+            if self.announced_readers.load(Ordering::Acquire) == 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        self.lock.write()
+    }
+}
+
 struct Inner {
     /// The sealed plan's union schema, which the router validates
     /// against (empty in the open form: shard 0's session owns it).
     schema: Schema,
     /// One shard per footprint component: a full private session behind
     /// its own writer lock.
-    shards: Vec<RwLock<Session>>,
+    shards: Vec<Shard>,
     query_shard: FxHashMap<String, usize>,
     /// The global sequence counter every shard session draws from.
     seq: Arc<AtomicU64>,
@@ -405,7 +463,7 @@ impl ShardedSession {
         ShardedSession {
             inner: Arc::new(Inner {
                 schema: Schema::new(),
-                shards: vec![RwLock::new(session)],
+                shards: vec![Shard::new(session)],
                 query_shard: FxHashMap::default(),
                 seq,
                 plan: ShardPlan::default(),
@@ -425,10 +483,10 @@ impl ShardedSession {
     pub(crate) fn into_one_shard(self) -> Result<Session, ShardedSession> {
         debug_assert!(self.inner.open);
         match Arc::try_unwrap(self.inner) {
-            Ok(mut inner) if !inner.shards[0].is_poisoned() => Ok(inner
+            Ok(mut inner) if !inner.shards[0].lock.is_poisoned() => Ok(inner
                 .shards
                 .pop()
-                .and_then(|lock| lock.into_inner().ok())
+                .and_then(|shard| shard.lock.into_inner().ok())
                 .expect("exclusively owned and checked unpoisoned")),
             Ok(inner) => Err(ShardedSession {
                 inner: Arc::new(inner),
@@ -495,7 +553,7 @@ impl ShardedSession {
     /// ([`ShardedSessionBuilder::share_registry`]; every shard session
     /// carries the same one).
     pub fn registry(&self) -> Option<Arc<Registry>> {
-        let shard = self.inner.shards.first()?.read().ok()?;
+        let shard = self.inner.shards.first()?.lock.read().ok()?;
         shard.registry().cloned()
     }
 
@@ -748,6 +806,7 @@ impl ShardedSession {
         f: impl FnOnce(&Session) -> R,
     ) -> Result<R, CqError> {
         let guard = self.inner.shards[sid]
+            .lock
             .read()
             .map_err(|_| CqError::Poisoned)?;
         Ok(f(&guard))
@@ -779,7 +838,9 @@ impl ShardedSession {
     /// touches no lock of any shard, ever — identical to the
     /// single-session fast path, shard count notwithstanding.
     pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.pin_reader()))?
+        let shard = &self.inner.shards[self.shard_of_query(name)?];
+        let session = shard.read_announced().map_err(|_| CqError::Poisoned)?;
+        session.query(name).map(|h| h.pin_reader())
     }
 
     /// Opens a change feed on `name` (see
@@ -871,7 +932,7 @@ impl ShardedSession {
     ) -> Result<R, CqError> {
         let mut guards = Vec::with_capacity(self.inner.shards.len());
         for shard in &self.inner.shards {
-            guards.push(shard.read().map_err(|_| CqError::Poisoned)?);
+            guards.push(shard.lock.read().map_err(|_| CqError::Poisoned)?);
         }
         Ok(f(&guards))
     }

@@ -14,7 +14,13 @@
 //! * `PinReader::pin` plus `count` allocates nothing;
 //! * a no-op `Session::apply` allocates nothing, for an insert of a
 //!   present tuple and a delete of an absent one, and an effective
-//!   `Database::apply` insert allocates once, for its stored copy.
+//!   `Database::apply` insert allocates once, for its stored copy;
+//! * an effective `QhEngine` update on the star query allocates as often
+//!   at ‖D‖ = 10³ as at 10⁴ and 10⁵, and one that creates no item
+//!   allocates exactly what `Database` does: once per insert, never per
+//!   delete;
+//! * the copy-on-write clone a write under a retained pin triggers
+//!   allocates as often at 10³ items as at 10⁴ (it prints its bytes).
 
 use cq_updates::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,33 +29,36 @@ use std::cell::Cell;
 thread_local! {
     /// Allocation events (`alloc`, `alloc_zeroed`, `realloc`) on this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those events asked for (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn count() {
+    fn count(bytes: usize) {
         // A const-initialized `Cell` has no destructor, so the slot lives
         // as long as its thread; `try_with` only guards the teardown path.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     }
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only a thread-local `Cell` and never allocates.
+// only thread-local `Cell`s and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Counting::count();
+        Counting::count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Counting::count();
+        Counting::count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Counting::count();
+        Counting::count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -63,9 +72,17 @@ static GLOBAL: Counting = Counting;
 
 /// How many allocations `f` makes on this thread.
 fn allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+    allocs_and_bytes(f).0
+}
+
+/// How many allocations `f` makes on this thread, and how many bytes.
+fn allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     f();
-    ALLOCS.with(Cell::get) - before
+    (
+        ALLOCS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
 }
 
 /// The q-hierarchical route: `Q(x, y)` keeps both columns.
@@ -159,4 +176,90 @@ fn an_effective_insert_copies_its_tuple_once() {
     let mut changed = false;
     assert_eq!(allocs(|| changed = db.apply(&insert)), 1);
     assert!(changed);
+}
+
+/// The star query of the engine benchmarks: three q-tree nodes, two leaves.
+const STAR: &str = "Q(x, y, z) :- R(x, y), S(x, z), T(x).";
+
+/// A stand-alone q-tree engine on the star query over ‖D‖ = `n` tuples
+/// (ten per `x`: `T(x)`, four `R` and five `S` leaves, so about `n`
+/// items), with the update cycle a step runs: `T(0)` out and back in
+/// (no item created or destroyed), then the leaf `R(0, 0)` out and back
+/// in (its item destroyed and recreated).
+fn star(n: u64) -> (QhEngine, [Update; 4]) {
+    let q = parse_query(STAR).unwrap();
+    let rel = |name| q.schema().relation(name).unwrap();
+    let (r, s, t) = (rel("R"), rel("S"), rel("T"));
+    let mut db = Database::new(q.schema().clone());
+    for x in 0..n / 10 {
+        db.apply(&Update::Insert(t, vec![x]));
+        for y in 0..4 {
+            db.apply(&Update::Insert(r, vec![x, 10 * x + y]));
+        }
+        for z in 0..5 {
+            db.apply(&Update::Insert(s, vec![x, 10 * x + z]));
+        }
+    }
+    assert_eq!(db.cardinality() as u64, n);
+    let engine = QhEngine::new(&q, &db).unwrap();
+    let cycle = [
+        Update::Delete(t, vec![0]),
+        Update::Insert(t, vec![0]),
+        Update::Delete(r, vec![0, 0]),
+        Update::Insert(r, vec![0, 0]),
+    ];
+    (engine, cycle)
+}
+
+#[test]
+fn engine_updates_allocate_independently_of_the_database() {
+    let per_update = |n: u64| -> Vec<u64> {
+        let (mut engine, cycle) = star(n);
+        let items = engine.num_items();
+        // Warm-up: the recycled rows, the database's set slots.
+        for u in cycle.iter().chain(&cycle) {
+            assert!(engine.apply(u));
+        }
+        let counts = cycle
+            .iter()
+            .map(|u| allocs(|| assert!(engine.apply(u))))
+            .collect();
+        assert_eq!(engine.num_items(), items);
+        counts
+    };
+    let small = per_update(1_000);
+    assert_eq!(small, per_update(10_000), "‖D‖ = 10³ vs 10⁴");
+    assert_eq!(small, per_update(100_000), "‖D‖ = 10³ vs 10⁵");
+    // `T(0)` creates no item: the engine adds nothing to the database's
+    // one copy per insert.
+    assert_eq!(small[..2], [0, 1], "delete, insert of T(0)");
+    println!("allocations per update (T out, T in, leaf out, leaf in): {small:?}");
+}
+
+#[test]
+fn pinned_clone_allocations_do_not_grow_with_the_items() {
+    let clone = |n: u64| -> (u64, u64, usize) {
+        let (mut engine, cycle) = star(n);
+        for u in &cycle {
+            assert!(engine.apply(u));
+        }
+        let pin = engine.snapshot();
+        // The first write under the pin copies the component; deleting
+        // `T(0)` allocates nothing else.
+        let (count, bytes) = allocs_and_bytes(|| assert!(engine.apply(&cycle[0])));
+        drop(pin);
+        (count, bytes, engine.num_items())
+    };
+    let (small, small_bytes, small_items) = clone(1_000);
+    let (large, large_bytes, large_items) = clone(10_000);
+    for (count, bytes, items) in [
+        (small, small_bytes, small_items),
+        (large, large_bytes, large_items),
+    ] {
+        println!(
+            "pinned clone at {items} items: {count} allocations, {bytes} B ({:.1} B/item)",
+            bytes as f64 / items as f64
+        );
+    }
+    assert_eq!(small, large, "clone allocations at 10³ vs 10⁴ items");
 }

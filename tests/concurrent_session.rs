@@ -243,6 +243,52 @@ fn concurrent_readers_never_observe_torn_snapshots() {
     );
 }
 
+/// A writer committing back to back does not starve a thread acquiring
+/// its `PinReader` (the one read that takes the shard lock before going
+/// lock-free): each commit first lets in the acquisitions the previous
+/// one blocked, so ten of them finish within a few commits of a burst,
+/// not after it.
+#[test]
+fn back_to_back_commits_do_not_starve_reader_acquisition() {
+    const COMMITS: u64 = 400;
+    const READS: usize = 10;
+    let mut session = Session::new();
+    session.register("easy", EASY).unwrap();
+    let (e, t) = (
+        session.relation("E").unwrap(),
+        session.relation("T").unwrap(),
+    );
+    let shared = SharedSession::new(session);
+    shared.apply(&Update::Insert(t, vec![1])).unwrap();
+    // Commits long enough that a blocked reader falls asleep on the lock.
+    let edges: Vec<Update> = (0..256).map(|x| Update::Insert(e, vec![x, 1])).collect();
+    let removals: Vec<Update> = edges.iter().map(Update::inverse).collect();
+    let committed = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let (shared, committed) = (shared.clone(), Arc::clone(&committed));
+        thread::spawn(move || {
+            for i in 0..COMMITS {
+                let batch = if i % 2 == 0 { &edges } else { &removals };
+                shared.apply_batch(batch).unwrap();
+                committed.store(i + 1, Ordering::Release);
+            }
+        })
+    };
+    while committed.load(Ordering::Acquire) == 0 {
+        std::hint::spin_loop();
+    }
+    let start = committed.load(Ordering::Acquire);
+    for _ in 0..READS {
+        shared.reader("easy").unwrap().pin();
+    }
+    let waited = committed.load(Ordering::Acquire) - start;
+    writer.join().unwrap();
+    assert!(
+        waited < 100,
+        "{READS} reader acquisitions waited out {waited} of {COMMITS} commits"
+    );
+}
+
 /// The epoch tentpole's no-writer-lock guarantee: lock-free pins complete
 /// (and stay exact) while a transaction holds the session write lock —
 /// and they see only committed state, never the transaction's uncommitted
