@@ -1,11 +1,14 @@
 //! From-scratch invariant auditing of the dynamic data structure.
 //!
 //! The incremental engine maintains many redundant registers (presence
-//! counters `C^i_ψ`, weights `C^i`, free weights `C̃^i`, per-child sums,
-//! fit-list membership, `C_start`, `C̃_start`). This module recomputes all
-//! of them **independently** — presence from a direct scan of the
-//! database the structure is maintained against, weights by brute-force
-//! backtracking joins over `atoms(v)` — and compares. Property tests
+//! counters `C^i_ψ`, free weights `C̃^i`, per-child free sums, fit-list
+//! membership, `C̃_start`). This module recomputes all of them
+//! **independently** — presence from a direct scan of the database the
+//! structure is maintained against, weights by brute-force backtracking
+//! joins over `atoms(v)` — and compares. The weights `C^i` and `C_start`
+//! are not stored: the structure computes them on demand from its fit
+//! lists, and the audit compares those against the reference too, so an
+//! item is fit iff its reference `C^i` is positive. Property tests
 //! drive random update streams through the engine and call
 //! [`check_invariants`] after every step, and a session audits every
 //! registration against its one `D`; this is the main correctness
@@ -81,48 +84,7 @@ fn check_component(ci: usize, comp: &ComponentStructure, db: &Database) -> Resul
         }
     }
 
-    // ---- Weights via brute-force joins (definitions of E^i and E~^i). ----
-    for (node, id, row) in comp.iter_items() {
-        let meta = tree.node(node);
-        let key = comp.item_key(node, id);
-        // The parent chain and the lookup agree: the key rebuilt from the
-        // row's parents addresses the row itself.
-        if comp.lookup_item(node, &key) != Some(id) {
-            return Err(format!(
-                "component {ci}: item [{node}, {key:?}] is not where its key leads"
-            ));
-        }
-        let mut fixed: FxHashMap<Var, Const> = FxHashMap::default();
-        for (j, &nid) in meta.path.iter().enumerate() {
-            fixed.insert(tree.node(nid).var, key[j]);
-        }
-        let (c, ctilde) = reference_weights(q, db, &meta.atoms, &fixed);
-        if row.weight != c {
-            return Err(format!(
-                "component {ci}: item [{node}, {key:?}] weight {} != reference C^i {c}",
-                row.weight
-            ));
-        }
-        if meta.free && row.free_weight != ctilde {
-            return Err(format!(
-                "component {ci}: item [{node}, {key:?}] free weight {} != reference C~^i {ctilde}",
-                row.free_weight
-            ));
-        }
-        if row.in_list != (c > 0) {
-            return Err(format!(
-                "component {ci}: item [{node}, {key:?}] fit-list membership {} but C^i = {c}",
-                row.in_list
-            ));
-        }
-        if !row.in_list && (row.prev.is_some() || row.next.is_some()) {
-            return Err(format!(
-                "component {ci}: unfit item [{node}, {key:?}] keeps list links"
-            ));
-        }
-    }
-
-    // ---- List structure and maintained sums. ----
+    // ---- List structure and maintained free sums. ----
     let walk = |node: NodeId, head: SlabId| -> Result<Vec<SlabId>, String> {
         let rows = &comp.node_items(node).rows;
         let mut out = Vec::new();
@@ -145,31 +107,19 @@ fn check_component(ci: usize, comp: &ComponentStructure, db: &Database) -> Resul
         Ok(out)
     };
 
-    // Start list: exactly the fit root items; C_start / C̃_start sums.
+    // Start list: root items only; its C̃_start sum.
     let root = tree.root();
     let roots = &comp.node_items(root).rows;
     let start_items = walk(root, comp.start_head())?;
-    let start_set: FxHashSet<_> = start_items.iter().copied().collect();
-    let mut c_start = 0u64;
+    let mut listed: FxHashSet<(NodeId, SlabId)> = FxHashSet::default();
     let mut ct_start = 0u64;
     for &id in &start_items {
         let row = &roots[id];
         if row.parent.is_some() {
             return Err(format!("component {ci}: non-root item in start list"));
         }
-        c_start += row.weight;
+        listed.insert((root, id));
         ct_start += row.free_weight;
-    }
-    for (id, row) in roots.iter() {
-        if row.in_list != start_set.contains(&id) {
-            return Err(format!("component {ci}: start-list membership mismatch"));
-        }
-    }
-    if comp.c_start() != c_start {
-        return Err(format!(
-            "component {ci}: C_start {} != recomputed {c_start}",
-            comp.c_start()
-        ));
     }
     if tree.node(root).free && comp.ct_start() != ct_start {
         return Err(format!(
@@ -178,32 +128,23 @@ fn check_component(ci: usize, comp: &ComponentStructure, db: &Database) -> Resul
         ));
     }
 
-    // Child lists: membership, parentage, and sum registers.
+    // Child lists: parentage and free-sum registers.
     for (node, pid, _) in comp.iter_items() {
         let meta = tree.node(node);
         let regs = comp.node_items(node).children(pid);
         for (pos, &child_node) in meta.children.iter().enumerate() {
-            let listed = walk(child_node, regs[pos].head)?;
-            let mut sum = 0u64;
             let mut fsum = 0u64;
-            for &id in &listed {
+            for id in walk(child_node, regs[pos].head)? {
                 let row = &comp.node_items(child_node).rows[id];
                 if row.parent != pid {
                     return Err(format!(
                         "component {ci}: item in wrong child list of {pid:?} slot {pos}"
                     ));
                 }
-                if !row.in_list {
-                    return Err(format!("component {ci}: unfit item in a child list"));
+                if !listed.insert((child_node, id)) {
+                    return Err(format!("component {ci}: item in two fit lists"));
                 }
-                sum += row.weight;
                 fsum += row.free_weight;
-            }
-            if regs[pos].sum != sum {
-                return Err(format!(
-                    "component {ci}: child sum {} != recomputed {sum} (slot {pos})",
-                    regs[pos].sum
-                ));
             }
             if tree.node(child_node).free && regs[pos].free_sum != fsum {
                 return Err(format!(
@@ -212,6 +153,63 @@ fn check_component(ci: usize, comp: &ComponentStructure, db: &Database) -> Resul
                 ));
             }
         }
+    }
+
+    // ---- Weights via brute-force joins (definitions of E^i and E~^i). ----
+    // The lists are sound now, so the on-demand `C^i` walks terminate.
+    let mut c_start = 0u128;
+    for (node, id, row) in comp.iter_items() {
+        let meta = tree.node(node);
+        let key = comp.item_key(node, id);
+        // The parent chain and the lookup agree: the key rebuilt from the
+        // row's parents addresses the row itself.
+        if comp.lookup_item(node, &key) != Some(id) {
+            return Err(format!(
+                "component {ci}: item [{node}, {key:?}] is not where its key leads"
+            ));
+        }
+        let mut fixed: FxHashMap<Var, Const> = FxHashMap::default();
+        for (j, &nid) in meta.path.iter().enumerate() {
+            fixed.insert(tree.node(nid).var, key[j]);
+        }
+        let (c, ctilde) = reference_weights(q, db, &meta.atoms, &fixed);
+        let weight = comp.item_weight(node, id);
+        if weight != c {
+            return Err(format!(
+                "component {ci}: item [{node}, {key:?}] weight {weight} != reference C^i {c}"
+            ));
+        }
+        if meta.free && row.free_weight != ctilde {
+            return Err(format!(
+                "component {ci}: item [{node}, {key:?}] free weight {} != reference C~^i {ctilde}",
+                row.free_weight
+            ));
+        }
+        if row.in_list != (c > 0) {
+            return Err(format!(
+                "component {ci}: item [{node}, {key:?}] fit-list membership {} but C^i = {c}",
+                row.in_list
+            ));
+        }
+        if row.in_list != listed.contains(&(node, id)) {
+            return Err(format!(
+                "component {ci}: item [{node}, {key:?}] is fit but in no list, or listed but unfit"
+            ));
+        }
+        if !row.in_list && (row.prev.is_some() || row.next.is_some()) {
+            return Err(format!(
+                "component {ci}: unfit item [{node}, {key:?}] keeps list links"
+            ));
+        }
+        if node == root {
+            c_start += c;
+        }
+    }
+    if comp.c_start() != c_start {
+        return Err(format!(
+            "component {ci}: C_start {} != reference {c_start}",
+            comp.c_start()
+        ));
     }
     Ok(())
 }
@@ -225,7 +223,7 @@ fn reference_weights(
     db: &Database,
     atoms: &[AtomId],
     fixed: &FxHashMap<Var, Const>,
-) -> (u64, u64) {
+) -> (u128, u64) {
     let mut free_u: Vec<Var> = Vec::new();
     for &aid in atoms {
         for v in q.atom(aid).vars() {
@@ -236,7 +234,7 @@ fn reference_weights(
     }
     free_u.sort_unstable();
     let mut assign = fixed.clone();
-    let mut count = 0u64;
+    let mut count = 0u128;
     let mut projections: FxHashSet<Vec<Const>> = FxHashSet::default();
     backtrack(
         q,
@@ -259,7 +257,7 @@ fn backtrack(
     idx: usize,
     assign: &mut FxHashMap<Var, Const>,
     free_u: &[Var],
-    count: &mut u64,
+    count: &mut u128,
     projections: &mut FxHashSet<Vec<Const>>,
 ) {
     if idx == atoms.len() {

@@ -10,7 +10,8 @@
 //! * `update` in time `poly(ϕ)` per inserted/deleted tuple,
 //! * `enumerate` with delay `poly(ϕ)` ([`ResultIter`], Algorithm 1),
 //! * `count` (`|ϕ(D)|`) and `answer` in time `O(1)` (reading the maintained
-//!   `C̃_start` / `C_start` registers).
+//!   `C̃_start` register / whether the start list of fit root items is
+//!   non-empty).
 //!
 //! **The caller owns `D`** (the paper's structure stores it once): the
 //! structure's per-atom counters `C^i_ψ` record which facts are present,

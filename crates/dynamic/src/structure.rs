@@ -11,22 +11,27 @@
 //! ```
 //!
 //! is positive. Exactly the fit items sit in the doubly-linked list of
-//! their parent (`L^i_u`), root items in the start list; the per-child sums
-//! `C^i_u = Σ_{i' ∈ L^i_u} C^{i'}` and the free-variable weights
+//! their parent (`L^i_u`), root items in the start list. The algorithms
+//! read `C^i` only as `C^i > 0`, and `C^i_u = Σ_{i' ∈ L^i_u} C^{i'}` is a
+//! sum of positive weights, so it is positive iff `L^i_u` is non-empty:
+//! an item is fit iff its counters `C^i_ψ` over `rep(v)` are positive and
+//! every child list has a head. So `C^i` is not stored; the inspection
+//! hooks compute it from the subtree on demand. The free-variable weights
 //!
 //! ```text
 //!   C̃^i = 0 if C^i = 0, else Π_{u ∈ N(v) ∩ free(ϕ)} C̃^i_u   (Lemma 6.4)
 //! ```
 //!
-//! are maintained incrementally, so a single-tuple update touches only the
-//! `O(‖ϕ‖)` items along the updated atom's q-tree path.
+//! and their per-child sums `C̃^i_u` are the count, and are maintained
+//! incrementally, so a single-tuple update touches only the `O(‖ϕ‖)` items
+//! along the updated atom's q-tree path.
 //!
 //! The paper's RAM-model arrays `A_v` become one arena of fixed-width rows
 //! per q-tree node. An item is determined by its parent item and its own
 //! constant `a` — `α` is the parent chain's constants — so `A_v` is
 //! addressed by the pair (parent row, `a`) through a hash map (the
 //! substitution footnote 2 prescribes), with no key stored per item. A row
-//! holds the parent, `a`, the weights and the fit-list links; the counters
+//! holds the parent, `a`, the free weight and the fit-list links; the counters
 //! `C^i_ψ` and the per-child registers sit in flat arrays of the node's
 //! fixed stride, indexed by row. Everything is plain `Copy` data, so a
 //! copy of a component is a few array copies per node.
@@ -45,32 +50,31 @@ pub(crate) struct Row {
     pub parent: SlabId,
     /// The item's own constant `a`.
     pub constant: Const,
-    /// The weight `C^i`.
-    pub weight: u64,
     /// The free weight `C̃^i` (meaningful only when `v` is free).
     pub free_weight: u64,
     /// Intrusive links within the containing fit list (rows of `A_v`).
     pub prev: SlabId,
     /// See [`Row::prev`].
     pub next: SlabId,
-    /// Whether the item currently sits in its fit list.
+    /// Whether the item currently sits in its fit list: whether it is fit.
     pub in_list: bool,
 }
 
 /// An item's registers for one child `u ∈ N(v)`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChildRegs {
-    /// `C^i_u`.
-    pub sum: u64,
     /// `C̃^i_u` (only free children use it).
     pub free_sum: u64,
     /// Head of the list `L^i_u` (a row of `A_u`).
     pub head: SlabId,
 }
 
+// Every pinned commit copies these arrays: a field that widens a row or a
+// child register is a decision, not a side effect.
+const _: () = assert!(size_of::<Row>() <= 32 && size_of::<ChildRegs>() <= 16);
+
 impl ChildRegs {
     const ZERO: ChildRegs = ChildRegs {
-        sum: 0,
         free_sum: 0,
         head: SlabId::NONE,
     };
@@ -130,13 +134,12 @@ impl NodeItems {
         &mut self.children[id.index() * self.fanout + pos]
     }
 
-    /// Allocates a fresh (unfit, weight-0) item. A recycled row starts
-    /// from zero exactly like a new one.
+    /// Allocates a fresh (unfit) item. A recycled row starts from zero
+    /// exactly like a new one.
     fn create(&mut self, parent: SlabId, a: Const) -> SlabId {
         let id = self.rows.insert(Row {
             parent,
             constant: a,
-            weight: 0,
             free_weight: 0,
             prev: SlabId::NONE,
             next: SlabId::NONE,
@@ -211,8 +214,6 @@ struct Items {
     nodes: Vec<NodeItems>,
     /// Head of the start list `L_start` (fit root items).
     start_head: SlabId,
-    /// `C_start = Σ_{i ∈ L_start} C^i`.
-    c_start: u64,
     /// `C̃_start = Σ_{i ∈ L_start} C̃^i` (only when the component has free
     /// variables).
     ct_start: u64,
@@ -243,14 +244,10 @@ pub struct ComponentStructure {
 pub struct ItemRegisters {
     /// The item's row in `A_v`.
     pub row: u32,
-    /// `C^i`.
-    pub weight: u64,
     /// `C̃^i`.
     pub free_weight: u64,
     /// `C^i_ψ` per `ψ ∈ atoms(v)`.
     pub atom_counts: Vec<u64>,
-    /// `C^i_u` per child position.
-    pub child_sums: Vec<u64>,
     /// `C̃^i_u` per child position.
     pub free_child_sums: Vec<u64>,
     /// Head row of `L^i_u` per child position.
@@ -313,7 +310,6 @@ impl ComponentStructure {
             items: Items {
                 nodes,
                 start_head: SlabId::NONE,
-                c_start: 0,
                 ct_start: 0,
             },
         }
@@ -344,10 +340,12 @@ impl ComponentStructure {
         &self.shape.query
     }
 
-    /// `C_start`: for quantifier-free components this is `|ϕ_i(D)|`; it is
-    /// positive iff the component's result is nonempty.
-    pub fn c_start(&self) -> u64 {
-        self.items.c_start
+    /// `C_start = Σ_{i ∈ L_start} C^i`: for quantifier-free components this
+    /// is `|ϕ_i(D)|`; it is positive iff the component's result is
+    /// nonempty. Computed from the whole structure (`O(items)`), for
+    /// inspection only.
+    pub fn c_start(&self) -> u128 {
+        self.list_weight(self.shape.tree.root(), self.items.start_head)
     }
 
     /// `C̃_start = |ϕ_i(D)|` for components with free variables.
@@ -359,7 +357,7 @@ impl ComponentStructure {
     /// `C̃_start` if it has free variables, else `1/0` for nonempty/empty.
     pub fn result_count(&self) -> u64 {
         if self.shape.free_order.is_empty() {
-            u64::from(self.items.c_start > 0)
+            u64::from(self.is_nonempty())
         } else {
             self.items.ct_start
         }
@@ -367,7 +365,7 @@ impl ComponentStructure {
 
     /// Returns `true` iff the component's result is nonempty.
     pub fn is_nonempty(&self) -> bool {
-        self.items.c_start > 0
+        self.items.start_head.is_some()
     }
 
     /// Free q-tree nodes in document order (Algorithm 1's `y₁,…,y_k`).
@@ -573,13 +571,53 @@ impl ComponentStructure {
         (0..tree.len()).find(|&n| query.var_name(tree.node(n).var) == var)
     }
 
+    /// `C^i` of item `id` of `node` (Lemma 6.3), computed from its subtree:
+    /// the product of its counters over `rep(v)` and, per child, the sum of
+    /// the weights in its fit list. `O(subtree)`, for inspection only.
+    ///
+    /// # Panics
+    /// If a weight exceeds `u128`.
+    pub(crate) fn item_weight(&self, node: NodeId, id: SlabId) -> u128 {
+        let meta = self.shape.tree.node(node);
+        let items = &self.items.nodes[node];
+        let counts = items.atom_counts(id);
+        let own = meta
+            .rep_positions
+            .iter()
+            .map(|&pos| u128::from(counts[pos]));
+        let children = meta
+            .children
+            .iter()
+            .zip(items.children(id))
+            .map(|(&child, regs)| self.list_weight(child, regs.head));
+        own.chain(children).fold(1, |w, f| {
+            w.checked_mul(f).expect("item weight overflowed u128")
+        })
+    }
+
+    /// `Σ_{i ∈ L} C^i` over the fit list of `node` that starts at `head`.
+    fn list_weight(&self, node: NodeId, head: SlabId) -> u128 {
+        let rows = &self.items.nodes[node].rows;
+        let mut sum = 0u128;
+        let mut id = head;
+        while id.is_some() {
+            sum = sum
+                .checked_add(self.item_weight(node, id))
+                .expect("item weight overflowed u128");
+            id = rows[id].next;
+        }
+        sum
+    }
+
     /// Public inspection hook: the weight pair `(C^i, C̃^i)` of the item at
     /// the q-tree node whose variable is named `var`, with path constants
-    /// `key` (root constant first). Used to reproduce Figure 3.
-    pub fn item_weights(&self, var: &str, key: &[Const]) -> Option<(u64, u64)> {
+    /// `key` (root constant first). Used to reproduce Figure 3. `C^i` is
+    /// computed from the item's subtree, in `O(subtree)`.
+    pub fn item_weights(&self, var: &str, key: &[Const]) -> Option<(u128, u64)> {
         let node = self.node_named(var)?;
-        let row = &self.items.nodes[node].rows[self.lookup_item(node, key)?];
-        Some((row.weight, row.free_weight))
+        let id = self.lookup_item(node, key)?;
+        let row = &self.items.nodes[node].rows[id];
+        Some((self.item_weight(node, id), row.free_weight))
     }
 
     /// Public inspection hook: every register the item at the node of
@@ -593,10 +631,8 @@ impl ComponentStructure {
         let children = items.children(id);
         Some(ItemRegisters {
             row: id.0,
-            weight: row.weight,
             free_weight: row.free_weight,
             atom_counts: items.atom_counts(id).to_vec(),
-            child_sums: children.iter().map(|c| c.sum).collect(),
             free_child_sums: children.iter().map(|c| c.free_sum).collect(),
             child_heads: children.iter().map(|c| link(c.head)).collect(),
             prev: link(row.prev),
@@ -615,7 +651,7 @@ impl ComponentStructure {
         let _ = writeln!(
             out,
             "Cstart = {}{}",
-            self.items.c_start,
+            self.c_start(),
             if tree.node(tree.root()).free {
                 format!(", C̃start = {}", self.items.ct_start)
             } else {
@@ -625,17 +661,17 @@ impl ComponentStructure {
         // Stable order: nodes by id, items by key.
         for node in 0..tree.len() {
             let var = self.shape.query.var_name(tree.node(node).var);
-            let mut items: Vec<(Vec<Const>, &Row)> = self.items.nodes[node]
+            let mut items: Vec<(Vec<Const>, SlabId, &Row)> = self.items.nodes[node]
                 .rows
                 .iter()
-                .map(|(id, row)| (self.item_key(node, id), row))
+                .map(|(id, row)| (self.item_key(node, id), id, row))
                 .collect();
             items.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, row) in items {
+            for (key, id, row) in items {
                 let _ = writeln!(
                     out,
                     "  [{var}, {key:?}] C = {}{}{}",
-                    row.weight,
+                    self.item_weight(node, id),
                     if tree.node(node).free {
                         format!(", C̃ = {}", row.free_weight)
                     } else {
@@ -652,8 +688,9 @@ impl ComponentStructure {
 impl Items {
     /// The per-atom update walk of Section 6.4: create/locate the items
     /// `i_1,…,i_d` along the atom's q-tree path, bump `C^{i_d…}_ψ`, then
-    /// recompute weights bottom-up, fixing list membership and propagating
-    /// sum deltas. Allocates nothing unless it creates an item.
+    /// recompute fitness and free weights bottom-up, fixing list membership
+    /// and propagating free-sum deltas. Allocates nothing unless it creates
+    /// an item.
     fn apply_atom(&mut self, shape: &Shape, ap: &AtomPath, fact: &[Const], insert: bool) -> u64 {
         let path = &shape.tree.node(ap.rep).path;
 
@@ -708,7 +745,7 @@ impl Items {
         for (j, &node) in free_path.iter().enumerate() {
             let items = &self.nodes[node];
             match items.get(id, fact[ap.extract[j]]) {
-                Some(found) if items.rows[found].weight > 0 => id = found,
+                Some(found) if items.rows[found].in_list => id = found,
                 _ => return j,
             }
         }
@@ -716,71 +753,56 @@ impl Items {
     }
 
     /// Frees an item that is no longer present. The item must be unfit
-    /// (weight 0, not in any list) and — by the monotone presence invariant
+    /// (not in any list) and — by the monotone presence invariant
     /// — must have no live children, so its counters are all zero again.
     fn destroy_item(&mut self, node: NodeId, id: SlabId) {
         let items = &mut self.nodes[node];
-        debug_assert_eq!(items.rows[id].weight, 0);
         debug_assert!(!items.rows[id].in_list);
         debug_assert!(items.children(id).iter().all(|c| c.head.is_none()));
         items.destroy(id);
     }
 
-    /// Recomputes `C^i` (Lemma 6.3) and `C̃^i` (Lemma 6.4) for one item,
-    /// updates its fit-list membership, and propagates the weight deltas to
-    /// the parent's sums (or to `C_start`/`C̃_start` for root items).
+    /// Recomputes fitness (`C^i > 0`, Lemma 6.3) and `C̃^i` (Lemma 6.4) for
+    /// one item, updates its fit-list membership, and propagates the free
+    /// weight delta to the parent's free sum (or to `C̃_start` for root
+    /// items).
     fn recompute(&mut self, shape: &Shape, node: NodeId, id: SlabId) {
         let meta = shape.tree.node(node);
         let items = &mut self.nodes[node];
         let old = items.rows[id];
-        let (weight, free_weight) = {
-            let counts = items.atom_counts(id);
-            let children = items.children(id);
-            let mut w: u64 = 1;
-            for &pos in &meta.rep_positions {
-                w = w
-                    .checked_mul(counts[pos])
-                    .expect("result weight overflowed u64");
-            }
-            for c in children {
-                w = w.checked_mul(c.sum).expect("result weight overflowed u64");
-            }
-            let fw = if !meta.free || w == 0 {
-                0
-            } else {
-                let mut fw: u64 = 1;
-                for (c, &child) in children.iter().zip(&meta.children) {
-                    if shape.tree.node(child).free {
-                        fw = fw
-                            .checked_mul(c.free_sum)
-                            .expect("result count overflowed u64");
-                    }
+        let (counts, children) = (items.atom_counts(id), items.children(id));
+        // `C^i_u > 0` iff `L^i_u` has an entry: it sums positive weights.
+        let fit = meta.rep_positions.iter().all(|&pos| counts[pos] > 0)
+            && children.iter().all(|c| c.head.is_some());
+        let free_weight = if !meta.free || !fit {
+            0
+        } else {
+            let mut fw: u64 = 1;
+            for (c, &child) in children.iter().zip(&meta.children) {
+                if shape.tree.node(child).free {
+                    fw = fw
+                        .checked_mul(c.free_sum)
+                        .expect("result count overflowed u64");
                 }
-                fw
-            };
-            (w, fw)
+            }
+            fw
         };
-        let row = &mut items.rows[id];
-        row.weight = weight;
-        row.free_weight = free_weight;
-        // Fit-list membership: fit ⇔ C^i > 0.
-        if weight > 0 && !old.in_list {
+        items.rows[id].free_weight = free_weight;
+        if fit && !old.in_list {
             self.list_push(shape, node, id);
-        } else if weight == 0 && old.in_list {
+        } else if !fit && old.in_list {
             self.list_remove(shape, node, id);
         }
-        // Propagate sum deltas upward (one level only; the caller's
-        // bottom-up loop recomputes the parent next).
+        // Propagate the free-sum delta upward (one level only; the
+        // caller's bottom-up loop recomputes the parent next).
         match meta.parent {
             None => {
-                self.c_start = self.c_start - old.weight + weight;
                 if meta.free {
                     self.ct_start = self.ct_start - old.free_weight + free_weight;
                 }
             }
             Some(up) => {
                 let c = self.nodes[up].child_mut(old.parent, shape.pos_in_parent[node]);
-                c.sum = c.sum - old.weight + weight;
                 c.free_sum = c.free_sum - old.free_weight + free_weight;
             }
         }

@@ -168,7 +168,8 @@ fn a_recycled_row_starts_from_zero() {
     };
     let x1 = regs(&engine, "x", &[1]).unwrap();
     assert!(x1.in_list);
-    assert_eq!((x1.weight, x1.child_sums.clone()), (2, vec![2]));
+    assert_eq!((x1.free_weight, x1.free_child_sums.clone()), (2, vec![2]));
+    assert!(x1.child_heads[0].is_some());
     let y11 = regs(&engine, "y", &[1, 11]).unwrap();
 
     for u in [
@@ -187,10 +188,8 @@ fn a_recycled_row_starts_from_zero() {
         regs(&engine, "x", &[3]),
         Some(ItemRegisters {
             row: x1.row,
-            weight: 0,
             free_weight: 0,
             atom_counts: vec![0, 1],
-            child_sums: vec![0],
             free_child_sums: vec![0],
             child_heads: vec![None],
             prev: None,
@@ -206,10 +205,8 @@ fn a_recycled_row_starts_from_zero() {
         y,
         ItemRegisters {
             row: y11.row,
-            weight: 1,
             free_weight: 1,
             atom_counts: vec![1],
-            child_sums: vec![],
             free_child_sums: vec![],
             child_heads: vec![],
             prev: None,
@@ -218,7 +215,7 @@ fn a_recycled_row_starts_from_zero() {
         }
     );
     let x3 = regs(&engine, "x", &[3]).unwrap();
-    assert_eq!((x3.weight, x3.child_heads), (1, vec![Some(y.row)]));
+    assert_eq!((x3.free_weight, x3.child_heads), (1, vec![Some(y.row)]));
     engine.audit(engine.database()).unwrap();
 
     assert_eq!(pin.results_sorted(), pinned);

@@ -80,6 +80,31 @@ fn wide_star_count_is_product_of_fanouts() {
     cqu_dynamic::audit::check_invariants(&e, e.database()).unwrap();
 }
 
+/// `Q(x) :- A(x,a), …, F(x,f)` over 2048 facts `(0, i)` per relation: one
+/// result, while the root item's weight `C^i` counts 2048⁶ = 2⁶⁶
+/// unprojected expansions. The update path never multiplies `C^i`, so
+/// this loads; no audit, whose brute force would enumerate them all.
+#[test]
+fn wide_star_with_one_result_and_weight_past_u64() {
+    let q = parse_query("Q(x) :- A(x, a), B(x, b), C(x, c), D(x, d), E(x, e), F(x, f).").unwrap();
+    let mut e = QhEngine::empty(&q).unwrap();
+    for name in ["A", "B", "C", "D", "E", "F"] {
+        let rel = q.schema().relation(name).unwrap();
+        for i in 0..2048 {
+            assert!(e.apply(&Update::Insert(rel, vec![0, i])));
+        }
+    }
+    assert_eq!(e.count(), 1);
+    assert_eq!(e.results_sorted(), vec![vec![0]]);
+    assert_eq!(e.components()[0].c_start(), 1 << 66);
+    let f = q.schema().relation("F").unwrap();
+    for i in 0..2048 {
+        assert!(e.apply(&Update::Delete(f, vec![0, i])));
+    }
+    assert_eq!(e.count(), 0);
+    assert_eq!(e.components()[0].c_start(), 0);
+}
+
 #[test]
 fn many_components_multiply() {
     // Five unary components: count = Π |Ri|.

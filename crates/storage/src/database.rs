@@ -1,16 +1,16 @@
-//! The database: one relation per schema symbol, plus active-domain
-//! reference counting.
+//! The database: one relation per schema symbol.
 //!
 //! The paper measures everything in `n = |adom(D)|`, the size of the active
 //! domain of the *current* database, and defines
 //! `|D| = Σ_R |R^D|` (cardinality) and
-//! `‖D‖ = |σ| + |adom(D)| + Σ_R ar(R)·|R^D|` (size). Since updates may both
-//! grow and shrink the active domain, we maintain per-constant reference
-//! counts across all relation slots.
+//! `‖D‖ = |σ| + |adom(D)| + Σ_R ar(R)·|R^D|` (size). These are measures of
+//! the input, not something an algorithm reads, so nothing is maintained
+//! for them: [`Database::active_domain_size`] and [`Database::size`] scan
+//! the relations in `O(‖D‖)`.
 
 use crate::update::Update;
 use crate::{Const, Relation, Tuple};
-use cqu_common::FxHashMap;
+use cqu_common::FxHashSet;
 use cqu_query::{RelId, Schema};
 
 /// A relational database over a fixed schema.
@@ -18,9 +18,6 @@ use cqu_query::{RelId, Schema};
 pub struct Database {
     schema: Schema,
     relations: Vec<Relation>,
-    /// Reference count of each active-domain constant: the number of tuple
-    /// slots (relation, tuple, position) holding it.
-    adom: FxHashMap<Const, u64>,
     /// Generation stamp: the number of effective changes ever applied.
     /// Two databases with equal generation (and shared history) hold
     /// identical states, so epoch snapshots stamp themselves with it —
@@ -47,7 +44,6 @@ impl Database {
         Database {
             schema,
             relations,
-            adom: FxHashMap::default(),
             generation: 0,
             rel_generation,
         }
@@ -97,13 +93,9 @@ impl Database {
         !self.relation(rel).contains(&tuple) && self.insert_absent(rel, tuple)
     }
 
-    /// Inserts a `tuple` the caller found absent from `rel`: counts its
-    /// constants into the active domain, then moves it into the relation,
-    /// so an insert stores the one copy it was handed.
+    /// Inserts a `tuple` the caller found absent from `rel`, moving it into
+    /// the relation, so an insert stores the one copy it was handed.
     fn insert_absent(&mut self, rel: RelId, tuple: Tuple) -> bool {
-        for &c in &tuple {
-            *self.adom.entry(c).or_insert(0) += 1;
-        }
         self.generation += 1;
         self.rel_generation[rel.index()] = self.generation;
         let inserted = self.relations[rel.index()].insert(tuple);
@@ -117,13 +109,6 @@ impl Database {
         if changed {
             self.generation += 1;
             self.rel_generation[rel.index()] = self.generation;
-            for &c in tuple {
-                let cnt = self.adom.get_mut(&c).expect("adom refcount missing");
-                *cnt -= 1;
-                if *cnt == 0 {
-                    self.adom.remove(&c);
-                }
-            }
         }
         changed
     }
@@ -170,13 +155,15 @@ impl Database {
     }
 
     /// `n = |adom(D)|`: the number of distinct constants currently stored.
+    /// Scans every tuple: `O(‖D‖)`.
     pub fn active_domain_size(&self) -> usize {
-        self.adom.len()
-    }
-
-    /// Iterates over the active-domain constants (unspecified order).
-    pub fn active_domain(&self) -> impl Iterator<Item = Const> + '_ {
-        self.adom.keys().copied()
+        let mut adom: FxHashSet<Const> = FxHashSet::default();
+        for r in &self.relations {
+            for tuple in r.iter() {
+                adom.extend(tuple.iter().copied());
+            }
+        }
+        adom.len()
     }
 
     /// `|D| = Σ_R |R^D]`: total number of stored tuples.
@@ -184,10 +171,10 @@ impl Database {
         self.relations.iter().map(Relation::len).sum()
     }
 
-    /// `‖D‖ = |σ| + |adom(D)| + Σ_R ar(R)·|R^D|`.
+    /// `‖D‖ = |σ| + |adom(D)| + Σ_R ar(R)·|R^D|`, in `O(‖D‖)`.
     pub fn size(&self) -> usize {
         self.schema.len()
-            + self.adom.len()
+            + self.active_domain_size()
             + self
                 .relations
                 .iter()
@@ -222,13 +209,12 @@ mod tests {
         // Deleting E(1,2) removes 1 from the active domain but keeps 2.
         assert!(db.delete(e, &[1, 2]));
         assert_eq!(db.active_domain_size(), 1);
-        assert!(db.active_domain().any(|c| c == 2));
         assert!(db.delete(t, &[2]));
         assert_eq!(db.active_domain_size(), 0);
     }
 
     #[test]
-    fn duplicate_operations_do_not_corrupt_refcounts() {
+    fn duplicate_operations_leave_the_active_domain() {
         let s = schema_et();
         let e = s.relation("E").unwrap();
         let mut db = Database::new(s);
@@ -243,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_constant_in_tuple_counts_per_slot() {
+    fn a_constant_stays_while_any_slot_holds_it() {
         let s = schema_et();
         let e = s.relation("E").unwrap();
         let t = s.relation("T").unwrap();

@@ -6,8 +6,8 @@
 //! crate provides:
 //!
 //! * [`relation`] / [`database`] — relations as hashed tuple sets, the
-//!   database with active-domain reference counting (`n = |adom(D)|` is the
-//!   parameter all the paper's bounds are stated in), sizes `|D|`/`‖D‖`.
+//!   database, and its sizes `|D|`/`‖D‖` and `n = |adom(D)|` (the
+//!   parameter all the paper's bounds are stated in), computed on demand.
 //! * [`update`] — update commands, the [`ApplyUpdate`] contract every
 //!   update consumer keeps (effective updates are undone by their
 //!   [`Update::inverse`]), logs, and a compact binary codec (via

@@ -1,5 +1,5 @@
 //! Property tests for the storage substrate: the database behaves like a
-//! model of per-relation sets with exact active-domain refcounting, update
+//! model of per-relation sets with an exact active-domain size, update
 //! logs round-trip through the binary codec, and maintained indexes agree
 //! with freshly built ones.
 

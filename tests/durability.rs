@@ -1055,6 +1055,45 @@ fn failed_register_commit_leaves_the_session_unchanged() {
     assert_eq!(rec.seq().unwrap(), sess.seq().unwrap());
 }
 
+/// A registration whose q-tree weight `C^i` passes `u64` on the data
+/// already stored: `Q(x) :- A(x,a), …, F(x,f)` over 2048 facts `(0, i)`
+/// per relation has one result but 2048⁶ = 2⁶⁶ unprojected expansions.
+/// The `Register` record is committed before the engine loads, so a load
+/// that failed here would fail again on every recovery. Not audited: the
+/// brute force would enumerate all 2⁶⁶ expansions.
+#[test]
+fn a_registration_with_weights_past_u64_commits_and_recovers() {
+    let disk = SimDisk::new();
+    let sess = DurableSession::create(Box::new(disk.clone()), DurableOptions::default()).unwrap();
+    // Interns A..F; its own weights stay small (2048 at the root).
+    sess.register(
+        "loader",
+        "Q(x, y) :- A(x, y), B(x, y), C(x, y), D(x, y), E(x, y), F(x, y).",
+    )
+    .unwrap();
+    let facts: Vec<Update> = ["A", "B", "C", "D", "E", "F"]
+        .into_iter()
+        .flat_map(|name| {
+            let rel = sess.relation(name).unwrap();
+            (0..2048).map(move |i| Update::Insert(rel, vec![0, i]))
+        })
+        .collect();
+    sess.apply_batch(&facts).unwrap();
+    let star = "Q(x) :- A(x, a), B(x, b), C(x, c), D(x, d), E(x, e), F(x, f).";
+    sess.register("star", star).unwrap();
+    assert_eq!(sess.count("star").unwrap(), 1);
+    drop(sess);
+
+    let rec =
+        DurableSession::recover(Box::new(full_view(&disk)), DurableOptions::default()).unwrap();
+    assert_eq!(rec.count("star").unwrap(), 1);
+    assert_eq!(
+        rec.snapshot("star").unwrap().results_sorted(),
+        vec![vec![0]]
+    );
+    assert_eq!(rec.count("loader").unwrap(), 2048);
+}
+
 /// Satellite check for the observability layer: with a registry
 /// threaded through [`DurableOptions`], `wal_commits_total` is *exact*
 /// — it equals the oracle count of commit-record writes. The oracle is
