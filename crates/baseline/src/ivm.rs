@@ -1,7 +1,7 @@
 //! The delta-IVM baseline: classical incremental view maintenance.
 //!
 //! This is "mainstream IVM" in the sense of Gupta–Mumick–Subrahmanian
-//! [22]: the engine materialises the query result as a multiset of
+//! \[22\]: the engine materialises the query result as a multiset of
 //! support counts (result tuple → number of valuations) and, per update
 //! `±R(t)`, evaluates the **delta query**
 //!

@@ -1,6 +1,6 @@
 //! Yannakakis-style semi-join baseline.
 //!
-//! Bagan–Durand–Grandjean [4] showed free-connex acyclic queries enumerate
+//! Bagan–Durand–Grandjean \[4\] showed free-connex acyclic queries enumerate
 //! with constant delay after linear preprocessing *in the static setting* —
 //! and the paper's Section 1.2 stresses that this does **not** carry over
 //! to updates (`ϕ_S-E-T` is free-connex yet hard to maintain). This engine

@@ -1,7 +1,7 @@
 //! α-acyclicity (GYO reduction) and the free-connex property.
 //!
 //! The paper situates q-hierarchical queries strictly inside the
-//! *free-connex acyclic* queries of Bagan, Durand, Grandjean [4]: every
+//! *free-connex acyclic* queries of Bagan, Durand, Grandjean \[4\]: every
 //! q-hierarchical CQ is free-connex (so it enjoys static constant-delay
 //! enumeration), but some free-connex queries — e.g. `ϕ_S-E-T` — are not
 //! q-hierarchical and are hard to maintain *under updates*. This module

@@ -9,7 +9,8 @@
 use crate::QueryError;
 use cqu_common::FxHashMap;
 
-/// A query variable, identified by index into [`Query::var_names`].
+/// A query variable, identified by its index among the query's variables
+/// ([`Query::var_name`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Var(pub u32);
 

@@ -193,7 +193,7 @@ impl Default for ServeConfig {
 }
 
 /// A point-in-time copy of the server's counters — a typed view over
-/// the metrics registry (see [`ServeMetrics`] for the metric names).
+/// the metrics registry (see `ServeMetrics` for the metric names).
 ///
 /// The snapshot is **advisory, not tear-free**: each field is its own
 /// relaxed atomic load, so a racing commit may be reflected in one

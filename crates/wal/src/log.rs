@@ -322,7 +322,7 @@ impl Wal {
     /// the segment tail past the last committed frame is suspect — it
     /// may hold torn bytes, or complete frames the caller was told did
     /// *not* commit — and every later commit first has to
-    /// [`Wal::repair`] (truncate the suspect tail, open a fresh
+    /// `Wal::repair` (truncate the suspect tail, open a fresh
     /// segment) before any new frame is accepted. Repair is also
     /// attempted eagerly on the failure itself, so on the happy
     /// transient-fault path (ENOSPC blip, one bad fsync) the disk never

@@ -25,8 +25,8 @@
 //!   take no disk space), stamped with seq and owning shard,
 //! * `TxBegin`/`TxCommit` framing around transactions: all or nothing,
 //! * `SeqBurn` compensation for rollbacks: a rolled-back transaction
-//!   burns its sequence numbers in memory (inverses draw none), so the
-//!   log records the post-burn counter and a burned number is never
+//!   burns its sequence numbers in memory (undoing `D` draws none), so
+//!   the log records the post-burn counter and a burned number is never
 //!   reissued to a subscriber cursor.
 //!
 //! ## One commit path
@@ -40,11 +40,12 @@
 //! shipped with no session lock held (locked readers never wait on an
 //! fsync), and only then does the netted batch apply, as netted.
 //! Transactions cannot be predicted (the closure is opaque), so they
-//! dispatch first — uncommitted state is invisible while the writer
-//! locks are held — and log inside the commit window, still before any
-//! event publishes. DDL stages its fallible half, commits the record
-//! to the log, then commits the infallible half to the session, so the
-//! in-memory schema never runs ahead of the log.
+//! change `D` first — no engine sees a member before its transaction
+//! commits — and log the core transaction's own effective log inside the
+//! commit window, before the net batch reaches any engine or event; the
+//! durable layer keeps no log of its own. DDL stages its fallible half,
+//! commits the record to the log, then commits the infallible half to
+//! the session, so the in-memory schema never runs ahead of the log.
 //!
 //! Durable writes serialize through the WAL lock whatever the shard
 //! count (one log is one total order); sharding still buys parallel
@@ -572,12 +573,14 @@ impl DurableSession {
     }
 
     /// Runs `f` inside a durable all-or-nothing transaction. On `Ok`,
-    /// the effective updates are framed `TxBegin … TxCommit`, logged,
-    /// and synced per policy *before* the in-memory commit publishes
-    /// events; a crash before the commit record lands replays nothing.
-    /// On `Err` (or a log failure), the in-memory transaction rolls
-    /// back and a `SeqBurn` compensation record keeps the on-disk seq
-    /// budget aligned with the burned in-memory numbers.
+    /// the core transaction's effective log is framed
+    /// `TxBegin … TxCommit`, logged, and synced per policy *before* the
+    /// transaction commits to the engines and publishes events; a crash
+    /// before the commit record lands replays nothing. On `Err` (or a
+    /// log failure), the core transaction rolls back — only `D` is
+    /// undone, no engine saw it — and a `SeqBurn` compensation record
+    /// keeps the on-disk seq budget aligned with the burned in-memory
+    /// numbers.
     ///
     /// A *failed* log commit cannot haunt recovery: the WAL poisons
     /// itself on any mid-commit error and repairs by truncating the
@@ -588,7 +591,7 @@ impl DurableSession {
     /// persists), never behind torn bytes that recovery would truncate.
     pub fn transaction<R>(
         &self,
-        f: impl FnOnce(&mut DurableTransaction<'_, '_>) -> Result<R, CqError>,
+        f: impl FnOnce(&mut ShardedTransaction<'_>) -> Result<R, CqError>,
     ) -> Result<R, DurableError> {
         let mut st = lock_wal(&self.wal)?;
         let st = &mut *st;
@@ -596,40 +599,27 @@ impl DurableSession {
         let seq0 = core.seq();
         let mut burn: u64 = 0;
         let res = core.transaction_generic(|tx| -> Result<R, DurableError> {
-            let mut dtx = DurableTransaction {
-                inner: tx,
-                logged: Vec::new(),
-            };
-            let res = f(&mut dtx);
-            let logged = dtx.logged;
-            let n = logged.len() as u64;
-            match res {
-                Ok(r) => {
-                    if n > 0 {
-                        // Armed until the log lands: the driver rolls
-                        // back on error and the burn record is written
-                        // below.
-                        burn = n;
-                        let mut recs = Vec::with_capacity(logged.len() + 2);
-                        recs.push(Rec::TxBegin {
-                            first_seq: seq0 + 1,
-                        });
-                        recs.extend(update_recs(core, seq0, &logged));
-                        recs.push(Rec::TxCommit { last_seq: seq0 + n });
-                        for rec in &recs {
-                            st.wal.append(rec);
-                        }
-                        st.wal.commit()?;
-                        burn = 0;
-                        ship(st, seq0 + n, &recs);
-                    }
-                    Ok(r)
+            let res = f(tx);
+            let n = tx.effective_len() as u64;
+            // Armed until the log lands: the driver rolls back on error
+            // and the burn record is written below.
+            burn = n;
+            let r = res?;
+            if n > 0 {
+                let mut recs = Vec::with_capacity(tx.effective_len() + 2);
+                recs.push(Rec::TxBegin {
+                    first_seq: seq0 + 1,
+                });
+                recs.extend(update_recs(core, seq0, tx.log()));
+                recs.push(Rec::TxCommit { last_seq: seq0 + n });
+                for rec in &recs {
+                    st.wal.append(rec);
                 }
-                Err(e) => {
-                    burn = n;
-                    Err(DurableError::Session(e))
-                }
+                st.wal.commit()?;
+                ship(st, seq0 + n, &recs);
             }
+            burn = 0;
+            Ok(r)
         });
         if burn > 0 {
             let rec = Rec::SeqBurn { upto: seq0 + burn };
@@ -747,40 +737,4 @@ fn ensure_virgin(dir: &dyn WalDir) -> Result<(), DurableError> {
         ));
     }
     Ok(())
-}
-
-/// The handle a durable transaction closure writes through: forwards to
-/// the core's transaction and records each effective update so the
-/// commit hook can frame and log them.
-pub struct DurableTransaction<'a, 'b> {
-    inner: &'b mut ShardedTransaction<'a>,
-    logged: Vec<Update>,
-}
-
-impl DurableTransaction<'_, '_> {
-    /// Validates and applies one update inside the transaction; returns
-    /// `true` iff it was effective. Errors leave the transaction open.
-    pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
-        let changed = self.inner.apply(update)?;
-        if changed {
-            self.logged.push(update.clone());
-        }
-        Ok(changed)
-    }
-
-    /// Applies a batch; returns how many members were effective.
-    pub fn apply_all(&mut self, updates: &[Update]) -> Result<usize, CqError> {
-        let mut applied = 0;
-        for u in updates {
-            if self.apply(u)? {
-                applied += 1;
-            }
-        }
-        Ok(applied)
-    }
-
-    /// Effective updates so far across the whole transaction.
-    pub fn effective_len(&self) -> usize {
-        self.logged.len()
-    }
 }

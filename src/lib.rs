@@ -11,13 +11,13 @@
 //! enumeration and O(1) counting — and (conditionally on the OMv and OV
 //! conjectures) for everything else no such structure can exist.
 //!
-//! The front door is the [`session`] API: a [`Session`](session::Session)
+//! The front door is the [`session`] API: a [`Session`]
 //! registers many named queries, routes each to the best engine via the
 //! dichotomy classifier (the paper's Theorems 1.1–1.3 as a dispatch rule),
 //! fans updates out to all of them — singly, batched, or transactionally —
 //! and publishes per-update result deltas to subscribers. When aggregate
 //! write throughput outgrows one serialized writer, the [`shard`] API
-//! ([`ShardedSession`](shard::ShardedSession)) partitions the query set
+//! ([`ShardedSession`]) partitions the query set
 //! into footprint shards whose updates commit in parallel while every
 //! query stays exact on one global timeline.
 //!
@@ -100,7 +100,7 @@ pub use cqu_serve as serving;
 pub use cqu_storage as storage;
 pub use cqu_wal as wal;
 
-pub use durable::{DurableError, DurableOptions, DurableSession, DurableTransaction};
+pub use durable::{DurableError, DurableOptions, DurableSession};
 pub use error::CqError;
 pub use replica::{promotion_candidate, ReplicaOptions, ReplicaSession, ReplicationServer};
 pub use session::{
@@ -111,7 +111,7 @@ pub use shard::{ShardPlan, ShardSpec, ShardedSession, ShardedSessionBuilder, Sha
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use crate::durable::{DurableError, DurableOptions, DurableSession, DurableTransaction};
+    pub use crate::durable::{DurableError, DurableOptions, DurableSession};
     pub use crate::error::CqError;
     pub use crate::replica::{
         promotion_candidate, DenyReason, FollowerConfig, FollowerProgress, LeaderConfig,

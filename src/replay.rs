@@ -15,7 +15,8 @@
 //!   a sealed plan builds once, after its last registration;
 //! * plain updates at or below the cursor are skipped, the rest buffer
 //!   into runs of consecutive seqs and apply one batch per run;
-//! * a `TxBegin … TxCommit` group is one core transaction, skipped whole
+//! * a `TxBegin … TxCommit` group is one batch — a committed transaction
+//!   reached the engines as one, so it replays as one — skipped whole
 //!   when its commit seq is at or below the cursor and dropped when its
 //!   commit record never arrives;
 //! * `SeqBurn` moves the counter past numbers a rollback consumed;
@@ -382,11 +383,10 @@ impl Replay {
             core.force_seq(below)?;
         }
         let last = match group_end {
-            // One core transaction: all-or-nothing with a single
-            // published event per query, as when it committed.
+            // One batch, unchunked: a single published event per query,
+            // as when the transaction committed.
             Some(last) => {
-                core.transaction(|t| t.apply_all(&run.updates))
-                    .map_err(replay_failed)?;
+                core.apply_batch(&run.updates).map_err(replay_failed)?;
                 last
             }
             None => {

@@ -12,16 +12,23 @@
 //! counting, Boolean answering, constant-delay enumeration, and a change
 //! feed ([`QueryHandle::subscribe`]) of per-update result deltas.
 //!
+//! Every commit is a batch. Nobody can observe a transaction's
+//! intermediate states, so the engines only ever see a commit's net
+//! effect: a single update is a batch of one, a transaction changes `D`
+//! alone until it commits its netted log as one batch, and a rollback
+//! undoes `D` — the engines never saw it. One crate-private function
+//! takes every commit's net facts to the engines, the change feeds and
+//! the published epochs.
+//!
 //! # Threading model
 //!
 //! [`Session`] is `Send + Sync`: all interior state is either plain data
 //! behind the `&mut self` write path or guarded by short-lived mutexes
 //! (subscriber lists, epoch build locks). Writers are serialized by
-//! construction — every update flows through one `&mut self` dispatch
-//! path. Readers scale out through **epoch publication**: each query's
-//! latest pinned state sits in an atomically swappable cell
-//! ([`cqu_common::EpochCell`]), and every pin is an exact, internally
-//! consistent `(seq, result)` frame:
+//! construction — every commit flows through `&mut self`. Readers scale
+//! out through **epoch publication**: each query's latest pinned state
+//! sits in an atomically swappable cell ([`cqu_common::EpochCell`]), and
+//! every pin is an exact, internally consistent `(seq, result)` frame:
 //!
 //! * **Lock-free pins** ([`PinReader::pin`], via
 //!   [`QueryHandle::pin_reader`] / [`SharedSession::reader`]): a single
@@ -70,16 +77,18 @@
 //! ```
 
 use crate::error::CqError;
-use crate::shard::ShardedSession;
+use crate::shard::{ShardedSession, ShardedTransaction};
 use cqu_baseline::EngineKind;
 use cqu_common::{EpochCell, FxHashMap};
-use cqu_dynamic::{net_effective, DynamicEngine, ResultDelta, ResultSnapshot, UpdateReport};
+use cqu_dynamic::{
+    net_effective, DynamicEngine, Netted, ResultDelta, ResultSnapshot, UpdateReport,
+};
 use cqu_obs::{Counter, Histogram, Registry};
 use cqu_query::classify::{classify, Classification, Verdict};
 use cqu_query::hierarchical::{q_hierarchical_violation, Violation};
 use cqu_query::{parse_query, Query, QueryBuilder, QueryError, RelId, Schema};
 use cqu_serve::{BoundedQueue, Receiver, SeqRing};
-use cqu_storage::{ApplyUpdate, Database, Tuple, Update};
+use cqu_storage::{Const, Database, Tuple, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -444,7 +453,7 @@ impl Registered {
 }
 
 /// Registry handles for the write path, resolved once at
-/// [`Session::share_registry`] so each dispatch pays only relaxed atomic
+/// [`Session::share_registry`] so each commit pays only relaxed atomic
 /// ops (and one clock read for the latency histogram), never a registry
 /// lookup.
 struct SessionMetrics {
@@ -495,19 +504,6 @@ impl StagedQuery {
     }
 }
 
-/// A netted batch already applied to the session's `D`
-/// ([`Session::apply_net_to_db`]), awaiting its engines and its stamp
-/// ([`Session::publish_batch`]).
-pub(crate) struct EffectiveBatch {
-    /// How many seqs the batch draws: one per sequentially effective
-    /// member.
-    pub(crate) applied: usize,
-    /// The net facts the engines receive.
-    net: Vec<Update>,
-    /// When the first half began, if the session is instrumented.
-    start: Option<Instant>,
-}
-
 /// A set of named queries maintained together under one update stream.
 ///
 /// `Session` is `Send + Sync`; writers are serialized through `&mut self`
@@ -529,19 +525,8 @@ pub struct Session {
     /// onto one global timeline. `seq` then caches the last number this
     /// session drew (its own updates' position in the global stream).
     seq_source: Option<Arc<AtomicU64>>,
-    /// While a [`SessionTransaction`] is open: per-registration
-    /// accumulators of raw result flips for subscriber deltas. Events are
-    /// netted here and emitted once at commit (an untouched query's delta
-    /// stays empty and publishes nothing); a rollback discards the
-    /// buffer, so nothing is ever published.
-    tx_buffer: Option<Vec<ResultDelta>>,
-    /// Set while a rolled-back transaction replays its inverses:
-    /// suppresses delta tracking entirely (the buffer is about to be
-    /// discarded, so extracting deltas would be pure waste, O(δ) per
-    /// inverse for nothing).
-    rolling_back: bool,
     /// Write-path instrumentation ([`Session::share_registry`]); `None`
-    /// keeps dispatch free of clock reads and atomic traffic.
+    /// keeps commits free of clock reads and atomic traffic.
     metrics: Option<SessionMetrics>,
 }
 
@@ -577,8 +562,6 @@ impl Session {
             by_name: FxHashMap::default(),
             seq: 0,
             seq_source: None,
-            tx_buffer: None,
-            rolling_back: false,
             metrics: None,
         }
     }
@@ -621,10 +604,11 @@ impl Session {
         self.metrics.as_ref().map(|m| &m.registry)
     }
 
-    /// Draws the next `n` sequence numbers (one per effective update just
-    /// dispatched) and returns the last — the stamp for this step's
+    /// Draws the next `n` sequence numbers (one per effective member of
+    /// the commit at hand) and returns the last — the stamp for its
     /// epochs and events. Standalone sessions count locally; shard
     /// sessions reserve a contiguous range of the shared global counter.
+    /// The shard router draws a multi-shard commit's range itself.
     fn advance_seq(&mut self, n: u64) -> u64 {
         self.seq = match &self.seq_source {
             None => self.seq + n,
@@ -645,8 +629,8 @@ impl Session {
     /// positioning — so positioning pins no component and costs the
     /// next write no copy.
     ///
-    /// Replaying a log applies updates through the normal dispatch path,
-    /// which draws fresh sequence numbers; they match the log's stamps
+    /// Replaying a log applies updates as batches, which draw fresh
+    /// sequence numbers; they match the log's stamps
     /// only where the log has no jump. The replay machine
     /// (`src/replay.rs`) calls this across each real jump (after a
     /// checkpoint load, over a `SeqBurn`, over a gap in the stream), so
@@ -712,13 +696,13 @@ impl Session {
         })
     }
 
-    /// Number of effective update commands dispatched so far: single
-    /// applies and batch members each count one. A rolled-back
-    /// transaction *burns* its forward updates' numbers (the states they
-    /// numbered were never published, so those positions are simply
-    /// gaps in the visible timeline) — its compensating inverses draw
-    /// none. Single-writer and sharded sessions burn identically; the
-    /// sharded-session suite pins the equality.
+    /// Number of effective update commands committed so far: single
+    /// applies, batch members and transaction members each count one. A
+    /// rolled-back transaction *burns* its effective updates' numbers
+    /// (the states they would have numbered were never published, so
+    /// those positions are simply gaps in the visible timeline); undoing
+    /// them draws none. Single-writer and sharded sessions burn
+    /// identically; the sharded-session suite pins the equality.
     ///
     /// Inside a [`crate::shard::ShardedSession`], where sessions share
     /// one global counter, this is the *global* position of this shard's
@@ -920,84 +904,35 @@ impl Session {
         validate_update(&self.schema, update)
     }
 
-    /// Routes one pre-validated update to the one `D` and, if it changed
-    /// it, to every engine that can be concerned by it, forwarding
-    /// engine-produced result deltas to subscribers (or to the open
-    /// transaction's buffer).
-    ///
-    /// Delta extraction is the engine's business
-    /// ([`DynamicEngine::apply_net_tracked`]): both engines a session
-    /// routes to, the q-tree structure and delta-IVM, produce deltas
-    /// natively at O(δ) as a side product of their maintenance. No result
-    /// materialization happens here.
-    fn dispatch(&mut self, update: &Update) -> bool {
-        if !self.db.apply(update) {
-            // Set-semantics no-op: decided here, once; no engine sees it.
-            return false;
-        }
-        // Rollback inverses do NOT draw sequence numbers: a rolled-back
-        // transaction burns exactly its forward updates' numbers (which
-        // cannot be returned once drawn — under a shared shard counter
-        // other writers may already hold later ones) and nothing more.
-        // Single-writer and sharded sessions share this dispatch, so both
-        // paths burn identically by construction; `tests/sharded_session`
-        // pins the equality.
-        if !self.rolling_back {
-            self.advance_seq(1);
-            if let Some(m) = self.metrics.as_ref() {
-                m.updates.inc();
-            }
-        }
-        let in_tx = self.tx_buffer.is_some();
-        // This update's relation was the database's latest effective
-        // change, so for every query routed below (the relation is in
-        // its footprint) the footprint max is exactly this counter —
-        // O(1) maintenance, read once for the whole loop.
-        let generation = self.db.generation();
-        let fact = std::slice::from_ref(update);
-        for (idx, reg) in self.regs.iter_mut().enumerate() {
-            if !reg.wants(update.relation()) {
-                continue;
-            }
-            // Every branch below mutates the engine: stale published
-            // epochs (and with them all cached pins).
-            reg.touch();
-            reg.footprint_gen = generation;
-            // Rollback replay needs no deltas — its buffer is discarded —
-            // so it takes the untracked path even under subscription.
-            if !self.rolling_back && reg.wants_deltas() {
-                match self.tx_buffer.as_mut() {
-                    Some(buf) => reg.engine.apply_net_tracked(fact, &mut buf[idx]),
-                    None => {
-                        let mut delta = ResultDelta::default();
-                        reg.engine.apply_net_tracked(fact, &mut delta);
-                        reg.publish(self.seq, delta);
-                    }
-                }
-            } else {
-                reg.engine.apply_net(fact);
-            }
-            // Demand-driven epoch publication — but never inside an open
-            // transaction (lock-free pins must not observe uncommitted
-            // state; commit publishes) and never during rollback (the
-            // pre-transaction epoch content is still exact).
-            if !in_tx {
-                reg.republish_on_demand(self.seq);
-            }
-        }
-        true
+    /// The instant a commit began, on an instrumented session only: an
+    /// uninstrumented one reads no clock.
+    pub(crate) fn clock(&self) -> Option<Instant> {
+        self.metrics.as_ref().map(|_| Instant::now())
     }
 
     /// Applies one update to every registered query; returns `true` iff
     /// the database changed.
     pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
         self.validate(update)?;
-        let start = self.metrics.as_ref().map(|_| Instant::now());
-        let changed = self.dispatch(update);
+        let start = self.clock();
+        let changed = self.apply_prevalidated(update);
         if let (Some(m), Some(t0)) = (self.metrics.as_ref(), start) {
             m.commit_latency_ns.record(t0.elapsed().as_nanos() as u64);
         }
         Ok(changed)
+    }
+
+    /// [`Session::apply`] after validation: the shard router's entry,
+    /// which validates against the identical union schema first. Whether
+    /// the update is a set-semantics no-op is decided against `D`, once,
+    /// and no engine sees a no-op; an effective update is a batch of one.
+    pub(crate) fn apply_prevalidated(&mut self, update: &Update) -> bool {
+        if !self.db.apply(update) {
+            return false;
+        }
+        let stamp = self.advance_seq(1);
+        self.publish_batch(std::slice::from_ref(update), 1, stamp, None);
+        true
     }
 
     /// Applies a batch of updates to every registered query, equivalent
@@ -1015,8 +950,12 @@ impl Session {
             self.validate(u)?;
         }
         let netted = net_effective(updates, |rel, t| self.db.relation(rel).contains(t));
-        let batch = self.apply_net_to_db(netted.effective.len(), netted.net);
-        let applied = batch.applied;
+        let start = self.clock();
+        for fact in &netted.net {
+            let changed = self.db.apply(fact);
+            debug_assert!(changed, "net fact {fact:?} is a no-op");
+        }
+        let applied = netted.effective.len();
         if applied > 0 {
             // Each effective member advances the stream position,
             // exactly as if applied singly — so a snapshot's `seq()`
@@ -1024,7 +963,7 @@ impl Session {
             // subscribers still get one netted event, stamped with the
             // last member's number.
             let stamp = self.advance_seq(applied as u64);
-            self.publish_batch(batch, stamp);
+            self.publish_batch(&netted.net, applied, stamp, start);
         }
         Ok(UpdateReport {
             total: updates.len(),
@@ -1032,39 +971,35 @@ impl Session {
         })
     }
 
-    /// First half of a batch: applies `net`, netted against this
-    /// session's `D` ([`cqu_dynamic::net_effective`], `applied` effective
-    /// members), to the one `D`.
+    /// The one path from a commit to the engines: a single apply, a
+    /// batch, a transaction's end, and every shard's part of a
+    /// multi-shard commit all end here. `net` holds the commit's net
+    /// facts, already in `D`; `applied` counts the seq numbers the commit
+    /// drew (one per sequentially effective member) and `stamp` is the
+    /// last of them — the caller drew them. A commit that drew no number
+    /// publishes nothing and leaves the session's position alone; one
+    /// whose net is empty (its members cancelled, or a rolled-back
+    /// transaction burning its numbers) moves the position and touches
+    /// no engine.
     ///
-    /// The engines lag the database until [`Session::publish_batch`]
-    /// runs; the caller holds the session exclusively across both. The
-    /// halves are apart so that the shard router can apply a batch to
-    /// every shard it spans, draw the batch's seq range once, and stamp
-    /// every shard with the range's head (each shard's state then *is*
-    /// the timeline's at that seq, on its own relations).
-    pub(crate) fn apply_net_to_db(&mut self, applied: usize, net: Vec<Update>) -> EffectiveBatch {
-        let start = self.metrics.as_ref().map(|_| Instant::now());
-        for fact in &net {
-            let changed = self.db.apply(fact);
-            debug_assert!(changed, "net fact {fact:?} is a no-op");
-        }
-        EffectiveBatch {
-            applied,
-            net,
-            start,
-        }
-    }
-
-    /// Second half of a batch: runs every concerned engine over the net
-    /// facts and publishes at `stamp`, the batch's last seq (the caller
-    /// drew the numbers). A batch with no effective member publishes
-    /// nothing and leaves the session's position alone.
-    pub(crate) fn publish_batch(&mut self, batch: EffectiveBatch, stamp: u64) {
-        if batch.applied == 0 {
+    /// Each concerned engine receives the net facts on its relations at
+    /// once and extracts result deltas natively
+    /// ([`DynamicEngine::apply_net_tracked`]) at O(δ) as a side product of
+    /// its maintenance; no result is materialized here. Every query
+    /// publishes at most one [`ChangeEvent`] and one epoch, both at
+    /// `stamp`. `batch` is when an [`Session::apply_batch`] began: an
+    /// instrumented session counts and times it as a batch.
+    pub(crate) fn publish_batch(
+        &mut self,
+        net: &[Update],
+        applied: usize,
+        stamp: u64,
+        batch: Option<Instant>,
+    ) {
+        if applied == 0 {
             return;
         }
         self.seq = stamp;
-        let net: &[Update] = &batch.net;
         let mut filtered: Vec<Update> = Vec::new();
         for reg in &mut self.regs {
             // Zero-copy when every net fact concerns this query;
@@ -1080,14 +1015,17 @@ impl Session {
                 continue;
             }
             reg.touch();
-            // The batch's routed facts include the most recent change to
-            // any footprint relation, so their max per-relation stamp is
-            // the new footprint generation.
-            reg.footprint_gen = routed
+            // The routed facts include the most recent change to any
+            // footprint relation, so their max per-relation stamp is the
+            // new footprint generation — unless a transaction changed a
+            // footprint relation later and back again, which
+            // `Session::restamp` has counted already.
+            let routed_gen = routed
                 .iter()
                 .map(|u| self.db.relation_generation(u.relation()))
                 .max()
                 .expect("routed is nonempty");
+            reg.footprint_gen = reg.footprint_gen.max(routed_gen);
             if reg.wants_deltas() {
                 let mut delta = ResultDelta::default();
                 reg.engine.apply_net_tracked(routed, &mut delta);
@@ -1095,102 +1033,150 @@ impl Session {
             } else {
                 reg.engine.apply_net(routed);
             }
-            // One epoch publication per batch, stamped with the batch's
-            // final stream position (a transaction cannot be open here:
-            // it holds the session `&mut`).
+            // One epoch publication per commit, stamped with its final
+            // stream position.
             reg.republish_on_demand(stamp);
         }
-        if let (Some(m), Some(t0)) = (self.metrics.as_ref(), batch.start) {
-            m.batches.inc();
-            m.updates.add(batch.applied as u64);
-            m.commit_latency_ns.record(t0.elapsed().as_nanos() as u64);
+        if let Some(m) = self.metrics.as_ref() {
+            m.updates.add(applied as u64);
+            if let Some(t0) = batch {
+                m.batches.inc();
+                m.commit_latency_ns.record(t0.elapsed().as_nanos() as u64);
+            }
         }
     }
 
     /// Starts an all-or-nothing transaction over the whole session.
     ///
-    /// Updates applied through the guard take effect immediately (reads
-    /// through [`Session::query`] are impossible while it borrows the
-    /// session); unless [`SessionTransaction::commit`] is called,
-    /// dropping the guard rolls every effective update back via
-    /// [`Update::inverse`], across the one `D` and every engine.
-    ///
-    /// Subscriber events are **buffered**: during the transaction each
-    /// query's deltas accumulate and net out; `commit` emits at most one
-    /// [`ChangeEvent`] per query with the transaction's net result delta,
-    /// and a rollback emits nothing at all (the buffer is discarded and
-    /// the inverse replay skips delta extraction entirely).
+    /// An update applied through the guard changes the one `D` at once,
+    /// so it reports whether it was effective, but no engine sees it
+    /// (reads through [`Session::query`] are impossible while the guard
+    /// borrows the session). [`SessionTransaction::commit`] nets the
+    /// effective updates and commits them as one batch: each query
+    /// publishes at most one [`ChangeEvent`], with the transaction's net
+    /// result delta, and updates that cancel reach no engine. Dropping
+    /// the guard uncommitted rolls back: a rollback undoes `D`; engines
+    /// never saw it, and nothing is published.
     pub fn transaction(&mut self) -> SessionTransaction<'_> {
-        debug_assert!(self.tx_buffer.is_none(), "transactions cannot nest");
-        if let Some(m) = self.metrics.as_ref() {
-            m.transactions.inc();
-        }
-        self.tx_buffer = Some(vec![ResultDelta::default(); self.regs.len()]);
         SessionTransaction {
             session: self,
-            effective: Vec::new(),
+            log: Vec::new(),
             committed: false,
         }
     }
 
-    /// Emits the buffered per-query net events of a committing
-    /// transaction and closes the buffer.
-    fn flush_tx_buffer(&mut self) {
-        if let Some(buf) = self.tx_buffer.take() {
-            for (reg, delta) in self.regs.iter().zip(buf) {
-                // Feeds can detach mid-transaction (Subscription is owned
-                // independently of the session borrow): publish nothing
-                // then, unless a retention ring still wants the net event.
-                if !delta.is_empty() && reg.wants_deltas() {
-                    reg.publish(self.seq, delta);
-                }
-            }
-            // Epoch publication was deferred while the transaction was
-            // open (pins must not see uncommitted state): satisfy pending
-            // refresh requests now that the state is committed.
-            for reg in &self.regs {
-                reg.republish_on_demand(self.seq);
+    /// Applies one update to `D` alone — a transaction member, or a
+    /// shard's net fact of a multi-shard batch — which no engine sees
+    /// until [`Session::publish_batch`]; returns `true` iff it was
+    /// effective. The epoch cells of the queries it concerns announce the
+    /// version that publication will bring, so a lock-free pin taken
+    /// meanwhile requests the refresh the commit then satisfies.
+    pub(crate) fn apply_to_db(&mut self, update: &Update) -> bool {
+        if !self.db.apply(update) {
+            return false;
+        }
+        for reg in self.regs.iter().filter(|r| r.wants(update.relation())) {
+            reg.cell.set_live_version(reg.version + 1);
+        }
+        true
+    }
+
+    /// Undoes one effective transaction member on `D` (its inverse is
+    /// effective by construction). The engines never saw it.
+    pub(crate) fn undo(&mut self, update: &Update) {
+        let undone = self.db.apply(&update.inverse());
+        debug_assert!(undone, "rollback of an effective update must be effective");
+    }
+
+    /// Ends a transaction's announcements: every query's footprint stamp
+    /// moves to `D`'s ([`footprint_generation`]) and its cell's live
+    /// version back to its engine's. A transaction changes `D` member by
+    /// member, so members that cancel (or a rollback's undo) move `D`'s
+    /// stamps without reaching an engine, and [`Session::apply_to_db`]
+    /// announced a version only an engine the commit reaches will have.
+    /// O(|σ|) per query, once per transaction.
+    pub(crate) fn restamp(&mut self) {
+        for reg in &mut self.regs {
+            reg.footprint_gen = footprint_generation(&reg.relevant, &self.db);
+            reg.cell.set_live_version(reg.version);
+        }
+    }
+
+    /// Counts one finished transaction on an instrumented session — once,
+    /// however many shards it locked.
+    pub(crate) fn count_transaction(&self, rolled_back: bool) {
+        if let Some(m) = self.metrics.as_ref() {
+            m.transactions.inc();
+            if rolled_back {
+                m.rollbacks.inc();
             }
         }
     }
+
+    /// Ends a transaction whose effective `log` this session's `D` holds.
+    /// Either way the log draws its numbers and ends in one
+    /// [`Session::publish_batch`]: a commit with its net facts
+    /// ([`net_log`]), a rollback — `D` undone newest first — with none,
+    /// burning the numbers.
+    fn end_transaction(&mut self, log: &[Update], commit: bool) {
+        self.count_transaction(!commit);
+        if log.is_empty() {
+            return;
+        }
+        let net = if commit {
+            net_log(log).net
+        } else {
+            for u in log.iter().rev() {
+                self.undo(u);
+            }
+            Vec::new()
+        };
+        self.restamp();
+        let stamp = self.advance_seq(log.len() as u64);
+        self.publish_batch(&net, log.len(), stamp, None);
+    }
 }
 
-impl ApplyUpdate for Session {
-    /// Pre-validated routing (the shard router validates against the
-    /// identical union schema first); panics on malformed updates.
-    fn apply_update(&mut self, update: &Update) -> bool {
-        self.dispatch(update)
+/// Nets a transaction's effective log with [`net_effective`]. Every
+/// member changed `D` when it was applied, so a fact's presence before
+/// the transaction is the opposite of its first member's kind.
+pub(crate) fn net_log(log: &[Update]) -> Netted {
+    let mut first: FxHashMap<(RelId, &[Const]), bool> = FxHashMap::default();
+    for u in log {
+        first
+            .entry((u.relation(), u.tuple()))
+            .or_insert(!u.is_insert());
     }
+    let netted = net_effective(log, |rel, t| first[&(rel, t)]);
+    debug_assert_eq!(
+        netted.effective.len(),
+        log.len(),
+        "every member was effective"
+    );
+    netted
 }
 
 /// An all-or-nothing update batch over a [`Session`]
 /// (see [`Session::transaction`]).
 pub struct SessionTransaction<'a> {
     session: &'a mut Session,
-    /// Effective updates, in order, for reverse rollback.
-    effective: Vec<Update>,
+    /// Effective updates in order: netted at commit, undone at rollback.
+    log: Vec<Update>,
     committed: bool,
 }
 
 impl SessionTransaction<'_> {
-    /// Validates and applies one update inside the transaction; returns
-    /// `true` iff it was effective. A validation error leaves the
-    /// transaction open — the caller decides whether to commit the
-    /// prefix or drop the guard to roll it back.
+    /// Validates and applies one update to `D`; returns `true` iff it
+    /// was effective. A validation error leaves the transaction open —
+    /// the caller decides whether to commit the prefix or drop the guard
+    /// to roll it back.
     pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
         self.session.validate(update)?;
-        Ok(self.apply_prevalidated(update))
-    }
-
-    /// The transactional apply after validation — the entry point for
-    /// the shard router, which validates once against the (identical)
-    /// union schema before routing.
-    pub(crate) fn apply_prevalidated(&mut self, update: &Update) -> bool {
-        let changed = self.session.dispatch(update);
+        let changed = self.session.apply_to_db(update);
         if changed {
-            self.effective.push(update.clone());
+            self.log.push(update.clone());
         }
-        changed
+        Ok(changed)
     }
 
     /// Applies a sequence of updates, stopping at the first malformed
@@ -1207,42 +1193,28 @@ impl SessionTransaction<'_> {
 
     /// Number of effective updates so far.
     pub fn effective_len(&self) -> usize {
-        self.effective.len()
+        self.log.len()
     }
 
-    /// Keeps the transaction's effects and emits one net [`ChangeEvent`]
-    /// per query whose result changed; returns how many updates were
-    /// effective.
+    /// Commits the effective updates as one batch — at most one net
+    /// [`ChangeEvent`] per query whose result changed; returns how many
+    /// updates were effective.
     pub fn commit(mut self) -> usize {
         self.committed = true;
-        let n = self.effective.len();
-        self.session.flush_tx_buffer();
-        n
+        self.session.end_transaction(&self.log, true);
+        self.log.len()
     }
 
     /// Rolls back everything applied so far (same as dropping the guard).
-    /// Subscribers see nothing: the buffered deltas cancel.
+    /// Only `D` is undone; subscribers see nothing.
     pub fn rollback(self) {}
 }
 
 impl Drop for SessionTransaction<'_> {
     fn drop(&mut self) {
         if !self.committed {
-            if let Some(m) = self.session.metrics.as_ref() {
-                m.rollbacks.inc();
-            }
-            // Replay inverses in reverse order with delta tracking
-            // suppressed: the buffered deltas are discarded wholesale, so
-            // nothing is published and no extraction work is done.
-            self.session.rolling_back = true;
-            for u in self.effective.drain(..).rev() {
-                let undone = self.session.dispatch(&u.inverse());
-                debug_assert!(undone, "rollback of an effective update must be effective");
-            }
-            self.session.rolling_back = false;
-            self.session.tx_buffer = None;
+            self.session.end_transaction(&self.log, false);
         }
-        debug_assert!(self.session.tx_buffer.is_none());
     }
 }
 
@@ -1354,8 +1326,8 @@ impl<'a> QueryHandle<'a> {
 
     /// Opens a change feed: after every effective update or batch that
     /// changes this query's result, a [`ChangeEvent`] with the added and
-    /// removed result tuples is delivered. Inside a transaction, events
-    /// are buffered and emitted once, netted, at commit.
+    /// removed result tuples is delivered. A transaction is one batch:
+    /// its event, netted, arrives at commit.
     ///
     /// Every subscriber receives the *same* `Arc<ChangeEvent>` per
     /// update: fan-out costs one queue push per subscriber, never a
@@ -1497,10 +1469,10 @@ impl QuerySnapshot {
 
     /// The session update sequence number at pin time: this snapshot
     /// reflects exactly the first `seq()` effective update commands the
-    /// session dispatched — batch members count individually; a
-    /// rolled-back transaction burns its forward updates' numbers
-    /// without publishing the states they numbered (see
-    /// [`Session::seq`]), so those positions never appear on a pin.
+    /// session committed — batch and transaction members count
+    /// individually; a rolled-back transaction burns its updates'
+    /// numbers without publishing any state (see [`Session::seq`]), so
+    /// those positions never appear on a pin.
     pub fn seq(&self) -> u64 {
         self.seq
     }
@@ -1729,24 +1701,12 @@ impl SharedSession {
 
     /// Runs `f` inside an all-or-nothing transaction: committed when `f`
     /// returns `Ok`, rolled back (and the error forwarded) when it
-    /// returns `Err`. See [`Session::transaction`].
+    /// returns `Err`. See [`ShardedSession::transaction`].
     pub fn transaction<R>(
         &self,
-        f: impl FnOnce(&mut SessionTransaction<'_>) -> Result<R, CqError>,
+        f: impl FnOnce(&mut ShardedTransaction<'_>) -> Result<R, CqError>,
     ) -> Result<R, CqError> {
-        self.write(|s| {
-            let mut txn = s.transaction();
-            match f(&mut txn) {
-                Ok(r) => {
-                    txn.commit();
-                    Ok(r)
-                }
-                Err(e) => {
-                    txn.rollback();
-                    Err(e)
-                }
-            }
-        })?
+        self.core.transaction(f)
     }
 
     /// Resolves a relation by name (see [`Session::relation`]).

@@ -8,7 +8,7 @@
 //!
 //! The paper's Theorem 3.2 makes every *single* update O(1) on a
 //! q-hierarchical query — but a [`Session`] still funnels all updates
-//! through one serialized dispatch path, so aggregate write throughput is
+//! through one serialized writer, so aggregate write throughput is
 //! bounded by one core no matter how cheap each update is.
 //! [`ShardedSession`] removes that ceiling for workloads whose queries do
 //! not all read the same relations: registered queries are partitioned
@@ -45,11 +45,14 @@
 //! * Multi-shard batches and transactions take the locks of every
 //!   touched shard in **canonical order** (ascending shard index), so
 //!   concurrent multi-shard writers cannot deadlock.
-//! * Transactions commit behind a **cross-shard barrier**: every shard's
-//!   commit (epoch publication, netted events) happens while *all*
-//!   footprint locks are still held, and the locks release only after
-//!   the last shard committed — a locked reader can never observe shard
-//!   A committed but shard B still mid-flight.
+//! * A transaction is a batch. Its updates change only the locked
+//!   shards' databases, in submission order, into one effective log;
+//!   at commit the log is netted per shard and, exactly like a batch's
+//!   tail, draws one seq range and publishes every shard at its head,
+//!   while *all* footprint locks are still held — a locked reader can
+//!   never observe shard A committed but shard B still mid-flight. A
+//!   rollback undoes each shard's database and burns the range once;
+//!   no engine ever saw it.
 //! * Readers are untouched by all of this: [`ShardedSession::reader`]
 //!   hands out the same lock-free [`PinReader`]s as a single session,
 //!   and a pin remains one atomic load regardless of the shard count.
@@ -78,14 +81,14 @@
 
 use crate::error::CqError;
 use crate::session::{
-    validate_update, BoundedSubscription, EngineChoice, PinReader, QueryId, QuerySnapshot,
-    ReplayOutcome, Resume, Session, SessionTransaction, Subscription,
+    net_log, validate_update, BoundedSubscription, EngineChoice, PinReader, QueryId, QuerySnapshot,
+    ReplayOutcome, Resume, Session, Subscription,
 };
 use cqu_common::{FxHashMap, UnionFind};
 use cqu_dynamic::{net_effective, Netted, UpdateReport};
 use cqu_obs::{Counter, Histogram, Registry};
 use cqu_query::{parse_query, Query, RelId, Schema};
-use cqu_storage::{ApplyUpdate, Update};
+use cqu_storage::Update;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LockResult, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
@@ -590,6 +593,11 @@ impl ShardedSession {
         }
     }
 
+    /// Where `rel`'s shard sits among the locked, ascending `shards`.
+    fn slot(&self, shards: &[usize], rel: RelId) -> usize {
+        shards.binary_search(&self.route(rel)).expect("locked")
+    }
+
     /// Takes shard `sid`'s writer lock, recording the acquisition wait.
     fn write_shard(&self, sid: usize) -> Result<RwLockWriteGuard<'_, Session>, CqError> {
         let metrics = self.inner.metrics.as_ref();
@@ -613,10 +621,10 @@ impl ShardedSession {
         }
         validate_update(&self.inner.schema, update)?;
         let sid = self.route(update.relation());
-        // Pre-validated dispatch: every shard session carries the same
-        // union schema this router just validated against, so the
-        // delegated session must not pay for validation again.
-        let changed = self.write_shard(sid)?.apply_update(update);
+        // Pre-validated: every shard session carries the same union
+        // schema this router just validated against, so the delegated
+        // session must not pay for validation again.
+        let changed = self.write_shard(sid)?.apply_prevalidated(update);
         if changed {
             if let Some(m) = self.inner.metrics.as_ref() {
                 m.shard_commits[sid].inc();
@@ -646,12 +654,8 @@ impl ShardedSession {
     /// The batch path after validation: `updates` netted once, by the
     /// caller (the durable layer, under read guards on every shard that
     /// its WAL lock has kept current since) or here, under the touched
-    /// shards' writer locks. Every shard applies its net facts
-    /// to its database first; then the whole seq range is drawn at once
-    /// and every shard publishes at its head. The log stamps the batch in
-    /// submission order, so a range per shard would hand a shard a stamp
-    /// whose timeline state it does not hold; at the batch head each
-    /// shard holds exactly the timeline's state on its own relations.
+    /// shards' writer locks. Every shard applies its net facts to its
+    /// database, then [`ShardedSession::publish_at_head`] commits them.
     pub(crate) fn commit_batch(
         &self,
         updates: &[Update],
@@ -660,39 +664,64 @@ impl ShardedSession {
         let mut touched: Vec<usize> = updates.iter().map(|u| self.route(u.relation())).collect();
         touched.sort_unstable();
         touched.dedup();
-        let slot = |rel: RelId| touched.binary_search(&self.route(rel)).expect("locked");
+        let slot = |rel: RelId| self.slot(&touched, rel);
         let mut guards = self.lock_shards(&touched)?;
         let netted = netted.unwrap_or_else(|| {
             net_effective(updates, |rel, t| {
                 guards[slot(rel)].database().relation(rel).contains(t)
             })
         });
-        let mut parts: Vec<(usize, Vec<Update>)> = vec![(0, Vec::new()); touched.len()];
-        for &i in &netted.effective {
-            parts[slot(updates[i].relation())].0 += 1;
+        let start = guards.first().and_then(|g| g.clock());
+        for fact in &netted.net {
+            let changed = guards[slot(fact.relation())].apply_to_db(fact);
+            debug_assert!(changed, "net fact {fact:?} is a no-op");
         }
-        for fact in netted.net {
-            parts[slot(fact.relation())].1.push(fact);
-        }
-        let batches: Vec<_> = guards
-            .iter_mut()
-            .zip(parts)
-            .map(|(guard, (applied, net))| guard.apply_net_to_db(applied, net))
-            .collect();
-        let applied = netted.effective.len();
-        // Relaxed, as in `Session::advance_seq`: uniqueness carries the
-        // argument, and the stamp is read through the shard locks.
-        let head = self.inner.seq.fetch_add(applied as u64, Ordering::Relaxed) + applied as u64;
-        for ((guard, batch), &sid) in guards.iter_mut().zip(batches).zip(&touched) {
-            if let Some(m) = self.inner.metrics.as_ref() {
-                m.shard_commits[sid].add(batch.applied as u64);
-            }
-            guard.publish_batch(batch, head);
-        }
+        let drawn = netted.effective.iter().map(|&i| updates[i].relation());
+        let applied = self.publish_at_head(&mut guards, &touched, drawn, netted.net, start);
         Ok(UpdateReport {
             total: updates.len(),
             applied,
         })
+    }
+
+    /// The tail every multi-shard commit shares — a batch, a
+    /// transaction's commit and its rollback. `guards` hold the locked
+    /// `shards` (ascending), whose databases already hold the commit;
+    /// `drawn` yields the relation of every member that draws a seq
+    /// number, and `net` the facts the engines receive (none for a
+    /// rollback). The whole range is drawn at once and every shard
+    /// publishes its part ([`Session::publish_batch`]) at the range's
+    /// head. The log stamps a commit in submission order, so a range per
+    /// shard would hand a shard a stamp whose timeline state it does not
+    /// hold; at the head each shard holds exactly the timeline's state
+    /// on its own relations. Returns how many numbers were drawn.
+    fn publish_at_head(
+        &self,
+        guards: &mut [RwLockWriteGuard<'_, Session>],
+        shards: &[usize],
+        drawn: impl Iterator<Item = RelId>,
+        net: Vec<Update>,
+        batch: Option<Instant>,
+    ) -> usize {
+        let slot = |rel: RelId| self.slot(shards, rel);
+        let mut parts: Vec<(usize, Vec<Update>)> = vec![(0, Vec::new()); shards.len()];
+        for rel in drawn {
+            parts[slot(rel)].0 += 1;
+        }
+        for fact in net {
+            parts[slot(fact.relation())].1.push(fact);
+        }
+        let applied: usize = parts.iter().map(|(n, _)| n).sum();
+        // Relaxed, as in `Session::advance_seq`: uniqueness carries the
+        // argument, and the stamp is read through the shard locks.
+        let head = self.inner.seq.fetch_add(applied as u64, Ordering::Relaxed) + applied as u64;
+        for ((guard, (n, net)), &sid) in guards.iter_mut().zip(parts).zip(shards) {
+            if let Some(m) = self.inner.metrics.as_ref() {
+                m.shard_commits[sid].add(n as u64);
+            }
+            guard.publish_batch(&net, n, head, batch);
+        }
+        applied
     }
 
     /// Write-locks `shards` (must be sorted ascending — the canonical
@@ -724,7 +753,7 @@ impl ShardedSession {
         f: impl FnOnce(&mut ShardedTransaction<'_>) -> Result<R, E>,
     ) -> Result<R, E> {
         let all: Vec<usize> = (0..self.inner.shards.len()).collect();
-        self.run_transaction(&all, None, f)
+        self.run_transaction(all, None, f)
     }
 
     /// Runs `f` inside an all-or-nothing transaction scoped to
@@ -747,48 +776,56 @@ impl ShardedSession {
         }
         shards.sort_unstable();
         shards.dedup();
-        self.run_transaction(&shards, Some(scope), f)
+        self.run_transaction(shards, Some(scope), f)
     }
 
-    /// The common transaction driver over a sorted shard set: lock all
-    /// in canonical order, open one [`SessionTransaction`] per shard,
-    /// route updates (gated by the declared relation `scope`, if any),
-    /// then commit (or roll back) every shard behind the cross-shard
-    /// barrier — all locks stay held until the last shard finished, so
-    /// the transaction is atomic for every locked reader.
+    /// The transaction driver over a sorted shard set: lock all in
+    /// canonical order, let `f` change their databases (gated by the
+    /// declared relation `scope`, if any), then end the transaction as
+    /// one commit ([`ShardedSession::publish_at_head`]) while every lock
+    /// is still held, so it is atomic for every locked reader. A commit
+    /// publishes the log's net facts; a rollback undoes each shard's `D`
+    /// and burns the log's numbers once.
     fn run_transaction<R, E: From<CqError>>(
         &self,
-        shards: &[usize],
+        shards: Vec<usize>,
         scope: Option<Vec<bool>>,
         f: impl FnOnce(&mut ShardedTransaction<'_>) -> Result<R, E>,
     ) -> Result<R, E> {
-        let mut guards = self.lock_shards(shards).map_err(E::from)?;
-        let mut txns: Vec<Option<SessionTransaction<'_>>> =
-            (0..self.inner.shards.len()).map(|_| None).collect();
-        for (guard, &sid) in guards.iter_mut().zip(shards) {
-            txns[sid] = Some(guard.transaction());
-        }
+        let guards = self.lock_shards(&shards).map_err(E::from)?;
         let router =
             (!self.inner.open).then(|| (&self.inner.schema, &self.inner.plan.rel_shard[..]));
         let mut tx = ShardedTransaction {
-            txns,
+            guards,
+            shards,
             scope,
             router,
+            log: Vec::new(),
         };
-        match f(&mut tx) {
-            Ok(r) => {
-                for txn in tx.txns.into_iter().flatten() {
-                    txn.commit();
-                }
-                Ok(r)
-            }
-            Err(e) => {
-                for txn in tx.txns.into_iter().flatten() {
-                    txn.rollback();
-                }
-                Err(e)
-            }
+        let res = f(&mut tx);
+        let ShardedTransaction {
+            mut guards,
+            shards,
+            log,
+            ..
+        } = tx;
+        if let Some(g) = guards.first() {
+            g.count_transaction(res.is_err());
         }
+        let net = if res.is_ok() {
+            net_log(&log).net
+        } else {
+            for u in log.iter().rev() {
+                guards[self.slot(&shards, u.relation())].undo(u);
+            }
+            Vec::new()
+        };
+        for guard in guards.iter_mut() {
+            guard.restamp();
+        }
+        let drawn = log.iter().map(Update::relation);
+        self.publish_at_head(&mut guards, &shards, drawn, net, None);
+        res
     }
 
     /// Runs `f` with shared read access to the session of the shard
@@ -959,12 +996,14 @@ impl std::fmt::Debug for ShardedSession {
 
 /// An all-or-nothing update batch spanning one or more shards
 /// (see [`ShardedSession::transaction`] /
-/// [`ShardedSession::transaction_over`]). Routes each update to its
-/// shard's open [`SessionTransaction`]; commit and rollback are driven
-/// by the owning closure's result.
+/// [`ShardedSession::transaction_over`]). Each update changes its
+/// shard's database alone; the owning closure's result decides whether
+/// the effective log commits as one batch or is undone.
 pub struct ShardedTransaction<'a> {
-    /// Per-shard open transactions; `None` outside a scoped footprint.
-    txns: Vec<Option<SessionTransaction<'a>>>,
+    /// The locked shards' sessions, in canonical order.
+    guards: Vec<RwLockWriteGuard<'a, Session>>,
+    /// The locked shards' ids, ascending (parallel to `guards`).
+    shards: Vec<usize>,
     /// The declared write set of a scoped transaction, per relation
     /// index (`None` = unscoped, every relation admissible). Checked at
     /// relation granularity: a relation merely co-located on a locked
@@ -973,6 +1012,9 @@ pub struct ShardedTransaction<'a> {
     /// The sealed plan's union schema and relation → shard table
     /// (`None` in the open form: shard 0's session validates).
     router: Option<(&'a Schema, &'a [usize])>,
+    /// The effective updates in submission order: netted at commit,
+    /// undone at rollback, and what the durable layer logs.
+    log: Vec<Update>,
 }
 
 impl ShardedTransaction<'_> {
@@ -980,22 +1022,33 @@ impl ShardedTransaction<'_> {
     /// `true` iff it was effective. Malformed or out-of-scope updates
     /// error and leave the transaction open.
     pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
-        let Some((schema, rel_shard)) = self.router else {
-            let txn = self.txns[0].as_mut().expect("the open form locks shard 0");
-            return txn.apply(update);
+        let slot = match self.router {
+            None => {
+                validate_update(self.guards[0].schema(), update)?;
+                0
+            }
+            Some((schema, rel_shard)) => {
+                validate_update(schema, update)?;
+                let rel = update.relation();
+                let in_scope = self
+                    .scope
+                    .as_ref()
+                    .is_none_or(|s| s.get(rel.index()).copied().unwrap_or(false));
+                match self.shards.binary_search(&rel_shard[rel.index()]) {
+                    Ok(slot) if in_scope => slot,
+                    _ => {
+                        return Err(CqError::OutOfShardScope {
+                            relation: schema.name(rel).to_string(),
+                        })
+                    }
+                }
+            }
         };
-        validate_update(schema, update)?;
-        let rel = update.relation();
-        let in_scope = self
-            .scope
-            .as_ref()
-            .is_none_or(|s| s.get(rel.index()).copied().unwrap_or(false));
-        match &mut self.txns[rel_shard[rel.index()]] {
-            Some(txn) if in_scope => Ok(txn.apply_prevalidated(update)),
-            _ => Err(CqError::OutOfShardScope {
-                relation: schema.name(rel).to_string(),
-            }),
+        let changed = self.guards[slot].apply_to_db(update);
+        if changed {
+            self.log.push(update.clone());
         }
+        Ok(changed)
     }
 
     /// Applies a sequence of updates, stopping at the first malformed or
@@ -1012,11 +1065,12 @@ impl ShardedTransaction<'_> {
 
     /// Number of effective updates so far, across all shards in scope.
     pub fn effective_len(&self) -> usize {
-        self.txns
-            .iter()
-            .flatten()
-            .map(SessionTransaction::effective_len)
-            .sum()
+        self.log.len()
+    }
+
+    /// The effective updates so far, in submission order.
+    pub(crate) fn log(&self) -> &[Update] {
+        &self.log
     }
 }
 

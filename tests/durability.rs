@@ -29,7 +29,7 @@
 
 use cq_updates::prelude::*;
 use cq_updates::query::RelId;
-use cqu_testutil::{brute_force, random_updates, Lcg, SimDisk, WorkloadConfig};
+use cqu_testutil::{brute_force, cancelling_pairs, random_updates, Lcg, SimDisk, WorkloadConfig};
 use proptest::prelude::*;
 
 fn stress_crashes() -> u32 {
@@ -114,8 +114,15 @@ fn script_ops(schema: &Schema, seed: u64, steps: usize) -> Vec<Op> {
             ops.push(Op::Checkpoint);
             continue;
         }
-        let chunk: Vec<Update> = it.by_ref().take(1 + rng.below(5)).collect();
+        let mut chunk: Vec<Update> = it.by_ref().take(1 + rng.below(5)).collect();
         if roll < 40 {
+            // Half the transactions also insert and delete one fact: a
+            // committed one logs both members, and its group replays as
+            // one batch whose net leaves them out yet lands on the
+            // group's last stamp.
+            if rng.below(2) == 0 {
+                chunk.extend(cancelling_pairs(&chunk[..1]));
+            }
             ops.push(Op::Tx {
                 updates: chunk,
                 commit: rng.below(100) < 70,

@@ -4,8 +4,10 @@
 use cq_updates::dynamic::Standalone;
 use cq_updates::prelude::*;
 use cq_updates::query::generator::Lcg;
+use cq_updates::query::RelId;
 use cqu_testutil::{brute_force, random_query, random_updates, GenConfig, WorkloadConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Acceptance: the session routes each query class to the right engine
@@ -299,6 +301,164 @@ fn transaction_commit_and_rollback() {
     assert_eq!(s.query("pairs").unwrap().count(), 1);
 }
 
+/// The faces a transaction runs on — a plain session's guard, the
+/// one-shard core behind a `SharedSession`, a sharded core's scoped
+/// transaction — each with a query `pairs` over `E` and `T`.
+trait TxFace {
+    fn pairs(&self) -> QuerySnapshot;
+    /// Applies `updates` in one transaction, then commits or rolls back.
+    fn transact(&mut self, updates: &[Update], commit: bool);
+    fn apply_one(&mut self, update: &Update) -> bool;
+    fn batch(&mut self, updates: &[Update]) -> usize;
+    fn position(&self) -> u64;
+}
+
+impl TxFace for Session {
+    fn pairs(&self) -> QuerySnapshot {
+        self.query("pairs").unwrap().snapshot()
+    }
+
+    fn transact(&mut self, updates: &[Update], commit: bool) {
+        let mut txn = self.transaction();
+        txn.apply_all(updates).unwrap();
+        if commit {
+            txn.commit();
+        } else {
+            txn.rollback();
+        }
+    }
+
+    fn apply_one(&mut self, update: &Update) -> bool {
+        self.apply(update).unwrap()
+    }
+
+    fn batch(&mut self, updates: &[Update]) -> usize {
+        self.apply_batch(updates).unwrap().applied
+    }
+
+    fn position(&self) -> u64 {
+        self.seq()
+    }
+}
+
+/// A core transaction's body: applies `updates`, then commits (`Ok`) or
+/// rolls back (`Err`).
+fn core_body(
+    updates: &[Update],
+    commit: bool,
+) -> impl FnOnce(&mut ShardedTransaction<'_>) -> Result<(), CqError> + '_ {
+    move |tx| {
+        tx.apply_all(updates)?;
+        if commit {
+            Ok(())
+        } else {
+            Err(CqError::UnknownQuery("rollback".into()))
+        }
+    }
+}
+
+impl TxFace for SharedSession {
+    fn pairs(&self) -> QuerySnapshot {
+        self.snapshot("pairs").unwrap()
+    }
+
+    fn transact(&mut self, updates: &[Update], commit: bool) {
+        let res = self.transaction(core_body(updates, commit));
+        assert_eq!(res.is_ok(), commit);
+    }
+
+    fn apply_one(&mut self, update: &Update) -> bool {
+        self.apply(update).unwrap()
+    }
+
+    fn batch(&mut self, updates: &[Update]) -> usize {
+        self.apply_batch(updates).unwrap().applied
+    }
+
+    fn position(&self) -> u64 {
+        self.read(|s| s.seq()).unwrap()
+    }
+}
+
+impl TxFace for ShardedSession {
+    fn pairs(&self) -> QuerySnapshot {
+        self.snapshot("pairs").unwrap()
+    }
+
+    fn transact(&mut self, updates: &[Update], commit: bool) {
+        let e = self.relation("E").unwrap();
+        let res = self.transaction_over(&[e], core_body(updates, commit));
+        assert_eq!(res.is_ok(), commit);
+    }
+
+    fn apply_one(&mut self, update: &Update) -> bool {
+        self.apply(update).unwrap()
+    }
+
+    fn batch(&mut self, updates: &[Update]) -> usize {
+        self.apply_batch(updates).unwrap().applied
+    }
+
+    fn position(&self) -> u64 {
+        self.seq()
+    }
+}
+
+/// Preloads 1,007 facts, holds a snapshot, then runs a rolled-back
+/// transaction and a committed insert + delete of one fact. Neither
+/// reaches an engine, so the held snapshot shares its state with a fresh
+/// one after each; the fresh one's stamps still move with the burned or
+/// drawn numbers and with `D`'s changes.
+fn uncommitted_and_cancelled_work_touches_no_engine(face: &mut impl TxFace, e: RelId) {
+    let held = face.pairs();
+    assert_eq!((held.seq(), held.generation()), (1007, 1007));
+    face.transact(&[Update::Insert(e, vec![5000, 1])], false);
+    let fresh = face.pairs();
+    assert!(
+        held.shares_state_with(&fresh),
+        "the rollback reached an engine"
+    );
+    assert_eq!((fresh.seq(), fresh.generation()), (1008, 1009));
+    let fact = vec![6000, 1];
+    let cancelling = [Update::Insert(e, fact.clone()), Update::Delete(e, fact)];
+    face.transact(&cancelling, true);
+    let fresh = face.pairs();
+    assert!(
+        held.shares_state_with(&fresh),
+        "the cancelled commit reached an engine"
+    );
+    assert_eq!((fresh.seq(), fresh.generation()), (1010, 1011));
+    assert_eq!(fresh.count(), 1000);
+}
+
+#[test]
+fn rolled_back_and_cancelled_transactions_touch_no_engine() {
+    const PAIRS: &str = "Q(x, y) :- E(x, y), T(y).";
+    let preload = |e: RelId, t: RelId| -> Vec<Update> {
+        let edges = (0..1000).map(|x| Update::Insert(e, vec![x, x % 7]));
+        edges
+            .chain((0..7).map(|y| Update::Insert(t, vec![y])))
+            .collect()
+    };
+    let mut s = Session::new();
+    s.register("pairs", PAIRS).unwrap();
+    let (e, t) = (s.relation("E").unwrap(), s.relation("T").unwrap());
+    assert_eq!(s.apply_batch(&preload(e, t)).unwrap().applied, 1007);
+    uncommitted_and_cancelled_work_touches_no_engine(&mut s, e);
+
+    let mut b = ShardedSessionBuilder::new();
+    b.register("pairs", PAIRS).unwrap();
+    b.register("other", "Q(x) :- S(x).").unwrap();
+    let mut sharded = b.build().unwrap();
+    assert_eq!(sharded.shard_count(), 2);
+    let (e, t) = (
+        sharded.relation("E").unwrap(),
+        sharded.relation("T").unwrap(),
+    );
+    sharded.apply_batch(&preload(e, t)).unwrap();
+    uncommitted_and_cancelled_work_touches_no_engine(&mut sharded, e);
+}
+
 /// Transactions buffer subscriber events: a rollback publishes nothing
 /// at all, and a commit publishes exactly one *net* event per query —
 /// intermediate states and compensating deltas never reach the feed.
@@ -540,7 +700,8 @@ proptest! {
 
     /// A committed transaction's single net event per query equals the
     /// netted fold of the per-update events the same updates produce when
-    /// replayed individually.
+    /// replayed individually — and equals, stamp included, the event of
+    /// the batch of its updates, with the same `seq()`.
     #[test]
     fn transaction_netted_events_equal_replayed_events(seed in 0u64..100_000) {
         let cfg = GenConfig { max_vars: 4, max_atoms: 3, max_arity: 3, self_join_pct: 25 };
@@ -549,6 +710,8 @@ proptest! {
         tx_session.register_query("q", &q, EngineChoice::Auto).unwrap();
         let mut replay_session = Session::new();
         replay_session.register_query("q", &q, EngineChoice::Auto).unwrap();
+        let mut batch_session = Session::new();
+        batch_session.register_query("q", &q, EngineChoice::Auto).unwrap();
         let q = tx_session.query("q").unwrap().query().clone();
         let updates = workload(&q, seed ^ 0xC0DE, 40, 3);
 
@@ -560,6 +723,17 @@ proptest! {
         }
         let tx_events = tx_feed.drain();
         prop_assert!(tx_events.len() <= 1, "one net event per query per commit");
+
+        let batch_feed = batch_session.query("q").unwrap().subscribe();
+        batch_session.apply_batch(&updates).unwrap();
+        let batch_events = batch_feed.drain();
+        prop_assert_eq!(tx_events.len(), batch_events.len());
+        for (x, y) in tx_events.iter().zip(&batch_events) {
+            prop_assert_eq!(x.seq, y.seq, "stamps diverged");
+            prop_assert_eq!(&x.added, &y.added);
+            prop_assert_eq!(&x.removed, &y.removed);
+        }
+        prop_assert_eq!(tx_session.seq(), batch_session.seq());
 
         let replay_feed = replay_session.query("q").unwrap().subscribe();
         let mut net = ResultDelta::default();
@@ -582,6 +756,64 @@ proptest! {
             tx_session.query("q").unwrap().results_sorted(),
             replay_session.query("q").unwrap().results_sorted()
         );
+        // A transaction changes `D` member by member, as single applies
+        // do (a batch changes it by its net facts only), so its snapshot
+        // carries the single applies' seq and footprint generation.
+        let (tx_snap, replay_snap) = (
+            tx_session.query("q").unwrap().snapshot(),
+            replay_session.query("q").unwrap().snapshot(),
+        );
+        prop_assert_eq!(tx_snap.seq(), replay_snap.seq());
+        prop_assert_eq!(tx_snap.seq(), batch_session.query("q").unwrap().snapshot().seq());
+        prop_assert_eq!(tx_snap.generation(), replay_snap.generation());
+    }
+
+    /// The session's counters against an oracle of the calls made, on a
+    /// plain session and on the one-shard core behind a `SharedSession`:
+    /// `session_updates_total` is `seq()` (a rollback's burned numbers
+    /// count), `session_batches_total` counts the batches with an
+    /// effective member, and every transaction counts once, a rolled-back
+    /// one also as a rollback.
+    #[test]
+    fn session_counters_equal_the_calls_made(seed in 0u64..100_000) {
+        for shared in [false, true] {
+            let registry = Arc::new(Registry::new());
+            let mut session = Session::new();
+            session.share_registry(Arc::clone(&registry));
+            session.register("pairs", "Q(x, y) :- E(x, y), T(y).").unwrap();
+            session.register("hard", "Q(x, y) :- S(x), E(x, y), T(y).").unwrap();
+            let cfg = WorkloadConfig { steps: 120, domain: 3, insert_permille: 600 };
+            let script = random_updates(session.schema(), seed, cfg);
+            let mut face: Box<dyn TxFace> = if shared {
+                Box::new(SharedSession::new(session))
+            } else {
+                Box::new(session)
+            };
+            let mut rng = Lcg::new(seed ^ 0xC0C0);
+            let (mut batches, mut transactions, mut rollbacks) = (0, 0, 0);
+            let mut rest = &script[..];
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at((1 + rng.below(6)).min(rest.len()));
+                rest = tail;
+                match rng.below(4) {
+                    0 => chunk.iter().for_each(|u| {
+                        face.apply_one(u);
+                    }),
+                    1 => batches += u64::from(face.batch(chunk) > 0),
+                    kind => {
+                        let commit = kind == 2;
+                        face.transact(chunk, commit);
+                        transactions += 1;
+                        rollbacks += u64::from(!commit);
+                    }
+                }
+            }
+            let read = |name: &str| registry.counter(name).get();
+            prop_assert_eq!(read("session_updates_total"), face.position(), "shared: {}", shared);
+            prop_assert_eq!(read("session_batches_total"), batches, "shared: {}", shared);
+            prop_assert_eq!(read("session_transactions_total"), transactions, "shared: {}", shared);
+            prop_assert_eq!(read("session_rollbacks_total"), rollbacks, "shared: {}", shared);
+        }
     }
 
     /// A rolled-back transaction is a perfect no-op mid-stream — also on

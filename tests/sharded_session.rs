@@ -268,14 +268,14 @@ proptest! {
                 );
             }
         }
-        // Event payloads agree end to end (stamps may differ inside
-        // multi-shard batches/transactions: the single writer stamps the
-        // whole command's last seq, a shard stamps its sub-batch's).
+        // Events agree end to end, stamps included: a multi-shard batch
+        // or transaction stamps every shard with the commit's last seq.
         for (i, (name, _, _)) in SHARDED.iter().enumerate() {
             let a = sharded_feeds[i].drain();
             let b = single_feeds[i].drain();
             prop_assert_eq!(a.len(), b.len(), "{}: event counts diverged", name);
             for (x, y) in a.iter().zip(&b) {
+                prop_assert_eq!(x.seq, y.seq, "{}: stamps diverged", name);
                 prop_assert_eq!(&x.added, &y.added, "{}: added diverged", name);
                 prop_assert_eq!(&x.removed, &y.removed, "{}: removed diverged", name);
             }
