@@ -278,16 +278,32 @@ pub trait DynamicEngine: Send + Sync {
     /// ([`diff_sorted_into`]), `Ω(|ϕ(D)|)`.
     fn apply_net_tracked(&mut self, net: &[Update], delta: &mut ResultDelta);
 
-    /// `preprocess(ϕ, D₀)` for an engine built over the empty database:
-    /// feeds it every fact of the caller's `db0` in a relation the query
-    /// references, as effective inserts.
+    /// `preprocess(ϕ, D₀)`, once, on an engine built over the empty
+    /// database: afterwards the engine holds the state of the caller's
+    /// `db0`. The default feeds it every fact of `db0` in a relation the
+    /// query references, as effective inserts, one relation at a time in
+    /// sets of at most 16,384 (delta-IVM joins each set as one group);
+    /// the q-tree structure builds its arrays in bulk instead.
     fn load(&mut self, db0: &Database) {
+        const CHUNK: usize = 16_384;
         let mut rels: Vec<RelId> = self.query().atoms().iter().map(|a| a.relation).collect();
         rels.sort_unstable();
         rels.dedup();
+        let mut chunk: Vec<Update> = Vec::new();
         for rel in rels {
-            for tuple in db0.relation(rel).iter() {
-                self.apply_net(&[Update::Insert(rel, tuple.clone())]);
+            let mut tuples = db0.relation(rel).iter();
+            loop {
+                chunk.clear();
+                chunk.extend(
+                    tuples
+                        .by_ref()
+                        .take(CHUNK)
+                        .map(|t| Update::Insert(rel, t.clone())),
+                );
+                if chunk.is_empty() {
+                    break;
+                }
+                self.apply_net(&chunk);
             }
         }
     }

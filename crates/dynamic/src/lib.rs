@@ -5,8 +5,8 @@
 //! conjunctive query it offers
 //!
 //! * `preprocess` in time `poly(ϕ) · O(‖D₀‖)` ([`DynamicEngine::load`]
-//!   replays the caller's initial database through constant-time
-//!   updates),
+//!   builds each q-tree component from the caller's initial database in
+//!   one top-down and one bottom-up pass),
 //! * `update` in time `poly(ϕ)` per inserted/deleted tuple,
 //! * `enumerate` with delay `poly(ϕ)` ([`ResultIter`], Algorithm 1),
 //! * `count` (`|ϕ(D)|`) and `answer` in time `O(1)` (reading the maintained
@@ -290,19 +290,21 @@ impl DynamicEngine for QhStructure {
         self.refresh_count();
     }
 
-    /// Walks the caller's tuples in place, with no `Update` built per
-    /// tuple.
+    /// Builds each component from the caller's tuples in one top-down and
+    /// one bottom-up pass over its q-tree ([`ComponentStructure`]'s bulk
+    /// build), in `O(‖ϕ‖ · ‖D₀‖)` expected time with a number of
+    /// allocations that depends on `ϕ` alone. The result is the state
+    /// that inserting `db0`'s facts one by one reaches, up to row numbers
+    /// and list order; each fit list runs in ascending row order, so
+    /// enumeration walks memory forward.
+    ///
+    /// Only an engine over the empty database loads (a debug assertion
+    /// checks each component). Inserts only raise free weights, so the
+    /// build fails exactly where that replay would: a `C̃^i` or `|ϕ(D)|`
+    /// past `u64` panics with "result count overflowed u64".
     fn load(&mut self, db0: &Database) {
-        let mut rels: Vec<RelId> = self.query.atoms().iter().map(|a| a.relation).collect();
-        rels.sort_unstable();
-        rels.dedup();
-        for rel in rels {
-            for c in self.components.iter_mut().filter(|c| c.uses_relation(rel)) {
-                let c = Arc::make_mut(c);
-                for tuple in db0.relation(rel).iter() {
-                    c.apply_fact(rel, tuple, true);
-                }
-            }
+        for c in &mut self.components {
+            Arc::make_mut(c).load(db0);
         }
         self.refresh_count();
     }

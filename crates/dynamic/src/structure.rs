@@ -35,11 +35,19 @@
 //! `C^i_ψ` and the per-child registers sit in flat arrays of the node's
 //! fixed stride, indexed by row. Everything is plain `Copy` data, so a
 //! copy of a component is a few array copies per node.
+//!
+//! Preprocessing fills the arrays in bulk (`ComponentStructure::load`),
+//! each allocated once at its final size: the rows of one parent item
+//! are contiguous, and every fit list runs in ascending row order, so
+//! enumeration over a freshly loaded structure walks memory forward.
+//! Updates then recycle rows through the slab's free list and push
+//! newly fit items at the front of their list.
 
+use cqu_common::hash::map_with_capacity;
 use cqu_common::{FxHashMap, Slab, SlabId};
 use cqu_query::qtree::{AtomPath, NodeId, QTree};
 use cqu_query::{Component, Query, RelId, Var};
-use cqu_storage::Const;
+use cqu_storage::{Const, Database};
 use std::sync::Arc;
 
 /// The fixed-width part of one item `[v, α, a]`: its row of `A_v`.
@@ -72,6 +80,20 @@ pub(crate) struct ChildRegs {
 // Every pinned commit copies these arrays: a field that widens a row or a
 // child register is a decision, not a side effect.
 const _: () = assert!(size_of::<Row>() <= 32 && size_of::<ChildRegs>() <= 16);
+
+impl Row {
+    /// A new item's row: no weight, in no list.
+    fn unfit(parent: SlabId, constant: Const) -> Row {
+        Row {
+            parent,
+            constant,
+            free_weight: 0,
+            prev: SlabId::NONE,
+            next: SlabId::NONE,
+            in_list: false,
+        }
+    }
+}
 
 impl ChildRegs {
     const ZERO: ChildRegs = ChildRegs {
@@ -137,14 +159,7 @@ impl NodeItems {
     /// Allocates a fresh (unfit) item. A recycled row starts from zero
     /// exactly like a new one.
     fn create(&mut self, parent: SlabId, a: Const) -> SlabId {
-        let id = self.rows.insert(Row {
-            parent,
-            constant: a,
-            free_weight: 0,
-            prev: SlabId::NONE,
-            next: SlabId::NONE,
-            in_list: false,
-        });
+        let id = self.rows.insert(Row::unfit(parent, a));
         reset_row(&mut self.atom_counts, id, self.atoms, 0);
         reset_row(&mut self.children, id, self.fanout, ChildRegs::ZERO);
         self.lookup.insert((parent, a), id);
@@ -196,15 +211,29 @@ impl Shape {
     /// self-joins mean several may (Section 6.4's loop over atoms
     /// `ψ = R z₁⋯z_r` with `z_s = z_t ⇒ b_s = b_t`).
     fn matching<'a>(&'a self, rel: RelId, fact: &'a [Const]) -> impl Iterator<Item = &'a AtomPath> {
-        self.tree.atom_paths().iter().filter(move |ap| {
-            self.query.atom(ap.atom).relation == rel
-                && ap
-                    .canon
-                    .iter()
-                    .enumerate()
-                    .all(|(p, &c)| fact[p] == fact[c])
-        })
+        self.tree
+            .atom_paths()
+            .iter()
+            .filter(move |ap| self.query.atom(ap.atom).relation == rel && fits_pattern(ap, fact))
     }
+
+    /// The facts of `db` that `ap`'s atom matches, in its relation's
+    /// iteration order (the same order on every call over an unchanged
+    /// `db`).
+    fn facts<'a>(&self, ap: &'a AtomPath, db: &'a Database) -> impl Iterator<Item = &'a [Const]> {
+        db.relation(self.query.atom(ap.atom).relation)
+            .iter()
+            .map(Vec::as_slice)
+            .filter(move |fact| fits_pattern(ap, fact))
+    }
+}
+
+/// Whether `fact` matches the equality pattern of `ap`'s atom.
+fn fits_pattern(ap: &AtomPath, fact: &[Const]) -> bool {
+    ap.canon
+        .iter()
+        .enumerate()
+        .all(|(p, &c)| fact[p] == fact[c])
 }
 
 /// The mutable part of a component: the arrays `A_v` and the start list.
@@ -406,6 +435,15 @@ impl ComponentStructure {
     /// Number of live items (for linear-preprocessing assertions).
     pub fn num_items(&self) -> usize {
         self.items.nodes.iter().map(|n| n.rows.len()).sum()
+    }
+
+    /// Preprocessing: builds the arrays of an empty component from `db`
+    /// in `O(‖ϕ‖ · ‖D‖)` expected time ([`Items::build`]), reaching the
+    /// state that inserting `db`'s facts one by one reaches, up to row
+    /// numbering and list order.
+    pub(crate) fn load(&mut self, db: &Database) {
+        debug_assert_eq!(self.num_items(), 0, "a component loads once, empty");
+        self.items.build(&self.shape, db);
     }
 
     /// Applies one effective fact change for relation `rel`.
@@ -686,6 +724,176 @@ impl ComponentStructure {
 }
 
 impl Items {
+    /// The bulk build behind [`ComponentStructure::load`], node by node:
+    ///
+    /// * **Top-down** ([`Items::build_node`]), parents first: a node's
+    ///   items are the distinct (parent row, constant) keys of the facts
+    ///   on every atom path through it, its counters `C^i_ψ` count those
+    ///   facts, and the rows of one parent are contiguous.
+    /// * **Bottom-up** ([`Items::link_node`]), children first: fitness
+    ///   and `C̃^i` from the finished children, each fit item appended to
+    ///   its list in ascending row order, its weight added to its
+    ///   parent's free sum.
+    ///
+    /// Every array is allocated once per node, at its final size, so the
+    /// allocation count depends on `ϕ` alone.
+    fn build(&mut self, shape: &Shape, db: &Database) {
+        let tree = &shape.tree;
+        let mut order: Vec<NodeId> = (0..tree.len()).collect();
+        order.sort_by_key(|&node| tree.node(node).depth);
+        // Per atom path, per matching fact (in `Shape::facts` order): its
+        // item's row at the deepest node built so far on the path.
+        let mut fact_rows: Vec<Vec<u32>> = vec![Vec::new(); tree.atom_paths().len()];
+        for &node in &order {
+            self.build_node(shape, db, node, &mut fact_rows);
+        }
+        for &node in order.iter().rev() {
+            self.link_node(shape, node);
+        }
+    }
+
+    /// Creates the items of `node` and counts their facts. `fact_rows`
+    /// holds each path's parent rows on entry and this node's rows on
+    /// exit; a path that ends here drops its array.
+    fn build_node(
+        &mut self,
+        shape: &Shape,
+        db: &Database,
+        node: NodeId,
+        fact_rows: &mut [Vec<u32>],
+    ) {
+        let (tree, paths) = (&shape.tree, shape.tree.atom_paths());
+        let meta = tree.node(node);
+        let depth = meta.depth;
+        let through: Vec<usize> = (0..paths.len())
+            .filter(|&p| tree.node(paths[p].rep).path.get(depth) == Some(&node))
+            .collect();
+        let root = meta.parent.is_none();
+        if root {
+            for &p in &through {
+                let rel = shape.query.atom(paths[p].atom).relation;
+                fact_rows[p] = Vec::with_capacity(db.relation(rel).len());
+            }
+        }
+        // Hash grouping: the lookup, sized for one item per fact (each
+        // path's array has room for every fact of its relation), numbers
+        // the distinct keys in order of first sight, then shrinks to them.
+        let bound = through.iter().map(|&p| fact_rows[p].capacity()).sum();
+        let mut lookup: FxHashMap<(SlabId, Const), SlabId> = map_with_capacity(bound);
+        for &p in &through {
+            let (ap, rows) = (&paths[p], &mut fact_rows[p]);
+            for (k, fact) in shape.facts(ap, db).enumerate() {
+                let parent = if root { SlabId::NONE } else { SlabId(rows[k]) };
+                let fresh = SlabId(lookup.len() as u32);
+                let id = *lookup
+                    .entry((parent, fact[ap.extract[depth]]))
+                    .or_insert(fresh);
+                if root {
+                    rows.push(id.0);
+                } else {
+                    rows[k] = id.0;
+                }
+            }
+        }
+        lookup.shrink_to_fit();
+        // A counting pass over the dense parent rows turns first-sight
+        // numbers into rows, the items of one parent side by side.
+        let len = lookup.len();
+        let group = |parent: SlabId| if root { 0 } else { parent.index() };
+        let groups = meta.parent.map_or(1, |up| self.nodes[up].rows.len());
+        let mut next = vec![0u32; groups + 1];
+        for &(parent, _) in lookup.keys() {
+            next[group(parent) + 1] += 1;
+        }
+        for g in 0..groups {
+            next[g + 1] += next[g];
+        }
+        let items = &mut self.nodes[node];
+        let mut rows = Slab::with_capacity(len);
+        for _ in 0..len {
+            rows.insert(Row::unfit(SlabId::NONE, 0));
+        }
+        let mut placed = vec![0u32; len];
+        for (&(parent, constant), id) in lookup.iter_mut() {
+            let row = &mut next[group(parent)];
+            placed[id.index()] = *row;
+            *id = SlabId(*row);
+            *row += 1;
+            rows[*id] = Row::unfit(parent, constant);
+        }
+        drop(next);
+        items.atom_counts = vec![0; len * items.atoms];
+        items.children = vec![ChildRegs::ZERO; len * items.fanout];
+        for &p in &through {
+            let slot = paths[p].atom_pos[depth];
+            for row in fact_rows[p].iter_mut() {
+                *row = placed[*row as usize];
+                items.atom_counts[*row as usize * items.atoms + slot] += 1;
+            }
+            if paths[p].rep == node {
+                fact_rows[p] = Vec::new();
+            }
+        }
+        items.rows = rows;
+        items.lookup = lookup;
+    }
+
+    /// Decides fitness and `C̃^i` for every item of `node`, whose children
+    /// are linked already, and links the fit ones in ascending row order.
+    /// The arithmetic is [`Items::recompute`]'s: a product past `u64`
+    /// panics with its message, and sums add as its updates do.
+    fn link_node(&mut self, shape: &Shape, node: NodeId) {
+        let meta = shape.tree.node(node);
+        let mut items = std::mem::replace(&mut self.nodes[node], NodeItems::new(0, 0));
+        // The last item linked: a parent's items are contiguous, so once
+        // its list has a head, the list's tail is this.
+        let mut tail = SlabId::NONE;
+        for r in 0..items.rows.len() {
+            let id = SlabId(r as u32);
+            let (counts, children) = (items.atom_counts(id), items.children(id));
+            let fit = meta.rep_positions.iter().all(|&pos| counts[pos] > 0)
+                && children.iter().all(|c| c.head.is_some());
+            if !fit {
+                continue;
+            }
+            let free_weight = if meta.free {
+                children
+                    .iter()
+                    .zip(&meta.children)
+                    .filter(|&(_, &child)| shape.tree.node(child).free)
+                    .fold(1u64, |w, (c, _)| {
+                        w.checked_mul(c.free_sum)
+                            .expect("result count overflowed u64")
+                    })
+            } else {
+                0
+            };
+            let parent = items.rows[id].parent;
+            let head = self.head_mut(shape, node, parent);
+            let prev = if head.is_none() {
+                *head = id;
+                SlabId::NONE
+            } else {
+                items.rows[tail].next = id;
+                tail
+            };
+            let row = &mut items.rows[id];
+            row.prev = prev;
+            row.free_weight = free_weight;
+            row.in_list = true;
+            tail = id;
+            match meta.parent {
+                None => self.ct_start += free_weight,
+                Some(up) => {
+                    self.nodes[up]
+                        .child_mut(parent, shape.pos_in_parent[node])
+                        .free_sum += free_weight;
+                }
+            }
+        }
+        self.nodes[node] = items;
+    }
+
     /// The per-atom update walk of Section 6.4: create/locate the items
     /// `i_1,…,i_d` along the atom's q-tree path, bump `C^{i_d…}_ψ`, then
     /// recompute fitness and free weights bottom-up, fixing list membership
@@ -855,5 +1063,74 @@ impl Items {
         row.prev = SlabId::NONE;
         row.next = SlabId::NONE;
         row.in_list = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cqu_query::parse_query;
+    use cqu_storage::Update;
+
+    /// A bulk load lays the rows of one parent side by side, and every fit
+    /// list, the start list included, runs forward through the rows: a
+    /// count of ordered links, not a timing.
+    #[test]
+    fn bulk_load_groups_rows_by_parent_and_links_lists_ascending() {
+        let q = Arc::new(parse_query("Q(x, y, z) :- R(x, y), S(x, z), T(x).").unwrap());
+        let rel = |name| q.schema().relation(name).unwrap();
+        let mut db = Database::new(q.schema().clone());
+        // Hubs without `T`, or without leaves on one side, stay unfit.
+        for x in (0..40u64).rev() {
+            if x % 3 != 0 {
+                db.apply(&Update::Insert(rel("T"), vec![x]));
+            }
+            for y in 0..x % 4 {
+                db.apply(&Update::Insert(rel("R"), vec![x, 100 + y * 7 % 11]));
+            }
+            for z in 0..x % 5 + 1 {
+                db.apply(&Update::Insert(rel("S"), vec![x, 200 + z]));
+            }
+        }
+        let (comp, tree) = QTree::forest(&q).unwrap().remove(0);
+        let mut c = ComponentStructure::new(Arc::clone(&q), comp, tree);
+        c.load(&db);
+
+        let tree = c.tree();
+        let mut links = 0;
+        for node in 0..tree.len() {
+            let rows = &c.node_items(node).rows;
+            let parents: Vec<SlabId> = rows.iter().map(|(_, row)| row.parent).collect();
+            assert!(
+                parents.windows(2).all(|w| w[0].is_none() || w[0] <= w[1]),
+                "node {node}: one parent's rows are not contiguous: {parents:?}"
+            );
+            let heads: Vec<SlabId> = match tree.node(node).parent {
+                None => vec![c.start_head()],
+                Some(up) => {
+                    let pos = c.pos_in_parent(node);
+                    let parent = c.node_items(up);
+                    parent
+                        .rows
+                        .iter()
+                        .map(|(id, _)| parent.child(id, pos).head)
+                        .collect()
+                }
+            };
+            for head in heads {
+                let (mut prev, mut id) = (SlabId::NONE, head);
+                while id.is_some() {
+                    assert_eq!(rows[id].prev, prev, "node {node}: back link of {id:?}");
+                    assert!(
+                        prev.is_none() || prev < id,
+                        "node {node}: {prev:?} before {id:?}"
+                    );
+                    links += usize::from(prev.is_some());
+                    (prev, id) = (id, rows[id].next);
+                }
+            }
+        }
+        assert!(links > 50, "only {links} ordered links checked");
+        assert_eq!(c.num_items(), c.iter_items().count());
     }
 }

@@ -1,12 +1,13 @@
 //! The log-replay machine: the one interpreter of [`Rec`] streams.
 //!
-//! The paper's preprocessing phase is "start empty, perform the
-//! updates"; this module runs it from a log. A [`Replay`] is
-//! bootstrapped from an optional checkpoint, fed records by value, and
-//! settled; crash recovery ([`crate::DurableSession::recover`]) feeds it
-//! the directory scan in one call, a follower
-//! ([`crate::replica::ReplicaSession`]) feeds it the leader's stream
-//! frame by frame. Both get the same rules:
+//! A checkpoint is the paper's `D₀`: its tuples move into each shard's
+//! `D` and every registration preprocesses over them once
+//! ([`Session::preload`]); the log after it replays as updates. A
+//! [`Replay`] is bootstrapped from an optional checkpoint, fed records
+//! by value, and settled; crash recovery
+//! ([`crate::DurableSession::recover`]) feeds it the directory scan in
+//! one call, a follower ([`crate::replica::ReplicaSession`]) feeds it
+//! the leader's stream frame by frame. Both get the same rules:
 //!
 //! * a `Mode` record must agree with the mode the machine was
 //!   bootstrapped in;
@@ -44,8 +45,8 @@ use cqu_storage::{Tuple, Update};
 use cqu_wal::{put_str32, Cursor, Rec};
 use std::sync::Arc;
 
-/// Batch size for checkpoint loading and log replay (bounds peak
-/// allocation without changing semantics — batches apply in order).
+/// Batch size for log replay (bounds peak allocation without changing
+/// semantics — batches apply in order).
 const REPLAY_CHUNK: usize = 16_384;
 
 /// A registration as logged and checkpointed: name, source, encoded
@@ -225,8 +226,10 @@ pub(crate) fn build_core(
     }
 }
 
-/// Loads a decoded checkpoint's tuples into a freshly built core, in
-/// [`REPLAY_CHUNK`] batches per relation, with schema/arity cross-checks.
+/// Loads a decoded checkpoint's tuples into a freshly built core, with
+/// schema/arity cross-checks: each shard's relations move into its `D`,
+/// and each of its registrations preprocesses over that once
+/// ([`Session::preload`]). No seq number is drawn.
 fn load_ckpt_tuples(
     core: &ShardedSession,
     rels: Vec<(usize, Vec<Tuple>)>,
@@ -239,6 +242,7 @@ fn load_ckpt_tuples(
             schema.len()
         )));
     }
+    let mut shards: Vec<Vec<(RelId, Vec<Tuple>)>> = vec![Vec::new(); core.shard_count()];
     for (idx, (arity, tuples)) in rels.into_iter().enumerate() {
         let rel = RelId(idx as u32);
         if arity != schema.arity(rel) {
@@ -246,14 +250,10 @@ fn load_ckpt_tuples(
                 "checkpoint arity mismatch on relation {idx}"
             )));
         }
-        let mut tuples = tuples.into_iter().map(|t| Update::Insert(rel, t));
-        loop {
-            let batch: Vec<Update> = tuples.by_ref().take(REPLAY_CHUNK).collect();
-            if batch.is_empty() {
-                break;
-            }
-            core.apply_batch(&batch).map_err(replay_failed)?;
-        }
+        shards[core.route(rel)].push((rel, tuples));
+    }
+    for (sid, rels) in shards.into_iter().enumerate() {
+        core.write_at(sid, |s| s.preload(rels))?;
     }
     Ok(())
 }
@@ -316,8 +316,8 @@ impl Replay {
                 }
                 replay.regs = body.regs;
                 let core = build_core(sharded, &replay.regs, replay.registry.as_ref())?;
-                // The load draws one seq per tuple from zero; `adopt`
-                // forces the counter onto the checkpoint's seq.
+                // The load draws no seq; `adopt` forces the counter
+                // onto the checkpoint's seq.
                 load_ckpt_tuples(&core, body.rels)?;
                 replay.cursor = seq;
                 replay.adopt(core)?;
@@ -862,6 +862,61 @@ mod tests {
         replay.feed(vec![reg("q"), e(7, 9, 2), e(8, 3, 2)]).unwrap();
         assert_eq!(replay.cursor(), 8);
         assert_eq!(rows(&replay), vec![vec![1, 2], vec![3, 2]]);
+    }
+
+    /// A checkpoint body loads into `D` as a set, relation by relation,
+    /// and draws no seq: a duplicated tuple counts once, a tuple that
+    /// matches no atom pattern (`L(1, 2)` against `L(x, x)`) and one only
+    /// the other query reads reach `D` and nothing else, and the stamps
+    /// are those of inserting the tuples in body order. A body that
+    /// disagrees with the registrations' schema is refused.
+    #[test]
+    fn checkpoint_bodies_load_as_sets_and_foreign_shapes_are_refused() {
+        let regs = vec![
+            ("q".to_string(), SRC.to_string(), 0u8),
+            ("loop".to_string(), "Q(x) :- L(x, x).".to_string(), 0u8),
+        ];
+        let mut schema = Schema::new();
+        for (name, arity) in [("E", 2), ("T", 1), ("L", 2)] {
+            schema.intern(name, arity).unwrap();
+        }
+        let tuples = |rel: RelId| match rel.0 {
+            0 => vec![vec![1, 2], vec![1, 2], vec![3, 2]],
+            1 => vec![vec![2]],
+            _ => vec![vec![1, 1], vec![1, 2], vec![2, 3]],
+        };
+        // (q, loop) generations: one counter for all relations, or one
+        // per shard.
+        for (sharded, gens) in [(false, (3, 6)), (true, (3, 3))] {
+            let body = encode_ckpt_body(sharded, &regs, &schema, tuples);
+            let mut replay = Replay::bootstrap(sharded, Some((9, body)), 0, None).unwrap();
+            let core = replay.settle().unwrap();
+            assert_eq!(core.seq(), 9);
+            core.check_invariants().unwrap();
+            let (q, looped) = (core.snapshot("q").unwrap(), core.snapshot("loop").unwrap());
+            assert_eq!(q.results_sorted(), vec![vec![1, 2], vec![3, 2]]);
+            assert_eq!(looped.results_sorted(), vec![vec![1]]);
+            assert_eq!(
+                (q.generation(), looped.generation()),
+                gens,
+                "sharded={sharded}"
+            );
+            assert_eq!((q.seq(), looped.seq()), (9, 9));
+        }
+
+        let short = encode_ckpt_body(false, &regs[..1], &schema, tuples);
+        let msg = refusal(Replay::bootstrap(false, Some((9, short)), 0, None).map(|_| ()));
+        assert!(
+            msg.contains("checkpoint has 3 relations, schema has 2"),
+            "{msg}"
+        );
+        let mut wide = Schema::new();
+        for (name, arity) in [("E", 2), ("T", 1), ("L", 3)] {
+            wide.intern(name, arity).unwrap();
+        }
+        let body = encode_ckpt_body(false, &regs, &wide, |_| Vec::new());
+        let msg = refusal(Replay::bootstrap(false, Some((9, body)), 0, None).map(|_| ()));
+        assert!(msg.contains("arity mismatch on relation 2"), "{msg}");
     }
 
     /// A body with no registrations and the given raw relation entries

@@ -494,13 +494,22 @@ pub(crate) struct StagedQuery {
 }
 
 impl StagedQuery {
-    /// The query the engine will maintain: the homomorphic core for
-    /// core-routed registrations, the query itself otherwise.
+    /// The query the engine will maintain ([`maintained`]).
     fn maintained(&self) -> &Query {
-        match self.reason {
-            RouteReason::QHierarchicalCore => &self.classification.core,
-            _ => &self.query,
-        }
+        maintained(self.reason, &self.query, &self.classification)
+    }
+}
+
+/// The query a registration's engine maintains: the homomorphic core for
+/// core-routed registrations, the query itself otherwise.
+fn maintained<'a>(
+    reason: RouteReason,
+    query: &'a Query,
+    classification: &'a Classification,
+) -> &'a Query {
+    match reason {
+        RouteReason::QHierarchicalCore => &classification.core,
+        _ => query,
     }
 }
 
@@ -662,6 +671,37 @@ impl Session {
             if reg.engine.snapshot_is_cheap() && Arc::strong_count(&reg.cell) > 1 {
                 reg.pinned(self.seq, reg.footprint_gen);
             }
+        }
+    }
+
+    /// Checkpoint hook: moves `rels`' tuples into the empty `D`, one
+    /// relation after the other, then preprocesses every registration
+    /// over it once ([`EngineKind::preprocess`], as a registration over a
+    /// loaded `D` does). `D`'s generation stamps are those inserting the
+    /// tuples in this order gives. No seq number is drawn and nothing is
+    /// published: every epoch goes stale, and the replay machine
+    /// positions the counter next.
+    pub(crate) fn preload(&mut self, rels: Vec<(RelId, Vec<Tuple>)>) {
+        debug_assert_eq!(
+            self.db.cardinality(),
+            0,
+            "a checkpoint loads into an empty D"
+        );
+        for (rel, tuples) in rels {
+            for tuple in tuples {
+                self.db.insert(rel, tuple);
+            }
+        }
+        for reg in &mut self.regs {
+            reg.engine = reg
+                .kind
+                .preprocess(
+                    maintained(reg.reason, &reg.query, &reg.classification),
+                    &self.db,
+                )
+                .expect("the engine admitted the query at registration");
+            reg.footprint_gen = footprint_generation(&reg.relevant, &self.db);
+            reg.touch();
         }
     }
 

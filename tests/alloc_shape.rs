@@ -20,7 +20,9 @@
 //!   allocates exactly what `Database` does: once per insert, never per
 //!   delete;
 //! * the copy-on-write clone a write under a retained pin triggers
-//!   allocates as often at 10³ items as at 10⁴ (it prints its bytes).
+//!   allocates as often at 10³ items as at 10⁴ (it prints its bytes);
+//! * preprocessing the star query allocates as often at ‖D‖ = 10³ as at
+//!   10⁴.
 
 use cq_updates::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -187,6 +189,21 @@ const STAR: &str = "Q(x, y, z) :- R(x, y), S(x, z), T(x).";
 /// (no item created or destroyed), then the leaf `R(0, 0)` out and back
 /// in (its item destroyed and recreated).
 fn star(n: u64) -> (QhEngine, [Update; 4]) {
+    let (q, db) = star_db(n);
+    let rel = |name| q.schema().relation(name).unwrap();
+    let (r, t) = (rel("R"), rel("T"));
+    let engine = QhEngine::new(&q, &db).unwrap();
+    let cycle = [
+        Update::Delete(t, vec![0]),
+        Update::Insert(t, vec![0]),
+        Update::Delete(r, vec![0, 0]),
+        Update::Insert(r, vec![0, 0]),
+    ];
+    (engine, cycle)
+}
+
+/// The star query and its database of `n` facts (see [`star`]).
+fn star_db(n: u64) -> (Query, Database) {
     let q = parse_query(STAR).unwrap();
     let rel = |name| q.schema().relation(name).unwrap();
     let (r, s, t) = (rel("R"), rel("S"), rel("T"));
@@ -201,14 +218,20 @@ fn star(n: u64) -> (QhEngine, [Update; 4]) {
         }
     }
     assert_eq!(db.cardinality() as u64, n);
-    let engine = QhEngine::new(&q, &db).unwrap();
-    let cycle = [
-        Update::Delete(t, vec![0]),
-        Update::Insert(t, vec![0]),
-        Update::Delete(r, vec![0, 0]),
-        Update::Insert(r, vec![0, 0]),
-    ];
-    (engine, cycle)
+    (q, db)
+}
+
+/// Preprocessing allocates per q-tree node, never per fact or by
+/// doubling: every array is sized once.
+#[test]
+fn preprocessing_allocates_independently_of_the_database() {
+    let build = |n: u64| {
+        let (q, db) = star_db(n);
+        allocs(|| drop(EngineKind::QHierarchical.preprocess(&q, &db).unwrap()))
+    };
+    let small = build(1_000);
+    assert_eq!(small, build(10_000), "‖D‖ = 10³ vs 10⁴");
+    println!("allocations to preprocess the star: {small}");
 }
 
 #[test]
