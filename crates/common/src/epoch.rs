@@ -116,9 +116,16 @@ impl<T> EpochCell<T> {
     /// epoch. The previous epoch is freed as soon as the last outstanding
     /// pin of it drops — deterministically, through the `Arc` refcount.
     ///
-    /// Callers are expected to serialize stores (the session layer's
-    /// writer path is `&mut self`); concurrent stores are safe but may
-    /// interleave their publication order arbitrarily.
+    /// Callers must serialize stores: two stores running at once can
+    /// free an epoch a concurrent [`EpochCell::load`] is about to pin (a
+    /// use-after-free), so a store must never overlap another store on
+    /// the same cell. Loads may overlap anything. The session stores in
+    /// two places, both serialized: on the writer path
+    /// (`Session::publish_batch` republishing on demand), which holds the
+    /// session exclusively, and in a reader-side rebuild
+    /// (`Registered::pinned`), which holds the session shared and the
+    /// registration's build lock, so such rebuilds exclude each other and
+    /// the writer alike.
     pub fn store(&self, next: Arc<T>) {
         let old = self
             .ptr

@@ -28,7 +28,9 @@ use std::io::{self, Read, Write};
 /// Replication protocol version spoken by this build. The leader denies
 /// a `Hello` with a different version. Version 2 added the typed
 /// [`DenyReason`] byte to `Deny` (and with it the stale-epoch fence).
-pub const REPL_VERSION: u32 = 2;
+/// Version 3 ships checkpoint bodies that carry a stamp per relation,
+/// which a follower parses.
+pub const REPL_VERSION: u32 = 3;
 
 /// Upper bound on a frame body; larger length prefixes are rejected
 /// before any allocation.

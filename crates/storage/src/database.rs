@@ -18,19 +18,6 @@ use cqu_query::{RelId, Schema};
 pub struct Database {
     schema: Schema,
     relations: Vec<Relation>,
-    /// Generation stamp: the number of effective changes ever applied.
-    /// Two databases with equal generation (and shared history) hold
-    /// identical states, so epoch snapshots stamp themselves with it —
-    /// staleness becomes an integer comparison, and a replaced epoch can
-    /// be dropped deterministically the moment its generation is passed.
-    generation: u64,
-    /// Per-relation generation stamps: `rel_generation[r]` is the value
-    /// [`Database::generation`] took at relation `r`'s last effective
-    /// change (0 if never touched). The global generation is always the
-    /// max of these — a write to one relation moves only that relation's
-    /// stamp, so shard-local epoch publication can stamp and compare
-    /// staleness per relation without any shared hot spot.
-    rel_generation: Vec<u64>,
 }
 
 impl Database {
@@ -40,13 +27,7 @@ impl Database {
             .relations()
             .map(|r| Relation::new(schema.arity(r)))
             .collect();
-        let rel_generation = vec![0; relations.len()];
-        Database {
-            schema,
-            relations,
-            generation: 0,
-            rel_generation,
-        }
+        Database { schema, relations }
     }
 
     /// The database schema.
@@ -78,7 +59,6 @@ impl Database {
         }
         for rel in schema.relations().skip(self.schema.len()) {
             self.relations.push(Relation::new(schema.arity(rel)));
-            self.rel_generation.push(0);
         }
         self.schema = schema.clone();
     }
@@ -96,8 +76,6 @@ impl Database {
     /// Inserts a `tuple` the caller found absent from `rel`, moving it into
     /// the relation, so an insert stores the one copy it was handed.
     fn insert_absent(&mut self, rel: RelId, tuple: Tuple) -> bool {
-        self.generation += 1;
-        self.rel_generation[rel.index()] = self.generation;
         let inserted = self.relations[rel.index()].insert(tuple);
         debug_assert!(inserted, "insert_absent of a present tuple");
         inserted
@@ -105,35 +83,7 @@ impl Database {
 
     /// Deletes `tuple` from `rel`; returns `true` iff the database changed.
     pub fn delete(&mut self, rel: RelId, tuple: &[Const]) -> bool {
-        let changed = self.relations[rel.index()].delete(tuple);
-        if changed {
-            self.generation += 1;
-            self.rel_generation[rel.index()] = self.generation;
-        }
-        changed
-    }
-
-    /// The generation stamp: a monotone counter of effective changes,
-    /// always equal to the max over [`Database::relation_generation`].
-    /// Snapshots pinned at equal generations of the same database are
-    /// guaranteed identical; epoch publication uses this to detect (and
-    /// deterministically retire) stale views.
-    pub fn generation(&self) -> u64 {
-        debug_assert_eq!(
-            self.generation,
-            self.rel_generation.iter().copied().max().unwrap_or(0),
-            "global generation must be the max per-relation stamp"
-        );
-        self.generation
-    }
-
-    /// The generation stamp of relation `rel`'s last effective change
-    /// (0 if it was never touched). Only writes to `rel` move this
-    /// stamp, so per-relation staleness checks — e.g. a shard deciding
-    /// whether one of its relations changed — never observe foreign
-    /// traffic. The global [`Database::generation`] is the max of these.
-    pub fn relation_generation(&self, rel: RelId) -> u64 {
-        self.rel_generation[rel.index()]
+        self.relations[rel.index()].delete(tuple)
     }
 
     /// Applies an update command; returns `true` iff the database changed.
@@ -256,46 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn generation_counts_effective_changes_only() {
-        let s = schema_et();
-        let e = s.relation("E").unwrap();
-        let mut db = Database::new(s);
-        assert_eq!(db.generation(), 0);
-        assert!(db.insert(e, vec![1, 2]));
-        assert!(!db.insert(e, vec![1, 2])); // no-op: generation frozen
-        assert_eq!(db.generation(), 1);
-        assert!(!db.delete(e, &[9, 9])); // absent: no-op
-        assert!(db.delete(e, &[1, 2]));
-        assert_eq!(db.generation(), 2, "back to the same state, new stamp");
-    }
-
-    #[test]
-    fn per_relation_generations_track_only_their_relation() {
-        let s = schema_et();
-        let e = s.relation("E").unwrap();
-        let t = s.relation("T").unwrap();
-        let mut db = Database::new(s);
-        assert_eq!(db.relation_generation(e), 0);
-        assert_eq!(db.relation_generation(t), 0);
-        db.insert(e, vec![1, 2]); // generation 1
-        db.insert(t, vec![2]); // generation 2
-        db.insert(e, vec![3, 4]); // generation 3
-        assert_eq!(db.relation_generation(e), 3);
-        assert_eq!(db.relation_generation(t), 2, "foreign writes don't move T");
-        assert_eq!(db.generation(), 3, "global is the max per-relation stamp");
-        // No-ops freeze both levels.
-        assert!(!db.insert(t, vec![2]));
-        assert_eq!(db.relation_generation(t), 2);
-        assert_eq!(db.generation(), 3);
-        // A delete stamps its own relation only.
-        assert!(db.delete(t, &[2]));
-        assert_eq!(db.relation_generation(t), 4);
-        assert_eq!(db.relation_generation(e), 3);
-        assert_eq!(db.generation(), 4);
-    }
-
-    #[test]
-    fn adopted_relations_start_at_generation_zero() {
+    fn adopted_relations_start_empty_and_keep_the_old_data() {
         let mut s = Schema::new();
         s.intern("E", 2).unwrap();
         let e = s.relation("E").unwrap();
@@ -304,10 +215,8 @@ mod tests {
         s.intern("X", 1).unwrap();
         db.adopt_schema(&s);
         let x = s.relation("X").unwrap();
-        assert_eq!(db.relation_generation(x), 0);
-        assert_eq!(db.relation_generation(e), 1);
-        assert_eq!(db.generation(), 1);
+        assert_eq!(db.relation(x).len(), 0);
+        assert!(db.relation(e).contains(&[1, 2]));
         assert!(db.insert(x, vec![9]));
-        assert_eq!(db.relation_generation(x), 2);
     }
 }

@@ -15,7 +15,9 @@
 //! crash at any point leaves either the old set or the new set
 //! recoverable. The recovery scan tolerates a torn final segment
 //! (truncates at the first bad frame) but refuses corruption anywhere
-//! earlier with a typed [`WalError::Corrupt`], never a panic.
+//! earlier with a typed [`WalError::Corrupt`], never a panic. Segments
+//! and checkpoints carry versions of their own; an intact checkpoint of
+//! another version is refused by name.
 
 use crate::crc32::crc32;
 use crate::record::{FrameError, Rec};
@@ -29,9 +31,15 @@ use std::time::{Duration, Instant};
 const SEG_MAGIC: &[u8; 4] = b"CQWS";
 /// Magic prefix of every checkpoint file.
 const CKPT_MAGIC: &[u8; 4] = b"CQCK";
-/// Format version for both file kinds. Version 2 added the leadership
-/// term to the segment header.
-const FORMAT_VERSION: u32 = 2;
+/// Segment format version. Version 2 added the leadership term to the
+/// header.
+const SEG_VERSION: u32 = 2;
+/// Checkpoint format version: the WAL's own header is the same in every
+/// version, the body's layout (owned by the durable layer) is what
+/// moves. Version 3 added a stamp per relation to the body. A
+/// checkpoint of another version is refused by name, never skipped: the
+/// segments it superseded are gone.
+const CKPT_VERSION: u32 = 3;
 /// Segment header length (magic + version + term).
 const SEG_HEADER: usize = 16;
 /// Temp name a checkpoint is staged under before its rename.
@@ -286,7 +294,7 @@ impl Wal {
         let mut seg = self.dir.create(&segment_name(index))?;
         let mut header = Vec::with_capacity(SEG_HEADER);
         header.extend_from_slice(SEG_MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&SEG_VERSION.to_le_bytes());
         header.extend_from_slice(&self.term.to_le_bytes());
         seg.append(&header)?;
         self.dir.sync_dir()?;
@@ -577,7 +585,7 @@ fn publish_checkpoint(dir: &dyn WalDir, seq: u64, body: &[u8]) -> io::Result<()>
     let mut file = dir.create(CKPT_TMP)?;
     let mut head = Vec::with_capacity(24);
     head.extend_from_slice(CKPT_MAGIC);
-    head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    head.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     head.extend_from_slice(&seq.to_le_bytes());
     head.extend_from_slice(&(body.len() as u32).to_le_bytes());
     head.extend_from_slice(&crc32(body).to_le_bytes());
@@ -703,7 +711,10 @@ fn drop_dangling_tx(records: &mut Vec<Rec>, seg_start: usize) {
     }
 }
 
-/// Validates one checkpoint file; `Ok(None)` means invalid (skip it).
+/// Validates one checkpoint file; `Ok(None)` means torn (skip it). An
+/// intact checkpoint of another format version is an error naming the
+/// version: skipping it would start from an older checkpoint, or from
+/// the empty database, over segments it already pruned.
 fn read_checkpoint(dir: &dyn WalDir, name: &str, seq: u64) -> Result<Option<Vec<u8>>, WalError> {
     let bytes = dir.read(name)?;
     if bytes.len() < 24 || &bytes[..4] != CKPT_MAGIC {
@@ -713,20 +724,26 @@ fn read_checkpoint(dir: &dyn WalDir, name: &str, seq: u64) -> Result<Option<Vec<
     let file_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let body_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-    if version != FORMAT_VERSION || file_seq != seq || bytes.len() != 24 + body_len {
+    if file_seq != seq || bytes.len() != 24 + body_len {
         return Ok(None);
     }
     let body = &bytes[24..];
     if crc32(body) != crc {
         return Ok(None);
     }
+    if version != CKPT_VERSION {
+        return Err(WalError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{name}: checkpoint format version {version}, this build reads {CKPT_VERSION}"),
+        )));
+    }
     Ok(Some(body.to_vec()))
 }
 
 /// The newest checkpoint among `files` that [`read_checkpoint`] accepts,
-/// as `(seq, body)`. An invalid one (torn mid-publish in some earlier
-/// life) falls back to the next-newest; the husk is left for the next
-/// checkpoint to prune.
+/// as `(seq, body)`. A torn one (mid-publish in some earlier life) falls
+/// back to the next-newest; the husk is left for the next checkpoint to
+/// prune. One of another format version stops the scan with an error.
 fn newest_checkpoint(
     dir: &dyn WalDir,
     files: &[String],
@@ -749,7 +766,7 @@ fn newest_checkpoint(
 fn segment_term(bytes: &[u8]) -> Option<u64> {
     if bytes.len() < SEG_HEADER
         || &bytes[..4] != SEG_MAGIC
-        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != FORMAT_VERSION
+        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != SEG_VERSION
     {
         return None;
     }
@@ -779,7 +796,7 @@ fn scan_segment(
 
     if bytes.len() < SEG_HEADER
         || &bytes[..4] != SEG_MAGIC
-        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != FORMAT_VERSION
+        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != SEG_VERSION
     {
         // A header never appears torn unless the crash hit the very
         // first append to a fresh segment.

@@ -458,17 +458,22 @@ impl DurableSession {
         Ok(self.core.seq())
     }
 
-    /// Resolves a relation by name.
+    /// Resolves a relation by name. Takes no shard lock, so it may be
+    /// called inside a [`DurableSession::transaction`] closure.
     pub fn relation(&self, name: &str) -> Result<RelId, DurableError> {
         Ok(self.core.relation(name)?)
     }
 
-    /// Pins a snapshot of `name`'s current result.
+    /// Pins a snapshot of `name`'s current result. Takes the query's
+    /// shard read lock, so it must not be called inside a
+    /// [`DurableSession::transaction`] closure.
     pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, DurableError> {
         Ok(self.core.snapshot(name)?)
     }
 
-    /// O(1) count of `name`'s current result.
+    /// O(1) count of `name`'s current result. Takes the query's shard
+    /// read lock, so it must not be called inside a
+    /// [`DurableSession::transaction`] closure.
     pub fn count(&self, name: &str) -> Result<u64, DurableError> {
         Ok(self.core.count(name)?)
     }
@@ -720,7 +725,8 @@ pub(crate) fn snapshot_ckpt_body(
         (
             core.seq(),
             encode_ckpt_body(!core.is_open(), regs, guards[0].schema(), |rel| {
-                guards[core.route(rel)].database().relation(rel).sorted()
+                let shard = &guards[core.route(rel)];
+                (shard.stamp(rel), shard.database().relation(rel).sorted())
             }),
         )
     })?)

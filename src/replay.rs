@@ -90,26 +90,34 @@ fn replay_failed(e: CqError) -> DurableError {
     refuse(format!("log replay failed: {e}"))
 }
 
+/// One checkpointed relation: declared arity, stamp and tuples.
+type CkptRel = (usize, u64, Vec<Tuple>);
+
 /// Decoded checkpoint body.
 struct CkptBody {
     sharded: bool,
     regs: Vec<Reg>,
-    /// Per relation (in schema order): declared arity and tuples.
-    rels: Vec<(usize, Vec<Tuple>)>,
+    /// Per relation, in schema order.
+    rels: Vec<CkptRel>,
 }
 
-/// Checkpoint body layout (the WAL wraps it in magic + seq + CRC):
+/// Checkpoint body layout (the WAL wraps it in magic + version + seq +
+/// CRC; this is checkpoint format version 3):
 ///
 /// ```text
 /// u8 sharded
 /// u32 n_regs  { u8 choice, u32 name_len, name, u32 src_len, src }*
-/// u32 n_rels  { u16 arity, u64 count, count × arity × u64 }*
+/// u32 n_rels  { u16 arity, u64 stamp, u64 count, count × arity × u64 }*
 /// ```
+///
+/// A relation's stamp is the seq of the last committed update on it
+/// ([`Session::stamp`]), so it is at most the checkpoint's seq.
+/// `rel_of` hands over each relation's stamp and tuples.
 pub(crate) fn encode_ckpt_body(
     sharded: bool,
     regs: &[Reg],
     schema: &Schema,
-    mut tuples_of: impl FnMut(RelId) -> Vec<Tuple>,
+    mut rel_of: impl FnMut(RelId) -> (u64, Vec<Tuple>),
 ) -> Vec<u8> {
     let mut out = Vec::new();
     out.push(u8::from(sharded));
@@ -121,8 +129,9 @@ pub(crate) fn encode_ckpt_body(
     }
     out.extend_from_slice(&(schema.len() as u32).to_le_bytes());
     for rel in schema.relations() {
-        let tuples = tuples_of(rel);
+        let (stamp, tuples) = rel_of(rel);
         out.extend_from_slice(&(schema.arity(rel) as u16).to_le_bytes());
+        out.extend_from_slice(&stamp.to_le_bytes());
         out.extend_from_slice(&(tuples.len() as u64).to_le_bytes());
         for t in &tuples {
             for c in t {
@@ -144,7 +153,8 @@ pub(crate) fn ckpt_mode(body: &[u8]) -> Result<bool, DurableError> {
 
 /// Length fields arrive raw off disk or the replication socket;
 /// [`Cursor::count`] checks each before it sizes an allocation or a loop.
-fn parse_ckpt_body(body: &[u8]) -> Result<CkptBody, &'static str> {
+/// `seq` is the checkpoint's own: no stamp may lie above it.
+fn parse_ckpt_body(body: &[u8], seq: u64) -> Result<CkptBody, &'static str> {
     let mut r = Cursor(body);
     let sharded = r.u8()? != 0;
     // A registration is a choice byte and two length-prefixed strings.
@@ -157,12 +167,16 @@ fn parse_ckpt_body(body: &[u8]) -> Result<CkptBody, &'static str> {
         let src = r.str32()?;
         regs.push((name, src, choice));
     }
-    // A relation is at least its arity and tuple count.
+    // A relation is at least its arity, stamp and tuple count.
     let n_rels = r.u32()?;
-    let n_rels = r.count(n_rels.into(), 10)?;
+    let n_rels = r.count(n_rels.into(), 18)?;
     let mut rels = Vec::with_capacity(n_rels);
     for _ in 0..n_rels {
         let arity = r.u16()? as usize;
+        let stamp = r.u64()?;
+        if stamp > seq {
+            return Err("relation stamp above the checkpoint's seq");
+        }
         let count = r.u64()?;
         let count = if arity > 0 {
             r.count(count, arity * 8)?
@@ -181,7 +195,7 @@ fn parse_ckpt_body(body: &[u8]) -> Result<CkptBody, &'static str> {
             }
             tuples.push(t);
         }
-        rels.push((arity, tuples));
+        rels.push((arity, stamp, tuples));
     }
     r.finish()?;
     Ok(CkptBody {
@@ -226,14 +240,11 @@ pub(crate) fn build_core(
     }
 }
 
-/// Loads a decoded checkpoint's tuples into a freshly built core, with
-/// schema/arity cross-checks: each shard's relations move into its `D`,
-/// and each of its registrations preprocesses over that once
-/// ([`Session::preload`]). No seq number is drawn.
-fn load_ckpt_tuples(
-    core: &ShardedSession,
-    rels: Vec<(usize, Vec<Tuple>)>,
-) -> Result<(), DurableError> {
+/// Loads a decoded checkpoint's relations into a freshly built core, with
+/// schema/arity cross-checks: each shard's relations move into its `D`
+/// with their stamps, and each of its registrations preprocesses over
+/// that once ([`Session::preload`]). No seq number is drawn.
+fn load_ckpt_tuples(core: &ShardedSession, rels: Vec<CkptRel>) -> Result<(), DurableError> {
     let schema = core.read_at(0, |s| s.schema().clone())?;
     if rels.len() != schema.len() {
         return Err(refuse(format!(
@@ -242,15 +253,15 @@ fn load_ckpt_tuples(
             schema.len()
         )));
     }
-    let mut shards: Vec<Vec<(RelId, Vec<Tuple>)>> = vec![Vec::new(); core.shard_count()];
-    for (idx, (arity, tuples)) in rels.into_iter().enumerate() {
+    let mut shards: Vec<Vec<(RelId, u64, Vec<Tuple>)>> = vec![Vec::new(); core.shard_count()];
+    for (idx, (arity, stamp, tuples)) in rels.into_iter().enumerate() {
         let rel = RelId(idx as u32);
         if arity != schema.arity(rel) {
             return Err(refuse(format!(
                 "checkpoint arity mismatch on relation {idx}"
             )));
         }
-        shards[core.route(rel)].push((rel, tuples));
+        shards[core.route(rel)].push((rel, stamp, tuples));
     }
     for (sid, rels) in shards.into_iter().enumerate() {
         core.write_at(sid, |s| s.preload(rels))?;
@@ -309,7 +320,7 @@ impl Replay {
         };
         match checkpoint {
             Some((seq, bytes)) => {
-                let body = parse_ckpt_body(&bytes)
+                let body = parse_ckpt_body(&bytes, seq)
                     .map_err(|what| refuse(format!("checkpoint body: {what}")))?;
                 if body.sharded != sharded {
                     return Err(refuse("checkpoint mode disagrees with the log's"));
@@ -711,7 +722,7 @@ mod tests {
             let msg = refusal(boot(false).feed(vec![logged]));
             assert!(msg.contains(want), "logged byte {byte}: {msg:?}");
             let regs = [("q".to_string(), SRC.to_string(), byte)];
-            let body = encode_ckpt_body(false, &regs, &schema, |_| Vec::new());
+            let body = encode_ckpt_body(false, &regs, &schema, |_| (0, Vec::new()));
             let msg = refusal(Replay::bootstrap(false, Some((0, body)), 0, None).map(|_| ()));
             assert!(msg.contains(want), "checkpointed byte {byte}: {msg:?}");
         }
@@ -839,9 +850,9 @@ mod tests {
         let regs = vec![("q".to_string(), SRC.to_string(), 0u8)];
         let body = encode_ckpt_body(false, &regs, &schema, |rel| {
             if rel == rel_e {
-                vec![vec![1, 2]]
+                (1, vec![vec![1, 2]])
             } else {
-                vec![vec![2]]
+                (1, vec![vec![2]])
             }
         });
         assert!(!ckpt_mode(&body).unwrap());
@@ -868,8 +879,9 @@ mod tests {
     /// and draws no seq: a duplicated tuple counts once, a tuple that
     /// matches no atom pattern (`L(1, 2)` against `L(x, x)`) and one only
     /// the other query reads reach `D` and nothing else, and the stamps
-    /// are those of inserting the tuples in body order. A body that
-    /// disagrees with the registrations' schema is refused.
+    /// are the body's, whatever the shard plan. A body that disagrees
+    /// with the registrations' schema is refused, and so is one with a
+    /// stamp above the checkpoint's seq.
     #[test]
     fn checkpoint_bodies_load_as_sets_and_foreign_shapes_are_refused() {
         let regs = vec![
@@ -881,15 +893,13 @@ mod tests {
             schema.intern(name, arity).unwrap();
         }
         let tuples = |rel: RelId| match rel.0 {
-            0 => vec![vec![1, 2], vec![1, 2], vec![3, 2]],
-            1 => vec![vec![2]],
-            _ => vec![vec![1, 1], vec![1, 2], vec![2, 3]],
+            0 => (4, vec![vec![1, 2], vec![1, 2], vec![3, 2]]),
+            1 => (7, vec![vec![2]]),
+            _ => (5, vec![vec![1, 1], vec![1, 2], vec![2, 3]]),
         };
-        // (q, loop) generations: one counter for all relations, or one
-        // per shard.
-        for (sharded, gens) in [(false, (3, 6)), (true, (3, 3))] {
+        for sharded in [false, true] {
             let body = encode_ckpt_body(sharded, &regs, &schema, tuples);
-            let mut replay = Replay::bootstrap(sharded, Some((9, body)), 0, None).unwrap();
+            let mut replay = Replay::bootstrap(sharded, Some((9, body.clone())), 0, None).unwrap();
             let core = replay.settle().unwrap();
             assert_eq!(core.seq(), 9);
             core.check_invariants().unwrap();
@@ -898,10 +908,12 @@ mod tests {
             assert_eq!(looped.results_sorted(), vec![vec![1]]);
             assert_eq!(
                 (q.generation(), looped.generation()),
-                gens,
+                (7, 5),
                 "sharded={sharded}"
             );
             assert_eq!((q.seq(), looped.seq()), (9, 9));
+            let msg = refusal(Replay::bootstrap(sharded, Some((6, body)), 0, None).map(|_| ()));
+            assert!(msg.contains("stamp above the checkpoint's seq"), "{msg}");
         }
 
         let short = encode_ckpt_body(false, &regs[..1], &schema, tuples);
@@ -914,19 +926,21 @@ mod tests {
         for (name, arity) in [("E", 2), ("T", 1), ("L", 3)] {
             wide.intern(name, arity).unwrap();
         }
-        let body = encode_ckpt_body(false, &regs, &wide, |_| Vec::new());
+        let body = encode_ckpt_body(false, &regs, &wide, |_| (0, Vec::new()));
         let msg = refusal(Replay::bootstrap(false, Some((9, body)), 0, None).map(|_| ()));
         assert!(msg.contains("arity mismatch on relation 2"), "{msg}");
     }
 
     /// A body with no registrations and the given raw relation entries
-    /// (`arity`, claimed `count`, tuple words actually present).
+    /// (`arity`, claimed `count`, tuple words actually present), each
+    /// stamped 1.
     fn body(n_regs: u32, rels: &[(u16, u64, &[u64])]) -> Vec<u8> {
         let mut out = vec![0u8];
         out.extend_from_slice(&n_regs.to_le_bytes());
         out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
         for (arity, count, words) in rels {
             out.extend_from_slice(&arity.to_le_bytes());
+            out.extend_from_slice(&1u64.to_le_bytes());
             out.extend_from_slice(&count.to_le_bytes());
             for w in *words {
                 out.extend_from_slice(&w.to_le_bytes());
@@ -936,7 +950,9 @@ mod tests {
     }
 
     fn refused(bytes: &[u8]) -> &'static str {
-        parse_ckpt_body(bytes).err().expect("hostile body decoded")
+        parse_ckpt_body(bytes, 1)
+            .err()
+            .expect("hostile body decoded")
     }
 
     /// Length fields arrive raw off disk or the replication socket: an
@@ -946,9 +962,13 @@ mod tests {
     #[test]
     fn inflated_counts_and_truncation_are_refused_not_allocated() {
         // The honest shapes decode.
-        let ok = parse_ckpt_body(&body(0, &[(2, 2, &[1, 2, 3, 4]), (0, 1, &[])])).unwrap();
-        assert_eq!(ok.rels[0], (2, vec![vec![1, 2], vec![3, 4]]));
-        assert_eq!(ok.rels[1], (0, vec![vec![]]));
+        let honest = body(0, &[(2, 2, &[1, 2, 3, 4]), (0, 1, &[])]);
+        let ok = parse_ckpt_body(&honest, 1).unwrap();
+        assert_eq!(ok.rels[0], (2, 1, vec![vec![1, 2], vec![3, 4]]));
+        assert_eq!(ok.rels[1], (0, 1, vec![vec![]]));
+        // The same body under a checkpoint at seq 0 stamps above it.
+        let early = parse_ckpt_body(&honest, 0).err().expect("stamp above seq");
+        assert!(early.contains("stamp above"), "{early}");
 
         assert!(refused(&body(u32::MAX, &[])).contains("count"));
         let mut many_rels = body(0, &[]);
@@ -965,9 +985,9 @@ mod tests {
         let regs = vec![("q".to_string(), "Q(x) :- R(x, y).".to_string(), 0u8)];
         let full = encode_ckpt_body(false, &regs, &schema, |rel| {
             assert_eq!(rel, r);
-            vec![vec![1, 2], vec![3, 4]]
+            (1, vec![vec![1, 2], vec![3, 4]])
         });
-        assert_eq!(parse_ckpt_body(&full).unwrap().regs, regs);
+        assert_eq!(parse_ckpt_body(&full, 1).unwrap().regs, regs);
         for cut in 0..full.len() {
             refused(&full[..cut]);
         }

@@ -663,8 +663,9 @@ mod tests {
             applier.apply_records(Vec::new()).is_err(),
             "no bootstrap yet"
         );
-        let body =
-            crate::replay::encode_ckpt_body(false, &[], &cqu_query::Schema::new(), |_| Vec::new());
+        let body = crate::replay::encode_ckpt_body(false, &[], &cqu_query::Schema::new(), |_| {
+            (0, Vec::new())
+        });
         applier.reset(false, Some((5, body.clone()))).unwrap();
         assert!(shared.backend().is_some(), "the mirror shows the bootstrap");
         assert_eq!(*lock(&shared.applied), 0, "not announced before its epoch");

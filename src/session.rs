@@ -288,12 +288,11 @@ struct Epoch {
     seq: u64,
     /// The engine-state version ([`Registered::version`]) this reflects.
     version: u64,
-    /// Storage-level footprint generation at publication: the max
-    /// [`cqu_storage::Database::relation_generation`] over the query's
-    /// `relevant` relations. Moves only when one of *this query's*
-    /// relations changes — foreign traffic (other queries' relations in
-    /// this session, other shards entirely) never moves the stamp, so
-    /// equal stamps mean identical pinned states.
+    /// The query's footprint generation at publication
+    /// ([`Registered::footprint_gen`]): a seq ≤ `seq`, the last one that
+    /// changed a relation the query reads. Foreign traffic (other
+    /// queries' relations in this session, other shards entirely) never
+    /// moves it, so equal stamps mean identical pinned states.
     generation: u64,
     snap: Arc<dyn ResultSnapshot>,
 }
@@ -312,13 +311,12 @@ struct Registered {
     /// registration — provably cannot change the result and are not
     /// routed; in particular they never trigger delta extraction.
     relevant: Vec<bool>,
-    /// The query's current footprint generation: the max per-relation
-    /// storage stamp ([`cqu_storage::Database::relation_generation`])
-    /// over its `relevant` relations. Seeded by [`footprint_generation`]
-    /// at registration, then maintained in O(1) on the write path (the
-    /// latest effective change to any footprint relation is always the
-    /// update that just landed). Moves only when one of *this query's*
-    /// relations changes.
+    /// The query's current footprint generation: the largest relation
+    /// stamp ([`Session::stamps`]) over its `relevant` relations, or 0.
+    /// Seeded by [`footprint_generation`] at registration and at a
+    /// checkpoint load, then maintained on the write path from the
+    /// commit's own stamps, which are the newest. Moves only when one of
+    /// *this query's* relations changes.
     footprint_gen: u64,
     /// Monotone engine-state version: bumped before every mutation of
     /// `engine`, so published epochs know when they go stale.
@@ -338,16 +336,15 @@ struct Registered {
     epoch_pubs: Option<Arc<Counter>>,
 }
 
-/// The storage-level generation stamp of a query footprint: the max
-/// per-relation generation over the relations `relevant` marks. O(|σ|);
-/// computed once at registration to seed [`Registered::footprint_gen`],
-/// which the write path then maintains in O(1).
-fn footprint_generation(relevant: &[bool], db: &Database) -> u64 {
+/// The generation of a query footprint: the largest of `stamps` over the
+/// relations `relevant` marks, or 0. O(|σ|); it seeds
+/// [`Registered::footprint_gen`], which the write path then maintains.
+fn footprint_generation(relevant: &[bool], stamps: &[u64]) -> u64 {
     relevant
         .iter()
-        .enumerate()
-        .filter(|&(_, &wanted)| wanted)
-        .map(|(i, _)| db.relation_generation(RelId(i as u32)))
+        .zip(stamps)
+        .filter(|&(&wanted, _)| wanted)
+        .map(|(_, &stamp)| stamp)
         .max()
         .unwrap_or(0)
 }
@@ -525,6 +522,13 @@ pub struct Session {
     /// it, and the engines, which keep no database, receive only the
     /// facts that changed it.
     db: Database,
+    /// One stamp per relation of the schema: the seq of the last
+    /// committed effective update on it, 0 if none. It is the seq that
+    /// update's log record carries, so recovery and replicas reproduce
+    /// it. Written only where a commit's numbers are drawn
+    /// ([`Session::publish_batch`], which the shard router's
+    /// multi-shard commits also end in) and by a checkpoint load.
+    stamps: Vec<u64>,
     regs: Vec<Registered>,
     by_name: FxHashMap<String, usize>,
     seq: u64,
@@ -565,6 +569,7 @@ impl Session {
     pub fn open(schema: Schema) -> Session {
         let db = Database::new(schema.clone());
         Session {
+            stamps: vec![0; schema.len()],
             schema,
             db,
             regs: Vec::new(),
@@ -674,20 +679,21 @@ impl Session {
         }
     }
 
-    /// Checkpoint hook: moves `rels`' tuples into the empty `D`, one
-    /// relation after the other, then preprocesses every registration
+    /// Checkpoint hook: installs each of `rels`' stamps and moves its
+    /// tuples into the empty `D`, then preprocesses every registration
     /// over it once ([`EngineKind::preprocess`], as a registration over a
-    /// loaded `D` does). `D`'s generation stamps are those inserting the
-    /// tuples in this order gives. No seq number is drawn and nothing is
-    /// published: every epoch goes stale, and the replay machine
-    /// positions the counter next.
-    pub(crate) fn preload(&mut self, rels: Vec<(RelId, Vec<Tuple>)>) {
+    /// loaded `D` does). A relation's stamp is the one the checkpointed
+    /// session held, so every footprint generation is the live one. No
+    /// seq number is drawn and nothing is published: every epoch goes
+    /// stale, and the replay machine positions the counter next.
+    pub(crate) fn preload(&mut self, rels: Vec<(RelId, u64, Vec<Tuple>)>) {
         debug_assert_eq!(
             self.db.cardinality(),
             0,
             "a checkpoint loads into an empty D"
         );
-        for (rel, tuples) in rels {
+        for (rel, stamp, tuples) in rels {
+            self.stamps[rel.index()] = stamp;
             for tuple in tuples {
                 self.db.insert(rel, tuple);
             }
@@ -700,7 +706,7 @@ impl Session {
                     &self.db,
                 )
                 .expect("the engine admitted the query at registration");
-            reg.footprint_gen = footprint_generation(&reg.relevant, &self.db);
+            reg.footprint_gen = footprint_generation(&reg.relevant, &self.stamps);
             reg.touch();
         }
     }
@@ -720,6 +726,12 @@ impl Session {
     /// against.
     pub fn database(&self) -> &Database {
         &self.db
+    }
+
+    /// The stamp of `rel`: the seq of its last committed effective
+    /// update, 0 if none.
+    pub(crate) fn stamp(&self, rel: RelId) -> u64 {
+        self.stamps[rel.index()]
     }
 
     /// Audits every registration against the one `D`
@@ -830,6 +842,7 @@ impl Session {
     pub(crate) fn commit_query(&mut self, staged: StagedQuery) -> QueryId {
         self.schema = staged.schema.clone();
         self.db.adopt_schema(&self.schema);
+        self.stamps.resize(self.schema.len(), 0);
         // Route only relations the maintained query references (for
         // core-routed queries that is the core, whose atoms are a subset).
         let maintained = staged.maintained();
@@ -846,7 +859,7 @@ impl Session {
         // Publish the genesis epoch: readers acquired before the first
         // update pin the seed state, stamped with the current stream
         // position and the query's footprint generation.
-        let footprint_gen = footprint_generation(&relevant, &self.db);
+        let footprint_gen = footprint_generation(&relevant, &self.stamps);
         let snap: Arc<dyn ResultSnapshot> = Arc::from(engine.snapshot());
         let cell = Arc::new(EpochCell::new(Arc::new(Epoch {
             seq: self.seq,
@@ -971,7 +984,8 @@ impl Session {
             return false;
         }
         let stamp = self.advance_seq(1);
-        self.publish_batch(std::slice::from_ref(update), 1, stamp, None);
+        let stamped = std::iter::once((update.relation(), stamp));
+        self.publish_batch(std::slice::from_ref(update), stamped, 1, stamp, None);
         true
     }
 
@@ -1003,7 +1017,13 @@ impl Session {
             // subscribers still get one netted event, stamped with the
             // last member's number.
             let stamp = self.advance_seq(applied as u64);
-            self.publish_batch(&netted.net, applied, stamp, start);
+            let first = stamp + 1 - applied as u64;
+            let stamped = netted
+                .effective
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (updates[i].relation(), first + k as u64));
+            self.publish_batch(&netted.net, stamped, applied, stamp, start);
         }
         Ok(UpdateReport {
             total: updates.len(),
@@ -1022,6 +1042,13 @@ impl Session {
     /// transaction burning its numbers) moves the position and touches
     /// no engine.
     ///
+    /// `stamped` pairs each committed member's relation with the seq it
+    /// drew, in seq order; a rollback has none. Each pair becomes its
+    /// relation's stamp, and a query whose relations it names takes the
+    /// largest as its footprint generation — members that cancel, which
+    /// no engine sees, included. That is one store per member, and the
+    /// same stamps the log's records carry.
+    ///
     /// Each concerned engine receives the net facts on its relations at
     /// once and extracts result deltas natively
     /// ([`DynamicEngine::apply_net_tracked`]) at O(δ) as a side product of
@@ -1032,6 +1059,7 @@ impl Session {
     pub(crate) fn publish_batch(
         &mut self,
         net: &[Update],
+        stamped: impl Iterator<Item = (RelId, u64)> + Clone,
         applied: usize,
         stamp: u64,
         batch: Option<Instant>,
@@ -1040,8 +1068,19 @@ impl Session {
             return;
         }
         self.seq = stamp;
+        for (rel, seq) in stamped.clone() {
+            self.stamps[rel.index()] = seq;
+        }
         let mut filtered: Vec<Update> = Vec::new();
         for reg in &mut self.regs {
+            if let Some(generation) = stamped
+                .clone()
+                .filter(|&(rel, _)| reg.wants(rel))
+                .map(|(_, seq)| seq)
+                .max()
+            {
+                reg.footprint_gen = generation;
+            }
             // Zero-copy when every net fact concerns this query;
             // otherwise route the relevant subset (possibly empty).
             let routed: &[Update] = if net.iter().all(|u| reg.wants(u.relation())) {
@@ -1055,17 +1094,6 @@ impl Session {
                 continue;
             }
             reg.touch();
-            // The routed facts include the most recent change to any
-            // footprint relation, so their max per-relation stamp is the
-            // new footprint generation — unless a transaction changed a
-            // footprint relation later and back again, which
-            // `Session::restamp` has counted already.
-            let routed_gen = routed
-                .iter()
-                .map(|u| self.db.relation_generation(u.relation()))
-                .max()
-                .expect("routed is nonempty");
-            reg.footprint_gen = reg.footprint_gen.max(routed_gen);
             if reg.wants_deltas() {
                 let mut delta = ResultDelta::default();
                 reg.engine.apply_net_tracked(routed, &mut delta);
@@ -1128,16 +1156,12 @@ impl Session {
         debug_assert!(undone, "rollback of an effective update must be effective");
     }
 
-    /// Ends a transaction's announcements: every query's footprint stamp
-    /// moves to `D`'s ([`footprint_generation`]) and its cell's live
-    /// version back to its engine's. A transaction changes `D` member by
-    /// member, so members that cancel (or a rollback's undo) move `D`'s
-    /// stamps without reaching an engine, and [`Session::apply_to_db`]
-    /// announced a version only an engine the commit reaches will have.
-    /// O(|σ|) per query, once per transaction.
-    pub(crate) fn restamp(&mut self) {
+    /// Ends a transaction's announcements: every query's cell goes back
+    /// to its engine's live version. [`Session::apply_to_db`] announced
+    /// a version that only an engine the commit reaches will have;
+    /// members that cancel, and a rollback's undo, reach none.
+    pub(crate) fn withdraw_announcements(&mut self) {
         for reg in &mut self.regs {
-            reg.footprint_gen = footprint_generation(&reg.relevant, &self.db);
             reg.cell.set_live_version(reg.version);
         }
     }
@@ -1156,24 +1180,29 @@ impl Session {
     /// Ends a transaction whose effective `log` this session's `D` holds.
     /// Either way the log draws its numbers and ends in one
     /// [`Session::publish_batch`]: a commit with its net facts
-    /// ([`net_log`]), a rollback — `D` undone newest first — with none,
-    /// burning the numbers.
+    /// ([`net_log`]) and every member stamping its relation, a rollback —
+    /// `D` undone newest first — with neither, burning the numbers.
     fn end_transaction(&mut self, log: &[Update], commit: bool) {
         self.count_transaction(!commit);
         if log.is_empty() {
             return;
         }
-        let net = if commit {
-            net_log(log).net
+        let (net, members) = if commit {
+            (net_log(log).net, log)
         } else {
             for u in log.iter().rev() {
                 self.undo(u);
             }
-            Vec::new()
+            (Vec::new(), &[][..])
         };
-        self.restamp();
+        self.withdraw_announcements();
         let stamp = self.advance_seq(log.len() as u64);
-        self.publish_batch(&net, log.len(), stamp, None);
+        let first = stamp + 1 - log.len() as u64;
+        let stamped = members
+            .iter()
+            .enumerate()
+            .map(|(k, u)| (u.relation(), first + k as u64));
+        self.publish_batch(&net, stamped, log.len(), stamp, None);
     }
 }
 
@@ -1266,8 +1295,8 @@ pub struct QueryHandle<'a> {
     /// The session's update sequence number when this handle was taken —
     /// stamped onto snapshots pinned through it.
     seq: u64,
-    /// The query's footprint generation (max per-relation storage stamp
-    /// over its relevant relations) when this handle was taken.
+    /// The query's footprint generation (the largest relation stamp over
+    /// its relevant relations) when this handle was taken.
     generation: u64,
 }
 
@@ -1517,14 +1546,21 @@ impl QuerySnapshot {
         self.seq
     }
 
-    /// The query's storage-level **footprint generation** at pin time:
-    /// the max [`cqu_storage::Database::relation_generation`] over the
-    /// relations the maintained query references. Monotone, and it moves
-    /// *only* when one of this query's relations changes — updates to
-    /// foreign relations (other queries in the session, other shards of
-    /// a [`crate::shard::ShardedSession`]) leave it untouched, so two
-    /// snapshots of one query with equal stamps pin identical states
-    /// even when the rest of the database churned between them.
+    /// The query's **footprint generation** at pin time: the largest
+    /// relation stamp over the relations the maintained query reads, or
+    /// 0 if none was ever changed. A relation's stamp is the seq of the
+    /// last committed effective update on it — the seq its log record
+    /// carries — so the generation is a point of the same timeline as
+    /// [`QuerySnapshot::seq`], never above it, and a recovered session,
+    /// a replica and a sharded session all read the live session's
+    /// value. A rolled-back transaction stamps nothing; a committed
+    /// member stamps its relation even when a later member cancels it.
+    /// Monotone, and it moves *only* when one of this query's relations
+    /// changes — updates to foreign relations (other queries in the
+    /// session, other shards of a [`crate::shard::ShardedSession`]) leave
+    /// it untouched, so two snapshots of one query with equal stamps pin
+    /// identical states even when the rest of the database churned
+    /// between them.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -1749,14 +1785,18 @@ impl SharedSession {
         self.core.transaction(f)
     }
 
-    /// Resolves a relation by name (see [`Session::relation`]).
+    /// Resolves a relation by name (see [`Session::relation`]). Takes no
+    /// lock the writer holds, so it may be called inside a
+    /// [`SharedSession::transaction`] closure.
     pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
         self.core.relation(name)
     }
 
     /// Pins a snapshot of `name`'s current result and releases the read
     /// lock before returning — the caller enumerates lock-free while the
-    /// writer proceeds. See [`QueryHandle::snapshot`].
+    /// writer proceeds. See [`QueryHandle::snapshot`]. It must not be
+    /// called inside a [`SharedSession::transaction`] closure, which
+    /// holds the lock it waits for.
     pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, CqError> {
         self.core.snapshot(name)
     }
@@ -1765,7 +1805,9 @@ impl SharedSession {
     /// once, then every [`PinReader::pin`] is a single atomic load that
     /// bypasses the writer lock entirely — pins complete even while a
     /// writer or transaction holds it. Acquire readers up front (like
-    /// prepared statements) and hand clones to serving threads.
+    /// prepared statements) and hand clones to serving threads; not
+    /// inside a [`SharedSession::transaction`] closure, which holds the
+    /// lock acquisition waits for.
     pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
         self.core.reader(name)
     }
@@ -1798,7 +1840,9 @@ impl SharedSession {
         self.core.subscribe_from(name, from_seq)
     }
 
-    /// O(1) count of `name`'s current result.
+    /// O(1) count of `name`'s current result. It must not be called
+    /// inside a [`SharedSession::transaction`] closure, which holds the
+    /// lock it waits for.
     pub fn count(&self, name: &str) -> Result<u64, CqError> {
         self.core.count(name)
     }

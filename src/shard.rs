@@ -29,13 +29,14 @@
 //! touch on the write path), so all shards stamp their epochs, snapshots,
 //! and change events onto a single totally-ordered global `seq` timeline:
 //! a pin of any query, from any shard, is exactly the brute-force result
-//! of its stamped global prefix. Epoch *generation* stamps are
-//! footprint-granular: every epoch carries the max per-relation storage
-//! counter over its own query's relations
-//! ([`cqu_storage::Database::relation_generation`]), which moves only
-//! when one of those relations changes — so publication never touches
-//! shared state beyond that one counter, and a query's generation stamp
-//! is blind to foreign traffic even from a co-located sibling query.
+//! of its stamped global prefix. Epoch *generation* stamps are points of
+//! the same timeline: a relation's stamp is the global seq of the last
+//! committed update on it, and a query's generation is the largest stamp
+//! over its own relations ([`QuerySnapshot::generation`]). A shard
+//! stamps only the relations it owns, so publication touches no shared
+//! state beyond the one counter, a query's generation is blind to
+//! foreign traffic even from a co-located sibling query, and a sharded
+//! session reads the same generation as an unsharded one.
 //!
 //! # Locking discipline
 //!
@@ -227,6 +228,7 @@ impl ShardedSessionBuilder {
         Ok(ShardedSession {
             inner: Arc::new(Inner {
                 schema: self.schema,
+                open_names: RwLock::new(Schema::new()),
                 shards,
                 query_shard,
                 seq,
@@ -424,6 +426,13 @@ struct Inner {
     /// The sealed plan's union schema, which the router validates
     /// against (empty in the open form: shard 0's session owns it).
     schema: Schema,
+    /// The open form's relation names: a copy of shard 0's schema behind
+    /// a lock of its own, so [`ShardedSession::relation`] resolves a name
+    /// without shard 0's lock — also inside a transaction closure, which
+    /// holds that lock for writing. Only the open form's registration
+    /// path ([`ShardedSession::write_at`]) writes it, while it holds
+    /// shard 0's write lock. Empty in a sealed plan.
+    open_names: RwLock<Schema>,
     /// One shard per footprint component: a full private session behind
     /// its own writer lock.
     shards: Vec<Shard>,
@@ -466,6 +475,7 @@ impl ShardedSession {
         ShardedSession {
             inner: Arc::new(Inner {
                 schema: Schema::new(),
+                open_names: RwLock::new(session.schema().clone()),
                 shards: vec![Shard::new(session)],
                 query_shard: FxHashMap::default(),
                 seq,
@@ -534,15 +544,20 @@ impl ShardedSession {
             .ok_or(CqError::UnknownRelationId(rel.0))
     }
 
-    /// Resolves a relation by name.
+    /// Resolves a relation by name. Takes no shard lock, so it may be
+    /// called inside a transaction closure.
     pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
-        if self.inner.open {
-            return self.read_at(0, |s| s.relation(name))?;
-        }
-        self.inner
-            .schema
-            .relation(name)
-            .ok_or_else(|| CqError::UnknownRelation(name.to_string()))
+        let found = if self.inner.open {
+            let names = self
+                .inner
+                .open_names
+                .read()
+                .map_err(|_| CqError::Poisoned)?;
+            names.relation(name)
+        } else {
+            self.inner.schema.relation(name)
+        };
+        found.ok_or_else(|| CqError::UnknownRelation(name.to_string()))
     }
 
     /// The global sequence counter: total effective update commands
@@ -558,28 +573,6 @@ impl ShardedSession {
     pub fn registry(&self) -> Option<Arc<Registry>> {
         let shard = self.inner.shards.first()?.lock.read().ok()?;
         shard.registry().cloned()
-    }
-
-    /// Total effective changes committed across all shards, summed from
-    /// the shards' own storage-level generation counters — no global
-    /// stamp is maintained anywhere; each shard's
-    /// [`cqu_storage::Database::generation`] counts only its own traffic
-    /// (per relation, see [`ShardedSession::relation_generation`]).
-    ///
-    /// All shard read locks are held together (acquired in canonical
-    /// order) while summing, so the total is one consistent cut: it can
-    /// never count a cross-shard transaction's effects on one shard but
-    /// not another.
-    pub fn generation(&self) -> Result<u64, CqError> {
-        self.read_all(|guards| guards.iter().map(|g| g.database().generation()).sum())
-    }
-
-    /// The shard-local generation stamp of `rel`'s last effective change
-    /// (see [`cqu_storage::Database::relation_generation`]): moves only
-    /// when `rel` itself changes, wherever else traffic lands.
-    pub fn relation_generation(&self, rel: RelId) -> Result<u64, CqError> {
-        let sid = self.shard_of_relation(rel)?;
-        self.read_at(sid, |s| s.database().relation_generation(rel))
     }
 
     /// The shard `rel`'s updates commit on. Unchecked: sealed plans
@@ -639,8 +632,9 @@ impl ShardedSession {
     /// order and is netted once, each tuple against the shard owning it;
     /// since every query's footprint lives inside a single shard, every
     /// query observes exactly the net effect of the updates that concern
-    /// it. The batch draws one contiguous seq range and every shard it
-    /// changed is stamped with the range's last number.
+    /// it. The batch draws one contiguous seq range: every shard it
+    /// changed publishes at the range's last number, and every effective
+    /// member stamps its relation with its own number.
     pub fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, CqError> {
         if self.inner.open {
             return self.write_shard(0)?.apply_batch(updates);
@@ -677,7 +671,7 @@ impl ShardedSession {
             debug_assert!(changed, "net fact {fact:?} is a no-op");
         }
         let drawn = netted.effective.iter().map(|&i| updates[i].relation());
-        let applied = self.publish_at_head(&mut guards, &touched, drawn, netted.net, start);
+        let applied = self.publish_at_head(&mut guards, &touched, drawn, Some(netted.net), start);
         Ok(UpdateReport {
             total: updates.len(),
             applied,
@@ -688,38 +682,50 @@ impl ShardedSession {
     /// transaction's commit and its rollback. `guards` hold the locked
     /// `shards` (ascending), whose databases already hold the commit;
     /// `drawn` yields the relation of every member that draws a seq
-    /// number, and `net` the facts the engines receive (none for a
-    /// rollback). The whole range is drawn at once and every shard
-    /// publishes its part ([`Session::publish_batch`]) at the range's
-    /// head. The log stamps a commit in submission order, so a range per
-    /// shard would hand a shard a stamp whose timeline state it does not
-    /// hold; at the head each shard holds exactly the timeline's state
-    /// on its own relations. Returns how many numbers were drawn.
+    /// number, in submission order, and `net` the facts the engines
+    /// receive, or `None` for a rollback. The whole range is drawn at
+    /// once and every shard publishes its part
+    /// ([`Session::publish_batch`]) at the range's head. The log stamps
+    /// a commit in submission order, so a range per shard would hand a
+    /// shard a stamp whose timeline state it does not hold; at the head
+    /// each shard holds exactly the timeline's state on its own
+    /// relations. Member `i` of a commit stamps its relation with the
+    /// range's `i`-th number, the seq its log record carries; a rollback
+    /// burns the range and stamps nothing. Returns how many numbers were
+    /// drawn.
     fn publish_at_head(
         &self,
         guards: &mut [RwLockWriteGuard<'_, Session>],
         shards: &[usize],
-        drawn: impl Iterator<Item = RelId>,
-        net: Vec<Update>,
+        drawn: impl ExactSizeIterator<Item = RelId>,
+        net: Option<Vec<Update>>,
         batch: Option<Instant>,
     ) -> usize {
         let slot = |rel: RelId| self.slot(shards, rel);
-        let mut parts: Vec<(usize, Vec<Update>)> = vec![(0, Vec::new()); shards.len()];
-        for rel in drawn {
-            parts[slot(rel)].0 += 1;
-        }
-        for fact in net {
-            parts[slot(fact.relation())].1.push(fact);
-        }
-        let applied: usize = parts.iter().map(|(n, _)| n).sum();
+        let applied = drawn.len();
         // Relaxed, as in `Session::advance_seq`: uniqueness carries the
         // argument, and the stamp is read through the shard locks.
         let head = self.inner.seq.fetch_add(applied as u64, Ordering::Relaxed) + applied as u64;
-        for ((guard, (n, net)), &sid) in guards.iter_mut().zip(parts).zip(shards) {
+        let first = head + 1 - applied as u64;
+        // Per shard: the numbers it drew, its members' stamps, its facts.
+        type Part = (usize, Vec<(RelId, u64)>, Vec<Update>);
+        let mut parts: Vec<Part> = vec![(0, Vec::new(), Vec::new()); shards.len()];
+        let commit = net.is_some();
+        for (k, rel) in drawn.enumerate() {
+            let part = &mut parts[slot(rel)];
+            part.0 += 1;
+            if commit {
+                part.1.push((rel, first + k as u64));
+            }
+        }
+        for fact in net.into_iter().flatten() {
+            parts[slot(fact.relation())].2.push(fact);
+        }
+        for ((guard, (n, stamped, net)), &sid) in guards.iter_mut().zip(parts).zip(shards) {
             if let Some(m) = self.inner.metrics.as_ref() {
                 m.shard_commits[sid].add(n as u64);
             }
-            guard.publish_batch(&net, n, head, batch);
+            guard.publish_batch(&net, stamped.iter().copied(), n, head, batch);
         }
         applied
     }
@@ -813,15 +819,15 @@ impl ShardedSession {
             g.count_transaction(res.is_err());
         }
         let net = if res.is_ok() {
-            net_log(&log).net
+            Some(net_log(&log).net)
         } else {
             for u in log.iter().rev() {
                 guards[self.slot(&shards, u.relation())].undo(u);
             }
-            Vec::new()
+            None
         };
         for guard in guards.iter_mut() {
-            guard.restamp();
+            guard.withdraw_announcements();
         }
         let drawn = log.iter().map(Update::relation);
         self.publish_at_head(&mut guards, &shards, drawn, net, None);
@@ -849,13 +855,28 @@ impl ShardedSession {
         Ok(f(&guard))
     }
 
-    /// Runs `f` with exclusive write access to shard `sid`'s session.
+    /// Runs `f` with exclusive write access to shard `sid`'s session:
+    /// the path of every registration in the open form, which then
+    /// copies the grown schema into the name map while it still holds
+    /// the shard's write lock.
     pub(crate) fn write_at<R>(
         &self,
         sid: usize,
         f: impl FnOnce(&mut Session) -> R,
     ) -> Result<R, CqError> {
-        Ok(f(&mut *self.write_shard(sid)?))
+        let mut session = self.write_shard(sid)?;
+        let out = f(&mut session);
+        if self.inner.open {
+            let mut names = self
+                .inner
+                .open_names
+                .write()
+                .map_err(|_| CqError::Poisoned)?;
+            if names.len() != session.schema().len() {
+                *names = session.schema().clone();
+            }
+        }
+        Ok(out)
     }
 
     /// The id the shard session assigned to `name` at registration.
@@ -866,6 +887,9 @@ impl ShardedSession {
     /// Pins a snapshot of `name`'s current result (shard read lock held
     /// only for the pin itself). See
     /// [`QueryHandle::snapshot`](crate::session::QueryHandle::snapshot).
+    /// Takes the read lock of the query's shard, so it must not be called
+    /// inside a transaction closure that holds that shard: it would wait
+    /// on its own caller.
     pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, CqError> {
         self.read_shard(name, |s| s.query(name).map(|h| h.snapshot()))?
     }
@@ -873,7 +897,9 @@ impl ShardedSession {
     /// Acquires a lock-free [`PinReader`] on `name`: one shard read lock
     /// now, then every [`PinReader::pin`] is a single atomic load that
     /// touches no lock of any shard, ever — identical to the
-    /// single-session fast path, shard count notwithstanding.
+    /// single-session fast path, shard count notwithstanding. Acquiring
+    /// takes the query's shard read lock, so it must not be called inside
+    /// a transaction closure that holds that shard.
     pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
         let shard = &self.inner.shards[self.shard_of_query(name)?];
         let session = shard.read_announced().map_err(|_| CqError::Poisoned)?;
@@ -928,7 +954,9 @@ impl ShardedSession {
         self.read_shard(name, |s| s.query(name).map(|h| h.subscribe_from(from_seq)))?
     }
 
-    /// O(1) count of `name`'s current result.
+    /// O(1) count of `name`'s current result. Takes the query's shard
+    /// read lock, so it must not be called inside a transaction closure
+    /// that holds that shard.
     pub fn count(&self, name: &str) -> Result<u64, CqError> {
         self.read_shard(name, |s| s.query(name).map(|h| h.count()))?
     }
@@ -961,8 +989,7 @@ impl ShardedSession {
 
     /// Checkpoint hook: runs `f` with read guards on every shard session
     /// (acquired in canonical order), handing the caller one consistent
-    /// cut of the whole database — the same discipline
-    /// [`ShardedSession::generation`] uses.
+    /// cut of the whole database.
     pub(crate) fn read_all<R>(
         &self,
         f: impl FnOnce(&[RwLockReadGuard<'_, Session>]) -> R,
@@ -1155,7 +1182,8 @@ mod tests {
         assert!(session.apply(&Update::Insert(orphan, vec![7])).unwrap());
         assert!(!session.apply(&Update::Insert(orphan, vec![7])).unwrap());
         assert_eq!(session.seq(), 1);
-        assert_eq!(session.relation_generation(orphan).unwrap(), 1);
+        let sid = session.shard_of_relation(orphan).unwrap();
+        assert_eq!(session.read_at(sid, |s| s.stamp(orphan)).unwrap(), 1);
     }
 
     #[test]
@@ -1323,17 +1351,23 @@ mod tests {
         s.apply(&Update::Insert(sr, vec![3])).unwrap(); // seq 2
         s.apply(&Update::Insert(e, vec![4, 5])).unwrap(); // seq 3
         assert_eq!(s.seq(), 3);
-        // Each shard's storage generation counts only its own traffic…
-        assert_eq!(s.read_shard("a", |x| x.database().generation()).unwrap(), 2);
-        assert_eq!(s.read_shard("b", |x| x.database().generation()).unwrap(), 1);
-        assert_eq!(s.generation().unwrap(), 3);
-        // …and so do the per-relation stamps underneath.
-        assert_eq!(s.relation_generation(e).unwrap(), 2);
-        assert_eq!(s.relation_generation(sr).unwrap(), 1);
-        // Shard sessions stamp their snapshots with global seqs.
+        // Each shard stamps only its own relations, with global seqs…
+        assert_eq!(
+            s.read_shard("a", |x| (x.stamp(e), x.stamp(sr))).unwrap(),
+            (3, 0)
+        );
+        assert_eq!(
+            s.read_shard("b", |x| (x.stamp(e), x.stamp(sr))).unwrap(),
+            (0, 2)
+        );
+        // …and so do their snapshots.
         let snap_a = s.snapshot("a").unwrap();
         let snap_b = s.snapshot("b").unwrap();
-        assert_eq!(snap_a.seq(), 3);
-        assert_eq!(snap_b.seq(), 2, "b's last own update drew global seq 2");
+        assert_eq!((snap_a.seq(), snap_a.generation()), (3, 3));
+        assert_eq!(
+            (snap_b.seq(), snap_b.generation()),
+            (2, 2),
+            "b's last own update drew global seq 2"
+        );
     }
 }

@@ -625,6 +625,85 @@ fn shared_transaction_commits_on_ok_and_rolls_back_on_err() {
     assert!(feed.drain().is_empty(), "rollback publishes nothing");
 }
 
+/// Runs `f` on a thread of its own and fails if it has not returned
+/// within `limit`, so a call that deadlocks fails the test instead of
+/// hanging the suite. The stuck thread is left behind.
+fn under_watchdog<R: Send + 'static>(
+    what: &str,
+    limit: Duration,
+    f: impl FnOnce() -> R + Send + 'static,
+) -> R {
+    let (tx, rx) = channel();
+    thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("{what}: no return within {limit:?}, a deadlock"))
+}
+
+/// Resolving a relation by name inside a transaction closure returns:
+/// the closure holds the shard locks, and `relation` takes none. That
+/// holds on every face that offers both calls — the open one-shard core
+/// behind `SharedSession` and an unsharded `DurableSession`, a sealed
+/// `ShardedSession` and a sharded `DurableSession` — and for a relation
+/// that a registration added after the core was built.
+#[test]
+fn relation_resolves_inside_a_transaction_closure() {
+    const LIMIT: Duration = Duration::from_secs(20);
+    let mut session = Session::new();
+    session.register("easy", EASY).unwrap();
+    let shared = SharedSession::new(session);
+    shared.register("late", "Q(x) :- Z(x).").unwrap();
+    let applied = under_watchdog("SharedSession", LIMIT, move || {
+        shared
+            .transaction(|tx| {
+                let e = shared.relation("E")?;
+                let z = shared.relation("Z")?;
+                tx.apply(&Update::Insert(e, vec![1, 2]))?;
+                tx.apply(&Update::Insert(z, vec![3]))
+            })
+            .unwrap()
+    });
+    assert!(applied);
+
+    let mut b = ShardedSessionBuilder::new();
+    b.register("easy", EASY).unwrap();
+    b.register("other", "Q(x) :- S(x).").unwrap();
+    let sharded = b.build().unwrap();
+    let applied = under_watchdog("ShardedSession", LIMIT, move || {
+        sharded
+            .transaction(|tx| tx.apply(&Update::Insert(sharded.relation("S")?, vec![1])))
+            .unwrap()
+    });
+    assert!(applied);
+
+    for sharded in [false, true] {
+        let disk = cqu_testutil::SimDisk::new();
+        let durable = if sharded {
+            DurableSession::create_sharded(
+                Box::new(disk),
+                DurableOptions::default(),
+                &[("easy", EASY)],
+            )
+            .unwrap()
+        } else {
+            let durable =
+                DurableSession::create(Box::new(disk), DurableOptions::default()).unwrap();
+            durable.register("easy", EASY).unwrap();
+            durable
+        };
+        let applied = under_watchdog("DurableSession", LIMIT, move || {
+            durable
+                .transaction(|tx| {
+                    let t = durable.relation("T").expect("T is registered");
+                    tx.apply(&Update::Insert(t, vec![2]))
+                })
+                .unwrap()
+        });
+        assert!(applied, "sharded={sharded}");
+    }
+}
+
 /// Satellite: two subscribers on one query observe identical event
 /// sequences from a single update stream — and each event is the *same*
 /// allocation (`Arc::ptr_eq`), the zero-copy fan-out contract.

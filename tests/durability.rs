@@ -507,6 +507,41 @@ fn checkpoint_only_recovery() {
     assert_eq!(rec.seq().unwrap(), seq);
 }
 
+/// A checkpoint has a format version of its own, and an intact one of
+/// another version (magic, length and CRC all good, as in a version-2
+/// file written before the body carried relation stamps) is refused by
+/// name. Skipping it would start from the empty database under a log
+/// whose older segments it already pruned. A torn checkpoint is still
+/// skipped for the next-newest.
+#[test]
+fn a_checkpoint_of_another_version_is_refused_by_name() {
+    let disk = SimDisk::new();
+    let (schema, queries, run, sess) = seeded_session(&disk, 50);
+    let seq = sess.checkpoint().unwrap();
+    drop(sess);
+    let name = format!("ckpt-{seq:020}.ck");
+    let intact = disk.strict_view().file(&name).unwrap();
+
+    let view = disk.strict_view();
+    let mut old = intact.clone();
+    old[4..8].copy_from_slice(&2u32.to_le_bytes());
+    view.put_file(&name, &old);
+    let msg = match DurableSession::recover(Box::new(view), DurableOptions::default()) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("a version-2 checkpoint was skipped, not refused"),
+    };
+    assert!(msg.contains("checkpoint format version 2"), "{msg}");
+
+    // A torn checkpoint named above the intact one falls back to it.
+    let view = disk.strict_view();
+    let mut torn = intact;
+    torn[8..16].copy_from_slice(&(seq + 5).to_le_bytes());
+    torn.pop();
+    view.put_file(&format!("ckpt-{:020}.ck", seq + 5), &torn);
+    let rec = check_recovery(view, &schema, &queries, &run, false);
+    assert_eq!(rec.seq().unwrap(), seq);
+}
+
 /// No checkpoint at all: recovery is a pure tail replay across many
 /// rotated segments.
 #[test]

@@ -2,14 +2,16 @@
 //! crashed.
 //!
 //! A durable session preloads its relations with one batch per relation,
-//! in relation-id order (the order a checkpoint stores them in), takes a
-//! checkpoint, and runs a log tail of a single apply, a batch with a
-//! cancelling pair and a committed transaction. The preload holds facts
-//! no q-tree item reads (`L(a, b)` with `a ≠ b` against `L(x, x)`) and
-//! relations that only a delta-IVM query or a Boolean component reads.
-//! The history has no deletes before the checkpoint and no rollback:
-//! those change the live `D`, and with it its generation stamps, in ways
-//! a checkpoint and a `SeqBurn` do not record. Then:
+//! in relation-id order (the order a checkpoint stores them in), deletes
+//! a fact and rolls a transaction back, takes a checkpoint, and runs a
+//! log tail of a single apply, a batch with a cancelling pair, a
+//! committed transaction, updates that cancel across commits and a
+//! rollback. The preload holds facts no q-tree item reads (`L(a, b)`
+//! with `a ≠ b` against `L(x, x)`) and relations that only a delta-IVM
+//! query or a Boolean component reads. A query's `generation()` is the
+//! seq of the last committed update on its relations, which the log's
+//! records and the checkpoint's relation stamps carry, so every one of
+//! these shapes reproduces it. Then:
 //!
 //! * a session recovered from the disk (checkpoint plus tail), sharded
 //!   and unsharded, equals the live session on `seq()`, and on every
@@ -102,6 +104,9 @@ fn history(sess: &DurableSession) -> u64 {
             .collect();
         sess.apply_batch(&batch).unwrap();
     }
+    // A delete before the checkpoint, and a rollback it covers.
+    assert!(sess.apply(&del(sess, "S", &[1, 1])).unwrap());
+    roll_back(sess, &[ins(sess, "R", &[90]), del(sess, "P", &[3])]);
     let ckpt = sess.checkpoint().unwrap();
     assert_eq!(ckpt, sess.seq().unwrap());
 
@@ -116,7 +121,6 @@ fn history(sess: &DurableSession) -> u64 {
         del(sess, "G", &[50, 50]),
     ])
     .unwrap();
-    // Resolved outside: a transaction holds the locks `relation` takes.
     let committed = [
         ins(sess, "C", &[6]),
         del(sess, "B", &[0, 0]),
@@ -124,7 +128,23 @@ fn history(sess: &DurableSession) -> u64 {
     ];
     sess.transaction(|tx| tx.apply_all(&committed).map(drop))
         .unwrap();
+    // Updates that cancel across commits, then a rollback that ends the
+    // log with a burn.
+    assert!(sess.apply(&ins(sess, "R", &[77])).unwrap());
+    assert!(sess.apply(&ins(sess, "U", &[4])).unwrap());
+    assert!(sess.apply(&del(sess, "R", &[77])).unwrap());
+    roll_back(sess, &[ins(sess, "T", &[99]), del(sess, "C", &[1])]);
     ckpt
+}
+
+/// Applies `updates` in a transaction that then rolls back: the numbers
+/// are burned and nothing is stamped.
+fn roll_back(sess: &DurableSession, updates: &[Update]) {
+    let res = sess.transaction(|tx| {
+        assert_eq!(tx.apply_all(updates)?, updates.len());
+        Err::<(), _>(CqError::UnknownQuery("roll back".into()))
+    });
+    assert!(res.is_err());
 }
 
 /// What a reader sees of one query: rows, count and the snapshot's

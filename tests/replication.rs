@@ -578,6 +578,37 @@ fn leader_restart_forces_epoch_rehandshake() {
     );
 }
 
+/// A follower speaking the previous protocol version would parse the
+/// checkpoint bodies a leader ships in the old layout, without relation
+/// stamps, so the leader denies its `Hello` with a permanent version
+/// refusal before it ships anything.
+#[test]
+fn a_follower_on_the_previous_protocol_version_is_denied() {
+    use cq_updates::repl::protocol::read_frame;
+    use cq_updates::repl::{Frame, REPL_VERSION};
+    let disk = SimDisk::new();
+    let sess = leader(&disk, false);
+    let server = ReplicationServer::bind("127.0.0.1:0", Arc::clone(&sess), fast_leader()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(SYNC)).unwrap();
+    let hello = Frame::Hello {
+        version: REPL_VERSION - 1,
+        epoch: 0,
+        cursor: 0,
+    };
+    stream.write_all(&hello.encode()).unwrap();
+    match read_frame(&mut stream).unwrap() {
+        Frame::Deny { reason, msg } => {
+            assert_eq!(reason, DenyReason::Version);
+            assert!(
+                msg.contains(&format!("version {}", REPL_VERSION - 1)),
+                "{msg}"
+            );
+        }
+        other => panic!("the previous version was not denied: {other:?}"),
+    }
+}
+
 /// Sharded leaders replicate on the same global timeline; the replica
 /// rebuilds the sealed shard plan from the shipped registrations.
 #[test]

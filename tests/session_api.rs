@@ -407,8 +407,10 @@ impl TxFace for ShardedSession {
 /// Preloads 1,007 facts, holds a snapshot, then runs a rolled-back
 /// transaction and a committed insert + delete of one fact. Neither
 /// reaches an engine, so the held snapshot shares its state with a fresh
-/// one after each; the fresh one's stamps still move with the burned or
-/// drawn numbers and with `D`'s changes.
+/// one after each. The fresh one's `seq()` moves with the burned or
+/// drawn numbers; its `generation()` stays put over the rollback, which
+/// stamps nothing, and moves to the committed delete's seq, the last
+/// committed update on `E`.
 fn uncommitted_and_cancelled_work_touches_no_engine(face: &mut impl TxFace, e: RelId) {
     let held = face.pairs();
     assert_eq!((held.seq(), held.generation()), (1007, 1007));
@@ -418,7 +420,7 @@ fn uncommitted_and_cancelled_work_touches_no_engine(face: &mut impl TxFace, e: R
         held.shares_state_with(&fresh),
         "the rollback reached an engine"
     );
-    assert_eq!((fresh.seq(), fresh.generation()), (1008, 1009));
+    assert_eq!((fresh.seq(), fresh.generation()), (1008, 1007));
     let fact = vec![6000, 1];
     let cancelling = [Update::Insert(e, fact.clone()), Update::Delete(e, fact)];
     face.transact(&cancelling, true);
@@ -427,7 +429,7 @@ fn uncommitted_and_cancelled_work_touches_no_engine(face: &mut impl TxFace, e: R
         held.shares_state_with(&fresh),
         "the cancelled commit reached an engine"
     );
-    assert_eq!((fresh.seq(), fresh.generation()), (1010, 1011));
+    assert_eq!((fresh.seq(), fresh.generation()), (1010, 1010));
     assert_eq!(fresh.count(), 1000);
 }
 
@@ -756,16 +758,18 @@ proptest! {
             tx_session.query("q").unwrap().results_sorted(),
             replay_session.query("q").unwrap().results_sorted()
         );
-        // A transaction changes `D` member by member, as single applies
-        // do (a batch changes it by its net facts only), so its snapshot
-        // carries the single applies' seq and footprint generation.
-        let (tx_snap, replay_snap) = (
+        // Every effective member stamps its relation with the seq it
+        // drew, however the commit grouped it, so the transaction, the
+        // batch and the single applies read one seq and one generation.
+        let (tx_snap, replay_snap, batch_snap) = (
             tx_session.query("q").unwrap().snapshot(),
             replay_session.query("q").unwrap().snapshot(),
+            batch_session.query("q").unwrap().snapshot(),
         );
         prop_assert_eq!(tx_snap.seq(), replay_snap.seq());
-        prop_assert_eq!(tx_snap.seq(), batch_session.query("q").unwrap().snapshot().seq());
+        prop_assert_eq!(tx_snap.seq(), batch_snap.seq());
         prop_assert_eq!(tx_snap.generation(), replay_snap.generation());
+        prop_assert_eq!(tx_snap.generation(), batch_snap.generation());
     }
 
     /// The session's counters against an oracle of the calls made, on a

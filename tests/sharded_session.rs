@@ -10,6 +10,7 @@
 //! publication paths are all exercised per shard.
 
 use cq_updates::prelude::*;
+use cq_updates::query::RelId;
 use cqu_testutil::{cancelling_pairs, random_updates, result_timeline, Lcg, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -110,9 +111,11 @@ proptest! {
     /// Apply-only streams: after every update, for every routed query,
     /// four views agree — the sharded locked snapshot, the sharded
     /// lock-free pin (at its own stamp), the single-writer snapshot, and
-    /// the brute-force timeline frame of each stamp. Subscriptions on
-    /// both sides then deliver bit-identical event sequences,
-    /// *including* the global `seq` stamps.
+    /// the brute-force timeline frame of each stamp. Both locked
+    /// snapshots read the same `generation()`: the timeline index of the
+    /// last effective update on the query's relations, never above
+    /// `seq()`. Subscriptions on both sides then deliver bit-identical
+    /// event sequences, *including* the global `seq` stamps.
     #[test]
     fn sharded_pins_and_feeds_equal_single_writer_and_timeline(seed in 0u64..1_000_000) {
         let (sharded, mut single) = twins();
@@ -139,14 +142,38 @@ proptest! {
             .iter()
             .map(|(name, _, _)| sharded.reader(name).unwrap())
             .collect();
+        let footprints: Vec<Vec<RelId>> = SHARDED
+            .iter()
+            .map(|(name, _, _)| {
+                let q = single.query(name).unwrap().query().clone();
+                q.atoms().iter().map(|a| a.relation).collect()
+            })
+            .collect();
+        // Per query: the timeline index of the last effective update on
+        // its footprint.
+        let mut last_touch = vec![0u64; SHARDED.len()];
 
         for u in &script {
             let changed_sharded = sharded.apply(u).unwrap();
             let changed_single = single.apply(u).unwrap();
             prop_assert_eq!(changed_sharded, changed_single, "effectiveness diverged");
             prop_assert_eq!(sharded.seq(), single.seq(), "global seq diverged");
+            for (i, footprint) in footprints.iter().enumerate() {
+                if changed_single && footprint.contains(&u.relation()) {
+                    last_touch[i] = single.seq();
+                }
+            }
             for (i, (name, _, _)) in SHARDED.iter().enumerate() {
                 let snap = sharded.snapshot(name).unwrap();
+                prop_assert_eq!(
+                    snap.generation(), last_touch[i],
+                    "{}: generation is not the last touch of its footprint", name
+                );
+                prop_assert!(snap.generation() <= snap.seq());
+                prop_assert_eq!(
+                    single.query(name).unwrap().snapshot().generation(), last_touch[i],
+                    "{}: single-writer generation", name
+                );
                 let expect = single.query(name).unwrap().results_sorted();
                 prop_assert_eq!(
                     snap.results_sorted(), expect.clone(),
@@ -250,12 +277,12 @@ proptest! {
                 }
             }
             prop_assert_eq!(sharded.seq(), single.seq(), "seq budgets diverged");
-            prop_assert_eq!(
-                sharded.generation().unwrap(),
-                single.database().generation(),
-                "total effective changes diverged"
-            );
             for (name, _, _) in SHARDED {
+                prop_assert_eq!(
+                    sharded.snapshot(name).unwrap().generation(),
+                    single.query(name).unwrap().snapshot().generation(),
+                    "{}: generations diverged", name
+                );
                 prop_assert_eq!(
                     sharded.count(name).unwrap(),
                     single.query(name).unwrap().count(),
