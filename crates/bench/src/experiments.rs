@@ -996,8 +996,11 @@ pub fn e15_replica_reads(
     let server =
         ReplicationServer::bind("127.0.0.1:0", Arc::clone(&leader), LeaderConfig::default())
             .unwrap();
-    let single = leader.shared().expect("single-writer mode");
-    let schema = single.read(|s| s.schema().clone()).unwrap();
+    let schema = leader
+        .shared()
+        .expect("single-writer mode")
+        .read(|s| s.schema().clone())
+        .unwrap();
     for chunk in session_churn(&schema, 0x5EED, steps).chunks(512) {
         leader.apply_batch(chunk).unwrap();
     }
@@ -1017,7 +1020,7 @@ pub fn e15_replica_reads(
             .add(&format!("{name}/round"), &stats)
             .add_fact(&format!("{name}/reads_per_s"), per_s);
     };
-    measure("leader_only".to_string(), &[single.reader("q").unwrap()]);
+    measure("leader_only".to_string(), &[leader.reader("q").unwrap()]);
     let most = replicas.iter().copied().max().unwrap_or(0);
     let followers: Vec<ReplicaSession> = (0..most)
         .map(|_| ReplicaSession::connect(server.local_addr(), ReplicaOptions::default()).unwrap())

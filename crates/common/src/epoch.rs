@@ -3,10 +3,11 @@
 //! [`EpochCell<T>`] holds one `Arc<T>` — the *published epoch* — behind an
 //! atomic pointer. Readers take O(1) snapshots with [`EpochCell::load`]
 //! (one counter increment, one pointer load, one refcount increment — no
-//! lock, no allocation, no waiting on writers); a writer replaces the
-//! epoch with [`EpochCell::store`], after which the previous epoch lives
-//! exactly as long as the last outstanding `Arc` clone of it — dropping a
-//! pin releases its epoch deterministically through the `Arc` refcount.
+//! lock, no allocation, no waiting on writers); the cell's one
+//! [`Publisher`] replaces the epoch with [`Publisher::store`], after which
+//! the previous epoch lives exactly as long as the last outstanding `Arc`
+//! clone of it — dropping a pin releases its epoch deterministically
+//! through the `Arc` refcount.
 //!
 //! This is the vendored-deps stand-in for the `arc-swap` crate, built
 //! from `AtomicPtr` + `Arc::into_raw`. The classic hazard of that
@@ -27,6 +28,15 @@
 //! epoch for hours is entirely invisible to publication — epochs retire
 //! through the `Arc` refcount, never through the windows.
 //!
+//! The windows protect a load against *one* store at a time. Two stores
+//! running at once can free an epoch a concurrent load is about to pin:
+//! a reader announces under parity 0 and loads `P0`, store A swaps `P0`
+//! out, store B swaps A's epoch out and flips the parity first, so A's
+//! flip drains the empty window 1 and frees `P0` under the reader. So
+//! the store lives on a unique, non-`Clone` [`Publisher`] and takes
+//! `&mut self`: one cell has one writer, and the borrow checker
+//! serializes its stores. Readers share the cell as `Arc<EpochCell<T>>`.
+//!
 //! Orderings are deliberately conservative (`SeqCst` on the
 //! publication/pin edges): epoch swaps are rare next to pins, and pins
 //! are already two orders of magnitude cheaper than the cheapest engine
@@ -36,6 +46,8 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 
 /// A lock-free publication slot for immutable epochs (see module docs).
+/// Readers share it as `Arc<EpochCell<T>>`; only its [`Publisher`]
+/// stores.
 ///
 /// The cell also carries two advisory registers the session layer uses to
 /// coordinate demand-driven publication without extra state:
@@ -50,7 +62,7 @@ pub struct EpochCell<T> {
     /// The published epoch, as a raw `Arc::into_raw` pointer. Never null.
     ptr: AtomicPtr<T>,
     /// Publication parity: its low bit names the window slot new readers
-    /// announce into. Flipped by every [`EpochCell::store`], right after
+    /// announce into. Flipped by every [`Publisher::store`], right after
     /// the pointer swap.
     parity: AtomicUsize,
     /// Reader windows by parity bit: the number of readers currently
@@ -64,8 +76,9 @@ pub struct EpochCell<T> {
 }
 
 impl<T> EpochCell<T> {
-    /// Creates a cell publishing `initial`.
-    pub fn new(initial: Arc<T>) -> Self {
+    /// A cell publishing `initial`; only [`Publisher::new`] makes one, so
+    /// every cell has exactly one writer.
+    fn new(initial: Arc<T>) -> Self {
         EpochCell {
             ptr: AtomicPtr::new(Arc::into_raw(initial).cast_mut()),
             parity: AtomicUsize::new(0),
@@ -76,7 +89,7 @@ impl<T> EpochCell<T> {
     }
 
     /// Takes an O(1) snapshot of the published epoch: an `Arc` clone that
-    /// stays valid forever, however many [`EpochCell::store`]s follow.
+    /// stays valid forever, however many [`Publisher::store`]s follow.
     /// Lock-free — in particular it never blocks on (or even observes)
     /// any writer lock; a concurrent store at most makes it re-announce
     /// into the new parity's window.
@@ -110,43 +123,6 @@ impl<T> EpochCell<T> {
         };
         self.windows[slot].fetch_sub(1, Ordering::SeqCst);
         epoch
-    }
-
-    /// Publishes `next`, releasing the cell's reference to the previous
-    /// epoch. The previous epoch is freed as soon as the last outstanding
-    /// pin of it drops — deterministically, through the `Arc` refcount.
-    ///
-    /// Callers must serialize stores: two stores running at once can
-    /// free an epoch a concurrent [`EpochCell::load`] is about to pin (a
-    /// use-after-free), so a store must never overlap another store on
-    /// the same cell. Loads may overlap anything. The session stores in
-    /// two places, both serialized: on the writer path
-    /// (`Session::publish_batch` republishing on demand), which holds the
-    /// session exclusively, and in a reader-side rebuild
-    /// (`Registered::pinned`), which holds the session shared and the
-    /// registration's build lock, so such rebuilds exclude each other and
-    /// the writer alike.
-    pub fn store(&self, next: Arc<T>) {
-        let old = self
-            .ptr
-            .swap(Arc::into_raw(next).cast_mut(), Ordering::SeqCst);
-        // Flip the parity: readers announcing from here on use the other
-        // window slot (and can only load the new pointer), so continuous
-        // pin traffic never extends the drain below.
-        let prev = self.parity.fetch_add(1, Ordering::SeqCst) & 1;
-        // Drain the previous parity's window: exactly the readers that
-        // were crossing our swap and may be about to take a refcount on
-        // `old`. Bounded by the thread count, each inside a window of a
-        // handful of instructions; yield in case one was preempted
-        // mid-window.
-        while self.windows[prev].load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        // SAFETY: `old` came from `Arc::into_raw` at publication time and
-        // the cell owned one strong count for it; every reader that could
-        // still hold it raw has secured its own count by now.
-        drop(unsafe { Arc::from_raw(old) });
     }
 
     /// Writer-side: records the current engine-state version (a monotone
@@ -197,6 +173,91 @@ impl<T: std::fmt::Debug> std::fmt::Debug for EpochCell<T> {
     }
 }
 
+/// The one writer of an [`EpochCell`]: unique and not `Clone`, so the
+/// stores of one cell can never overlap (see the module docs for the
+/// interleaving that two concurrent stores would open).
+///
+/// ```
+/// use cqu_common::epoch::Publisher;
+/// use std::sync::Arc;
+///
+/// let mut publisher = Publisher::new(Arc::new(1u64));
+/// let cell = Arc::clone(publisher.cell());
+/// let reader = std::thread::spawn(move || *cell.load());
+/// publisher.store(Arc::new(2));
+/// assert!(matches!(reader.join().unwrap(), 1 | 2));
+/// assert_eq!(*publisher.cell().load(), 2);
+/// ```
+///
+/// Two threads cannot store through one publisher at once: a store takes
+/// `&mut self`, and a shared borrow does not give one.
+///
+/// ```compile_fail
+/// use cqu_common::epoch::Publisher;
+/// use std::sync::Arc;
+///
+/// let publisher = Publisher::new(Arc::new(0u64));
+/// let shared = &publisher;
+/// std::thread::scope(|s| {
+///     s.spawn(|| shared.store(Arc::new(1)));
+///     s.spawn(|| shared.store(Arc::new(2)));
+/// });
+/// ```
+pub struct Publisher<T> {
+    cell: Arc<EpochCell<T>>,
+}
+
+impl<T> Publisher<T> {
+    /// Creates a cell publishing `initial`, and its one publisher.
+    pub fn new(initial: Arc<T>) -> Publisher<T> {
+        Publisher {
+            cell: Arc::new(EpochCell::new(initial)),
+        }
+    }
+
+    /// The cell this publisher writes; readers load from clones of the
+    /// `Arc`.
+    pub fn cell(&self) -> &Arc<EpochCell<T>> {
+        &self.cell
+    }
+
+    /// Publishes `next`, releasing the cell's reference to the previous
+    /// epoch. The previous epoch is freed as soon as the last outstanding
+    /// pin of it drops — deterministically, through the `Arc` refcount.
+    ///
+    /// `&mut self` serializes stores; loads may overlap anything.
+    pub fn store(&mut self, next: Arc<T>) {
+        let cell = &*self.cell;
+        let old = cell
+            .ptr
+            .swap(Arc::into_raw(next).cast_mut(), Ordering::SeqCst);
+        // Flip the parity: readers announcing from here on use the other
+        // window slot (and can only load the new pointer), so continuous
+        // pin traffic never extends the drain below.
+        let prev = cell.parity.fetch_add(1, Ordering::SeqCst) & 1;
+        // Drain the previous parity's window: exactly the readers that
+        // were crossing our swap and may be about to take a refcount on
+        // `old`. Bounded by the thread count, each inside a window of a
+        // handful of instructions; yield in case one was preempted
+        // mid-window.
+        while cell.windows[prev].load(Ordering::SeqCst) != 0 {
+            std::hint::spin_loop();
+            std::thread::yield_now();
+        }
+        // SAFETY: `old` came from `Arc::into_raw` at publication time and
+        // the cell owned one strong count for it; every reader that could
+        // still hold it raw has secured its own count by now, and no other
+        // store overlaps this one (`&mut self`, one publisher per cell).
+        drop(unsafe { Arc::from_raw(old) });
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Publisher<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Publisher").field(&self.cell).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,19 +266,21 @@ mod tests {
 
     #[test]
     fn load_returns_published_epoch() {
-        let cell = EpochCell::new(Arc::new(1u64));
+        let mut publisher = Publisher::new(Arc::new(1u64));
+        let cell = Arc::clone(publisher.cell());
         assert_eq!(*cell.load(), 1);
-        cell.store(Arc::new(2));
+        publisher.store(Arc::new(2));
         assert_eq!(*cell.load(), 2);
     }
 
     #[test]
     fn pins_survive_publication_and_release_deterministically() {
-        let cell = EpochCell::new(Arc::new("genesis".to_string()));
+        let mut publisher = Publisher::new(Arc::new("genesis".to_string()));
+        let cell = Arc::clone(publisher.cell());
         let pin = cell.load();
         // cell + pin.
         assert_eq!(Arc::strong_count(&pin), 2);
-        cell.store(Arc::new("next".to_string()));
+        publisher.store(Arc::new("next".to_string()));
         // The old epoch now lives only through the pin.
         assert_eq!(*pin, "genesis");
         assert_eq!(Arc::strong_count(&pin), 1);
@@ -229,10 +292,11 @@ mod tests {
 
     #[test]
     fn ancient_pins_never_delay_publication() {
-        let cell = EpochCell::new(Arc::new(0u64));
+        let mut publisher = Publisher::new(Arc::new(0u64));
+        let cell = Arc::clone(publisher.cell());
         let ancient = cell.load();
         for gen in 1..=10_000u64 {
-            cell.store(Arc::new(gen));
+            publisher.store(Arc::new(gen));
         }
         assert_eq!(*ancient, 0, "ancient pin still reads its epoch");
         assert_eq!(*cell.load(), 10_000);
@@ -240,7 +304,8 @@ mod tests {
 
     #[test]
     fn advisory_registers_roundtrip() {
-        let cell = EpochCell::new(Arc::new(()));
+        let publisher = Publisher::new(Arc::new(()));
+        let cell = publisher.cell();
         assert_eq!(cell.live_version(), 0);
         cell.set_live_version(7);
         assert_eq!(cell.live_version(), 7);
@@ -259,7 +324,8 @@ mod tests {
             a: u64,
             b: u64, // always a * 2 + 1
         }
-        let cell = Arc::new(EpochCell::new(Arc::new(Payload { a: 0, b: 1 })));
+        let mut publisher = Publisher::new(Arc::new(Payload { a: 0, b: 1 }));
+        let cell = Arc::clone(publisher.cell());
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
@@ -288,7 +354,7 @@ mod tests {
             })
             .collect();
         for a in 1..=20_000u64 {
-            cell.store(Arc::new(Payload { a, b: a * 2 + 1 }));
+            publisher.store(Arc::new(Payload { a, b: a * 2 + 1 }));
         }
         stop.store(true, Ordering::Release);
         for r in readers {

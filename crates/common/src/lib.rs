@@ -15,9 +15,9 @@
 //!   copy of a slab is one `memcpy`.
 //! * [`bitset`] — dense bitsets and square boolean matrices used by the
 //!   OMv/OuMv/OV lower-bound machinery (Section 5 of the paper).
-//! * [`epoch`] — a hand-rolled arc-swap ([`EpochCell`]): lock-free O(1)
-//!   epoch publication and pinning, the substrate of the session layer's
-//!   snapshot fast path.
+//! * [`epoch`] — a hand-rolled arc-swap ([`EpochCell`], written only
+//!   through its one [`Publisher`]): lock-free O(1) epoch publication and
+//!   pinning, the substrate of the session layer's snapshot fast path.
 //! * [`union_find`] — a disjoint-set forest ([`UnionFind`]), used by the
 //!   session layer's shard planner to partition relations into
 //!   independent write shards by transitive query-footprint overlap.
@@ -30,7 +30,7 @@ pub mod slab;
 pub mod union_find;
 
 pub use bitset::{BitMatrix, BitSet};
-pub use epoch::EpochCell;
+pub use epoch::{EpochCell, Publisher};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use slab::{Slab, SlabId};
 pub use union_find::UnionFind;

@@ -55,13 +55,14 @@
 
 use crate::error::CqError;
 use crate::replay::{build_core, ckpt_mode, encode_choice, encode_ckpt_body, Reg, Replay};
-use crate::session::{validate_update, EngineChoice, QueryId, QuerySnapshot, SharedSession};
-use crate::shard::{ShardedSession, ShardedTransaction};
+use crate::session::{validate_update, EngineChoice, QueryId, SharedSession};
+use crate::shard::{Reads, ShardedSession, ShardedTransaction};
 use cqu_dynamic::{net_effective, UpdateReport};
 use cqu_obs::Registry;
-use cqu_query::{parse_query, RelId};
+use cqu_query::parse_query;
 use cqu_storage::Update;
 use cqu_wal::{epoch, FsDir, FsyncPolicy, Rec, Wal, WalDir, WalError, WalOptions};
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -184,6 +185,12 @@ impl std::fmt::Debug for DurableSession {
     }
 }
 
+impl Reads for DurableSession {
+    fn core(&self) -> Result<Cow<'_, ShardedSession>, CqError> {
+        Ok(Cow::Borrowed(&self.core))
+    }
+}
+
 fn lock_wal(wal: &Mutex<WalState>) -> Result<std::sync::MutexGuard<'_, WalState>, DurableError> {
     wal.lock()
         .map_err(|_| DurableError::Session(CqError::Poisoned))
@@ -216,18 +223,26 @@ fn update_recs<'u>(
         .collect()
 }
 
-/// Fans one committed record group out to every attached replication
-/// queue: one serialization shared by all followers, and pushes that
-/// never block — a queue that overflowed (or whose connection closed)
-/// is dropped here, and its follower resumes by cursor on reconnect.
-/// Runs after `wal.commit()` succeeds, so followers only ever see
-/// records that are durable on the leader.
-fn ship(st: &mut WalState, head: u64, recs: &[Rec]) {
-    if st.sinks.is_empty() || recs.is_empty() {
-        return;
+impl WalState {
+    /// The one log-and-ship sequence of every durable mutation: appends
+    /// `recs`, commits them as one log write (synced per policy), then
+    /// fans them out to every attached replication queue, stamped
+    /// `head`. Followers thus only ever see records that are durable on
+    /// the leader. One serialization is shared by all followers, and the
+    /// pushes never block: a queue that overflowed (or whose connection
+    /// closed) is dropped here, and its follower resumes by cursor on
+    /// reconnect.
+    fn log(&mut self, head: u64, recs: &[Rec]) -> std::io::Result<()> {
+        for rec in recs {
+            self.wal.append(rec);
+        }
+        self.wal.commit()?;
+        if !self.sinks.is_empty() && !recs.is_empty() {
+            let frame: Arc<[u8]> = cqu_repl::protocol::encode_records_frame(recs).into();
+            self.sinks.retain(|(_, q)| q.push(head, Arc::clone(&frame)));
+        }
+        Ok(())
     }
-    let frame: Arc<[u8]> = cqu_repl::protocol::encode_records_frame(recs).into();
-    st.sinks.retain(|(_, q)| q.push(head, Arc::clone(&frame)));
 }
 
 /// Attaches the options' registry, if any, to a freshly opened log
@@ -447,35 +462,9 @@ impl DurableSession {
         self.is_sharded().then_some(&self.core)
     }
 
-    /// The session core itself, for crate-internal readers that serve
-    /// either mode alike.
-    pub(crate) fn core(&self) -> &ShardedSession {
-        &self.core
-    }
-
     /// The global sequence counter.
     pub fn seq(&self) -> Result<u64, DurableError> {
         Ok(self.core.seq())
-    }
-
-    /// Resolves a relation by name. Takes no shard lock, so it may be
-    /// called inside a [`DurableSession::transaction`] closure.
-    pub fn relation(&self, name: &str) -> Result<RelId, DurableError> {
-        Ok(self.core.relation(name)?)
-    }
-
-    /// Pins a snapshot of `name`'s current result. Takes the query's
-    /// shard read lock, so it must not be called inside a
-    /// [`DurableSession::transaction`] closure.
-    pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, DurableError> {
-        Ok(self.core.snapshot(name)?)
-    }
-
-    /// O(1) count of `name`'s current result. Takes the query's shard
-    /// read lock, so it must not be called inside a
-    /// [`DurableSession::transaction`] closure.
-    pub fn count(&self, name: &str) -> Result<u64, DurableError> {
-        Ok(self.core.count(name)?)
     }
 
     /// Registers a query (single-writer mode only — sharded sessions
@@ -489,12 +478,13 @@ impl DurableSession {
     /// [`DurableSession::register`] with an explicit engine choice.
     ///
     /// Log-before-publish, like every other mutation: the registration
-    /// is staged (every check that can refuse it), then appended and
-    /// committed to the log, and only then committed to the session — a
-    /// failed log commit leaves the in-memory schema exactly where the
-    /// log has it. The extra fsync comes last: once the commit landed
-    /// the record is part of the log, so the registration stands on
-    /// both sides even if that fsync then reports a fault.
+    /// is staged (every check that can refuse it), then appended,
+    /// committed to the log and shipped to followers, and only then
+    /// committed to the session, as a batch is — a failed log commit
+    /// leaves the in-memory schema exactly where the log has it. The
+    /// extra fsync comes last: once the commit landed the record is part
+    /// of the log, so the registration stands on both sides even if that
+    /// fsync then reports a fault.
     pub fn register_with(
         &self,
         name: &str,
@@ -519,11 +509,9 @@ impl DurableSession {
             src: src.to_string(),
             choice: byte,
         };
-        st.wal.append(&rec);
-        st.wal.commit()?;
+        // A registration draws no seq: it ships at the current head.
+        st.log(self.core.seq(), std::slice::from_ref(&rec))?;
         let id = self.core.write_at(0, |s| s.commit_query(staged))?;
-        let head = self.core.seq();
-        ship(&mut st, head, std::slice::from_ref(&rec));
         st.regs.push((name.to_string(), src.to_string(), byte));
         st.wal.sync()?;
         Ok(id)
@@ -564,11 +552,7 @@ impl DurableSession {
         let seq0 = core.seq();
         let head = seq0 + netted.effective.len() as u64;
         let recs = update_recs(core, seq0, netted.effective.iter().map(|&i| &updates[i]));
-        for rec in &recs {
-            st.wal.append(rec);
-        }
-        st.wal.commit()?;
-        ship(st, head, &recs);
+        st.log(head, &recs)?;
         // The log stamps the batch in submission order; a multi-shard
         // batch stamps every shard it changes with `head`, where each
         // holds the timeline's state on its own relations.
@@ -617,20 +601,15 @@ impl DurableSession {
                 });
                 recs.extend(update_recs(core, seq0, tx.log()));
                 recs.push(Rec::TxCommit { last_seq: seq0 + n });
-                for rec in &recs {
-                    st.wal.append(rec);
-                }
-                st.wal.commit()?;
-                ship(st, seq0 + n, &recs);
+                st.log(seq0 + n, &recs)?;
             }
             burn = 0;
             Ok(r)
         });
         if burn > 0 {
             let rec = Rec::SeqBurn { upto: seq0 + burn };
-            st.wal.append(&rec);
-            match st.wal.commit() {
-                Ok(_) => ship(st, seq0 + burn, std::slice::from_ref(&rec)),
+            match st.log(seq0 + burn, std::slice::from_ref(&rec)) {
+                Ok(()) => {}
                 // A burn that fails to land is a real durability fault —
                 // the on-disk counter no longer covers the burned
                 // numbers, so a recovery could reissue them to

@@ -48,6 +48,9 @@ pub enum CqError {
         /// The relation the update addressed.
         relation: String,
     },
+    /// A read reached a [`ReplicaSession`](crate::replica::ReplicaSession)
+    /// before its first bootstrap landed: it has no state to read yet.
+    NotBootstrapped,
 }
 
 impl std::fmt::Display for CqError {
@@ -84,6 +87,11 @@ impl std::fmt::Display for CqError {
                 f,
                 "update addresses relation {relation:?} outside the transaction's declared \
                  shard footprint"
+            ),
+            CqError::NotBootstrapped => write!(
+                f,
+                "replica not yet bootstrapped: it has no state to read until its leader's \
+                 checkpoint lands"
             ),
         }
     }

@@ -107,7 +107,9 @@ pub use session::{
     BoundedSubscription, ChangeEvent, EngineChoice, QueryHandle, QueryId, QuerySnapshot,
     ReplayOutcome, Resume, RouteReason, Session, SessionTransaction, SharedSession, Subscription,
 };
-pub use shard::{ShardPlan, ShardSpec, ShardedSession, ShardedSessionBuilder, ShardedTransaction};
+pub use shard::{
+    Reads, ShardPlan, ShardSpec, ShardedSession, ShardedSessionBuilder, ShardedTransaction,
+};
 
 /// One-stop imports for typical use.
 pub mod prelude {
@@ -124,7 +126,7 @@ pub mod prelude {
         SharedSession, Subscription,
     };
     pub use crate::shard::{
-        ShardPlan, ShardSpec, ShardedSession, ShardedSessionBuilder, ShardedTransaction,
+        Reads, ShardPlan, ShardSpec, ShardedSession, ShardedSessionBuilder, ShardedTransaction,
     };
     pub use cqu_baseline::{DeltaIvmEngine, EngineKind, RecomputeEngine, SemiJoinEngine};
     pub use cqu_dynamic::{

@@ -540,6 +540,7 @@ impl Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::Reads;
 
     /// Interns `E` as relation 0 and `T` as relation 1.
     const SRC: &str = "Q(x, y) :- E(x, y), T(y).";

@@ -8,6 +8,7 @@
 //! feeds, cursor replay) at an explicit [`applied_seq`] watermark.
 //!
 //! [`applied_seq`]: ReplicaSession::applied_seq
+//! [`PinReader`]: crate::session::PinReader
 //!
 //! ```text
 //!   DurableSession ── WAL commits ──▶ ReplicationServer (leader)
@@ -22,22 +23,23 @@
 //! Replication is asynchronous: a replica is *eventually consistent*
 //! with the leader, and **exact** at its watermark. There are no torn
 //! states: transaction groups apply atomically, and each record batch
-//! is applied before the watermark moves past it. After
-//! `wait_for_seq(s)` returns:
+//! is applied before the watermark moves past it. A replica reads
+//! through the one read face, [`Reads`], whose core is its current
+//! mirror of the leader's; until the first bootstrap lands, every read
+//! fails with [`CqError::NotBootstrapped`]. After `wait_for_seq(s)`
+//! returns:
 //!
-//! * **Locked reads** ([`ReplicaSession::snapshot`],
-//!   [`ReplicaSession::count`], the subscription calls) observe
-//!   precisely `timeline[s']` for some `s' ≥ s` on the leader's one
-//!   true timeline.
+//! * **Locked reads** ([`Reads::snapshot`], [`Reads::count`], the
+//!   subscription calls) observe precisely `timeline[s']` for some
+//!   `s' ≥ s` on the leader's one true timeline.
 //! * **Lock-free pins** of a q-hierarchical query, through a
-//!   [`PinReader`] from [`ReplicaSession::reader`] or from the raw
-//!   [`shared`](ReplicaSession::shared)/[`sharded`](ReplicaSession::sharded)
-//!   handle, are at `≥ s` as well. Acquiring a reader freshens its
-//!   epoch, and from then on the applier publishes it after every
-//!   applied run and *before* it announces the watermark. (A pin's
-//!   `seq()` stamp moves with the commits that touch its query's
-//!   relations; across the others the result is unchanged and so is
-//!   the epoch.)
+//!   [`PinReader`] from [`Reads::reader`], are at `≥ s` as well.
+//!   Acquiring a reader freshens its epoch, and from then on the
+//!   applier publishes it after every applied run and *before* it
+//!   announces the watermark. (A pin's `seq()` stamp moves with the
+//!   commits that touch its query's relations; across the others the
+//!   result is unchanged and so is the epoch.) A reader follows the
+//!   core it was taken from: after a re-bootstrap, take a new one.
 //! * **Delta-IVM queries** follow the leader's rule: their `Ω(|view|)`
 //!   epochs republish on the locked pin path only (`snapshot`, or
 //!   taking a new reader), so a held reader of one may lag.
@@ -91,13 +93,10 @@
 use crate::durable::{DurableError, DurableOptions, DurableSession};
 use crate::error::CqError;
 use crate::replay::{Reg, Replay};
-use crate::session::{
-    PinReader, QuerySnapshot, ReplayOutcome, Resume, SharedSession, Subscription,
-};
-use crate::shard::ShardedSession;
-use cqu_query::RelId;
+use crate::shard::{Reads, ShardedSession};
 use cqu_repl::ReplicaApply;
 use cqu_wal::{Rec, WalDir};
+use std::borrow::Cow;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -123,7 +122,7 @@ pub struct ReplicaOptions {
     /// [`FollowerConfig`].
     pub follower: FollowerConfig,
     /// Delta-retention ring capacity enabled on every replicated query,
-    /// so cursor replay ([`ReplicaSession::replay_since`]) and the
+    /// so cursor replay ([`Reads::replay_since`]) and the
     /// serving front end work on the replica. `0` disables retention.
     pub ring_cap: usize,
     /// Metrics registry shared into every session core this replica builds
@@ -472,71 +471,15 @@ impl ReplicaSession {
         }
         result
     }
+}
 
-    /// The live session core (available once bootstrapped).
-    pub(crate) fn core(&self) -> Result<ShardedSession, CqError> {
-        self.shared
-            .backend()
-            .ok_or_else(|| CqError::UnknownQuery("replica not yet bootstrapped".into()))
-    }
-
-    /// Resolves a relation by name (available once bootstrapped).
-    pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
-        self.core()?.relation(name)
-    }
-
-    /// Pins a snapshot of `name`'s result at the replica's watermark.
-    pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, CqError> {
-        self.core()?.snapshot(name)
-    }
-
-    /// O(1) count of `name`'s result at the watermark.
-    pub fn count(&self, name: &str) -> Result<u64, CqError> {
-        self.core()?.count(name)
-    }
-
-    /// A lock-free [`PinReader`] over `name` — constant-delay
-    /// enumeration against a pinned epoch, never blocked by the apply
-    /// stream. Its first pin is already at the watermark
-    /// ([`QueryHandle::pin_reader`](crate::QueryHandle::pin_reader)
-    /// freshens the epoch under the read guard), and from then on the
-    /// applier keeps it fresh (see the [module docs](self)). The reader
-    /// follows the core it was taken from; after a re-bootstrap, take a
-    /// new one.
-    pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        self.core()?.reader(name)
-    }
-
-    /// Subscribes to `name`'s result deltas as the replica applies the
-    /// leader's commits. Seq stamps match the leader's timeline.
-    pub fn subscribe(&self, name: &str) -> Result<Subscription, CqError> {
-        self.core()?.subscribe(name)
-    }
-
-    /// Resumes a subscription from a seq cursor, netting missed deltas
-    /// from the retention ring where possible.
-    pub fn subscribe_from(&self, name: &str, from_seq: u64) -> Result<Resume, CqError> {
-        self.core()?.subscribe_from(name, from_seq)
-    }
-
-    /// Nets the retained deltas of `name` since `from_seq` (the replay
-    /// half of [`ReplicaSession::subscribe_from`]).
-    pub fn replay_since(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, CqError> {
-        self.core()?.replay_since(name, from_seq)
-    }
-
-    /// The replica's state as a [`SharedSession`] (single-writer
-    /// leaders). Read from it freely; never write through it — replicas
-    /// are read-only by construction.
-    pub fn shared(&self) -> Option<SharedSession> {
-        let core = self.shared.backend().filter(ShardedSession::is_open)?;
-        Some(SharedSession { core })
-    }
-
-    /// The replica's state as a [`ShardedSession`] (sharded leaders).
-    /// Same contract as [`ReplicaSession::shared`]: reads only.
-    pub fn sharded(&self) -> Option<ShardedSession> {
-        self.shared.backend().filter(|core| !core.is_open())
+impl Reads for ReplicaSession {
+    /// The replica's current mirror of its leader's core: swapped
+    /// wholesale on a re-bootstrap, and [`CqError::NotBootstrapped`]
+    /// until the first bootstrap lands.
+    fn core(&self) -> Result<Cow<'_, ShardedSession>, CqError> {
+        let core = self.shared.backend().ok_or(CqError::NotBootstrapped)?;
+        Ok(Cow::Owned(core))
     }
 }
 

@@ -6,17 +6,21 @@
 //! `Arc<ChangeEvent>` a commit publishes is the one the server's pump
 //! receives, queues and encodes, and a resume cursor gets the session's
 //! own [`ReplayOutcome`]. So this module converts
-//! nothing but errors. One source body ([`CoreSource`]) serves the core
-//! in either form — snapshots pin epochs, feeds subscribe, replay nets
-//! the per-query retention ring
+//! nothing but errors. One source body ([`CoreSource`]) serves every
+//! kind through its read face ([`Reads`]) — snapshots pin epochs, feeds
+//! subscribe, replay nets the per-query retention ring
 //! ([`QueryHandle::retain_deltas`](crate::session::QueryHandle::retain_deltas)
 //! is enabled on every query), all on the one global seq timeline, so a
-//! client cannot tell the deployments apart — behind two constructors:
+//! client cannot tell the deployments apart. Only the seq a cursor is
+//! compared against and remote registration differ, behind three
+//! constructors:
 //!
 //! * [`SessionSource`] — over a [`SharedSession`]: the query set is
 //!   open, so clients may even register new queries remotely.
 //! * [`ShardedSource`] — over a [`ShardedSession`]: registration is
 //!   rejected (the shard plan is sealed at build time).
+//! * [`ReplicaSource`] — over a [`ReplicaSession`]: reads at its
+//!   watermark, registration rejected (replicas are read-only).
 //!
 //! ```no_run
 //! use cq_updates::prelude::*;
@@ -29,13 +33,16 @@
 //! println!("serving on {}", server.local_addr());
 //! ```
 
+use crate::durable::DurableSession;
 use crate::error::CqError;
+use crate::replica::ReplicaSession;
 use crate::session::{ChangeEvent, ReplayOutcome, SharedSession};
-use crate::shard::ShardedSession;
+use crate::shard::{Reads, ShardedSession};
 use cqu_serve::server::{FeedSource, SourceError};
 use cqu_serve::{Receiver, Row, ServeConfig, Server};
+use served::{Served, ServedReplica};
 use std::net::ToSocketAddrs;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 pub use cqu_serve::server::ServerStats;
 pub use cqu_serve::{Client, ClientError, Frame, LagPolicy, Mirror, SubscribeMode};
@@ -48,13 +55,12 @@ fn source_err(e: CqError) -> SourceError {
     }
 }
 
-/// The one serving source over the concurrent session core. `H` is the
-/// handle the caller built it from, kept only to hand it back
-/// ([`SessionSource::session`] / [`ShardedSource::session`]); every
-/// [`FeedSource`] call goes to the core behind it.
+/// The one serving source over a read face. `H` is the handle the
+/// caller built it from: every read of the [`FeedSource`] goes through
+/// its [`Reads`] face, and only the sequence number a client's cursor
+/// is compared against and remote registration depend on the kind.
 pub struct CoreSource<H> {
     handle: H,
-    core: ShardedSession,
     ring_cap: usize,
 }
 
@@ -70,19 +76,37 @@ pub type SessionSource = CoreSource<SharedSession>;
 /// is rejected — the shard plan is sealed at build time.
 pub type ShardedSource = CoreSource<Arc<ShardedSession>>;
 
-impl<H> CoreSource<H> {
-    fn over(handle: H, core: ShardedSession, ring_cap: usize) -> Result<CoreSource<H>, CqError> {
-        core.retain_all(ring_cap)?;
-        Ok(CoreSource {
-            handle,
-            core,
-            ring_cap,
-        })
-    }
+/// Serves a [`ReplicaSession`]: a follower can front the same streaming
+/// TCP protocol as its leader, which is how read throughput scales
+/// horizontally — point subscribers at replicas, keep the leader for
+/// writes. Reads are served at the replica's `applied_seq()` watermark
+/// (eventually consistent with the leader; seq stamps stay on the
+/// leader's timeline, so a client cursor is portable between leader and
+/// replica front ends). Every read goes to the replica's *current*
+/// core, so a re-bootstrap behind the scenes is picked up
+/// transparently; before the first bootstrap a read is refused as
+/// [`CqError::NotBootstrapped`], a bad request in this state, never as
+/// an unknown query. Registration is rejected — replicas are read-only.
+///
+/// After a failover, [`ReplicaSource::handoff`] swaps the source onto
+/// the promoted [`DurableSession`] without restarting the server:
+/// client cursors stay valid (promotion continues the same seq
+/// timeline), feeds keep flowing from the same backend, and `seq()`
+/// starts tracking the new leader's commits instead of the frozen
+/// follower watermark.
+pub type ReplicaSource = CoreSource<ServedReplica>;
 
+impl<H> CoreSource<H> {
     /// The wrapped session handle.
     pub fn session(&self) -> &H {
         &self.handle
+    }
+}
+
+impl<H: Reads> CoreSource<H> {
+    fn over(handle: H, ring_cap: usize) -> Result<CoreSource<H>, CqError> {
+        handle.core()?.retain_all(ring_cap)?;
+        Ok(CoreSource { handle, ring_cap })
     }
 }
 
@@ -90,8 +114,7 @@ impl SessionSource {
     /// Wraps `session` for serving, enabling delta retention of
     /// `ring_cap` events on each of its queries.
     pub fn new(session: SharedSession, ring_cap: usize) -> Result<SessionSource, CqError> {
-        let core = session.core.clone();
-        CoreSource::over(session, core, ring_cap)
+        CoreSource::over(session, ring_cap)
     }
 }
 
@@ -99,159 +122,165 @@ impl ShardedSource {
     /// Wraps `session` for serving, enabling delta retention of
     /// `ring_cap` events on each query.
     pub fn new(session: Arc<ShardedSession>, ring_cap: usize) -> Result<ShardedSource, CqError> {
-        let core = ShardedSession::clone(&session);
-        CoreSource::over(session, core, ring_cap)
+        CoreSource::over(session, ring_cap)
     }
-}
-
-impl<H: Send + Sync + 'static> FeedSource for CoreSource<H> {
-    fn seq(&self) -> u64 {
-        self.core.seq()
-    }
-
-    fn register(&self, name: &str, src: &str) -> Result<u64, SourceError> {
-        if !self.core.is_open() {
-            return Err(SourceError::Unsupported(
-                "a sharded session's query set is sealed at build time".into(),
-            ));
-        }
-        let registered = self.core.write_at(0, |s| {
-            let id = s.register(name, src)?;
-            s.handle(id).retain_deltas(self.ring_cap);
-            Ok(s.seq())
-        });
-        registered.map_err(source_err)?.map_err(source_err)
-    }
-
-    fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
-        let snap = self.core.snapshot(name).map_err(source_err)?;
-        Ok((snap.seq(), snap.results_sorted()))
-    }
-
-    fn replay(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, SourceError> {
-        self.core.replay_since(name, from_seq).map_err(source_err)
-    }
-
-    fn open_feed(&self, name: &str) -> Result<Receiver<Arc<ChangeEvent>>, SourceError> {
-        let sub = self.core.subscribe(name).map_err(source_err)?;
-        Ok(sub.into_receiver())
-    }
-
-    fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
-        self.core.registry()
-    }
-}
-
-/// What a [`ReplicaSource`] is currently fronting: a live follower, or
-/// the [`DurableSession`](crate::durable::DurableSession) it promoted
-/// into after a leader failover.
-enum ServedReplica {
-    Following(Arc<crate::replica::ReplicaSession>),
-    Promoted(Arc<crate::durable::DurableSession>),
-}
-
-/// Serves a [`ReplicaSession`](crate::replica::ReplicaSession): a
-/// follower can front the same streaming TCP protocol as its leader,
-/// which is how read throughput scales horizontally — point subscribers
-/// at replicas, keep the leader for writes. Reads are served at the
-/// replica's `applied_seq()` watermark (eventually consistent with the
-/// leader; seq stamps stay on the leader's timeline, so a client cursor
-/// is portable between leader and replica front ends). Delegates to the
-/// replica's *current* backend per call, so a re-bootstrap behind the
-/// scenes is picked up transparently. Registration is rejected —
-/// replicas are read-only.
-///
-/// After a failover, [`ReplicaSource::handoff`] swaps the source onto
-/// the promoted [`DurableSession`](crate::durable::DurableSession)
-/// without restarting the server: client cursors stay valid (promotion
-/// continues the same seq timeline), feeds keep flowing from the same
-/// backend, and `seq()` starts tracking the new leader's commits
-/// instead of the frozen follower watermark.
-pub struct ReplicaSource {
-    inner: std::sync::RwLock<ServedReplica>,
 }
 
 impl ReplicaSource {
     /// Wraps `replica` for serving. Delta retention is governed by the
     /// replica's own `ring_cap` option ([`crate::replica::ReplicaOptions`]).
-    pub fn new(replica: Arc<crate::replica::ReplicaSession>) -> ReplicaSource {
-        ReplicaSource {
-            inner: std::sync::RwLock::new(ServedReplica::Following(replica)),
+    pub fn new(replica: Arc<ReplicaSession>) -> ReplicaSource {
+        CoreSource {
+            handle: ServedReplica(RwLock::new(served::Arm::Following(replica))),
+            ring_cap: 0,
         }
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, ServedReplica> {
-        self.inner
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The wrapped replica, while still following (`None` once
     /// [`ReplicaSource::handoff`] has swapped in a promoted session).
-    pub fn replica(&self) -> Option<Arc<crate::replica::ReplicaSession>> {
-        match &*self.read() {
-            ServedReplica::Following(r) => Some(Arc::clone(r)),
-            ServedReplica::Promoted(_) => None,
+    pub fn replica(&self) -> Option<Arc<ReplicaSession>> {
+        match &*self.handle.arm() {
+            served::Arm::Following(r) => Some(Arc::clone(r)),
+            served::Arm::Promoted(_) => None,
         }
     }
 
     /// Swaps the source onto the session this replica promoted into
-    /// (see [`ReplicaSession::promote`](crate::replica::ReplicaSession::promote)).
-    /// In-flight reads finish against the old arm; every later call
-    /// serves from `promoted`. Idempotent in effect — handing off twice
-    /// just replaces the session handle.
-    pub fn handoff(&self, promoted: Arc<crate::durable::DurableSession>) {
+    /// (see [`ReplicaSession::promote`]). In-flight reads finish against
+    /// the old arm; every later call serves from `promoted`. Idempotent
+    /// in effect — handing off twice just replaces the session handle.
+    pub fn handoff(&self, promoted: Arc<DurableSession>) {
         *self
-            .inner
+            .handle
+            .0
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = ServedReplica::Promoted(promoted);
+            .unwrap_or_else(PoisonError::into_inner) = served::Arm::Promoted(promoted);
     }
 }
 
-impl ReplicaSource {
-    /// The session core currently served: the follower's live one (a
-    /// re-bootstrap swaps it), or the promoted leader's.
-    fn core(&self) -> Result<ShardedSession, SourceError> {
-        match &*self.read() {
-            ServedReplica::Following(r) => r.core().map_err(source_err),
-            ServedReplica::Promoted(d) => Ok(d.core().clone()),
-        }
-    }
-}
-
-impl FeedSource for ReplicaSource {
+impl<H: Served> FeedSource for CoreSource<H> {
     fn seq(&self) -> u64 {
-        match &*self.read() {
-            ServedReplica::Following(r) => r.applied_seq(),
-            ServedReplica::Promoted(d) => d.core().seq(),
-        }
+        Served::seq(&self.handle)
     }
 
-    fn register(&self, _name: &str, _src: &str) -> Result<u64, SourceError> {
-        Err(SourceError::Unsupported(
-            "replicas are read-only; register on the leader".into(),
-        ))
+    fn register(&self, name: &str, src: &str) -> Result<u64, SourceError> {
+        Served::register(&self.handle, name, src, self.ring_cap)
     }
 
     fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
-        let snap = self.core()?.snapshot(name).map_err(source_err)?;
+        let snap = self.handle.snapshot(name).map_err(source_err)?;
         Ok((snap.seq(), snap.results_sorted()))
     }
 
     fn replay(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, SourceError> {
-        let outcome = self.core()?.replay_since(name, from_seq);
-        outcome.map_err(source_err)
+        self.handle.replay_since(name, from_seq).map_err(source_err)
     }
 
     fn open_feed(&self, name: &str) -> Result<Receiver<Arc<ChangeEvent>>, SourceError> {
-        let sub = self.core()?.subscribe(name).map_err(source_err)?;
+        let sub = self.handle.subscribe(name).map_err(source_err)?;
         Ok(sub.into_receiver())
     }
 
     fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
-        match &*self.read() {
-            ServedReplica::Following(r) => r.registry().cloned(),
-            ServedReplica::Promoted(d) => d.registry(),
+        Served::registry(&self.handle)
+    }
+}
+
+/// The head of a leader's core.
+fn head(face: &(impl Reads + ?Sized)) -> u64 {
+    face.core().map_or(0, |core| core.seq())
+}
+
+/// What differs between the kinds a [`CoreSource`] serves. Sealed: the
+/// module is private, so only the handles below implement it.
+mod served {
+    use super::*;
+    use std::borrow::Cow;
+
+    /// A served handle's own half; the reads are its [`Reads`] face.
+    pub trait Served: Reads + Send + Sync + 'static {
+        /// The sequence number a client's cursor is compared against: a
+        /// leader's head.
+        fn seq(&self) -> u64 {
+            head(self)
+        }
+
+        /// Registers a query remotely; only an open core can.
+        fn register(&self, _name: &str, _src: &str, _ring_cap: usize) -> Result<u64, SourceError> {
+            Err(SourceError::Unsupported(
+                "a sharded session's query set is sealed at build time".into(),
+            ))
+        }
+
+        /// The metrics registry the handle's engine records into.
+        fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
+            self.core().ok()?.registry()
+        }
+    }
+
+    impl Served for SharedSession {
+        fn register(&self, name: &str, src: &str, ring_cap: usize) -> Result<u64, SourceError> {
+            let registered = self.write(|s| {
+                let id = s.register(name, src)?;
+                s.handle(id).retain_deltas(ring_cap);
+                Ok(s.seq())
+            });
+            registered.map_err(source_err)?.map_err(source_err)
+        }
+    }
+
+    impl Served for Arc<ShardedSession> {}
+
+    /// What a [`ReplicaSource`] is currently fronting: a live follower,
+    /// or the [`DurableSession`] it promoted into after a leader
+    /// failover.
+    pub enum Arm {
+        Following(Arc<ReplicaSession>),
+        Promoted(Arc<DurableSession>),
+    }
+
+    /// The handle of a [`ReplicaSource`]: its arm, swapped by
+    /// [`ReplicaSource::handoff`].
+    pub struct ServedReplica(pub(super) RwLock<Arm>);
+
+    impl ServedReplica {
+        pub(super) fn arm(&self) -> RwLockReadGuard<'_, Arm> {
+            self.0.read().unwrap_or_else(PoisonError::into_inner)
+        }
+    }
+
+    impl Reads for ServedReplica {
+        fn core(&self) -> Result<Cow<'_, ShardedSession>, CqError> {
+            let core = match &*self.arm() {
+                Arm::Following(r) => r.core()?.into_owned(),
+                Arm::Promoted(d) => d.core()?.into_owned(),
+            };
+            Ok(Cow::Owned(core))
+        }
+    }
+
+    impl Served for ServedReplica {
+        /// The follower's watermark, or the promoted leader's head.
+        fn seq(&self) -> u64 {
+            match &*self.arm() {
+                Arm::Following(r) => r.applied_seq(),
+                Arm::Promoted(d) => head(&**d),
+            }
+        }
+
+        fn register(&self, _name: &str, _src: &str, _: usize) -> Result<u64, SourceError> {
+            Err(SourceError::Unsupported(
+                "replicas are read-only; register on the leader".into(),
+            ))
+        }
+
+        /// The replica's own registry: its cores record into it, and it
+        /// is there before the first bootstrap.
+        fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
+            match &*self.arm() {
+                Arm::Following(r) => r.registry().cloned(),
+                Arm::Promoted(d) => d.registry(),
+            }
         }
     }
 }

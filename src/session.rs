@@ -24,14 +24,14 @@
 //!
 //! [`Session`] is `Send + Sync`: all interior state is either plain data
 //! behind the `&mut self` write path or guarded by short-lived mutexes
-//! (subscriber lists, epoch build locks). Writers are serialized by
+//! (subscriber lists, epoch publishers). Writers are serialized by
 //! construction — every commit flows through `&mut self`. Readers scale
 //! out through **epoch publication**: each query's latest pinned state
 //! sits in an atomically swappable cell ([`cqu_common::EpochCell`]), and
 //! every pin is an exact, internally consistent `(seq, result)` frame:
 //!
 //! * **Lock-free pins** ([`PinReader::pin`], via
-//!   [`QueryHandle::pin_reader`] / [`SharedSession::reader`]): a single
+//!   [`QueryHandle::pin_reader`] / [`Reads::reader`]): a single
 //!   atomic load — no session lock, ever. Pins complete while a writer
 //!   or open transaction holds the lock exclusively (and never see its
 //!   uncommitted state); a reader holding an arbitrarily old epoch
@@ -77,9 +77,9 @@
 //! ```
 
 use crate::error::CqError;
-use crate::shard::{ShardedSession, ShardedTransaction};
+use crate::shard::{Reads, ShardedSession, ShardedTransaction};
 use cqu_baseline::EngineKind;
-use cqu_common::{EpochCell, FxHashMap};
+use cqu_common::{EpochCell, FxHashMap, Publisher};
 use cqu_dynamic::{
     net_effective, DynamicEngine, Netted, ResultDelta, ResultSnapshot, UpdateReport,
 };
@@ -89,6 +89,7 @@ use cqu_query::hierarchical::{q_hierarchical_violation, Violation};
 use cqu_query::{parse_query, Query, QueryBuilder, QueryError, RelId, Schema};
 use cqu_serve::{BoundedQueue, Receiver, SeqRing};
 use cqu_storage::{Const, Database, Tuple, Update};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -326,10 +327,12 @@ struct Registered {
     /// a single atomic load; publication atomically retires the previous
     /// epoch, which is freed the moment its last pin drops.
     cell: Arc<EpochCell<Epoch>>,
-    /// Serializes lazy epoch rebuilds among concurrent `&self` readers,
-    /// so a stale epoch is rebuilt once, not once per racing reader.
-    /// Never touched by [`PinReader::pin`].
-    build_lock: Mutex<()>,
+    /// The cell's one writer. Its mutex serializes lazy epoch rebuilds
+    /// among concurrent `&self` readers ([`Registered::pinned`]), so a
+    /// stale epoch is rebuilt once, not once per racing reader; the
+    /// writer path, which holds the session exclusively, reaches it with
+    /// `get_mut`. Never touched by [`PinReader::pin`].
+    publisher: Mutex<Publisher<Epoch>>,
     feed: Mutex<FeedState>,
     /// Shared `session_epoch_publications_total` handle, present once the
     /// session shares a metrics registry ([`Session::share_registry`]).
@@ -399,32 +402,32 @@ impl Registered {
         if epoch.version == self.version {
             return epoch;
         }
-        // Stale: rebuild under the build lock so racing readers share one
-        // rebuild; re-check after acquisition (another reader may have
-        // published while we waited).
-        let _build = lock(&self.build_lock);
+        // Stale: rebuild under the publisher's lock so racing readers
+        // share one rebuild; re-check after acquisition (another reader
+        // may have published while we waited).
+        let mut publisher = lock(&self.publisher);
         let epoch = self.cell.load();
         if epoch.version == self.version {
             return epoch;
         }
-        self.publish_epoch(seq, generation);
+        publisher.store(self.next_epoch(seq, generation));
         self.cell.load()
     }
 
-    /// Builds a snapshot of the engine's current state and publishes it
-    /// as the new epoch, consuming any pending refresh request.
-    fn publish_epoch(&self, seq: u64, generation: u64) {
+    /// Builds a snapshot of the engine's current state as the next epoch
+    /// to publish, consuming any pending refresh request.
+    fn next_epoch(&self, seq: u64, generation: u64) -> Arc<Epoch> {
         let snap: Arc<dyn ResultSnapshot> = Arc::from(self.engine.snapshot());
         self.cell.take_refresh_request();
-        self.cell.store(Arc::new(Epoch {
+        if let Some(c) = self.epoch_pubs.as_ref() {
+            c.inc();
+        }
+        Arc::new(Epoch {
             seq,
             version: self.version,
             generation,
             snap,
-        }));
-        if let Some(c) = self.epoch_pubs.as_ref() {
-            c.inc();
-        }
+        })
     }
 
     /// Writer-side bookkeeping around an engine mutation: bump the state
@@ -442,9 +445,14 @@ impl Registered {
     /// `Ω(|view|)`, never stalls the writer: its epochs
     /// refresh lazily, on the next locked pin. Stamps the maintained
     /// footprint generation — O(1) either way.
-    fn republish_on_demand(&self, seq: u64) {
+    fn republish_on_demand(&mut self, seq: u64) {
         if self.engine.snapshot_is_cheap() && self.cell.take_refresh_request() {
-            self.publish_epoch(seq, self.footprint_gen);
+            let epoch = self.next_epoch(seq, self.footprint_gen);
+            let publisher = self
+                .publisher
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            publisher.store(epoch);
         }
     }
 }
@@ -667,13 +675,14 @@ impl Session {
     /// the lag first, as [`Registered::republish_on_demand`] requires on
     /// the leader. A registration is published iff its engine snapshots
     /// cheaply (the leader's rule for lock-free pins) and a
-    /// [`PinReader`] is alive: `pin_reader` is the only other holder of
-    /// the cell. Nobody watching means no epoch, hence no component the
-    /// next write has to copy. Runs under a read guard; the build lock
-    /// in [`Registered::pinned`] serializes it with locked readers.
+    /// [`PinReader`] is alive: the registration and its publisher hold
+    /// the cell twice, and `pin_reader` is the only other holder. Nobody
+    /// watching means no epoch, hence no component the next write has to
+    /// copy. Runs under a read guard; the publisher's lock in
+    /// [`Registered::pinned`] serializes it with locked readers.
     pub(crate) fn publish_watched(&self) {
         for reg in &self.regs {
-            if reg.engine.snapshot_is_cheap() && Arc::strong_count(&reg.cell) > 1 {
+            if reg.engine.snapshot_is_cheap() && Arc::strong_count(&reg.cell) > 2 {
                 reg.pinned(self.seq, reg.footprint_gen);
             }
         }
@@ -861,12 +870,12 @@ impl Session {
         // position and the query's footprint generation.
         let footprint_gen = footprint_generation(&relevant, &self.stamps);
         let snap: Arc<dyn ResultSnapshot> = Arc::from(engine.snapshot());
-        let cell = Arc::new(EpochCell::new(Arc::new(Epoch {
+        let publisher = Publisher::new(Arc::new(Epoch {
             seq: self.seq,
             version: 0,
             generation: footprint_gen,
             snap,
-        })));
+        }));
         self.regs.push(Registered {
             name: Arc::from(staged.name),
             query: staged.query,
@@ -877,8 +886,8 @@ impl Session {
             relevant,
             footprint_gen,
             version: 0,
-            cell,
-            build_lock: Mutex::new(()),
+            cell: Arc::clone(publisher.cell()),
+            publisher: Mutex::new(publisher),
             feed: Mutex::new(FeedState::default()),
             epoch_pubs: self
                 .metrics
@@ -1616,7 +1625,7 @@ impl std::fmt::Debug for QuerySnapshot {
 }
 
 /// A lock-free pin endpoint for one registered query (see
-/// [`QueryHandle::pin_reader`] / [`SharedSession::reader`]).
+/// [`QueryHandle::pin_reader`] / [`Reads::reader`]).
 ///
 /// `PinReader` is the serving-path complement of [`QueryHandle`]: where a
 /// handle borrows the session (and, through [`SharedSession`], holds its
@@ -1730,7 +1739,7 @@ impl SharedSession {
     }
 
     /// Runs a closure with shared read access. Prefer
-    /// [`SharedSession::snapshot`] for anything longer than a couple of
+    /// [`Reads::snapshot`] for anything longer than a couple of
     /// O(1) reads — snapshots release the lock immediately.
     ///
     /// Errors with [`CqError::Poisoned`] if a writer panicked mid-update
@@ -1785,68 +1794,6 @@ impl SharedSession {
         self.core.transaction(f)
     }
 
-    /// Resolves a relation by name (see [`Session::relation`]). Takes no
-    /// lock the writer holds, so it may be called inside a
-    /// [`SharedSession::transaction`] closure.
-    pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
-        self.core.relation(name)
-    }
-
-    /// Pins a snapshot of `name`'s current result and releases the read
-    /// lock before returning — the caller enumerates lock-free while the
-    /// writer proceeds. See [`QueryHandle::snapshot`]. It must not be
-    /// called inside a [`SharedSession::transaction`] closure, which
-    /// holds the lock it waits for.
-    pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, CqError> {
-        self.core.snapshot(name)
-    }
-
-    /// Acquires a lock-free [`PinReader`] on `name`: takes the read lock
-    /// once, then every [`PinReader::pin`] is a single atomic load that
-    /// bypasses the writer lock entirely — pins complete even while a
-    /// writer or transaction holds it. Acquire readers up front (like
-    /// prepared statements) and hand clones to serving threads; not
-    /// inside a [`SharedSession::transaction`] closure, which holds the
-    /// lock acquisition waits for.
-    pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        self.core.reader(name)
-    }
-
-    /// Opens a change feed on `name` (see [`QueryHandle::subscribe`]).
-    pub fn subscribe(&self, name: &str) -> Result<Subscription, CqError> {
-        self.core.subscribe(name)
-    }
-
-    /// Opens a bounded, lag-coalescing change feed on `name`
-    /// (see [`QueryHandle::subscribe_bounded`]).
-    pub fn subscribe_bounded(
-        &self,
-        name: &str,
-        cap: usize,
-    ) -> Result<BoundedSubscription, CqError> {
-        self.core.subscribe_bounded(name, cap)
-    }
-
-    /// Enables (or resizes) delta retention on `name`
-    /// (see [`QueryHandle::retain_deltas`]).
-    pub fn retain_deltas(&self, name: &str, cap: usize) -> Result<(), CqError> {
-        self.core.retain_deltas(name, cap)
-    }
-
-    /// Resumes a change feed on `name` from a cursor; the replay and the
-    /// feed attachment happen under one read guard, so no event falls
-    /// between them (see [`QueryHandle::subscribe_from`]).
-    pub fn subscribe_from(&self, name: &str, from_seq: u64) -> Result<Resume, CqError> {
-        self.core.subscribe_from(name, from_seq)
-    }
-
-    /// O(1) count of `name`'s current result. It must not be called
-    /// inside a [`SharedSession::transaction`] closure, which holds the
-    /// lock it waits for.
-    pub fn count(&self, name: &str) -> Result<u64, CqError> {
-        self.core.count(name)
-    }
-
     /// Recovers the owned [`Session`] if this is the last handle.
     ///
     /// Returns `Err(self)` while other handles are alive — and also when
@@ -1858,6 +1805,12 @@ impl SharedSession {
         self.core
             .into_one_shard()
             .map_err(|core| SharedSession { core })
+    }
+}
+
+impl Reads for SharedSession {
+    fn core(&self) -> Result<Cow<'_, ShardedSession>, CqError> {
+        Ok(Cow::Borrowed(&self.core))
     }
 }
 

@@ -6,6 +6,12 @@
 //! over a single writer lock), and the durable, replica and serving
 //! layers all hold this core, whatever the shard count.
 //!
+//! So every session kind reads through one face, [`Reads`]: a kind
+//! names the core that serves its reads now (a leader its own, a
+//! replica its current mirror), and each name-keyed read — `relation`,
+//! `snapshot`, `count`, `reader`, the change feeds, `check_invariants`
+//! — has one body, over that core.
+//!
 //! The paper's Theorem 3.2 makes every *single* update O(1) on a
 //! q-hierarchical query — but a [`Session`] still funnels all updates
 //! through one serialized writer, so aggregate write throughput is
@@ -32,7 +38,8 @@
 //! of its stamped global prefix. Epoch *generation* stamps are points of
 //! the same timeline: a relation's stamp is the global seq of the last
 //! committed update on it, and a query's generation is the largest stamp
-//! over its own relations ([`QuerySnapshot::generation`]). A shard
+//! over its own relations
+//! ([`QuerySnapshot::generation`](crate::QuerySnapshot::generation)). A shard
 //! stamps only the relations it owns, so publication touches no shared
 //! state beyond the one counter, a query's generation is blind to
 //! foreign traffic even from a co-located sibling query, and a sharded
@@ -54,12 +61,14 @@
 //!   never observe shard A committed but shard B still mid-flight. A
 //!   rollback undoes each shard's database and burns the range once;
 //!   no engine ever saw it.
-//! * Readers are untouched by all of this: [`ShardedSession::reader`]
+//! * Readers are untouched by all of this: [`Reads::reader`]
 //!   hands out the same lock-free [`PinReader`]s as a single session,
 //!   and a pin remains one atomic load regardless of the shard count.
 //!   Acquiring one takes the shard's read lock once, and a writer
 //!   committing back to back lets such a waiting reader in before its
 //!   next commit, so the acquisition never waits out a burst.
+//!
+//! [`PinReader`]: crate::session::PinReader
 //!
 //! ```
 //! use cq_updates::prelude::*;
@@ -80,11 +89,12 @@
 //! assert_eq!(session.count("dms").unwrap(), 0);
 //! ```
 
+mod reads;
+
+pub use reads::Reads;
+
 use crate::error::CqError;
-use crate::session::{
-    net_log, validate_update, BoundedSubscription, EngineChoice, PinReader, QueryId, QuerySnapshot,
-    ReplayOutcome, Resume, Session, Subscription,
-};
+use crate::session::{net_log, validate_update, EngineChoice, Session};
 use cqu_common::{FxHashMap, UnionFind};
 use cqu_dynamic::{net_effective, Netted, UpdateReport};
 use cqu_obs::{Counter, Histogram, Registry};
@@ -427,7 +437,7 @@ struct Inner {
     /// against (empty in the open form: shard 0's session owns it).
     schema: Schema,
     /// The open form's relation names: a copy of shard 0's schema behind
-    /// a lock of its own, so [`ShardedSession::relation`] resolves a name
+    /// a lock of its own, so [`Reads::relation`] resolves a name
     /// without shard 0's lock — also inside a transaction closure, which
     /// holds that lock for writing. Only the open form's registration
     /// path ([`ShardedSession::write_at`]) writes it, while it holds
@@ -466,9 +476,11 @@ impl ShardedSession {
     /// The open one-shard form behind [`crate::SharedSession`]: `session`
     /// (fresh or preloaded) becomes shard 0 of a core with no sealed
     /// plan — one shard can never need fusing, so its query set stays
-    /// open. Crate-private because the plan accessors (`schema`, `plan`,
-    /// `shard_of_relation`, `transaction_over`) describe sealed plans
-    /// only; everything that routes an update or names a query works.
+    /// open. Crate-private: callers make one as a [`crate::SharedSession`].
+    /// The plan accessors (`schema`, `plan`, `shard_of_relation`,
+    /// `transaction_over`) describe sealed plans only, so on a core that
+    /// [`Reads::core`] hands out in this form they answer an empty plan;
+    /// everything that routes an update or names a query works.
     pub(crate) fn open_one_shard(mut session: Session) -> ShardedSession {
         let seq = Arc::new(AtomicU64::new(0));
         session.share_seq(Arc::clone(&seq));
@@ -508,12 +520,16 @@ impl ShardedSession {
         }
     }
 
-    /// The union schema of all registered queries.
+    /// The union schema of all registered queries. Empty in the open
+    /// one-shard form (the core of a [`crate::SharedSession`] or of a
+    /// single-mode durable session or replica), whose shard 0 owns the
+    /// schema; names resolve through [`Reads::relation`] in either form.
     pub fn schema(&self) -> &Schema {
         &self.inner.schema
     }
 
-    /// The shard plan this session was built from.
+    /// The shard plan this session was built from (empty in the open
+    /// one-shard form, which has no plan).
     pub fn plan(&self) -> &ShardPlan {
         &self.inner.plan
     }
@@ -536,28 +552,14 @@ impl ShardedSession {
             .ok_or_else(|| CqError::UnknownQuery(name.to_string()))
     }
 
-    /// The shard owning `rel` (where updates to it commit).
+    /// The shard owning `rel` (where updates to it commit). A sealed
+    /// plan's accessor: the open one-shard form has no plan and reports
+    /// every relation as [`CqError::UnknownRelationId`].
     pub fn shard_of_relation(&self, rel: RelId) -> Result<usize, CqError> {
         self.inner
             .plan
             .shard_of_relation(rel)
             .ok_or(CqError::UnknownRelationId(rel.0))
-    }
-
-    /// Resolves a relation by name. Takes no shard lock, so it may be
-    /// called inside a transaction closure.
-    pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
-        let found = if self.inner.open {
-            let names = self
-                .inner
-                .open_names
-                .read()
-                .map_err(|_| CqError::Poisoned)?;
-            names.relation(name)
-        } else {
-            self.inner.schema.relation(name)
-        };
-        found.ok_or_else(|| CqError::UnknownRelation(name.to_string()))
     }
 
     /// The global sequence counter: total effective update commands
@@ -837,7 +839,7 @@ impl ShardedSession {
     /// Runs `f` with shared read access to the session of the shard
     /// maintaining `name` — the escape hatch for everything
     /// [`QueryHandle`](crate::session::QueryHandle) offers beyond the
-    /// shortcuts below.
+    /// read face ([`Reads`]), whose reads go through it.
     pub fn read_shard<R>(&self, name: &str, f: impl FnOnce(&Session) -> R) -> Result<R, CqError> {
         self.read_at(self.shard_of_query(name)?, f)
     }
@@ -879,58 +881,6 @@ impl ShardedSession {
         Ok(out)
     }
 
-    /// The id the shard session assigned to `name` at registration.
-    pub fn query_id(&self, name: &str) -> Result<QueryId, CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.id()))?
-    }
-
-    /// Pins a snapshot of `name`'s current result (shard read lock held
-    /// only for the pin itself). See
-    /// [`QueryHandle::snapshot`](crate::session::QueryHandle::snapshot).
-    /// Takes the read lock of the query's shard, so it must not be called
-    /// inside a transaction closure that holds that shard: it would wait
-    /// on its own caller.
-    pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.snapshot()))?
-    }
-
-    /// Acquires a lock-free [`PinReader`] on `name`: one shard read lock
-    /// now, then every [`PinReader::pin`] is a single atomic load that
-    /// touches no lock of any shard, ever — identical to the
-    /// single-session fast path, shard count notwithstanding. Acquiring
-    /// takes the query's shard read lock, so it must not be called inside
-    /// a transaction closure that holds that shard.
-    pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        let shard = &self.inner.shards[self.shard_of_query(name)?];
-        let session = shard.read_announced().map_err(|_| CqError::Poisoned)?;
-        session.query(name).map(|h| h.pin_reader())
-    }
-
-    /// Opens a change feed on `name` (see
-    /// [`QueryHandle::subscribe`](crate::session::QueryHandle::subscribe)).
-    /// Events carry global `seq` stamps.
-    pub fn subscribe(&self, name: &str) -> Result<Subscription, CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.subscribe()))?
-    }
-
-    /// Opens a bounded, lag-coalescing change feed on `name` (see
-    /// [`QueryHandle::subscribe_bounded`](crate::session::QueryHandle::subscribe_bounded)).
-    pub fn subscribe_bounded(
-        &self,
-        name: &str,
-        cap: usize,
-    ) -> Result<BoundedSubscription, CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.subscribe_bounded(cap)))?
-    }
-
-    /// Enables (or resizes) delta retention on `name` (see
-    /// [`QueryHandle::retain_deltas`](crate::session::QueryHandle::retain_deltas)).
-    /// Ring entries are keyed by *global* seq, so resume cursors work
-    /// identically to the single-writer path.
-    pub fn retain_deltas(&self, name: &str, cap: usize) -> Result<(), CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.retain_deltas(cap)))?
-    }
-
     /// Enables (or resizes) delta retention on every registered query.
     pub(crate) fn retain_all(&self, cap: usize) -> Result<(), CqError> {
         self.read_all(|guards| {
@@ -938,27 +888,6 @@ impl ShardedSession {
                 handle.retain_deltas(cap);
             }
         })
-    }
-
-    /// Nets the retained delta stream of `name` after `from_seq` (see
-    /// [`QueryHandle::replay_since`](crate::session::QueryHandle::replay_since)).
-    pub fn replay_since(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.replay_since(from_seq)))?
-    }
-
-    /// Resumes a change feed on `name` from a cursor (see
-    /// [`QueryHandle::subscribe_from`](crate::session::QueryHandle::subscribe_from)).
-    /// The replay and the feed attachment happen under one shard read
-    /// guard, so no commit falls between them.
-    pub fn subscribe_from(&self, name: &str, from_seq: u64) -> Result<Resume, CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.subscribe_from(from_seq)))?
-    }
-
-    /// O(1) count of `name`'s current result. Takes the query's shard
-    /// read lock, so it must not be called inside a transaction closure
-    /// that holds that shard.
-    pub fn count(&self, name: &str) -> Result<u64, CqError> {
-        self.read_shard(name, |s| s.query(name).map(|h| h.count()))?
     }
 
     /// Replay hook: positions the shared sequence counter and every
@@ -972,13 +901,6 @@ impl ShardedSession {
             guard.force_seq(seq);
         }
         Ok(())
-    }
-
-    /// [`Session::check_invariants`] on every shard, each against its own
-    /// database, under read guards taken together.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.read_all(|guards| guards.iter().try_for_each(|g| g.check_invariants()))
-            .map_err(|e| e.to_string())?
     }
 
     /// Replica hook: [`Session::publish_watched`] on every shard, under

@@ -304,25 +304,12 @@ fn db_at(schema: &Schema, frames: &[Option<Update>], r: usize, extra: &[Update])
     db
 }
 
-/// A lock-free reader on `name`, through whichever face the mode has.
-fn pin_reader(sess: &DurableSession, name: &str) -> PinReader {
-    match (sess.shared(), sess.sharded()) {
-        (Some(single), _) => single.reader(name).unwrap(),
-        (None, Some(sharded)) => sharded.reader(name).unwrap(),
-        (None, None) => unreachable!("a session is single or sharded"),
-    }
-}
-
-/// The q-tree audit over every registration of `sess`, each shard
+/// The q-tree audit over every registration of `face`, each shard
 /// against its own database: recovery builds every engine from the
 /// session's `D` (a checkpoint load, then the log tail).
-fn audit(sess: &DurableSession) {
-    let audited = match (sess.shared(), sess.sharded()) {
-        (Some(single), _) => single.read(Session::check_invariants).unwrap(),
-        (None, Some(sharded)) => sharded.check_invariants(),
-        (None, None) => unreachable!("a session is single or sharded"),
-    };
-    audited.expect("the recovered state passes the audit");
+fn audit(face: &dyn Reads) {
+    face.check_invariants()
+        .expect("the recovered state passes the audit");
 }
 
 /// Recovers from `view` and checks the oracle invariants and the audit.
@@ -343,7 +330,7 @@ fn check_recovery(
     // acquiring the reader that must show what was recovered.
     let pins: Vec<QuerySnapshot> = queries
         .iter()
-        .map(|(name, _)| pin_reader(&sess, name).pin())
+        .map(|(name, _)| sess.reader(name).unwrap().pin())
         .collect();
     assert!(
         r >= run.floor,

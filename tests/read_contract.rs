@@ -198,11 +198,10 @@ fn multi_shard_batches_are_stamped_with_their_head() {
     let leader = Arc::new(durable(&SimDisk::new(), true));
     leader.apply_batch(&o.head).unwrap();
     leader.apply_batch(&o.tail).unwrap();
-    let plan = leader.sharded().unwrap();
     o.check(
         "DurableSession, sharded, batched",
         leader.seq().unwrap(),
-        |n| plan.reader(n).unwrap(),
+        |n| leader.reader(n).unwrap(),
         |n| leader.snapshot(n).unwrap(),
     );
 
@@ -265,51 +264,44 @@ fn first_lock_free_pin_is_current() {
         |n| sharded.snapshot(n).unwrap(),
     );
 
+    // Durable sessions, live and recovered, in both modes: readers come
+    // straight off the session's read face.
     for (is_sharded, checkpoint) in [(false, true), (true, true), (false, false), (true, false)] {
         let disk = SimDisk::new();
-        commit_all(&durable(&disk, is_sharded), &o, checkpoint);
+        let live = durable(&disk, is_sharded);
+        commit_all(&live, &o, checkpoint);
         let rec = DurableSession::recover(Box::new(disk.strict_view()), DurableOptions::default())
             .unwrap();
-        o.check(
-            &format!("DurableSession recovered, sharded={is_sharded} checkpoint={checkpoint}"),
-            rec.seq().unwrap(),
-            |n| match (rec.shared(), rec.sharded()) {
-                (Some(single), _) => single.reader(n).unwrap(),
-                (None, Some(plan)) => plan.reader(n).unwrap(),
-                (None, None) => unreachable!("a session is single or sharded"),
-            },
-            |n| rec.snapshot(n).unwrap(),
-        );
+        for (life, sess) in [("live", &live), ("recovered", &rec)] {
+            o.check(
+                &format!("DurableSession {life}, sharded={is_sharded} checkpoint={checkpoint}"),
+                sess.seq().unwrap(),
+                |n| sess.reader(n).unwrap(),
+                |n| sess.snapshot(n).unwrap(),
+            );
+        }
     }
 
     // Followers bootstrapped from a checkpoint and fed the tail as
-    // records: one read through `ReplicaSession::reader`, one through
-    // the raw core handle, each on a replica nobody has read before.
+    // records, each read on a replica nobody has read before.
     for is_sharded in [false, true] {
         let leader = Arc::new(durable(&SimDisk::new(), is_sharded));
         commit_all(&leader, &o, true);
         let server =
             ReplicationServer::bind("127.0.0.1:0", Arc::clone(&leader), LeaderConfig::default())
                 .unwrap();
-        for raw in [false, true] {
-            let replica =
-                ReplicaSession::connect(server.local_addr(), ReplicaOptions::default()).unwrap();
-            assert!(
-                replica.wait_for_seq(leader.seq().unwrap(), SYNC),
-                "{replica:?}"
-            );
-            assert_eq!(replica.stats().bootstraps, 1);
-            o.check(
-                &format!("ReplicaSession, sharded={is_sharded} raw={raw}"),
-                replica.applied_seq(),
-                |n| match (raw, replica.shared(), replica.sharded()) {
-                    (false, ..) => replica.reader(n).unwrap(),
-                    (true, Some(single), _) => single.reader(n).unwrap(),
-                    (true, None, Some(plan)) => plan.reader(n).unwrap(),
-                    (true, None, None) => panic!("bootstrapped replica shows no core"),
-                },
-                |n| replica.snapshot(n).unwrap(),
-            );
-        }
+        let replica =
+            ReplicaSession::connect(server.local_addr(), ReplicaOptions::default()).unwrap();
+        assert!(
+            replica.wait_for_seq(leader.seq().unwrap(), SYNC),
+            "{replica:?}"
+        );
+        assert_eq!(replica.stats().bootstraps, 1);
+        o.check(
+            &format!("ReplicaSession, sharded={is_sharded}"),
+            replica.applied_seq(),
+            |n| replica.reader(n).unwrap(),
+            |n| replica.snapshot(n).unwrap(),
+        );
     }
 }

@@ -92,11 +92,9 @@ fn preload(rel: &str) -> Vec<Vec<Const>> {
 
 /// Preload, checkpoint, tail. Returns the checkpoint's seq.
 fn history(sess: &DurableSession) -> u64 {
-    let schema = match (sess.shared(), sess.sharded()) {
-        (Some(single), _) => single.read(|s| s.schema().clone()).unwrap(),
-        (None, Some(plan)) => plan.schema().clone(),
-        (None, None) => unreachable!("a durable session holds a core"),
-    };
+    // Every shard session carries the whole schema.
+    let core = sess.core().unwrap();
+    let schema = core.read_shard("qh", |s| s.schema().clone()).unwrap();
     for rel in schema.relations() {
         let batch: Vec<Update> = preload(schema.name(rel))
             .into_iter()
@@ -149,40 +147,22 @@ fn roll_back(sess: &DurableSession, updates: &[Update]) {
 
 /// What a reader sees of one query: rows, count and the snapshot's
 /// footprint generation.
-type Reads = Vec<(&'static str, Vec<Vec<Const>>, u64, u64)>;
+type Seen = Vec<(&'static str, Vec<Vec<Const>>, u64, u64)>;
 
-fn reads(snapshot: impl Fn(&str) -> QuerySnapshot, count: impl Fn(&str) -> u64) -> Reads {
+fn reads(face: &dyn Reads) -> Seen {
     QUERIES
         .iter()
         .map(|&(name, _)| {
-            let snap = snapshot(name);
-            (name, snap.results_sorted(), count(name), snap.generation())
+            let snap = face.snapshot(name).unwrap();
+            let count = face.count(name).unwrap();
+            (name, snap.results_sorted(), count, snap.generation())
         })
         .collect()
 }
 
-fn durable_reads(sess: &DurableSession) -> Reads {
-    reads(
-        |name| sess.snapshot(name).unwrap(),
-        |name| sess.count(name).unwrap(),
-    )
-}
-
-fn audit(tag: &str, single: Option<&SharedSession>, sharded: Option<&ShardedSession>) {
-    let audited = match (single, sharded) {
-        (Some(single), _) => single.read(Session::check_invariants).unwrap(),
-        (None, Some(plan)) => plan.check_invariants(),
-        (None, None) => panic!("{tag}: no core"),
-    };
-    audited.unwrap_or_else(|e| panic!("{tag}: audit failed: {e}"));
-}
-
-fn subscribe(sess: &DurableSession, name: &str) -> Subscription {
-    match (sess.shared(), sess.sharded()) {
-        (Some(single), _) => single.subscribe(name).unwrap(),
-        (None, Some(plan)) => plan.subscribe(name).unwrap(),
-        (None, None) => unreachable!("a durable session holds a core"),
-    }
+fn audit(tag: &str, face: &dyn Reads) {
+    face.check_invariants()
+        .unwrap_or_else(|e| panic!("{tag}: audit failed: {e}"));
 }
 
 /// One query's pending events as `(seq, added, removed)`.
@@ -224,13 +204,13 @@ fn recovery_case(sharded: bool) {
     let back = DurableSession::recover(Box::new(disk.strict_view()), opts()).unwrap();
     assert!(back.seq().unwrap() > ckpt, "{tag}: the tail replayed");
     assert_eq!(back.seq().unwrap(), live.seq().unwrap(), "{tag}: seq");
-    audit(tag, back.shared(), back.sharded());
-    assert_eq!(durable_reads(&back), durable_reads(&live), "{tag}: reads");
+    audit(tag, &back);
+    assert_eq!(reads(&back), reads(&live), "{tag}: reads");
 
     // The first commit after recovery publishes what the twin publishes.
     let subs: Vec<(Subscription, Subscription)> = QUERIES
         .iter()
-        .map(|(name, _)| (subscribe(&live, name), subscribe(&back, name)))
+        .map(|(name, _)| (live.subscribe(name).unwrap(), back.subscribe(name).unwrap()))
         .collect();
     let report = live.apply_batch(&next_commit(&live)).unwrap();
     assert_eq!(
@@ -248,8 +228,8 @@ fn recovery_case(sharded: bool) {
         );
     }
     assert_eq!(back.seq().unwrap(), live.seq().unwrap(), "{tag}: seq");
-    assert_eq!(durable_reads(&back), durable_reads(&live), "{tag}: reads");
-    audit(tag, back.shared(), back.sharded());
+    assert_eq!(reads(&back), reads(&live), "{tag}: reads");
+    audit(tag, &back);
 }
 
 #[test]
@@ -273,13 +253,8 @@ fn a_follower_bootstrapped_from_a_checkpoint_equals_the_leader() {
         for round in 0..2 {
             let head = leader.seq().unwrap();
             assert!(replica.wait_for_seq(head, SYNC), "{tag}: {replica:?}");
-            let (single, plan) = (replica.shared(), replica.sharded());
-            audit(tag, single.as_ref(), plan.as_ref());
-            let got = reads(
-                |name| replica.snapshot(name).unwrap(),
-                |name| replica.count(name).unwrap(),
-            );
-            assert_eq!(got, durable_reads(&leader), "{tag}: round {round}");
+            audit(tag, &replica);
+            assert_eq!(reads(&replica), reads(&*leader), "{tag}: round {round}");
             leader.apply_batch(&next_commit(&leader)).unwrap();
         }
         assert_eq!(replica.stats().bootstraps, 1, "{tag}");

@@ -260,13 +260,8 @@ fn run_op(sess: &DurableSession, db: &mut Database, frames: &mut Vec<Option<Upda
 /// against its own database: a bootstrap, like a recovery, builds every
 /// engine from the session's `D` (a checkpoint load or the log, then the
 /// tail).
-fn audit(tag: &str, single: Option<&SharedSession>, sharded: Option<&ShardedSession>) {
-    let audited = match (single, sharded) {
-        (Some(single), _) => single.read(Session::check_invariants).unwrap(),
-        (None, Some(sharded)) => sharded.check_invariants(),
-        (None, None) => panic!("{tag}: no core to audit"),
-    };
-    if let Err(e) = audited {
+fn audit(tag: &str, face: &dyn Reads) {
+    if let Err(e) = face.check_invariants() {
         panic!("{tag}: audit failed: {e}");
     }
 }
@@ -291,8 +286,8 @@ fn assert_converged(
         replica.stats()
     );
     let final_db = db_at(schema, frames, head);
-    audit(tag, sess.shared(), sess.sharded());
-    audit(tag, replica.shared().as_ref(), replica.sharded().as_ref());
+    audit(tag, sess);
+    audit(tag, replica);
     for (name, q) in queries {
         let leader_rows = sess.snapshot(name).unwrap().results_sorted();
         let snap = replica.snapshot(name).unwrap();
@@ -354,8 +349,8 @@ fn bootstrap_and_live_follow() {
     assert!(replica.wait_for_seq(2, SYNC), "{replica:?}");
     assert_eq!(replica.epoch(), sess.replication_epoch());
     assert!(replica.is_connected());
-    assert!(replica.shared().is_some());
-    assert!(replica.sharded().is_none());
+    // The replica mirrors the single-mode leader's open one-shard core.
+    assert_eq!(replica.core().unwrap().shard_count(), 1);
 
     // Live follow: a subscriber on the *replica* sees the leader's
     // commit with the leader's seq stamp.
@@ -417,9 +412,9 @@ fn late_follower_bootstraps_from_checkpoint() {
     assert_eq!((ls.bootstraps, ls.resumes), (1, 0));
 }
 
-/// A bootstrap with no tail behind it: a reader through the raw
-/// `shared()`/`sharded()` handle pins the checkpoint's state at the
-/// checkpoint's seq, not the empty core the checkpoint was loaded into.
+/// A bootstrap with no tail behind it: a reader taken through the read
+/// face pins the checkpoint's state at the checkpoint's seq, not the
+/// empty core the checkpoint was loaded into.
 /// (`tests/read_contract.rs` has the rows with a tail.)
 #[test]
 fn bootstrapped_core_is_published_before_it_is_shown() {
@@ -436,16 +431,64 @@ fn bootstrapped_core_is_published_before_it_is_shown() {
             ReplicationServer::bind("127.0.0.1:0", Arc::clone(&sess), fast_leader()).unwrap();
         let replica = ReplicaSession::connect(server.local_addr(), fast_replica()).unwrap();
         assert!(replica.wait_for_seq(seq, SYNC), "{replica:?}");
-        let reader = match (replica.shared(), replica.sharded()) {
-            (Some(single), _) => single.reader("qh").unwrap(),
-            (None, Some(plan)) => plan.reader("qh").unwrap(),
-            (None, None) => panic!("bootstrapped replica shows no core"),
-        };
+        let reader = replica.reader("qh").unwrap();
         let pin = reader.pin();
         assert_eq!(pin.seq(), seq, "sharded={sharded}");
         assert_eq!(pin.results_sorted(), vec![vec![1, 2]], "sharded={sharded}");
         let tag = format!("checkpoint bootstrap, sharded={sharded}");
-        audit(&tag, replica.shared().as_ref(), replica.sharded().as_ref());
+        audit(&tag, &replica);
+    }
+}
+
+/// A replica whose leader never speaks has no state to read: every read
+/// through the face, and every request to a `ReplicaSource` front end,
+/// says the replica is not bootstrapped — never that the query the
+/// caller named does not exist. The leader is a bare listener that
+/// accepts and stays silent, so the handshake never completes and no
+/// timing is involved.
+#[test]
+fn reads_before_the_first_bootstrap_say_so() {
+    use cq_updates::serve::{Client, ClientError, ReplicaSource, ServerHandle};
+    use cq_updates::serving::ErrorCode;
+
+    let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+    let replica =
+        Arc::new(ReplicaSession::connect(silent.local_addr().unwrap(), fast_replica()).unwrap());
+    let _held = silent.accept().unwrap();
+    assert_eq!(replica.applied_seq(), 0);
+
+    let refused = |what: &str, res: Result<(), CqError>| {
+        assert_eq!(res, Err(CqError::NotBootstrapped), "{what}");
+    };
+    refused("relation", replica.relation("E").map(drop));
+    refused("snapshot", replica.snapshot("qh").map(drop));
+    refused("count", replica.count("qh").map(drop));
+    refused("reader", replica.reader("qh").map(drop));
+    refused("subscribe", replica.subscribe("qh").map(drop));
+    refused("replay_since", replica.replay_since("qh", 0).map(drop));
+    refused("subscribe_from", replica.subscribe_from("qh", 0).map(drop));
+    refused("core", replica.core().map(drop));
+    let msg = CqError::NotBootstrapped.to_string();
+    assert!(msg.contains("not yet bootstrapped"), "{msg}");
+    assert_eq!(
+        replica.check_invariants(),
+        Err(msg.clone()),
+        "the audit has no core"
+    );
+
+    let server = ServerHandle::bind("127.0.0.1:0", Arc::new(ReplicaSource::new(replica))).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (what, res) in [
+        ("query", client.query("qh").map(drop)),
+        ("subscribe", client.subscribe("qh", None).map(drop)),
+    ] {
+        match res {
+            Err(ClientError::Server { code, msg }) => {
+                assert_eq!(code, ErrorCode::BadRequest as u8, "{what}: {msg}");
+                assert!(msg.contains("not yet bootstrapped"), "{what}: {msg}");
+            }
+            other => panic!("{what}: a read before the bootstrap answered {other:?}"),
+        }
     }
 }
 
@@ -626,8 +669,12 @@ fn sharded_leader_replicates() {
         run_op(&sess, &mut db, &mut frames, &op);
     }
     assert_converged("sharded", &sess, &replica, &schema, &queries, &frames);
-    assert!(replica.sharded().is_some());
-    assert!(replica.shared().is_none());
+    // The replica rebuilt the leader's sealed shard plan.
+    let (mirror, plan) = (replica.core().unwrap(), sess.sharded().unwrap().plan());
+    assert_eq!(mirror.shard_count(), plan.shard_count());
+    for (name, _) in QUERIES {
+        assert_eq!(mirror.shard_of_query(name).ok(), plan.shard_of_query(name));
+    }
 }
 
 /// The read contract of a held lock-free reader: after `wait_for_seq(s)`
@@ -894,7 +941,7 @@ fn promotion_failover_and_stale_leader_fence() {
     drop(sess1);
     let new_disk = SimDisk::new();
     let promoted = Arc::new(a.promote(Box::new(new_disk.clone()), small_opts()).unwrap());
-    audit("promoted", promoted.shared(), promoted.sharded());
+    audit("promoted", &promoted);
     assert_eq!(
         promoted.seq().unwrap(),
         head,
@@ -1020,7 +1067,7 @@ fn replica_source_hands_off_to_promoted_session() {
             .promote(Box::new(SimDisk::new()), small_opts())
             .unwrap(),
     );
-    audit("promoted", promoted.shared(), promoted.sharded());
+    audit("promoted", &promoted);
     source.handoff(Arc::clone(&promoted));
     assert!(
         source.replica().is_none(),
@@ -1257,7 +1304,7 @@ fn promote_churn_case(seed: u64, sharded: bool) {
             .promote(Box::new(SimDisk::new()), small_opts())
             .unwrap(),
     );
-    audit("promoted", promoted.shared(), promoted.sharded());
+    audit("promoted", &promoted);
     assert_eq!(promoted.seq().unwrap(), cut);
     assert!(promoted.replication_epoch() > states[winner].0);
     let server2 =
@@ -1440,12 +1487,8 @@ fn replay_differential_case(seed: u64, sharded: bool) {
     let recovered = DurableSession::recover(Box::new(view.clone()), small_opts()).unwrap();
     assert_eq!(recovered.seq().unwrap(), head);
     assert_eq!(recovered.is_sharded(), sharded);
-    audit("recovery", recovered.shared(), recovered.sharded());
-    audit(
-        "bootstrap",
-        replica.shared().as_ref(),
-        replica.sharded().as_ref(),
-    );
+    audit("recovery", &recovered);
+    audit("bootstrap", &replica);
 
     for (name, q) in &queries {
         let want = brute_force(q, &db);
@@ -1466,7 +1509,7 @@ fn replay_differential_case(seed: u64, sharded: bool) {
     let promoted = replica
         .promote(Box::new(seeded.clone()), small_opts())
         .unwrap();
-    audit("promoted", promoted.shared(), promoted.sharded());
+    audit("promoted", &promoted);
     assert_eq!(promoted.seq().unwrap(), head);
     assert_eq!(
         newest_checkpoint(&view),
